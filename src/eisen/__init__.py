@@ -50,6 +50,7 @@ from .gekeler import (
 from .irreducibility import (
     IrreducibilityCertificate,
     NewtonPolygon,
+    assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
     finite_field_degree_patterns,

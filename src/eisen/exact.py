@@ -76,13 +76,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: the primes below 100, so the usual moduli skip trial division
+_SMALL_PRIMES = frozenset(n for n in range(100) if is_prime(n))
+
+
 def _check_prime(p: int) -> None:
-    # Small p is trusted (the main path only ever uses p = 2); larger moduli
-    # are cheap to verify by trial division, so verify them.
-    if p < 2:
+    # every modulus is verified: at a composite p the valuation criterion
+    # certifies reducible polynomials (x^2 - 4 passes it at p = 4)
+    if p not in _SMALL_PRIMES and not is_prime(p):
         raise InvalidPrimeError(f"p must be a prime >= 2, got {p}")
-    if p >= 100 and not is_prime(p):
-        raise InvalidPrimeError(f"p = {p} is not prime")
 
 
 def _int_valuation(n: int, p: int) -> int:

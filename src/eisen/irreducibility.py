@@ -11,7 +11,8 @@ irreducible-factor degrees by distinct-degree factorization, and intersect
 the subset-sums; if no proper degree survives, no rational factorization can
 exist.  Neither criterion can ever certify reducibility, so the third verdict
 is "inconclusive".  Every "irreducible" verdict carries a machine-checkable
-witness, and Dumas certificates can be re-verified from their JSON form alone.
+witness, and both kinds of certificate can be re-verified from their JSON
+form alone by re-checkers that share no arithmetic with the code producing them.
 
 Polynomials are sequences of rationals, constant term first, leading
 coefficient included.  Slope comparisons are cross-multiplied integer
@@ -20,10 +21,12 @@ comparisons throughout; nothing here touches floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidPrimeError
 from .exact import INFINITY, Valuation, is_prime, valuation
@@ -215,20 +218,58 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
     return cert("inconclusive", slope_ok, g, "; ".join(reason))
 
 
+# ---------------------------------------------------------------------------
+# re-checking certificate documents
+#
+# The re-checkers read nothing but the JSON document and share no arithmetic
+# with the code that produced it.  They are total: a malformed document is
+# rejected with False, never answered with an exception.
+
+
+def _total(recheck: Callable[[Mapping], bool]) -> Callable[[Mapping], bool]:
+    """Turn every failure to read a document into a rejection."""
+
+    @functools.wraps(recheck)
+    def total(doc: Mapping) -> bool:
+        try:
+            return recheck(doc)
+        except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError):
+            return False
+
+    return total
+
+
+def _parse_rational(s: str) -> Fraction:
+    # digits only: Fraction() would also take "1e999999999" and expand it
+    num, slash, den = s.partition("/")
+    if not (s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"not a num/den string: {s!r}")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def _parse_coeffs(poly: Mapping) -> Optional[list[Fraction]]:
+    """The serialized coefficients, or None unless their count matches the degree."""
+    coeffs, n = poly["coeffs"], poly["degree"]
+    if not isinstance(coeffs, list) or type(n) is not int or n < 1 or len(coeffs) != n + 1:
+        return None
+    return [_parse_rational(s) for s in coeffs]
+
+
+@_total
 def recheck_dumas_certificate(doc: Mapping) -> bool:
     """Re-verify a Dumas certificate from its JSON document alone.
 
-    Recomputes every valuation from the serialized coefficients with a naive
-    division loop (independent of the library's valuation code), compares them
-    with the recorded ones, and re-evaluates both conditions.  Returns True
-    only for a sound "irreducible" certificate.
+    Checks that the recorded modulus is prime, recomputes every valuation from
+    the serialized coefficients with a naive division loop (independent of the
+    library's valuation code), compares them with the recorded ones, and
+    re-evaluates both conditions.  Returns True only for a sound "irreducible"
+    certificate.
     """
-    poly = doc["poly"]
+    coeffs = _parse_coeffs(doc["poly"])
     p = doc["prime"]
-    coeffs = [Fraction(s) for s in poly["coeffs"]]
-    n = poly["degree"]
-    if len(coeffs) != n + 1 or coeffs[-1] != 1 or n < 1:
+    if coeffs is None or coeffs[-1] != 1 or type(p) is not int or not is_prime(p):
         return False
+    n = len(coeffs) - 1
 
     def nu(x: Fraction) -> Union[int, None]:
         if x == 0:
@@ -243,7 +284,7 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
         return v
 
     vals = [nu(c) for c in coeffs[:-1]]
-    recorded = [None if s == "inf" else int(s) for s in doc["valuations"]]
+    recorded = [None if s == "inf" else s for s in doc["valuations"]]
     if vals != recorded:
         return False
     if vals[0] is None:
@@ -262,8 +303,8 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# finite-field degree patterns (distinct-degree factorization, no splitting)
+# The pattern re-checker's own distinct-degree factorization: textbook
+# repeated squaring, with every coefficient reduced as soon as it is formed.
 
 
 def _gf_trim(a: list[int]) -> list[int]:
@@ -272,32 +313,19 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_rem(a: list[int], f: list[int], p: int) -> list[int]:
-    a = a[:]
+def _gf_divmod(a: list[int], f: list[int], p: int) -> tuple[list[int], list[int]]:
+    r = a[:]
     df = len(f) - 1
+    q = [0] * max(len(r) - df, 1)
     inv = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and a:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - df
-        if c:
-            for i, fc in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fc) % p
-        _gf_trim(a)
-    return a
-
-def _gf_div(a: list[int], f: list[int], p: int) -> list[int]:
-    a = a[:]
-    df = len(f) - 1
-    q = [0] * max(len(a) - df, 1)
-    inv = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and a:
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - df
+    while len(r) - 1 >= df and r:
+        c = r[-1] * inv % p
+        shift = len(r) - 1 - df
         q[shift] = c
         for i, fc in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fc) % p
-        _gf_trim(a)
-    return _gf_trim(q)
+            r[shift + i] = (r[shift + i] - c * fc) % p
+        _gf_trim(r)
+    return _gf_trim(q), r
 
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -314,7 +342,7 @@ def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _gf_trim(a[:]), _gf_trim(b[:])
     while b:
-        a, b = b, _gf_rem(a, b, p)
+        a, b = b, _gf_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -323,23 +351,22 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _gf_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     result = [1]
-    base = _gf_rem(a, f, p)
+    base = _gf_divmod(a, f, p)[1]
     while e:
         if e & 1:
-            result = _gf_rem(_gf_mul(result, base, p), f, p)
+            result = _gf_divmod(_gf_mul(result, base, p), f, p)[1]
         e >>= 1
         if e:
-            base = _gf_rem(_gf_mul(base, base, p), f, p)
+            base = _gf_divmod(_gf_mul(base, base, p), f, p)[1]
     return result
 
 
-def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[int]]:
-    """Degree multiset of the irreducible factors of f mod p, or None.
+def _ddf_by_repeated_squaring(int_coeffs: Sequence[int], p: int) -> Optional[list[int]]:
+    """Degree multiset of the factors of f mod p, or None; the re-checker's DDF.
 
-    Returns None when the reduction is unusable: p divides the leading
-    coefficient, or f mod p is not squarefree.  Uses distinct-degree
-    factorization only; the factors themselves are never split, so the result
-    is deterministic.  The returned multiset always sums to deg f.
+    Same contract as ``distinct_degree_pattern``, computed another way: each
+    degree step raises h to the p-th power modulo the unfactored part g by
+    repeated squaring.
     """
     if not is_prime(p):
         raise InvalidPrimeError(f"p = {p} is not prime")
@@ -368,10 +395,166 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
         if len(common) > 1:
             deg = len(common) - 1
             pattern.extend([d] * (deg // d))
-            g = _gf_div(g, common, p)
+            g = _gf_divmod(g, common, p)[0]
             if len(g) - 1 < 1:
                 break
-            h = _gf_rem(h, g, p)
+            h = _gf_divmod(h, g, p)[1]
+    if len(g) - 1 > 0:
+        pattern.append(len(g) - 1)
+    return sorted(pattern)
+
+
+@_total
+def recheck_pattern_certificate(doc: Mapping) -> bool:
+    """Re-verify a degree-pattern certificate from its JSON document.
+
+    Recomputes the pattern at every recorded prime with the re-checker's own
+    repeated-squaring DDF and redoes the subset-sum exclusion over sets of
+    reachable degrees.  Returns True only for a sound "irreducible" verdict.
+    """
+    coeffs = _parse_coeffs(doc["poly"])
+    if coeffs is None or any(c.denominator != 1 for c in coeffs) or doc["verdict"] != "irreducible":
+        return False
+    ints = [c.numerator for c in coeffs]
+    n = len(ints) - 1
+    patterns = doc["patterns"]
+    if not patterns:
+        return False
+    # degrees a rational factor could still have, given the patterns so far
+    reachable = set(range(n + 1))
+    for p_str, recorded in patterns.items():
+        if not (isinstance(p_str, str) and p_str.isascii() and p_str.isdigit() and is_prime(int(p_str))):
+            return False
+        pattern = _ddf_by_repeated_squaring(ints, int(p_str))
+        if pattern is None or pattern != recorded:
+            return False
+        sums = {0}
+        for d in pattern:
+            sums |= {s + d for s in sums}
+        reachable &= sums
+    return not any(0 < d < n for d in reachable)
+
+
+# ---------------------------------------------------------------------------
+# finite-field degree patterns (distinct-degree factorization, no splitting)
+#
+# Polynomials mod p are lists of residues, constant term first.  The DDF
+# builds the Frobenius matrix Q of f once (Berlekamp 1967): row i is x^(ip)
+# mod f, so h^p = sum_i h_i x^(ip) = h Q for any h mod f, and each degree
+# step is one vector-matrix product instead of a powering (von zur Gathen and
+# Shoup 1992).  Rows are packed into integers, w bytes per coefficient, so a
+# product of packed polynomials or a combination of packed rows is a single
+# integer operation whose slots accumulate without reduction; unpacking takes
+# one % p per coefficient.
+
+
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+
+
+def _unpack(v: int, w: int, count: int, p: int) -> list[int]:
+    raw = v.to_bytes(w * count, "little")
+    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * count, w)]
+
+
+def _divmod_monic(a: Sequence[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic m over GF(p).
+
+    ``a`` may hold any integers; the quotient holds residues and the remainder
+    comes back reduced and trimmed, one % p per coefficient.
+    """
+    dm = len(m) - 1
+    r = list(a)
+    q = [0] * max(len(r) - dm, 0)
+    for shift in range(len(r) - 1 - dm, -1, -1):
+        c = r[shift + dm] % p
+        if c:
+            q[shift] = c
+            r[shift : shift + dm] = [x - c * y for x, y in zip(r[shift : shift + dm], m)]
+    r = [x % p for x in r[:dm]]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _gcd_monic(a: list[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of the monic a and b, which is reduced mod a first."""
+    b = _divmod_monic(b, a, p)[1]
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _divmod_monic(a, b, p)[1]
+    return a
+
+
+def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[int]]:
+    """Degree multiset of the irreducible factors of f mod p, or None.
+
+    Returns None when the reduction is unusable: p divides the leading
+    coefficient, or f mod p is not squarefree.  Uses distinct-degree
+    factorization only; the factors themselves are never split, so the result
+    is deterministic.  The returned multiset always sums to deg f.
+
+    h tracks x^(p^d) mod f and g the part of f not yet factored; h - x is
+    reduced mod g before each gcd, which is valid because g divides f.
+    """
+    if not is_prime(p):
+        raise InvalidPrimeError(f"p = {p} is not prime")
+    if int_coeffs[-1] % p == 0:
+        return None
+    n = len(int_coeffs) - 1
+    if n < 1:
+        return None
+    inv = pow(int_coeffs[-1], -1, p)
+    f = [c % p * inv % p for c in int_coeffs]
+    if len(_gcd_monic(f, [i * c for i, c in enumerate(f)][1:], p)) > 1:
+        return None  # f and f' share a factor (or f' = 0)
+    if n == 1:
+        return [1]
+
+    # a slot holds at most 2n products of residues before its one % p
+    w = (2 * n * (p - 1) ** 2).bit_length() // 8 + 1
+    xn = [-c % p for c in f[:-1]]  # x^n mod f
+
+    def times_x(v: list[int]) -> list[int]:
+        return [(a + v[-1] * b) % p for a, b in zip([0] + v[:-1], xn)]
+
+    # x^j mod f for j = n .. 2n-2 folds the top half of a product back down
+    fold = [xn]
+    for _ in range(n - 2):
+        fold.append(times_x(fold[-1]))
+    fold = [_pack(v, w) for v in fold]
+    low = (1 << (8 * w * n)) - 1
+
+    def mulmod(a: int, b: int) -> list[int]:
+        prod = a * b
+        high = _unpack(prod >> (8 * w * n), w, n - 1, p)
+        return _unpack((prod & low) + sum(map(mul, high, fold)), w, n, p)
+
+    x = [0, 1] + [0] * (n - 2)
+    h = x
+    for bit in bin(p)[3:]:  # x^p mod f, most significant bit first
+        packed = _pack(h, w)
+        h = mulmod(packed, packed)
+        if bit == "1":
+            h = times_x(h)
+    q = [1, _pack(h, w)]
+    for _ in range(n - 2):
+        q.append(_pack(mulmod(q[-1], q[1]), w))
+
+    pattern: list[int] = []
+    g = f
+    h = x
+    d = 0
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _unpack(sum(map(mul, h, q)), w, n, p)  # h^p, now x^(p^d) mod f
+        h_minus_x = h[:]
+        h_minus_x[1] -= 1
+        common = _gcd_monic(g, h_minus_x, p)
+        if len(common) > 1:
+            pattern.extend([d] * ((len(common) - 1) // d))
+            g = _divmod_monic(g, common, p)[0]
     if len(g) - 1 > 0:
         pattern.append(len(g) - 1)
     return sorted(pattern)
@@ -384,35 +567,28 @@ def _subset_sum_bits(pattern: Iterable[int]) -> int:
     return bits
 
 
-def finite_field_degree_patterns(
-    int_coeffs: Sequence[int], primes: Sequence[int], poly_id: str = "poly"
+def assemble_pattern_certificate(
+    int_coeffs: Sequence[int],
+    patterns: Mapping[int, list[int]],
+    skipped: Iterable[int] = (),
+    poly_id: str = "poly",
 ) -> IrreducibilityCertificate:
-    """Degree-pattern oracle over an explicit prime list.
+    """Degree-pattern certificate from patterns already computed.
 
-    The input must be a primitive integer polynomial (callers clear
-    denominators).  Primes with non-squarefree reduction, or dividing the
-    leading coefficient, are skipped and recorded.  Verdict "irreducible" when
-    some pattern is the single block {n}, or when the intersection of the
-    subset-sums of all collected patterns contains no proper degree; otherwise
-    "inconclusive", with the surviving degrees reported.
+    ``patterns`` maps each usable prime to its degree multiset, in the order
+    the primes are to be reported; ``skipped`` lists the unusable ones.
+    Verdict "irreducible" when some pattern is the single block {n}, or when
+    the intersection of the subset-sums of all patterns contains no proper
+    degree; otherwise "inconclusive", with the surviving degrees reported.
     """
     if len(int_coeffs) < 2:
         raise DomainError("polynomial must have degree >= 1")
     n = len(int_coeffs) - 1
-    coeffs = tuple(Fraction(c) for c in int_coeffs)
-    patterns: dict[int, list[int]] = {}
-    skipped: list[int] = []
-    for p in primes:
-        pat = distinct_degree_pattern(int_coeffs, p)
-        if pat is None:
-            skipped.append(p)
-        else:
-            patterns[p] = pat
 
     def cert(verdict: str, unexcluded: list[int], reason: Optional[str]) -> IrreducibilityCertificate:
         return IrreducibilityCertificate(
             poly_id=poly_id,
-            coeffs=coeffs,
+            coeffs=tuple(Fraction(c) for c in int_coeffs),
             verdict=verdict,
             criterion="finite-field-pattern",
             primes=tuple(patterns),
@@ -437,34 +613,27 @@ def finite_field_degree_patterns(
     return cert("inconclusive", unexcluded, f"degrees {unexcluded} not excluded")
 
 
-def recheck_pattern_certificate(doc: Mapping) -> bool:
-    """Re-verify a degree-pattern certificate from its JSON document.
+def finite_field_degree_patterns(
+    int_coeffs: Sequence[int], primes: Sequence[int], poly_id: str = "poly"
+) -> IrreducibilityCertificate:
+    """Degree-pattern oracle over an explicit prime list.
 
-    Recomputes the pattern at every recorded prime and redoes the subset-sum
-    exclusion.  Returns True only for a sound "irreducible" verdict.
+    The input must be a primitive integer polynomial (callers clear
+    denominators).  Primes with non-squarefree reduction, or dividing the
+    leading coefficient, are skipped and recorded; the verdict is that of
+    ``assemble_pattern_certificate`` on the rest.
     """
-    poly = doc["poly"]
-    coeffs = [Fraction(s) for s in poly["coeffs"]]
-    if any(c.denominator != 1 for c in coeffs):
-        return False
-    ints = [c.numerator for c in coeffs]
-    n = poly["degree"]
-    if len(ints) != n + 1 or doc["verdict"] != "irreducible":
-        return False
-    pats = []
-    for p_str, recorded in doc["patterns"].items():
-        pat = distinct_degree_pattern(ints, int(p_str))
-        if pat != recorded:
-            return False
-        pats.append(pat)
-    if not pats:
-        return False
-    if any(pat == [n] for pat in pats):
-        return True
-    bits = (1 << (n + 1)) - 1
-    for pat in pats:
-        bits &= _subset_sum_bits(pat)
-    return not any((bits >> d) & 1 for d in range(1, n))
+    if len(int_coeffs) < 2:
+        raise DomainError("polynomial must have degree >= 1")
+    patterns: dict[int, list[int]] = {}
+    skipped: list[int] = []
+    for p in primes:
+        pat = distinct_degree_pattern(int_coeffs, p)
+        if pat is None:
+            skipped.append(p)
+        else:
+            patterns[p] = pat
+    return assemble_pattern_certificate(int_coeffs, patterns, skipped, poly_id)
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +658,21 @@ def select_witness_primes(
     floor: int = 0,
     max_keep: int = 10,
     max_examined: int = 120,
-) -> tuple[Optional[list[int]], int]:
+) -> tuple[Optional[dict[int, list[int]]], int]:
     """Walk primes above ``floor`` and pick a small witness set for the oracle.
 
     Keeps a prime only when its degree pattern strictly shrinks the set of
     not-yet-excluded proper factor degrees (non-squarefree reductions are
     skipped outright), and stops as soon as the kept patterns jointly exclude
-    every proper degree.  Returns (kept_primes, primes_examined); kept is None
-    if no proof emerged within the caps, which is the honest outcome for a
-    reducible input.
+    every proper degree.  Returns (kept, primes_examined), where kept maps
+    each kept prime to its pattern in the order kept, ready for
+    ``assemble_pattern_certificate``; kept is None if no proof emerged within
+    the caps, which is the honest outcome for a reducible input.
     """
     n = len(int_coeffs) - 1
     proper_mask = ((1 << n) - 1) & ~1  # bits 1 .. n-1
     remaining = proper_mask
-    kept: list[int] = []
+    kept: dict[int, list[int]] = {}
     p = max(floor, 1)
     examined = 0
     while examined < max_examined and len(kept) < max_keep:
@@ -514,10 +684,10 @@ def select_witness_primes(
         if pat is None:
             continue
         if pat == [n]:
-            return [p], examined
+            return {p: pat}, examined
         sums = _subset_sum_bits(pat)
         if remaining & sums != remaining:
-            kept.append(p)
+            kept[p] = pat
             remaining &= sums
             if not remaining:
                 return kept, examined

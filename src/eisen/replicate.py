@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .exact import INFINITY, binomial, digit_sum_base2, is_prime, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
@@ -29,9 +29,9 @@ from .eisenstein import (
 )
 from .gekeler import phi_by_division, phi_closed_form, valuation_profile
 from .irreducibility import (
+    assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
-    finite_field_degree_patterns,
     primitive_integer_polynomial,
     recheck_dumas_certificate,
     select_witness_primes,
@@ -51,7 +51,7 @@ GOLDEN_PHI = {
     ),
 }
 
-DUMAS_SCAN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+DUMAS_SCAN_PRIMES = tuple(p for p in range(100) if is_prime(p))
 
 
 @dataclass
@@ -323,7 +323,7 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
 
         phi = phi_closed_form(k, table)
         if phi.coeffs != phi_by_division(k, table).coeffs:
-            raise DomainError(f"routes disagree at k={k}")  # pragma: no cover
+            raise ConsistencyError(f"phi routes disagree at k={k}")  # pragma: no cover
         profile = valuation_profile(phi, 2)
         nu_t0 = profile[0]
         expected_t0 = (2 * k - 3) // 3
@@ -335,6 +335,7 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
 
         cert = dumas_check(phi.coeffs, 2, poly_id=f"phi_{k}")
         doc = cert.to_json_dict()
+        rechecked = recheck_dumas_certificate(doc)
         record = {
             "ell": ell,
             "k": k,
@@ -347,7 +348,7 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
             "chord_ok": chord_ok,
             "gcd": gcd_val,
             "verdict": cert.verdict,
-            "certificate_rechecked": recheck_dumas_certificate(doc),
+            "certificate_rechecked": rechecked,
             "certificate": doc,
             "passed": (
                 w0_ok
@@ -357,7 +358,7 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
                 and chord_ok
                 and gcd_val == 1
                 and cert.verdict == "irreducible"
-                and recheck_dumas_certificate(doc)
+                and rechecked
             ),
         }
         report.records.append(record)
@@ -412,7 +413,7 @@ def gekeler_scan(
             # no proof within the caps: still report the patterns at the first
             # usable primes above the weight so the record stays informative
             kept = _first_usable_primes(ints, k, oracle_prime_count)
-        cert = finite_field_degree_patterns(ints, kept, poly_id=f"phi_{k}")
+        cert = assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}")
         return {
             "k": k,
             "degree": phi.degree,
@@ -433,8 +434,9 @@ def gekeler_scan(
     return _timed(report, started)
 
 
-def _first_usable_primes(int_coeffs: Sequence[int], floor: int, count: int) -> list[int]:
-    out: list[int] = []
+def _first_usable_primes(int_coeffs: Sequence[int], floor: int, count: int) -> dict[int, list[int]]:
+    """Patterns at the first ``count`` primes above ``floor`` with a usable reduction."""
+    out: dict[int, list[int]] = {}
     p = max(floor, 1)
     examined = 0
     while len(out) < count and examined < 400:
@@ -442,8 +444,9 @@ def _first_usable_primes(int_coeffs: Sequence[int], floor: int, count: int) -> l
         if not is_prime(p):
             continue
         examined += 1
-        if distinct_degree_pattern(int_coeffs, p) is not None:
-            out.append(p)
+        pattern = distinct_degree_pattern(int_coeffs, p)
+        if pattern is not None:
+            out[p] = pattern
     return out
 
 

@@ -115,6 +115,12 @@ class TestNewton:
         doc = json.loads(capsys.readouterr().out)
         assert doc["vertices"] == [[0, 7], [1, 0]]
 
+    def test_composite_modulus_exits_nonzero(self, tmp_path, capsys):
+        poly = tmp_path / "poly.txt"
+        poly.write_text("-4\n0\n1\n")  # x^2 - 4 = (x - 2)(x + 2)
+        assert main(["newton", "--poly", str(poly), "--p", "4"]) != 0
+        assert "irreducible" not in capsys.readouterr().out
+
 
 class TestTablePersistence:
     def test_dump_then_load(self, tmp_path, capsys):

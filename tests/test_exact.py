@@ -54,7 +54,13 @@ class TestValuation:
         with pytest.raises(InvalidPrimeError):
             valuation(Fraction(1), -7)
         with pytest.raises(InvalidPrimeError):
-            valuation(Fraction(6), 119)  # 7 * 17, large enough to be verified
+            valuation(Fraction(6), 119)  # 7 * 17
+
+    def test_small_composite_moduli_rejected(self):
+        # nu_4(-4) = 1 would make x^2 - 4 pass the valuation criterion
+        for p in (4, 6, 9, 15, 49, 91):
+            with pytest.raises(InvalidPrimeError):
+                valuation(Fraction(-4), p)
 
     def test_large_prime_accepted(self):
         assert valuation(Fraction(101**3, 7), 101) == 3

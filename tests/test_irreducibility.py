@@ -1,14 +1,19 @@
+import copy
 import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eisen.errors import DomainError
-from eisen.exact import INFINITY
+from eisen import irreducibility
+from eisen.errors import DomainError, InvalidPrimeError
+from eisen.exact import INFINITY, is_prime
 from eisen.irreducibility import (
     NewtonPolygon,
+    _ddf_by_repeated_squaring,
     distinct_degree_pattern,
     dumas_check,
     finite_field_degree_patterns,
@@ -372,3 +377,156 @@ class TestHelpers:
         kept, _ = select_witness_primes([1, 1, 0, 0, 1], floor=2, max_keep=1, max_examined=60)
         if kept is not None:
             assert len(kept) <= 1
+
+
+# --- the production DDF against the re-checker's ---------------------------
+
+SMALL_PRIMES = [p for p in range(2, 110) if is_prime(p)]
+
+
+@st.composite
+def polys_mod_primes(draw):
+    """(integer coefficients, prime): degree 1..9, leading coefficient possibly divisible by p."""
+    n = draw(st.integers(1, 9))
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    return coeffs + [draw(st.integers(1, 60))], draw(st.sampled_from(SMALL_PRIMES))
+
+
+@st.composite
+def non_squarefree_polys(draw):
+    """(a^2 * b, prime) with a monic of degree >= 1, so a^2 divides it mod every prime."""
+    a = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)) + [1]
+    b = draw(st.lists(st.integers(-9, 9), min_size=0, max_size=4)) + [1]
+    return poly_mul(poly_mul(a, a), b), draw(st.sampled_from(SMALL_PRIMES))
+
+
+class TestDDFAgainstRechecker:
+    @given(polys_mod_primes())
+    @example(([5, 3], 2))  # degree 1 at p = 2
+    @example(([1, 1, 0, 1], 2))  # x^3 + x + 1, irreducible mod 2
+    @example(([1, 0, 0, 0, 0, 1, 0, 1], 107))  # p above the degree
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_patterns_agree(self, case):
+        f, p = case
+        pattern = distinct_degree_pattern(f, p)
+        assert pattern == _ddf_by_repeated_squaring(f, p)
+        if pattern is not None:
+            assert sum(pattern) == len(f) - 1
+
+    @given(non_squarefree_polys())
+    @example(([1, 2, 1], 2))  # (x + 1)^2 at p = 2
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_non_squarefree_is_unusable(self, case):
+        f, p = case
+        assert distinct_degree_pattern(f, p) is None
+        assert _ddf_by_repeated_squaring(f, p) is None
+
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(InvalidPrimeError):
+            distinct_degree_pattern([1, 0, 1], 9)
+
+
+# --- composite moduli --------------------------------------------------------
+
+# x^2 - 4 = (x - 2)(x + 2) "certified" at the composite modulus 4: nu_4(-4) = 1
+FORGED_DUMAS_AT_4 = {
+    "poly": {"id": "x^2-4", "degree": 2, "coeffs": ["-4/1", "0/1", "1/1"]},
+    "prime": 4,
+    "valuations": [1, "inf"],
+    "slope_num": -1,
+    "slope_den": 2,
+    "gcd": 1,
+    "verdict": "irreducible",
+    "criterion": "dumas",
+}
+
+
+class TestCompositeModulus:
+    def test_dumas_check_rejects(self):
+        with pytest.raises(InvalidPrimeError):
+            dumas_check([-4, 0, 1], 4)
+
+    def test_newton_polygon_rejects(self):
+        with pytest.raises(InvalidPrimeError):
+            newton_polygon([-4, 0, 1], 4)
+
+    def test_rechecker_rejects_forged_certificate(self):
+        assert recheck_dumas_certificate(FORGED_DUMAS_AT_4) is False
+
+    def test_forged_pattern_prime_rejected(self):
+        doc = finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict()
+        doc["patterns"] = {"9": [2]}
+        assert recheck_pattern_certificate(doc) is False
+
+
+# --- the re-checkers are total and independent ---------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+VALID_DOCS = (
+    dumas_check([2, 2, 1], 2).to_json_dict(),
+    finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict(),
+    finite_field_degree_patterns([1, 1, 0, 0, 1], [2, 3, 5, 7]).to_json_dict(),
+)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A valid certificate with one entry deleted or replaced by arbitrary JSON."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    listed = doc["patterns"] if "patterns" in doc else doc["valuations"]
+    box = draw(st.sampled_from([doc, doc["poly"], doc["poly"]["coeffs"], listed]))
+    keys = list(box) if isinstance(box, dict) else list(range(len(box)))
+    if not keys:
+        return doc
+    key = draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        del box[key]
+    else:
+        box[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestRecheckersTotal:
+    def test_valid_documents_accepted(self):
+        assert recheck_dumas_certificate(VALID_DOCS[0])
+        assert all(recheck_pattern_certificate(doc) for doc in VALID_DOCS[1:])
+
+    def test_empty_document(self):
+        assert recheck_pattern_certificate({}) is False
+        assert recheck_dumas_certificate({}) is False
+
+    def test_unparseable_coefficient(self):
+        # "1e999999999" is a valid Fraction() string that would take a billion-digit power
+        for coeff in ("x", "1e999999999", "2.0", " 2/1", "2/-1", 2):
+            for doc in VALID_DOCS:
+                bad = copy.deepcopy(doc)
+                bad["poly"]["coeffs"][0] = coeff
+                assert recheck_pattern_certificate(bad) is False
+                assert recheck_dumas_certificate(bad) is False
+
+    def test_zero_denominator(self):
+        bad = copy.deepcopy(VALID_DOCS[0])
+        bad["poly"]["coeffs"][0] = "2/0"
+        assert recheck_dumas_certificate(bad) is False
+
+    @given(st.one_of(JSON_VALUES, mutated_certificates()))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_fuzzed_documents_give_a_bool(self, doc):
+        assert isinstance(recheck_dumas_certificate(doc), bool)
+        assert isinstance(recheck_pattern_certificate(doc), bool)
+
+    def test_pattern_rechecker_never_calls_production_ddf(self, monkeypatch):
+        calls = []
+        real = irreducibility.distinct_degree_pattern
+        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", lambda f, p: calls.append(p) or real(f, p))
+        assert all(recheck_pattern_certificate(doc) for doc in VALID_DOCS[1:])
+        assert calls == []

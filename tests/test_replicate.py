@@ -1,10 +1,13 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from eisen.errors import DomainError
+from eisen import irreducibility, replicate
+from eisen.errors import ConsistencyError, DomainError
 from eisen.eisenstein import EisensteinTable
+from eisen.irreducibility import _ddf_by_repeated_squaring
 from eisen.replicate import (
     CheckReport,
     check_conjecture,
@@ -132,6 +135,19 @@ class TestTheoremMain:
         with pytest.raises(DomainError):
             check_theorem_main(-1)
 
+    def test_route_disagreement_is_a_consistency_error(self, shared_table, monkeypatch):
+        monkeypatch.setattr(replicate, "phi_by_division", lambda k, table: SimpleNamespace(coeffs=()))
+        with pytest.raises(ConsistencyError):
+            check_theorem_main(1, table=shared_table.ensure(24))
+
+    def test_certificate_rechecked_once_per_weight(self, shared_table, monkeypatch):
+        calls = []
+        real = replicate.recheck_dumas_certificate
+        monkeypatch.setattr(replicate, "recheck_dumas_certificate", lambda doc: calls.append(doc) or real(doc))
+        report = check_theorem_main(2, table=shared_table.ensure(48))
+        assert report.status == "PASS"
+        assert len(calls) == len(report.records) == 3
+
 
 class TestScan:
     def test_small_scan_all_irreducible(self, shared_table):
@@ -168,6 +184,50 @@ class TestScan:
             assert scanned["verdict"] == rec["verdict"] == "irreducible"
             assert scanned["criterion"] == "dumas"
             assert scanned["primes"] == [rec["certificate"]["prime"]]
+
+
+class TestScanPatterns:
+    @staticmethod
+    def record_ddf(monkeypatch) -> list:
+        """Route every production DDF call of the scan through a recorder."""
+        seen = []
+        real = irreducibility.distinct_degree_pattern
+
+        def recording(int_coeffs, p):
+            pattern = real(int_coeffs, p)
+            seen.append((tuple(int_coeffs), p, pattern))
+            return pattern
+
+        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", recording)
+        monkeypatch.setattr(replicate, "distinct_degree_pattern", recording)
+        return seen
+
+    def test_production_ddf_matches_rechecker_on_scan_inputs(self, shared_table, monkeypatch):
+        seen = self.record_ddf(monkeypatch)
+        gekeler_scan(120, table=shared_table.ensure(120))
+        assert len(seen) > 100
+        for f, p, pattern in seen:
+            assert pattern == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
+
+    def test_one_pattern_per_examined_prime(self, shared_table, monkeypatch):
+        seen = self.record_ddf(monkeypatch)
+        examined = []
+        real_select = replicate.select_witness_primes
+
+        def selecting(*args, **kwargs):
+            kept, count = real_select(*args, **kwargs)
+            examined.append(count)
+            return kept, count
+
+        monkeypatch.setattr(replicate, "select_witness_primes", selecting)
+        report = gekeler_scan(60, table=shared_table.ensure(60))
+        assert report.status == "PASS" and examined
+        assert len(seen) == sum(examined)
+        assert len({(f, p) for f, p, _ in seen}) == len(seen)
+
+    def test_dumas_primes_are_the_primes_below_100(self):
+        assert replicate.DUMAS_SCAN_PRIMES == tuple(n for n in range(2, 100) if all(n % d for d in range(2, n)))
+        assert len(replicate.DUMAS_SCAN_PRIMES) == 25
 
 
 class TestSelftest:
