@@ -8,10 +8,10 @@
     eisen scan --k-max 446                          irreducibility sweep
     eisen newton --poly coeffs.txt --p 2            Newton polygon + slope data
 
-Global flags on every subcommand: --json / --csv select the output format,
---out writes to a file instead of stdout, --threads sets the worker pool for
-per-weight checks, --table-dump / --table-load persist the expansion table as
-CSV for warm starts.  Exit code is 0 iff every check passed.
+Global flags on every subcommand: --json or --csv (not both) selects the
+output format, --out writes to a file instead of stdout, --table-dump /
+--table-load persist the expansion table as CSV for warm starts (all but
+newton).  Exit code is 0 iff every check passed.
 
 Polynomial files: one coefficient per line, constant term first, each written
 as an exact "num/den" (or plain integer) string.
@@ -26,7 +26,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .eisenstein import EisensteinTable
 from .errors import EisenError
@@ -36,10 +36,10 @@ from . import replicate
 
 
 def _add_common(parser: argparse.ArgumentParser, table_opts: bool = True) -> None:
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--csv", action="store_true", help="emit CSV records")
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit JSON")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV records")
     parser.add_argument("--out", metavar="PATH", help="write output to a file")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for per-weight checks")
     if table_opts:
         parser.add_argument("--table-dump", metavar="PATH", help="dump the expansion table as CSV")
         parser.add_argument("--table-load", metavar="PATH", help="warm-start the table from a CSV dump")
@@ -95,16 +95,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_csv(header: Sequence, rows: Iterable[Sequence], out: Optional[str]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), out)
+
+
 def _emit_report(report: replicate.CheckReport, args: argparse.Namespace) -> int:
     if args.json:
         _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
     elif args.csv:
-        header, rows = report.csv_rows()
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(*report.csv_rows(), args.out)
     else:
         lines = [report.summary()]
         for key, value in report.notes.items():
@@ -116,49 +119,29 @@ def _emit_report(report: replicate.CheckReport, args: argparse.Namespace) -> int
     return 0 if report.status == "PASS" else 1
 
 
-def _load_table(args: argparse.Namespace) -> Optional[EisensteinTable]:
-    if getattr(args, "table_load", None):
-        return EisensteinTable.load_csv(args.table_load)
-    return None
-
-
-def _maybe_dump(table: Optional[EisensteinTable], args: argparse.Namespace) -> None:
-    if table is not None and getattr(args, "table_dump", None):
-        table.dump_csv(args.table_dump)
-
-
 def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _cmd_wk(args: argparse.Namespace) -> int:
-    table = _load_table(args) or EisensteinTable()
+def _cmd_wk(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     vec = table.w_vector(args.k)
-    _maybe_dump(table, args)
     rows = [(a, (args.k - 4 * a) // 6, vec[a]) for a in sorted(vec)]
     if args.json:
         doc = {"k": args.k, "coefficients": [{"a": a, "b": b, "w": _frac_str(w)} for a, b, w in rows]}
         _emit(json.dumps(doc, indent=2), args.out)
     elif args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "a", "b", "w"])
-        for a, b, w in rows:
-            writer.writerow([args.k, a, b, _frac_str(w)])
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(["k", "a", "b", "w"], ([args.k, a, b, _frac_str(w)] for a, b, w in rows), args.out)
     else:
         lines = [f"w({args.k}):"] + [f"  a={a} b={b}  {_frac_str(w)}" for a, b, w in rows]
         _emit("\n".join(lines), args.out)
     return 0
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
-    table = _load_table(args) or EisensteinTable()
+def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     phi = phi_by_division(args.k, table)
     profile = valuation_profile(phi, 2)
-    _maybe_dump(table, args)
     profile_json = [str(v) if not isinstance(v, int) else v for v in profile]
     if args.json:
         doc = {
@@ -171,13 +154,10 @@ def _cmd_phi(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(doc, indent=2), args.out)
     elif args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r", "coeff", "nu_2"])
-        for r, c in enumerate(phi.coeffs):
-            nu = profile_json[r] if r < len(profile_json) else ""
-            writer.writerow([r, _frac_str(c), nu])
-        _emit(buf.getvalue(), args.out)
+        rows = (
+            [r, _frac_str(c), profile_json[r] if r < len(profile_json) else ""] for r, c in enumerate(phi.coeffs)
+        )
+        _emit_csv(["r", "coeff", "nu_2"], rows, args.out)
     else:
         lines = [
             f"phi_{phi.k} = {phi}",
@@ -206,12 +186,7 @@ def _cmd_newton(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(doc, indent=2), args.out)
     elif args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["vertex_r", "vertex_valuation"])
-        for r, v in polygon.vertices:
-            writer.writerow([r, v])
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(["vertex_r", "vertex_valuation"], polygon.vertices, args.out)
     else:
         lines = [
             f"Newton polygon at p={polygon.prime}",
@@ -224,47 +199,38 @@ def _cmd_newton(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_check(args: argparse.Namespace, table: EisensteinTable) -> replicate.CheckReport:
+    if args.command == "selftest":
+        return replicate.selftest(k_dual=args.k_max_dual, k_qseries=args.k_max_q, k_phi=args.k_max_phi, table=table)
+    if args.command == "theorem":
+        return replicate.check_theorem_main(args.ell_max, table=table)
+    if args.command == "scan":
+        return replicate.gekeler_scan(args.k_max, table=table)
+    k_max = args.k_max or _CHECK_DEFAULTS[args.lemma]
+    if args.lemma == "valsum":
+        return replicate.check_lemma_valsum(k_max)
+    if args.lemma == "ineq":
+        return replicate.check_lemma_ineq(k_max)
+    if args.lemma == "min":
+        return replicate.check_min_valuation(k_max, table=table)
+    return replicate.check_conjecture(k_max, table=table)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "wk":
-            return _cmd_wk(args)
-        if args.command == "phi":
-            return _cmd_phi(args)
         if args.command == "newton":
             return _cmd_newton(args)
-
-        table = _load_table(args)
-        if args.command == "selftest":
-            report = replicate.selftest(
-                k_dual=args.k_max_dual, k_qseries=args.k_max_q, k_phi=args.k_max_phi, table=table
-            )
-            table_used = table
-        elif args.command == "check":
-            k_max = args.k_max or _CHECK_DEFAULTS[args.lemma]
-            if args.lemma == "valsum":
-                report = replicate.check_lemma_valsum(k_max)
-            elif args.lemma == "ineq":
-                report = replicate.check_lemma_ineq(k_max)
-            elif args.lemma == "min":
-                table = table or EisensteinTable()
-                report = replicate.check_min_valuation(k_max, table=table, threads=args.threads)
-            else:
-                table = table or EisensteinTable()
-                report = replicate.check_conjecture(k_max, table=table, threads=args.threads)
-            table_used = table
-        elif args.command == "theorem":
-            table = table or EisensteinTable()
-            report = replicate.check_theorem_main(args.ell_max, table=table)
-            table_used = table
-        elif args.command == "scan":
-            table = table or EisensteinTable()
-            report = replicate.gekeler_scan(args.k_max, table=table, threads=args.threads)
-            table_used = table
-        else:  # pragma: no cover - argparse enforces the choices
-            raise EisenError(f"unknown command {args.command}")
-        _maybe_dump(table_used, args)
-        return _emit_report(report, args)
+        table = EisensteinTable.load_csv(args.table_load) if args.table_load else EisensteinTable()
+        if args.command == "wk":
+            code = _cmd_wk(args, table)
+        elif args.command == "phi":
+            code = _cmd_phi(args, table)
+        else:
+            code = _emit_report(_run_check(args, table), args)
+        if args.table_dump:
+            table.dump_csv(args.table_dump)
+        return code
     except EisenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

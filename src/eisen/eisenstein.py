@@ -87,8 +87,7 @@ class EisensteinTable:
 
     Weights 4 and 6 are the generators themselves and are axioms; every higher
     even weight is filled by the convolution recurrence when ``extend`` is
-    called.  Entries are immutable once present.  Reads are safe from multiple
-    threads after the single-writer build phase.
+    called.  Entries are immutable once present.
     """
 
     def __init__(self) -> None:
@@ -206,7 +205,12 @@ class EisensteinTable:
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
-        """Re-ingest a dump; validates index structure and the two base weights."""
+        """Re-ingest a dump; validates index structure and the two base weights.
+
+        A row that does not parse as four fields k, a, b, num/den, whose
+        exponents are negative or do not satisfy 4a + 6b = k, or that repeats
+        an earlier (k, a), raises ``ConsistencyError``.
+        """
         table = cls()
         loaded: dict[int, WVector] = {}
         with open(path, newline="") as fh:
@@ -215,10 +219,20 @@ class EisensteinTable:
             if header != ["k", "a", "b", "w"]:
                 raise ConsistencyError(f"unexpected table header {header!r}")
             for row in reader:
-                k, a, b = int(row[0]), int(row[1]), int(row[2])
+                if len(row) != 4:
+                    raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
+                try:
+                    k, a, b, w = int(row[0]), int(row[1]), int(row[2]), Fraction(row[3])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
                 if 4 * a + 6 * b != k:
                     raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
-                loaded.setdefault(k, {})[a] = Fraction(row[3])
+                if a < 0 or b < 0:
+                    raise ConsistencyError(f"bad index row {row!r}: negative exponent")
+                vec = loaded.setdefault(k, {})
+                if a in vec:
+                    raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")
+                vec[a] = w
         for k in sorted(loaded):
             if k in (4, 6):
                 if loaded[k] != table._w[k]:

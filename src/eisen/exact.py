@@ -60,8 +60,20 @@ INFINITY = _Infinity()
 Valuation = Union[int, _Infinity]
 
 
+# largest n that is_prime decides: trial division up to it takes at most ~33k
+# steps, and the scan's moduli stay below 10**4
+_PRIME_BOUND = 2**32
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for small n)."""
+    """Deterministic trial-division primality test for n <= 2**32.
+
+    Larger n raise ``DomainError``: trial division would take time growing as
+    sqrt(n), and the answer is never guessed.
+    """
+    if n > _PRIME_BOUND:
+        # the bit length, not n: str() of a huge int is itself slow or refused
+        raise DomainError(f"primality is not decided above 2**32 (got a {n.bit_length()}-bit modulus)")
     if n < 2:
         return False
     if n < 4:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .exact import INFINITY, binomial, digit_sum_base2, is_prime, valuation, zeta_ratio
@@ -38,9 +37,6 @@ from .irreducibility import (
 )
 from .qmring import substitute_q_expansion
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 #: frozen golden fixtures (weight -> coefficients, constant first)
 GOLDEN_PHI = {
     16: (Fraction(-3456000, 3617), Fraction(1)),
@@ -52,6 +48,9 @@ GOLDEN_PHI = {
 }
 
 DUMAS_SCAN_PRIMES = tuple(p for p in range(100) if is_prime(p))
+
+#: witness primes the scan's finite-field oracle keeps per weight
+ORACLE_PRIME_COUNT = 10
 
 
 @dataclass
@@ -116,14 +115,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, dict):
         return ";".join(f"{k}={v}" for k, v in value.items())
     return "" if value is None else str(value)
-
-
-def _map_ordered(fn: Callable[[T], U], items: Sequence[T], threads: int) -> list[U]:
-    # results always merge in input order, whatever the execution order
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _timed(report: CheckReport, started: float) -> CheckReport:
@@ -252,45 +243,41 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
 # expansion-vector valuations
 
 
-def check_min_valuation(k_max: int, table: Optional[EisensteinTable] = None, threads: int = 1) -> CheckReport:
+def check_min_valuation(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
     """min_a nu_2(w_{a,k}) >= 0 for every even 4 <= k <= k_max."""
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
     started = time.perf_counter()
     table = _ensure_table(table, k_max)
     report = CheckReport("min-valuation", {"k_max": k_max})
-
-    def one(k: int) -> dict:
+    for k in range(4, k_max + 1, 2):
         mv = min_valuation2(table.w_vector(k))
-        return {"k": k, "min_valuation2": int(mv), "passed": mv >= 0}
-
-    report.records = _map_ordered(one, range(4, k_max + 1, 2), threads)
+        report.records.append({"k": k, "min_valuation2": int(mv), "passed": mv >= 0})
     return _timed(report, started)
 
 
-def check_conjecture(k_max: int, table: Optional[EisensteinTable] = None, threads: int = 1) -> CheckReport:
+def check_conjecture(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
     """min_a nu_2(w_{a,k}) against the predicted s_2(k) - 2, or 0 at powers of two."""
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
     started = time.perf_counter()
     table = _ensure_table(table, k_max)
     report = CheckReport("conjecture", {"k_max": k_max})
-
-    def one(k: int) -> dict:
+    for k in range(4, k_max + 1, 2):
         s2 = digit_sum_base2(k)
         pow2 = _is_power_of_two(k)
         predicted = 0 if pow2 else s2 - 2
         computed = int(min_valuation2(table.w_vector(k)))
-        return {
-            "k": k,
-            "s2": s2,
-            "branch": "power-of-two" if pow2 else "generic",
-            "predicted": predicted,
-            "min_valuation2": computed,
-            "passed": computed == predicted,
-        }
-
-    report.records = _map_ordered(one, range(4, k_max + 1, 2), threads)
+        report.records.append(
+            {
+                "k": k,
+                "s2": s2,
+                "branch": "power-of-two" if pow2 else "generic",
+                "predicted": predicted,
+                "min_valuation2": computed,
+                "passed": computed == predicted,
+            }
+        )
     return _timed(report, started)
 
 
@@ -365,17 +352,11 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
     return _timed(report, started)
 
 
-def gekeler_scan(
-    k_max: int,
-    table: Optional[EisensteinTable] = None,
-    dumas_prime_limit: int = 97,
-    oracle_prime_count: int = 10,
-    threads: int = 1,
-) -> CheckReport:
+def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
     """Certify irreducibility of phi_k for every even 4 <= k <= k_max with deg >= 1.
 
-    Strategy per weight: try the valuation criterion at every prime up to
-    ``dumas_prime_limit``; if none concludes, fall back to the finite-field
+    Strategy per weight: try the valuation criterion at every prime in
+    ``DUMAS_SCAN_PRIMES``; if none concludes, fall back to the finite-field
     degree-pattern oracle.  Witness primes for the oracle are selected above
     the weight k, because reductions at primes below the weight collapse into
     factors of degree at most 2 (their roots are supersingular invariants) and
@@ -388,43 +369,32 @@ def gekeler_scan(
     table = _ensure_table(table, k_max)
     report = CheckReport(
         "gekeler-scan",
-        {"k_max": k_max, "dumas_prime_limit": dumas_prime_limit, "oracle_prime_count": oracle_prime_count},
+        {"k_max": k_max, "dumas_prime_limit": DUMAS_SCAN_PRIMES[-1], "oracle_prime_count": ORACLE_PRIME_COUNT},
     )
-    dumas_primes = [p for p in DUMAS_SCAN_PRIMES if p <= dumas_prime_limit]
-
-    def one(k: int) -> Optional[dict]:
+    for k in range(4, k_max + 1, 2):
         phi = phi_by_division(k, table)
         if phi.degree < 1:
-            return None
-        for p in dumas_primes:
-            cert = dumas_check(phi.coeffs, p, poly_id=f"phi_{k}")
-            if cert.verdict == "irreducible":
-                return {
-                    "k": k,
-                    "degree": phi.degree,
-                    "verdict": "irreducible",
-                    "criterion": "dumas",
-                    "primes": [p],
-                    "passed": True,
-                }
-        ints = primitive_integer_polynomial(phi.coeffs)
-        kept, _examined = select_witness_primes(ints, floor=k, max_keep=oracle_prime_count)
-        if kept is None:
-            # no proof within the caps: still report the patterns at the first
-            # usable primes above the weight so the record stays informative
-            kept = _first_usable_primes(ints, k, oracle_prime_count)
-        cert = assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}")
-        return {
-            "k": k,
-            "degree": phi.degree,
-            "verdict": cert.verdict,
-            "criterion": cert.criterion,
-            "primes": list(cert.primes),
-            "passed": cert.verdict != "reducible",
-        }
-
-    results = _map_ordered(one, range(4, k_max + 1, 2), threads)
-    report.records = [r for r in results if r is not None]
+            continue
+        record = {"k": k, "degree": phi.degree}
+        for p in DUMAS_SCAN_PRIMES:
+            if dumas_check(phi.coeffs, p, poly_id=f"phi_{k}").verdict == "irreducible":
+                record.update(verdict="irreducible", criterion="dumas", primes=[p], passed=True)
+                break
+        else:
+            ints = primitive_integer_polynomial(phi.coeffs)
+            kept, _examined = select_witness_primes(ints, floor=k, max_keep=ORACLE_PRIME_COUNT)
+            if kept is None:
+                # no proof within the caps: still report the patterns at the first
+                # usable primes above the weight so the record stays informative
+                kept = _first_usable_primes(ints, k, ORACLE_PRIME_COUNT)
+            cert = assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}")
+            record.update(
+                verdict=cert.verdict,
+                criterion=cert.criterion,
+                primes=list(cert.primes),
+                passed=cert.verdict != "reducible",
+            )
+        report.records.append(record)
     counts: dict[str, int] = {}
     for r in report.records:
         key = f"{r['verdict']}/{r['criterion']}" if r["verdict"] == "irreducible" else r["verdict"]

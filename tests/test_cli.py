@@ -1,7 +1,10 @@
 import csv
 import json
 
+import pytest
+
 from eisen.cli import main
+from eisen.eisenstein import EisensteinTable
 
 
 class TestWk:
@@ -53,9 +56,6 @@ class TestChecks:
         rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
         assert rows[0][0] == "k"
 
-    def test_min_with_threads(self, capsys):
-        assert main(["check", "--lemma", "min", "--k-max", "40", "--threads", "2"]) == 0
-
     def test_conjecture_json(self, capsys):
         assert main(["check", "--lemma", "conjecture", "--k-max", "32", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -82,6 +82,21 @@ class TestTheoremAndScan:
 
     def test_scan_bad_range(self, capsys):
         assert main(["scan", "--k-max", "3"]) == 2
+
+
+class TestUsage:
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--k-max", "40", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_json_and_csv_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wk", "--k", "12", "--json", "--csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "not allowed with" in err
 
 
 class TestSelftestCommand:
@@ -121,6 +136,13 @@ class TestNewton:
         assert main(["newton", "--poly", str(poly), "--p", "4"]) != 0
         assert "irreducible" not in capsys.readouterr().out
 
+    def test_huge_modulus_exits_2(self, tmp_path, capsys):
+        poly = tmp_path / "poly.txt"
+        poly.write_text("2\n2\n1\n")
+        # a 30-digit prime: trial division would never finish
+        assert main(["newton", "--poly", str(poly), "--p", str(10**29 + 319)]) == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestTablePersistence:
     def test_dump_then_load(self, tmp_path, capsys):
@@ -137,3 +159,9 @@ class TestTablePersistence:
         assert main(["scan", "--k-max", "40", "--table-load", str(dump), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "PASS"
+
+    def test_selftest_dumps_its_table(self, tmp_path, capsys):
+        dump = tmp_path / "table.csv"
+        args = ["selftest", "--k-max-dual", "16", "--k-max-q", "12", "--k-max-phi", "24"]
+        assert main(args + ["--table-dump", str(dump)]) == 0
+        assert EisensteinTable.load_csv(dump).max_weight() == 24

@@ -254,6 +254,22 @@ class TestPersistence:
         with pytest.raises(ConsistencyError):
             EisensteinTable.load_csv(path)
 
+    def test_duplicate_row_rejected(self, tmp_path, shared_table):
+        path = tmp_path / "bad.csv"
+        shared_table.ensure(12).dump_csv(path)
+        with open(path, "a") as fh:
+            fh.write("12,3,0,5/1\n")
+        with pytest.raises(ConsistencyError):
+            EisensteinTable.load_csv(path)
+
+    # 12,-3,4 satisfies 4a + 6b = k with a negative exponent
+    @pytest.mark.parametrize("row", ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1"])
+    def test_bad_row_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"k,a,b,w\n{row}\n")
+        with pytest.raises(ConsistencyError):
+            EisensteinTable.load_csv(path)
+
     def test_corrupt_base_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k,a,b,w\n4,1,0,2/1\n")

@@ -251,6 +251,12 @@ class TestSmallHelpers:
         assert not is_prime(1)
         assert not is_prime(119)
 
+    def test_is_prime_bound(self):
+        assert is_prime(2**32 - 5)  # the largest prime below the bound
+        for n in (2**32 + 15, (10**7 + 19) ** 2, 10**29 + 319):
+            with pytest.raises(DomainError):
+                is_prime(n)
+
     def test_divisor_power_sum(self):
         assert divisor_power_sum(4, 3) == 1 + 8 + 64
         assert divisor_power_sum(1, 5) == 1

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -523,6 +524,19 @@ class TestRecheckersTotal:
     def test_fuzzed_documents_give_a_bool(self, doc):
         assert isinstance(recheck_dumas_certificate(doc), bool)
         assert isinstance(recheck_pattern_certificate(doc), bool)
+
+    # a square of a prime, and 10**29 + 319, a 30-digit prime: both far
+    # beyond what trial division can decide quickly
+    @pytest.mark.parametrize("modulus", [(10**7 + 19) ** 2, 10**29 + 319])
+    def test_huge_modulus_rejected_fast(self, modulus):
+        dumas = copy.deepcopy(VALID_DOCS[0])
+        dumas["prime"] = modulus
+        pattern = copy.deepcopy(VALID_DOCS[1])
+        pattern["patterns"] = {str(modulus): [2]}
+        started = time.perf_counter()
+        assert recheck_dumas_certificate(dumas) is False
+        assert recheck_pattern_certificate(pattern) is False
+        assert time.perf_counter() - started < 0.1
 
     def test_pattern_rechecker_never_calls_production_ddf(self, monkeypatch):
         calls = []

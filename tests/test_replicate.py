@@ -88,12 +88,6 @@ class TestMinValuation:
         assert record_for(report, "k", 12)["min_valuation2"] == 0
         assert record_for(report, "k", 4)["min_valuation2"] == 0
 
-    def test_threaded_matches_sequential(self, shared_table):
-        table = shared_table.ensure(60)
-        seq = check_min_valuation(60, table=table, threads=1)
-        par = check_min_valuation(60, table=table, threads=4)
-        assert seq.records == par.records
-
     def test_builds_table_when_not_given(self):
         report = check_min_valuation(20)
         assert report.status == "PASS"
@@ -168,10 +162,6 @@ class TestScan:
         report = gekeler_scan(60, table=shared_table.ensure(60))
         for rec in report.records:
             assert len(rec["primes"]) <= 10
-
-    def test_threaded_matches_sequential(self, shared_table):
-        table = shared_table.ensure(40)
-        assert gekeler_scan(40, table=table).records == gekeler_scan(40, table=table, threads=4).records
 
     def test_scan_agrees_with_theorem_certificates(self, shared_table):
         # the weights 12 * 2^l must come out of the sweep through the same
