@@ -39,6 +39,7 @@ from .eisenstein import (
     q_expansion_direct,
     rademacher_expand,
     rademacher_expand_folded,
+    rademacher_expand_unfolded,
 )
 from .gekeler import (
     GekelerPolynomial,

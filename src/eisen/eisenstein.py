@@ -12,6 +12,11 @@ generator and a derivative and exercises the quasimodular ring.  The two
 must agree exactly; the q-expansion of either must match the divisor-sum
 q-expansion after scaling by 2 zeta(k) / pi^k.  All three paths are exposed.
 
+The production convolution sum is folded: its terms p and k/2 - p are equal,
+so each pair is convolved once with a doubled coefficient.  The unfolded,
+symmetric ordering is kept as an independent cross-check that ``extend`` runs
+at the weights 12 * 2^m and 12 * 2^m + 2 (both residues of k mod 4).
+
 Internally the table builder works on integer numerator vectors over a per
 weight common denominator; per-coefficient Fraction reduction happens once
 per weight.  This matters: naive Fraction arithmetic normalizes on every
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -139,9 +145,11 @@ class EisensteinTable:
     def extend(self, k_max: int, method: str = "rademacher") -> "EisensteinTable":
         """Fill all even weights up to k_max; returns self.
 
-        The default method is the convolution recurrence.  At each weight
-        k = 12 * 2^m (m >= 1) the symmetric and folded orderings of the
-        convolution sum are both evaluated and compared exactly.
+        The default method is the convolution recurrence, evaluated once per
+        weight by the folded sum (``rademacher_expand``).  At each weight
+        k = 12 * 2^m and k = 12 * 2^m + 2 (m >= 1) the unfolded ordering
+        (``rademacher_expand_unfolded``) is evaluated too and must agree
+        exactly, or ``ConsistencyError`` is raised.
         """
         if method not in ("rademacher", "popa"):
             raise DomainError(f"unknown method {method!r}")
@@ -150,14 +158,8 @@ class EisensteinTable:
                 continue
             if method == "rademacher":
                 vec = rademacher_expand(k, self)
-                if k % 12 == 0:
-                    q = k // 12
-                    if q >= 2 and q & (q - 1) == 0:
-                        folded = rademacher_expand_folded(k, self)
-                        if folded != vec:
-                            raise ConsistencyError(
-                                f"folded convolution disagrees at weight {k}"
-                            )
+                if _cross_checked(k) and rademacher_expand_unfolded(k, self) != vec:
+                    raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
             else:
                 vec = popa_expand(k, self)
             self._store(k, vec, method)
@@ -207,8 +209,9 @@ class EisensteinTable:
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
         """Re-ingest a dump; validates index structure and the two base weights.
 
-        A row that does not parse as four fields k, a, b, num/den, whose
-        exponents are negative or do not satisfy 4a + 6b = k, or that repeats
+        A row that does not parse as four fields k, a, b, w (w an integer or
+        num/den in ASCII digits, denominator positive), whose exponents are
+        negative or do not satisfy 4a + 6b = k, or that repeats
         an earlier (k, a), raises ``ConsistencyError``.
         """
         table = cls()
@@ -222,8 +225,8 @@ class EisensteinTable:
                 if len(row) != 4:
                     raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
                 try:
-                    k, a, b, w = int(row[0]), int(row[1]), int(row[2]), Fraction(row[3])
-                except (ValueError, ZeroDivisionError) as exc:
+                    k, a, b, w = int(row[0]), int(row[1]), int(row[2]), _parse_w(row[3])
+                except ValueError as exc:
                     raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
                 if 4 * a + 6 * b != k:
                     raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
@@ -242,8 +245,30 @@ class EisensteinTable:
         return table
 
 
+#: the w field of a dump row: an integer or num/den, ASCII digits only
+_W_FIELD = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_w(field: str) -> Fraction:
+    # Fraction(str) would also take "1e3000000" and expand it to 3 million digits
+    m = _W_FIELD.fullmatch(field)
+    if m is None:
+        raise ValueError(f"w field {field!r} is not an integer or num/den")
+    den = int(m[2]) if m[2] is not None else 1
+    if den == 0:
+        raise ValueError(f"w field {field!r} has a zero denominator")
+    return Fraction(int(m[1]), den)
+
+
 # ---------------------------------------------------------------------------
 # the convolution recurrence
+
+
+def _cross_checked(k: int) -> bool:
+    """True at the weights 12 * 2^m and 12 * 2^m + 2, m >= 1, where ``extend``
+    also evaluates the unfolded sum."""
+    q, r = divmod(k, 12)
+    return r in (0, 2) and q >= 2 and q & (q - 1) == 0
 
 
 def _scaled_convolution(
@@ -254,7 +279,8 @@ def _scaled_convolution(
 
     ``terms`` yields (coeff, m1, m2).  The accumulator is kept over a running
     least common denominator so no Fraction normalization happens inside the
-    double loop.
+    double loop.  Each pair's numerators are convolved first, without the
+    multiplier, which then scales each output exponent once.
     """
     acc: dict[int, int] = {}
     acc_den = 1
@@ -271,10 +297,13 @@ def _scaled_convolution(
                     acc[key] *= grow
             acc_den = lcm
         mult = (lcm // pair_den) * coeff
+        conv: dict[int, int] = {}
         for a1, v1 in nums1.items():
             for a2, v2 in nums2.items():
                 key = a1 + a2
-                acc[key] = acc.get(key, 0) + mult * v1 * v2
+                conv[key] = conv.get(key, 0) + v1 * v2
+        for key, v in conv.items():
+            acc[key] = acc.get(key, 0) + mult * v
     return acc, acc_den
 
 
@@ -282,18 +311,42 @@ def _reduce_scaled(acc: dict[int, int], num_mult: int, den: int) -> WVector:
     return {a: Fraction(v * num_mult, den) for a, v in acc.items() if v}
 
 
-def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
-    """w(k) from the convolution identity
-
-        (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p}.
-
-    Needs all even weights 4 .. k-4 in the table.  k = 6 is outside the domain
-    (the left factor k/2-3 vanishes there).
-    """
+def _check_domain(k: int) -> None:
     if k == 6:
         raise DomainError("k = 6 makes the left factor k/2 - 3 vanish")
     if k < 8 or k % 2:
         raise DomainError(f"k must be even and >= 8, got {k}")
+
+
+def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
+    """w(k) from the convolution identity, folded (the production path)
+
+        (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p}
+                              = 6 sum_{p=2}^{ceil(k/4)-1} (2p-1)(k-2p-1) G_{2p} G_{k-2p}
+                                + 3 (k/2-1)^2 G_{k/2}^2        [term present only when 4 | k].
+
+    The terms p and k/2 - p of the symmetric sum are equal, so each pair is
+    convolved once.  Needs all even weights 4 .. k-4 in the table.  k = 6 is
+    outside the domain (the left factor k/2-3 vanishes there).
+    """
+    _check_domain(k)
+    terms = [(6 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, (k + 2) // 4)]
+    if k % 4 == 0:
+        terms.append((3 * (k // 2 - 1) ** 2, k // 2, k // 2))
+    acc, den = _scaled_convolution(terms, table._scaled_vector)
+    return _reduce_scaled(acc, 1, den * (k // 2 - 3) * (k - 1) * (k + 1))
+
+
+def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
+    """The same w(k) from the symmetric, unfolded sum
+
+        (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p},
+
+    every term evaluated on its own.  It is the cross-check of the folded
+    production sum: ``extend`` compares the two at every weight 12 * 2^m and
+    12 * 2^m + 2.  About twice the work of ``rademacher_expand``.
+    """
+    _check_domain(k)
     acc, den = _scaled_convolution(
         ((3 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 2 - 1)),
         table._scaled_vector,
@@ -302,19 +355,13 @@ def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
 
 
 def rademacher_expand_folded(k: int, table: EisensteinTable) -> WVector:
-    """The same sum with the terms p and k/2 - p paired, valid for k = 0 mod 4:
+    """The folded sum, which ``rademacher_expand`` now evaluates for every even k >= 8.
 
-        ... = 3 ( 2 sum_{p=2}^{k/4-1} (2p-1)(k-2p-1) G_{2p} G_{k-2p} + (k/2-1)^2 G_{k/2}^2 ).
-
-    Must agree exactly with the symmetric ordering; ``extend`` compares the two
-    at every weight 12 * 2^m.
+    Kept because ``bench/spans.py`` traces this name, and callers of the
+    earlier API may still use it.  It is a function rather than an alias, so
+    a tracer that wraps both names never wraps one object twice.
     """
-    if k % 4 or k < 8:
-        raise DomainError(f"folding needs k = 0 mod 4 and k >= 8, got {k}")
-    terms = [(6 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 4)]
-    terms.append((3 * (k // 2 - 1) ** 2, k // 2, k // 2))
-    acc, den = _scaled_convolution(terms, table._scaled_vector)
-    return _reduce_scaled(acc, 1, den * (k // 2 - 3) * (k - 1) * (k + 1))
+    return rademacher_expand(k, table)
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,9 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
     """Certify irreducibility of phi_k for every even 4 <= k <= k_max with deg >= 1.
 
     Strategy per weight: try the valuation criterion at every prime in
-    ``DUMAS_SCAN_PRIMES``; if none concludes, fall back to the finite-field
+    ``DUMAS_SCAN_PRIMES`` where nu_p(a_0) is finite and prime to the degree
+    (the criterion's condition (ii); other primes cannot certify and are
+    skipped); if none concludes, fall back to the finite-field
     degree-pattern oracle.  Witness primes for the oracle are selected above
     the weight k, because reductions at primes below the weight collapse into
     factors of degree at most 2 (their roots are supersingular invariants) and
@@ -377,6 +379,10 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
             continue
         record = {"k": k, "degree": phi.degree}
         for p in DUMAS_SCAN_PRIMES:
+            # dumas_check needs a finite nu_p(a_0) prime to the degree; test that first
+            v0 = valuation(phi.coeffs[0], p)
+            if v0 is INFINITY or math.gcd(abs(v0), phi.degree) != 1:
+                continue
             if dumas_check(phi.coeffs, p, poly_id=f"phi_{k}").verdict == "irreducible":
                 record.update(verdict="irreducible", criterion="dumas", primes=[p], passed=True)
                 break

@@ -160,6 +160,12 @@ class TestTablePersistence:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "PASS"
 
+    def test_exponent_notation_row_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "table.csv"
+        dump.write_text("k,a,b,w\n12,0,2,1e3000000\n")
+        assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
+        assert "1e3000000" in capsys.readouterr().err
+
     def test_selftest_dumps_its_table(self, tmp_path, capsys):
         dump = tmp_path / "table.csv"
         args = ["selftest", "--k-max-dual", "16", "--k-max-q", "12", "--k-max-phi", "24"]

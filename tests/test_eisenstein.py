@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from eisen import eisenstein
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
 from eisen.exact import INFINITY, digit_sum_base2, zeta_ratio
 from eisen.eisenstein import (
@@ -17,6 +19,7 @@ from eisen.eisenstein import (
     q_expansion_direct,
     rademacher_expand,
     rademacher_expand_folded,
+    rademacher_expand_unfolded,
 )
 from eisen.qmring import E4, substitute_q_expansion
 
@@ -136,11 +139,45 @@ class TestRademacher:
     def test_folded_matches_symmetric(self, shared_table):
         table = shared_table.ensure(96)
         for k in (8, 12, 16, 24, 48, 96):
-            assert rademacher_expand_folded(k, table) == rademacher_expand(k, table)
+            assert rademacher_expand_folded(k, table) == rademacher_expand_unfolded(k, table)
 
-    def test_folded_domain(self, shared_table):
-        with pytest.raises(DomainError):
-            rademacher_expand_folded(10, shared_table.table)
+    def test_fold_covers_k_2_mod_4(self, shared_table):
+        table = shared_table.ensure(10)
+        assert rademacher_expand(10, table) == rademacher_expand_unfolded(10, table) == {1: Fraction(5, 11)}
+        assert rademacher_expand_folded(10, table) == rademacher_expand(10, table)
+        for expand in (rademacher_expand, rademacher_expand_unfolded, rademacher_expand_folded):
+            for k in (6, 9, 11, 4, 2, 0, -2):
+                with pytest.raises(DomainError):
+                    expand(k, table)
+
+    def test_folded_matches_unfolded_to_200(self, shared_table):
+        table = shared_table.ensure(200)
+        for k in range(8, 201, 2):
+            assert rademacher_expand(k, table) == rademacher_expand_unfolded(k, table), k
+
+    def test_extend_cross_checks_both_residues_mod_4(self, monkeypatch):
+        checked = []
+        real = eisenstein.rademacher_expand_unfolded
+        monkeypatch.setattr(
+            eisenstein, "rademacher_expand_unfolded", lambda k, table: checked.append(k) or real(k, table)
+        )
+        EisensteinTable().extend(100)
+        assert checked == [24, 26, 48, 50, 96, 98]
+
+    def test_extend_rejects_a_disagreeing_cross_check(self, monkeypatch):
+        real = eisenstein.rademacher_expand_unfolded
+
+        def perturbed(k, table):
+            vec = real(k, table)
+            if k == 26:
+                vec[min(vec)] += 1
+            return vec
+
+        monkeypatch.setattr(eisenstein, "rademacher_expand_unfolded", perturbed)
+        table = EisensteinTable().extend(24)
+        with pytest.raises(ConsistencyError):
+            table.extend(26)
+        assert 26 not in table
 
 
 class TestPopa:
@@ -262,13 +299,32 @@ class TestPersistence:
         with pytest.raises(ConsistencyError):
             EisensteinTable.load_csv(path)
 
-    # 12,-3,4 satisfies 4a + 6b = k with a negative exponent
-    @pytest.mark.parametrize("row", ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1"])
+    # 12,-3,4 satisfies 4a + 6b = k with a negative exponent; the w fields
+    # after "12,x,2,1/1" are not -?digits[/digits], though Fraction(str)
+    # takes most of them
+    @pytest.mark.parametrize(
+        "row",
+        ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1"]
+        + [f"12,0,2,{w}" for w in ("1e3", "1.5", "+25/143", " 25/143", "25/-143", "1_000", "\u0663/1", "25/", "/143")],
+    )
     def test_bad_row_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"k,a,b,w\n{row}\n")
         with pytest.raises(ConsistencyError):
             EisensteinTable.load_csv(path)
+
+    def test_exponent_notation_rejected_fast(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("k,a,b,w\n12,0,2,1e3000000\n")
+        started = time.perf_counter()
+        with pytest.raises(ConsistencyError):
+            EisensteinTable.load_csv(path)
+        assert time.perf_counter() - started < 0.1
+
+    def test_integer_and_negative_w_fields_load(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("k,a,b,w\n12,0,2,-25/143\n12,3,0,2\n")
+        assert EisensteinTable.load_csv(path).w_vector(12) == {0: Fraction(-25, 143), 3: Fraction(2)}
 
     def test_corrupt_base_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -215,6 +215,41 @@ class TestScanPatterns:
         assert len(seen) == sum(examined)
         assert len({(f, p) for f, p, _ in seen}) == len(seen)
 
+    def test_skipped_dumas_primes_never_certify(self, shared_table, monkeypatch):
+        table = shared_table.ensure(120)
+        called = {}
+        real = replicate.dumas_check
+
+        def recording(coeffs, p, poly_id="poly"):
+            cert = real(coeffs, p, poly_id=poly_id)
+            called.setdefault(poly_id, []).append((p, cert.verdict))
+            return cert
+
+        monkeypatch.setattr(replicate, "dumas_check", recording)
+        report = gekeler_scan(120, table=table)
+        assert report.status == "PASS"
+        n_skipped = 0
+        for rec in report.records:
+            k = rec["k"]
+            phi = replicate.phi_by_division(k, table)
+            verdicts = {p: real(phi.coeffs, p).verdict for p in replicate.DUMAS_SCAN_PRIMES}
+            full = [p for p in replicate.DUMAS_SCAN_PRIMES if verdicts[p] == "irreducible"]
+            seen = dict(called.get(f"phi_{k}", []))
+            # the loop stops at the certifying prime; below it, the pre-test
+            # skips only primes where the full check cannot certify
+            last = rec["primes"][0] if rec["criterion"] == "dumas" else replicate.DUMAS_SCAN_PRIMES[-1]
+            skipped = [p for p in replicate.DUMAS_SCAN_PRIMES if p <= last and p not in seen]
+            assert all(verdicts[p] != "irreducible" for p in skipped), k
+            n_skipped += len(skipped)
+            assert all(seen[p] == verdicts[p] for p in seen), k
+            if full:
+                assert rec["criterion"] == "dumas" and rec["primes"] == full[:1], k
+            else:
+                assert rec["criterion"] != "dumas", k
+            if rec["degree"] == 1:
+                assert 2 in seen, k
+        assert n_skipped > 0
+
     def test_dumas_primes_are_the_primes_below_100(self):
         assert replicate.DUMAS_SCAN_PRIMES == tuple(n for n in range(2, 100) if all(n % d for d in range(2, n)))
         assert len(replicate.DUMAS_SCAN_PRIMES) == 25
