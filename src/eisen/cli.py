@@ -11,10 +11,12 @@
 Global flags on every subcommand: --json or --csv (not both) selects the
 output format, --out writes to a file instead of stdout, --table-dump /
 --table-load persist the expansion table as CSV for warm starts (all but
-newton).  Exit code is 0 iff every check passed.
+newton).  Exit code 0: every check passed; 1: a check failed; 2: a usage or
+input error (bad argument, malformed or unreadable input, unwritable output).
 
-Polynomial files: one coefficient per line, constant term first, each written
-as an exact "num/den" (or plain integer) string.
+Polynomial files: one coefficient per line, constant term first, each an
+integer or "num/den" in ASCII digits (positive denominator); lines are
+stripped, blank lines skipped, and anything else exits 2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .eisenstein import EisensteinTable
 from .errors import EisenError
+from .exact import parse_rational
 from .gekeler import phi_by_division, valuation_profile
 from .irreducibility import dumas_check, newton_polygon
 from . import replicate
@@ -88,34 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
 _CHECK_DEFAULTS = {"valsum": 1024, "ineq": 512, "min": 500, "conjecture": 500}
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
+def _emit(args: argparse.Namespace, doc: dict, header: Sequence, rows: Iterable[Sequence], lines: list[str]) -> None:
+    """Write one result as JSON (``doc``), CSV (``header`` and ``rows``) or text (``lines``)."""
+    if args.json:
+        text = json.dumps(doc, indent=2)
+    elif args.csv:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_csv(header: Sequence, rows: Iterable[Sequence], out: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), out)
-
-
 def _emit_report(report: replicate.CheckReport, args: argparse.Namespace) -> int:
-    if args.json:
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
-    elif args.csv:
-        _emit_csv(*report.csv_rows(), args.out)
-    else:
-        lines = [report.summary()]
-        for key, value in report.notes.items():
-            lines.append(f"  {key}: {value}")
-        failure = report.first_failure()
-        if failure is not None:
-            lines.append(f"  first failure: {failure}")
-        _emit("\n".join(lines), args.out)
+    lines = [report.summary()] + [f"  {key}: {value}" for key, value in report.notes.items()]
+    failure = report.first_failure()
+    if failure is not None:
+        lines.append(f"  first failure: {failure}")
+    _emit(args, report.to_json_dict(), *report.csv_rows(), lines)
     return 0 if report.status == "PASS" else 1
 
 
@@ -126,15 +123,10 @@ def _frac_str(c: Fraction) -> str:
 def _cmd_wk(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     vec = table.w_vector(args.k)
-    rows = [(a, (args.k - 4 * a) // 6, vec[a]) for a in sorted(vec)]
-    if args.json:
-        doc = {"k": args.k, "coefficients": [{"a": a, "b": b, "w": _frac_str(w)} for a, b, w in rows]}
-        _emit(json.dumps(doc, indent=2), args.out)
-    elif args.csv:
-        _emit_csv(["k", "a", "b", "w"], ([args.k, a, b, _frac_str(w)] for a, b, w in rows), args.out)
-    else:
-        lines = [f"w({args.k}):"] + [f"  a={a} b={b}  {_frac_str(w)}" for a, b, w in rows]
-        _emit("\n".join(lines), args.out)
+    rows = [(a, (args.k - 4 * a) // 6, _frac_str(vec[a])) for a in sorted(vec)]
+    doc = {"k": args.k, "coefficients": [{"a": a, "b": b, "w": w} for a, b, w in rows]}
+    lines = [f"w({args.k}):"] + [f"  a={a} b={b}  {w}" for a, b, w in rows]
+    _emit(args, doc, ["k", "a", "b", "w"], [[args.k, *row] for row in rows], lines)
     return 0
 
 
@@ -143,59 +135,45 @@ def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
     phi = phi_by_division(args.k, table)
     profile = valuation_profile(phi, 2)
     profile_json = [str(v) if not isinstance(v, int) else v for v in profile]
-    if args.json:
-        doc = {
-            "k": phi.k,
-            "degree": phi.degree,
-            "delta": phi.delta,
-            "epsilon": phi.epsilon,
-            "coeffs": [_frac_str(c) for c in phi.coeffs],
-            "valuation_profile_2": profile_json,
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-    elif args.csv:
-        rows = (
-            [r, _frac_str(c), profile_json[r] if r < len(profile_json) else ""] for r, c in enumerate(phi.coeffs)
-        )
-        _emit_csv(["r", "coeff", "nu_2"], rows, args.out)
-    else:
-        lines = [
-            f"phi_{phi.k} = {phi}",
-            f"degree {phi.degree}, delta={phi.delta}, epsilon={phi.epsilon}",
-            f"2-adic profile of non-leading coefficients: {profile_json}",
-        ]
-        _emit("\n".join(lines), args.out)
+    coeffs = [_frac_str(c) for c in phi.coeffs]
+    doc = {
+        "k": phi.k,
+        "degree": phi.degree,
+        "delta": phi.delta,
+        "epsilon": phi.epsilon,
+        "coeffs": coeffs,
+        "valuation_profile_2": profile_json,
+    }
+    rows = ([r, c, profile_json[r] if r < len(profile_json) else ""] for r, c in enumerate(coeffs))
+    lines = [
+        f"phi_{phi.k} = {phi}",
+        f"degree {phi.degree}, delta={phi.delta}, epsilon={phi.epsilon}",
+        f"2-adic profile of non-leading coefficients: {profile_json}",
+    ]
+    _emit(args, doc, ["r", "coeff", "nu_2"], rows, lines)
     return 0
 
 
 def _cmd_newton(args: argparse.Namespace) -> int:
-    coeffs = []
-    for line in Path(args.poly).read_text().splitlines():
-        line = line.strip()
-        if line:
-            coeffs.append(Fraction(line))
+    stripped = (line.strip() for line in Path(args.poly).read_text().splitlines())
+    coeffs = [parse_rational(line) for line in stripped if line]
     polygon = newton_polygon(coeffs, args.p)
     cert = dumas_check(coeffs, args.p, poly_id=args.poly)
-    if args.json:
-        doc = {
-            "prime": polygon.prime,
-            "points": [list(pt) for pt in polygon.points],
-            "vertices": [list(v) for v in polygon.vertices],
-            "slopes": [{"slope": _frac_str(s), "length": length} for s, length in polygon.slopes],
-            "dumas": cert.to_json_dict(),
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
-    elif args.csv:
-        _emit_csv(["vertex_r", "vertex_valuation"], polygon.vertices, args.out)
-    else:
-        lines = [
-            f"Newton polygon at p={polygon.prime}",
-            f"  vertices: {list(polygon.vertices)}",
-            f"  slopes:   {[(str(s), length) for s, length in polygon.slopes]}",
-            f"  single segment: {polygon.is_single_segment()}",
-            f"  dumas verdict: {cert.verdict}" + (f" ({cert.reason})" if cert.reason else ""),
-        ]
-        _emit("\n".join(lines), args.out)
+    doc = {
+        "prime": polygon.prime,
+        "points": [list(pt) for pt in polygon.points],
+        "vertices": [list(v) for v in polygon.vertices],
+        "slopes": [{"slope": _frac_str(s), "length": length} for s, length in polygon.slopes],
+        "dumas": cert.to_json_dict(),
+    }
+    lines = [
+        f"Newton polygon at p={polygon.prime}",
+        f"  vertices: {list(polygon.vertices)}",
+        f"  slopes:   {[(str(s), length) for s, length in polygon.slopes]}",
+        f"  single segment: {polygon.is_single_segment()}",
+        f"  dumas verdict: {cert.verdict}" + (f" ({cert.reason})" if cert.reason else ""),
+    ]
+    _emit(args, doc, ["vertex_r", "vertex_valuation"], polygon.vertices, lines)
     return 0
 
 
@@ -231,7 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.table_dump:
             table.dump_csv(args.table_dump)
         return code
-    except EisenError as exc:
+    except (EisenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

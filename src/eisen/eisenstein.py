@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +34,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio
+from .exact import parse_integer, parse_rational
 from .qmring import E2, GradedForm, serre_derivative
 
 #: coefficient vector of one weight: E4-exponent a -> w_{a,k}; b = (k-4a)/6 implied
@@ -209,9 +209,9 @@ class EisensteinTable:
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
         """Re-ingest a dump; validates index structure and the two base weights.
 
-        A row that does not parse as four fields k, a, b, w (w an integer or
-        num/den in ASCII digits, denominator positive), whose exponents are
-        negative or do not satisfy 4a + 6b = k, or that repeats
+        A row that does not parse as four fields k, a, b, w (``parse_integer``
+        for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
+        exponents are negative or do not satisfy 4a + 6b = k, or that repeats
         an earlier (k, a), raises ``ConsistencyError``.
         """
         table = cls()
@@ -225,8 +225,9 @@ class EisensteinTable:
                 if len(row) != 4:
                     raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
                 try:
-                    k, a, b, w = int(row[0]), int(row[1]), int(row[2]), _parse_w(row[3])
-                except ValueError as exc:
+                    k, a, b = (parse_integer(field) for field in row[:3])
+                    w = parse_rational(row[3])
+                except DomainError as exc:
                     raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
                 if 4 * a + 6 * b != k:
                     raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
@@ -243,21 +244,6 @@ class EisensteinTable:
                 continue
             table._store(k, loaded[k], "ingested")
         return table
-
-
-#: the w field of a dump row: an integer or num/den, ASCII digits only
-_W_FIELD = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_w(field: str) -> Fraction:
-    # Fraction(str) would also take "1e3000000" and expand it to 3 million digits
-    m = _W_FIELD.fullmatch(field)
-    if m is None:
-        raise ValueError(f"w field {field!r} is not an integer or num/den")
-    den = int(m[2]) if m[2] is not None else 1
-    if den == 0:
-        raise ValueError(f"w field {field!r} has a zero denominator")
-    return Fraction(int(m[1]), den)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +293,8 @@ def _scaled_convolution(
     return acc, acc_den
 
 
-def _reduce_scaled(acc: dict[int, int], num_mult: int, den: int) -> WVector:
-    return {a: Fraction(v * num_mult, den) for a, v in acc.items() if v}
+def _reduce_scaled(acc: dict[int, int], den: int) -> WVector:
+    return {a: Fraction(v, den) for a, v in acc.items() if v}
 
 
 def _check_domain(k: int) -> None:
@@ -334,7 +320,7 @@ def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
     if k % 4 == 0:
         terms.append((3 * (k // 2 - 1) ** 2, k // 2, k // 2))
     acc, den = _scaled_convolution(terms, table._scaled_vector)
-    return _reduce_scaled(acc, 1, den * (k // 2 - 3) * (k - 1) * (k + 1))
+    return _reduce_scaled(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
 def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
@@ -351,7 +337,7 @@ def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
         ((3 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 2 - 1)),
         table._scaled_vector,
     )
-    return _reduce_scaled(acc, 1, den * (k // 2 - 3) * (k - 1) * (k + 1))
+    return _reduce_scaled(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
 def rademacher_expand_folded(k: int, table: EisensteinTable) -> WVector:

@@ -3,13 +3,15 @@
 Everything downstream works over arbitrary-precision rationals; this module
 fixes the scalar type (``fractions.Fraction``, aliased ``ExactRational``),
 p-adic valuations with a proper infinity for the valuation of zero, base-2
-digit sums, exact binomials, Bernoulli numbers, and the rational number
-2*zeta(k)/pi^k that stands in for zeta(k) everywhere.  No floating point.
+digit sums, exact binomials, Bernoulli numbers, the rational number
+2*zeta(k)/pi^k that stands in for zeta(k) everywhere, and the one parser of
+exact numbers written as text.  No floating point.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import threading
 from fractions import Fraction
 from typing import Union
@@ -204,3 +206,35 @@ def divisor_power_sum(n: int, e: int) -> int:
                 total += q**e
         d += 1
     return total
+
+
+#: exact text: an integer or num/den in ASCII digits, the denominator nonzero
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as ``-?digits`` or ``-?digits/digits``, denominator positive.
+
+    Anything else raises ``DomainError``: no ``+``, spaces, underscores,
+    decimal point or exponent, so ``"1e3000000"`` is refused at once where
+    ``Fraction(str)`` would expand it to three million digits.
+    """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise DomainError(f"{text!r} is not an integer or num/den in ASCII digits with a positive denominator")
+    return Fraction(_to_int(m[1]), _to_int(m[2] or "1"))
+
+
+def parse_integer(text: str) -> int:
+    """The integer written as ``-?digits`` in ASCII; anything else raises ``DomainError``."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None or m[2] is not None:
+        raise DomainError(f"{text!r} is not an integer in ASCII digits")
+    return _to_int(text)
+
+
+def _to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int(str) converts
+        raise DomainError(str(exc)) from None

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DomainError, WeightMismatchError
-from .exact import divisor_power_sum, bernoulli
+from .exact import divisor_power_sum, bernoulli, parse_integer, parse_rational
 
 #: exponent triple (e2, e4, e6)
 Monomial = tuple[int, int, int]
@@ -167,14 +167,14 @@ class GradedForm:
     @classmethod
     def parse(cls, text: str) -> "GradedForm":
         chunks = [s.strip() for s in text.split(";")]
-        weight = int(chunks[0])
+        weight = parse_integer(chunks[0])
         terms: dict[Monomial, Fraction] = {}
         for chunk in chunks[1:]:
             if not chunk:
                 continue
             mono_s, _, coeff_s = chunk.partition(":")
-            e2, e4, e6 = (int(x) for x in mono_s.split(","))
-            terms[(e2, e4, e6)] = Fraction(coeff_s)
+            e2, e4, e6 = (parse_integer(e) for e in mono_s.split(","))
+            terms[(e2, e4, e6)] = parse_rational(coeff_s)
         return cls(weight, terms)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,21 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage:" in err and "not allowed with" in err
 
+    # a path that cannot be read or written is an input error, not a failed check
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["newton", "--poly", "{tmp}/missing.txt", "--p", "2"],
+            ["wk", "--k", "12", "--table-load", "{tmp}/missing.csv"],
+            ["wk", "--k", "12", "--out", "{tmp}"],
+            ["wk", "--k", "12", "--table-dump", "{tmp}"],
+        ],
+        ids=["missing-poly", "missing-table-load", "out-is-a-directory", "table-dump-is-a-directory"],
+    )
+    def test_bad_path_exits_2(self, tmp_path, capsys, argv):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_small(self, capsys):
@@ -135,6 +151,16 @@ class TestNewton:
         poly.write_text("-4\n0\n1\n")  # x^2 - 4 = (x - 2)(x + 2)
         assert main(["newton", "--poly", str(poly), "--p", "4"]) != 0
         assert "irreducible" not in capsys.readouterr().out
+
+    # Fraction(str) took all but "x" and "1/0"; "1e3000000" expanded to 3 million digits
+    @pytest.mark.parametrize("coeff", ["x", "1/0", "1e3000000", "1_000", "+1"])
+    def test_malformed_coefficient_exits_2(self, tmp_path, capsys, coeff):
+        poly = tmp_path / "poly.txt"
+        poly.write_text(f"{coeff}\n1\n")
+        started = time.perf_counter()
+        assert main(["newton", "--poly", str(poly), "--p", "3"]) == 2
+        assert time.perf_counter() - started < 0.1
+        assert repr(coeff) in capsys.readouterr().err
 
     def test_huge_modulus_exits_2(self, tmp_path, capsys):
         poly = tmp_path / "poly.txt"

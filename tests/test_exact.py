@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from eisen.cli import _frac_str
 from eisen.errors import DomainError, InvalidPrimeError
 from eisen.exact import (
     INFINITY,
@@ -15,9 +17,12 @@ from eisen.exact import (
     divisor_power_sum,
     factorial_valuation2,
     is_prime,
+    parse_integer,
+    parse_rational,
     valuation,
     zeta_ratio,
 )
+from eisen.gekeler import phi_by_division
 
 
 def trial_division_valuation(n: int, p: int) -> int:
@@ -263,3 +268,49 @@ class TestSmallHelpers:
         assert divisor_power_sum(6, 1) == 12
         with pytest.raises(DomainError):
             divisor_power_sum(0, 1)
+
+
+class TestParseRational:
+    def test_round_trips_what_the_package_writes(self, tmp_path, shared_table):
+        table = shared_table.ensure(60)
+        path = tmp_path / "table.csv"
+        table.dump_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for k, a, _, w in rows:
+            assert parse_rational(w) == table.w_vector(int(k))[int(a)]
+            assert _frac_str(parse_rational(w)) == w
+        for k in range(12, 61, 2):
+            for c in phi_by_division(k, table).coeffs:
+                assert parse_rational(_frac_str(c)) == c
+
+    def test_integers_and_signs(self):
+        assert parse_rational("-25/143") == Fraction(-25, 143)
+        assert parse_rational("6/4") == Fraction(3, 2)
+        assert parse_rational("-7") == -7
+        assert parse_integer("-12") == -12 and parse_integer("0") == 0
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", "+1", " 1", "1_0", "1/0", "1/00", "1/-2", "\u0663/1", "1/", "/2", ""])
+    def test_rejects_non_digit_text(self, text):
+        with pytest.raises(DomainError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1/2", "+1", " 1", "1 ", "1_0", "1e3", "\u0663", ""])
+    def test_integer_rejects_non_digit_text(self, text):
+        with pytest.raises(DomainError):
+            parse_integer(text)
+
+    def test_long_numbers_parse_or_raise_domain_error(self):
+        # int(str) refuses more than sys.get_int_max_str_digits() digits
+        # (4300 by default); that refusal must surface as DomainError
+        big = 10**5000 - 1
+        for parse, text, value in (
+            (parse_rational, "9" * 5000, big),
+            (parse_rational, "1/" + "9" * 5000, Fraction(1, big)),
+            (parse_integer, "9" * 5000, big),
+        ):
+            try:
+                assert parse(text) == value
+            except DomainError:
+                pass

@@ -1,4 +1,6 @@
+import ast
 import copy
+import inspect
 import itertools
 import json
 import random
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eisen import irreducibility
+from eisen import exact, irreducibility
 from eisen.errors import DomainError, InvalidPrimeError
 from eisen.exact import INFINITY, is_prime
 from eisen.irreducibility import (
@@ -544,3 +546,10 @@ class TestRecheckersTotal:
         monkeypatch.setattr(irreducibility, "distinct_degree_pattern", lambda f, p: calls.append(p) or real(f, p))
         assert all(recheck_pattern_certificate(doc) for doc in VALID_DOCS[1:])
         assert calls == []
+
+    def test_rechecker_parser_is_not_the_production_parser(self):
+        assert irreducibility._parse_rational is not exact.parse_rational
+        tree = ast.parse(inspect.getsource(irreducibility))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "parse_rational" not in names
