@@ -209,7 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.table_dump:
             table.dump_csv(args.table_dump)
         return code
-    except (EisenError, OSError) as exc:
+    except (EisenError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,18 +99,20 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage:" in err and "not allowed with" in err
 
-    # a path that cannot be read or written is an input error, not a failed check
+    # a file that cannot be read or written is an input error, not a failed check
     @pytest.mark.parametrize(
         "argv",
         [
             ["newton", "--poly", "{tmp}/missing.txt", "--p", "2"],
             ["wk", "--k", "12", "--table-load", "{tmp}/missing.csv"],
+            ["wk", "--k", "12", "--table-load", "{tmp}/binary.csv"],
             ["wk", "--k", "12", "--out", "{tmp}"],
             ["wk", "--k", "12", "--table-dump", "{tmp}"],
         ],
-        ids=["missing-poly", "missing-table-load", "out-is-a-directory", "table-dump-is-a-directory"],
+        ids=["missing-poly", "missing-table-load", "binary-table-load", "out-is-a-dir", "table-dump-is-a-dir"],
     )
-    def test_bad_path_exits_2(self, tmp_path, capsys, argv):
+    def test_bad_file_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "binary.csv").write_bytes(b"k,a,b,w\n\xff,0,2,1/1\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
 

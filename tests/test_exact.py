@@ -291,7 +291,9 @@ class TestParseRational:
         assert parse_rational("-7") == -7
         assert parse_integer("-12") == -12 and parse_integer("0") == 0
 
-    @pytest.mark.parametrize("text", ["1e3", "1.5", "+1", " 1", "1_0", "1/0", "1/00", "1/-2", "\u0663/1", "1/", "/2", ""])
+    @pytest.mark.parametrize(
+        "text", ["1e3", "1.5", "+1", " 1", "1_0", "1/0", "1/00", "1/-2", "\u0663/1", "1/", "/2", ""]
+    )
     def test_rejects_non_digit_text(self, text):
         with pytest.raises(DomainError):
             parse_rational(text)
