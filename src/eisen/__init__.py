@@ -18,13 +18,10 @@ from .errors import (
 )
 from .exact import (
     INFINITY,
-    ExactRational,
     Valuation,
     bernoulli,
     binomial,
-    binomial_mod2,
     digit_sum_base2,
-    factorial_valuation2,
     valuation,
     zeta_ratio,
 )
@@ -32,8 +29,6 @@ from .qmring import E2, E4, E6, ONE, GradedForm, serre_derivative, substitute_q_
 from .eisenstein import (
     D2,
     EisensteinTable,
-    RecurrenceConstants,
-    constants,
     min_valuation2,
     popa_expand,
     q_expansion_direct,

@@ -184,7 +184,7 @@ def _run_check(args: argparse.Namespace, table: EisensteinTable) -> replicate.Ch
         return replicate.check_theorem_main(args.ell_max, table=table)
     if args.command == "scan":
         return replicate.gekeler_scan(args.k_max, table=table)
-    k_max = args.k_max or _CHECK_DEFAULTS[args.lemma]
+    k_max = _CHECK_DEFAULTS[args.lemma] if args.k_max is None else args.k_max
     if args.lemma == "valsum":
         return replicate.check_lemma_valsum(k_max)
     if args.lemma == "ineq":

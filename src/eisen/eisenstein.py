@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Union
@@ -49,14 +48,6 @@ def exponents(k: int) -> list[tuple[int, int]]:
     return [(a, (k - 4 * a) // 6) for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0]
 
 
-@dataclass(frozen=True)
-class RecurrenceConstants:
-    """The pair (c_k, d_k) scaling the left side of Popa's recurrence."""
-
-    c: Fraction
-    d: Fraction
-
-
 def popa_d(k: int) -> Fraction:
     """d_k = (-1)^(k/2) (k-1)! / 2^(k+1), for even k >= 2."""
     if k < 2 or k % 2:
@@ -76,14 +67,6 @@ def popa_c(k: int) -> Fraction:
     )
 
 
-def constants(k: int) -> RecurrenceConstants:
-    """Exact (c_k, d_k) for even k >= 4; the recurrence divides by c_k d_k."""
-    c = popa_c(k)
-    if c == 0:
-        raise ConsistencyError(f"c_{k} vanished; the recurrence would divide by zero")
-    return RecurrenceConstants(c=c, d=popa_d(k))
-
-
 # ---------------------------------------------------------------------------
 # table
 
@@ -93,12 +76,13 @@ class EisensteinTable:
 
     Weights 4 and 6 are the generators themselves and are axioms; every higher
     even weight is filled by the convolution recurrence when ``extend`` is
-    called.  Entries are immutable once present.
+    called, or read from a dump by ``load_csv``.  Popa's recurrence never
+    builds the table: it is the cross-check that ``popa_expand`` reproduces
+    each weight.  Entries are immutable once present.
     """
 
     def __init__(self) -> None:
         self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
-        self._origin: dict[int, str] = {4: "closed-form", 6: "closed-form"}
         self._scaled: dict[int, tuple[dict[int, int], int]] = {}
 
     def __contains__(self, k: int) -> bool:
@@ -114,11 +98,6 @@ class EisensteinTable:
         if k not in self._w:
             raise MissingWeightError(f"weight {k} not in table (extend first)")
         return dict(self._w[k])
-
-    def origin(self, k: int) -> str:
-        if k not in self._origin:
-            raise MissingWeightError(f"weight {k} not in table")
-        return self._origin[k]
 
     # -- scaled-integer view used by the recurrences -------------------------
 
@@ -136,33 +115,27 @@ class EisensteinTable:
         self._scaled[k] = scaled
         return scaled
 
-    def _store(self, k: int, vec: WVector, origin: str) -> None:
+    def _store(self, k: int, vec: WVector) -> None:
         self._w[k] = {a: vec[a] for a in sorted(vec)}
-        self._origin[k] = origin
 
     # -- building -------------------------------------------------------------
 
-    def extend(self, k_max: int, method: str = "rademacher") -> "EisensteinTable":
-        """Fill all even weights up to k_max; returns self.
+    def extend(self, k_max: int) -> "EisensteinTable":
+        """Fill all even weights up to k_max by the convolution recurrence; returns self.
 
-        The default method is the convolution recurrence, evaluated once per
-        weight by the folded sum (``rademacher_expand``).  At each weight
-        k = 12 * 2^m and k = 12 * 2^m + 2 (m >= 1) the unfolded ordering
+        Each missing weight is evaluated once by the folded sum
+        (``rademacher_expand``).  At each weight k = 12 * 2^m and
+        k = 12 * 2^m + 2 (m >= 1) the unfolded ordering
         (``rademacher_expand_unfolded``) is evaluated too and must agree
         exactly, or ``ConsistencyError`` is raised.
         """
-        if method not in ("rademacher", "popa"):
-            raise DomainError(f"unknown method {method!r}")
         for k in range(8, k_max + 1, 2):
             if k in self._w:
                 continue
-            if method == "rademacher":
-                vec = rademacher_expand(k, self)
-                if _cross_checked(k) and rademacher_expand_unfolded(k, self) != vec:
-                    raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
-            else:
-                vec = popa_expand(k, self)
-            self._store(k, vec, method)
+            vec = rademacher_expand(k, self)
+            if _cross_checked(k) and rademacher_expand_unfolded(k, self) != vec:
+                raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
+            self._store(k, vec)
         return self
 
     # -- conversions ------------------------------------------------------------
@@ -212,7 +185,10 @@ class EisensteinTable:
         A row that does not parse as four fields k, a, b, w (``parse_integer``
         for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
         exponents are negative or do not satisfy 4a + 6b = k, or that repeats
-        an earlier (k, a), raises ``ConsistencyError``.
+        an earlier (k, a), raises ``ConsistencyError``; so does a loaded
+        weight missing a row for any (a, b) with 4a + 6b = k (every w_{a,k}
+        is positive, so a real dump has them all).  Weights need not be
+        contiguous: ``extend`` fills any gap.
         """
         table = cls()
         loaded: dict[int, WVector] = {}
@@ -238,11 +214,14 @@ class EisensteinTable:
                     raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")
                 vec[a] = w
         for k in sorted(loaded):
+            missing = [(a, b) for a, b in exponents(k) if a not in loaded[k]]
+            if missing:
+                raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}")
             if k in (4, 6):
                 if loaded[k] != table._w[k]:
                     raise ConsistencyError(f"base weight {k} differs from its axiom")
                 continue
-            table._store(k, loaded[k], "ingested")
+            table._store(k, loaded[k])
         return table
 
 

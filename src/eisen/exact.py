@@ -1,9 +1,9 @@
 """Exact scalars and small arithmetic utilities.
 
-Everything downstream works over arbitrary-precision rationals; this module
-fixes the scalar type (``fractions.Fraction``, aliased ``ExactRational``),
-p-adic valuations with a proper infinity for the valuation of zero, base-2
-digit sums, exact binomials, Bernoulli numbers, the rational number
+Everything downstream works over ``fractions.Fraction``: arbitrary-precision
+rationals, always in lowest terms with a positive denominator.  This module
+holds p-adic valuations with a proper infinity for the valuation of zero,
+base-2 digit sums, exact binomials, Bernoulli numbers, the rational number
 2*zeta(k)/pi^k that stands in for zeta(k) everywhere, and the one parser of
 exact numbers written as text.  No floating point.
 """
@@ -17,10 +17,6 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError, InvalidPrimeError
-
-#: The universal scalar: arbitrary-precision rational, always in lowest terms
-#: with positive denominator.  ``fractions.Fraction`` already guarantees both.
-ExactRational = Fraction
 
 
 class _Infinity:
@@ -129,25 +125,11 @@ def digit_sum_base2(m: int) -> int:
     return bin(m).count("1")
 
 
-def factorial_valuation2(m: int) -> int:
-    """nu_2(m!) via the digit-sum identity m - s_2(m)."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    return m - digit_sum_base2(m)
-
-
 def binomial(n: int, r: int) -> int:
     """Binomial coefficient, 0 outside the range 0 <= r <= n."""
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
-
-
-def binomial_mod2(n: int, r: int) -> int:
-    """C(n, r) mod 2 by Lucas: 1 iff the bits of r are a subset of the bits of n."""
-    if r < 0 or r > n:
-        return 0
-    return 1 if n & r == r else 0
 
 
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # index t holds B_{2t}

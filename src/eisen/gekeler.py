@@ -93,9 +93,7 @@ class GekelerPolynomial:
 
 def _from_table(k: int, table: EisensteinTable) -> dict[int, Fraction]:
     """E-basis coefficients of E_k: exponent a -> u_a with E_k = sum u_a E4^a E6^b."""
-    vec = table.w_vector(k)
-    r4, r6, rk = zeta_ratio(4), zeta_ratio(6), zeta_ratio(k)
-    return {a: w * r4**a * r6 ** ((k - 4 * a) // 6) / rk for a, w in vec.items()}
+    return {a: u for (_, a, _), u in table.e_polynomial(k).terms().items()}
 
 
 def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:

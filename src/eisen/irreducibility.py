@@ -33,6 +33,12 @@ from .exact import INFINITY, Valuation, is_prime, valuation
 
 Coeffs = Sequence[Union[int, Fraction]]
 
+#: witness primes the finite-field oracle keeps per polynomial, at most
+ORACLE_PRIME_COUNT = 10
+
+#: primes ``select_witness_primes`` examines per polynomial, at most
+_WITNESS_PRIMES_EXAMINED = 120
+
 
 def _as_fractions(coeffs: Coeffs) -> list[Fraction]:
     out = [Fraction(c) for c in coeffs]
@@ -653,12 +659,7 @@ def primitive_integer_polynomial(coeffs: Coeffs) -> list[int]:
     return [c // content for c in ints]
 
 
-def select_witness_primes(
-    int_coeffs: Sequence[int],
-    floor: int = 0,
-    max_keep: int = 10,
-    max_examined: int = 120,
-) -> tuple[Optional[dict[int, list[int]]], int]:
+def select_witness_primes(int_coeffs: Sequence[int], floor: int = 0) -> tuple[Optional[dict[int, list[int]]], int]:
     """Walk primes above ``floor`` and pick a small witness set for the oracle.
 
     Keeps a prime only when its degree pattern strictly shrinks the set of
@@ -667,7 +668,8 @@ def select_witness_primes(
     every proper degree.  Returns (kept, primes_examined), where kept maps
     each kept prime to its pattern in the order kept, ready for
     ``assemble_pattern_certificate``; kept is None if no proof emerged within
-    the caps, which is the honest outcome for a reducible input.
+    the fixed caps (``ORACLE_PRIME_COUNT`` primes kept, 120 examined), which
+    is the honest outcome for a reducible input.
     """
     n = len(int_coeffs) - 1
     proper_mask = ((1 << n) - 1) & ~1  # bits 1 .. n-1
@@ -675,7 +677,7 @@ def select_witness_primes(
     kept: dict[int, list[int]] = {}
     p = max(floor, 1)
     examined = 0
-    while examined < max_examined and len(kept) < max_keep:
+    while examined < _WITNESS_PRIMES_EXAMINED and len(kept) < ORACLE_PRIME_COUNT:
         p += 1
         if not is_prime(p):
             continue

@@ -28,6 +28,7 @@ from .eisenstein import (
 )
 from .gekeler import phi_by_division, phi_closed_form, valuation_profile
 from .irreducibility import (
+    ORACLE_PRIME_COUNT,
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
@@ -49,8 +50,8 @@ GOLDEN_PHI = {
 
 DUMAS_SCAN_PRIMES = tuple(p for p in range(100) if is_prime(p))
 
-#: witness primes the scan's finite-field oracle keeps per weight
-ORACLE_PRIME_COUNT = 10
+#: q-series terms the self-test compares per weight
+SELFTEST_Q_TERMS = 30
 
 
 @dataclass
@@ -317,10 +318,10 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
         profile_ok = all(
             profile[r] >= Fraction(2 * k, 3) - 8 * r for r in range(1, m)
         )
-        chord_ok = all(profile[r] * m >= nu_t0 * (m - r) for r in range(1, m) if profile[r] is not INFINITY)
-        gcd_val = math.gcd(abs(int(nu_t0)), m) if nu_t0 is not INFINITY else None
-
+        # the chord and gcd conditions are the criterion's own, read off its witness
         cert = dumas_check(phi.coeffs, 2, poly_id=f"phi_{k}")
+        chord_ok = cert.witness["slope_condition"]
+        gcd_val = cert.witness["gcd"]
         doc = cert.to_json_dict()
         rechecked = recheck_dumas_certificate(doc)
         record = {
@@ -388,7 +389,7 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
                 break
         else:
             ints = primitive_integer_polynomial(phi.coeffs)
-            kept, _examined = select_witness_primes(ints, floor=k, max_keep=ORACLE_PRIME_COUNT)
+            kept, _examined = select_witness_primes(ints, floor=k)
             if kept is None:
                 # no proof within the caps: still report the patterns at the first
                 # usable primes above the weight so the record stays informative
@@ -434,7 +435,6 @@ def selftest(
     k_dual: int = 200,
     k_qseries: int = 60,
     k_phi: int = 480,
-    n_terms: int = 30,
     table: Optional[EisensteinTable] = None,
 ) -> CheckReport:
     """The CI entry point: every cross-route identity on its default desk range.
@@ -442,15 +442,15 @@ def selftest(
     Three sub-checks, all exact: (1) both routes of the derivative recurrence
     reproduce the table built by the convolution recurrence, for even
     8 <= k <= k_dual; (2) the q-expansion of the tabled polynomial form of
-    G_k matches r_k times the divisor-sum expansion to ``n_terms`` terms for
-    even 4 <= k <= k_qseries; (3) the closed-form and division routes for
-    phi_k agree for k = 0 mod 12 up to k_phi.
+    G_k matches r_k times the divisor-sum expansion to ``SELFTEST_Q_TERMS``
+    terms for even 4 <= k <= k_qseries; (3) the closed-form and division
+    routes for phi_k agree for k = 0 mod 12 up to k_phi.
     """
     started = time.perf_counter()
     k_top = max(k_dual, k_qseries, k_phi)
     table = _ensure_table(table, k_top)
     report = CheckReport(
-        "selftest", {"k_dual": k_dual, "k_qseries": k_qseries, "k_phi": k_phi, "n_terms": n_terms}
+        "selftest", {"k_dual": k_dual, "k_qseries": k_qseries, "k_phi": k_phi, "n_terms": SELFTEST_Q_TERMS}
     )
 
     for k in range(8, k_dual + 1, 2):
@@ -463,8 +463,8 @@ def selftest(
 
     for k in range(4, k_qseries + 1, 2):
         rk = zeta_ratio(k)
-        from_table = substitute_q_expansion(table.graded_form(k), n_terms)
-        direct = q_expansion_direct(k, n_terms)
+        from_table = substitute_q_expansion(table.graded_form(k), SELFTEST_Q_TERMS)
+        direct = q_expansion_direct(k, SELFTEST_Q_TERMS)
         ok = from_table == [rk * c for c in direct]
         report.records.append({"check": "q-series", "k": k, "passed": ok})
 

@@ -67,6 +67,12 @@ class TestChecks:
         assert main(["check", "--lemma", "valsum", "--k-max", "2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lemma", ["valsum", "ineq", "min", "conjecture"])
+    def test_k_max_zero_is_not_the_default(self, capsys, lemma):
+        # 0 is a given bound, out of range; only an omitted --k-max means the default
+        assert main(["check", "--lemma", lemma, "--k-max", "0"]) == 2
+        assert "k_max must be" in capsys.readouterr().err
+
 
 class TestTheoremAndScan:
     def test_theorem(self, capsys):
@@ -193,6 +199,17 @@ class TestTablePersistence:
         dump.write_text("k,a,b,w\n12,0,2,1e3000000\n")
         assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
         assert "1e3000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["wk", "--k", "12"], ["check", "--lemma", "conjecture", "--k-max", "12"]]
+    )
+    def test_weight_with_missing_rows_exits_2(self, tmp_path, capsys, argv):
+        dump = tmp_path / "table.csv"
+        dump.write_text("k,a,b,w\n12,0,2,25/143\n")
+        assert main(argv + ["--table-load", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weight 12 is missing rows" in captured.err
 
     def test_selftest_dumps_its_table(self, tmp_path, capsys):
         dump = tmp_path / "table.csv"

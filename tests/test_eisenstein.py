@@ -9,8 +9,6 @@ from eisen.exact import INFINITY, digit_sum_base2, zeta_ratio
 from eisen.eisenstein import (
     D2,
     EisensteinTable,
-    RecurrenceConstants,
-    constants,
     exponents,
     min_valuation2,
     popa_c,
@@ -29,7 +27,7 @@ W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 class TestConstants:
     def test_d4(self):
         assert popa_d(4) == Fraction(3, 16)
-        assert constants(4) == RecurrenceConstants(c=Fraction(5, 6), d=Fraction(3, 16))
+        assert popa_c(4) == Fraction(5, 6)
 
     def test_d2_named_constant(self):
         assert D2 == Fraction(-1, 8)
@@ -37,14 +35,13 @@ class TestConstants:
 
     def test_c8(self):
         # 8/(2*5*3) + 4! * 2! / (2 * 7!) = 4/15 + 1/210
-        assert popa_c(8) == Fraction(4, 15) + Fraction(1, 210)
-        assert constants(8).c == Fraction(19, 70)
+        assert popa_c(8) == Fraction(4, 15) + Fraction(1, 210) == Fraction(19, 70)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            constants(2)
+            popa_c(2)
         with pytest.raises(DomainError):
-            constants(7)
+            popa_c(7)
         with pytest.raises(DomainError):
             popa_d(1)
 
@@ -64,14 +61,11 @@ class TestTable:
         table = EisensteinTable()
         assert table.w_vector(4) == {1: Fraction(1)}
         assert table.w_vector(6) == {0: Fraction(1)}
-        assert table.origin(4) == "closed-form"
 
     def test_missing_weight(self):
         table = EisensteinTable()
         with pytest.raises(MissingWeightError):
             table.w_vector(8)
-        with pytest.raises(MissingWeightError):
-            table.origin(8)
 
     def test_extend_and_known_values(self, shared_table):
         table = shared_table.ensure(20)
@@ -104,18 +98,6 @@ class TestTable:
     def test_e_polynomial_weight_eight(self, shared_table):
         table = shared_table.ensure(8)
         assert table.e_polynomial(8) == E4 * E4
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            EisensteinTable().extend(10, method="magic")
-
-    def test_popa_built_table_matches(self, shared_table):
-        reference = shared_table.ensure(40)
-        via_popa = EisensteinTable().extend(40, method="popa")
-        for k in via_popa.weights():
-            assert via_popa.w_vector(k) == reference.w_vector(k)
-        assert via_popa.origin(12) == "popa"
-        assert reference.origin(12) == "rademacher"
 
 
 class TestRademacher:
@@ -276,7 +258,6 @@ class TestPersistence:
         assert loaded.weights() == table.weights()
         for k in table.weights():
             assert loaded.w_vector(k) == table.w_vector(k)
-        assert loaded.origin(12) == "ingested"
 
     def test_loaded_table_extends(self, tmp_path, shared_table):
         table = shared_table.ensure(40)
@@ -302,12 +283,13 @@ class TestPersistence:
     # 12,-3,4 satisfies 4a + 6b = k with a negative exponent; the w fields
     # after "12,x,2,1/1" are not -?digits[/digits], though Fraction(str)
     # takes most of them; the last index fields are not -?digits, though
-    # int(str) takes them
+    # int(str) takes them; the lone well-formed row leaves weight 12 without
+    # its (a, b) = (3, 0) row
     @pytest.mark.parametrize(
         "row",
         ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1"]
         + [f"12,0,2,{w}" for w in ("1e3", "1.5", "+25/143", " 25/143", "25/-143", "1_000", "\u0663/1", "25/", "/143")]
-        + ["1_2,0,2,25/143", "12,+0,2,25/143", " 12,0,2,25/143", "12,0, 2,25/143"],
+        + ["1_2,0,2,25/143", "12,+0,2,25/143", " 12,0,2,25/143", "12,0, 2,25/143", "12,0,2,25/143"],
     )
     def test_bad_row_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
@@ -327,6 +309,23 @@ class TestPersistence:
         path = tmp_path / "table.csv"
         path.write_text("k,a,b,w\n12,0,2,-25/143\n12,3,0,2\n")
         assert EisensteinTable.load_csv(path).w_vector(12) == {0: Fraction(-25, 143), 3: Fraction(2)}
+
+    def test_dump_missing_one_row_rejected(self, tmp_path, shared_table):
+        path = tmp_path / "table.csv"
+        shared_table.ensure(60).dump_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        dropped = next(i for i, line in enumerate(lines) if line.startswith("36,3,4,"))
+        path.write_text("".join(lines[:dropped] + lines[dropped + 1 :]))
+        with pytest.raises(ConsistencyError, match=r"weight 36 is missing rows for \(a, b\) in \[\(3, 4\)\]"):
+            EisensteinTable.load_csv(path)
+
+    def test_every_w_entry_is_positive(self, shared_table):
+        # why load_csv may require every (a, b) row: no w_{a,k} is ever 0
+        table = shared_table.ensure(120)
+        for k in table.weights():
+            vec = table.w_vector(k)
+            assert sorted(vec) == [a for a, _ in exponents(k)]
+            assert all(w > 0 for w in vec.values())
 
     def test_corrupt_base_weight_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,10 +12,8 @@ from eisen.exact import (
     INFINITY,
     bernoulli,
     binomial,
-    binomial_mod2,
     digit_sum_base2,
     divisor_power_sum,
-    factorial_valuation2,
     is_prime,
     parse_integer,
     parse_rational,
@@ -117,31 +115,6 @@ class TestDigitSums:
             digit_sum_base2(-1)
 
 
-class TestFactorialValuation:
-    def test_small_cases(self):
-        assert factorial_valuation2(4) == 3  # 24 = 2^3 * 3
-        assert factorial_valuation2(1) == 0
-        assert factorial_valuation2(0) == 0
-
-    def test_ten_against_legendre(self):
-        legendre = 10 // 2 + 10 // 4 + 10 // 8
-        assert legendre == 8
-        assert factorial_valuation2(10) == legendre
-
-    def test_against_direct_factorial(self):
-        for m in range(0, 300):
-            assert factorial_valuation2(m) == trial_division_valuation(math.factorial(m), 2)
-
-    def test_against_legendre_to_ten_thousand(self):
-        for m in range(0, 10001):
-            legendre = 0
-            q = m
-            while q:
-                q //= 2
-                legendre += q
-            assert factorial_valuation2(m) == legendre
-
-
 class TestBinomial:
     def test_basic(self):
         assert binomial(6, 2) == 15
@@ -156,20 +129,6 @@ class TestBinomial:
             row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
         assert row[11] == 2496144
         assert binomial(24, 11) == 2496144
-
-    def test_mod2_examples(self):
-        assert binomial_mod2(6, 2) == 1  # C(6,2)=15
-        assert binomial_mod2(6, 1) == 0  # C(6,1)=6
-        for n in range(0, 40):
-            assert binomial_mod2(n, 0) == 1
-
-    def test_mod2_matches_binomial_exhaustively(self):
-        for n in range(0, 257):
-            for r in range(0, n + 1):
-                assert binomial_mod2(n, r) == binomial(n, r) % 2, (n, r)
-
-    def test_mod2_out_of_range(self):
-        assert binomial_mod2(5, 9) == 0
 
 
 class TestBernoulli:

@@ -373,13 +373,14 @@ class TestHelpers:
         assert cert.verdict == "irreducible"
 
     def test_select_witness_primes_gives_up_on_reducible(self):
-        kept, _ = select_witness_primes([-1, 0, 0, 0, 1], floor=2, max_examined=40)  # x^4 - 1
+        kept, examined = select_witness_primes([-1, 0, 0, 0, 1], floor=2)  # x^4 - 1
         assert kept is None
+        assert examined == 120  # the fixed cap on primes examined
 
     def test_select_respects_keep_cap(self):
-        kept, _ = select_witness_primes([1, 1, 0, 0, 1], floor=2, max_keep=1, max_examined=60)
-        if kept is not None:
-            assert len(kept) <= 1
+        kept, examined = select_witness_primes([1, 1, 0, 0, 1], floor=2)
+        assert kept is not None and len(kept) <= irreducibility.ORACLE_PRIME_COUNT == 10
+        assert examined <= 120
 
 
 # --- the production DDF against the re-checker's ---------------------------
