@@ -26,13 +26,12 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .eisenstein import EisensteinTable
 from .errors import EisenError
-from .exact import parse_rational
+from .exact import format_rational, parse_rational
 from .gekeler import phi_by_division, valuation_profile
 from .irreducibility import dumas_check, newton_polygon
 from . import replicate
@@ -116,14 +115,10 @@ def _emit_report(report: replicate.CheckReport, args: argparse.Namespace) -> int
     return 0 if report.status == "PASS" else 1
 
 
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _cmd_wk(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     vec = table.w_vector(args.k)
-    rows = [(a, (args.k - 4 * a) // 6, _frac_str(vec[a])) for a in sorted(vec)]
+    rows = [(a, (args.k - 4 * a) // 6, format_rational(vec[a])) for a in sorted(vec)]
     doc = {"k": args.k, "coefficients": [{"a": a, "b": b, "w": w} for a, b, w in rows]}
     lines = [f"w({args.k}):"] + [f"  a={a} b={b}  {w}" for a, b, w in rows]
     _emit(args, doc, ["k", "a", "b", "w"], [[args.k, *row] for row in rows], lines)
@@ -135,7 +130,7 @@ def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
     phi = phi_by_division(args.k, table)
     profile = valuation_profile(phi, 2)
     profile_json = [str(v) if not isinstance(v, int) else v for v in profile]
-    coeffs = [_frac_str(c) for c in phi.coeffs]
+    coeffs = [format_rational(c) for c in phi.coeffs]
     doc = {
         "k": phi.k,
         "degree": phi.degree,
@@ -163,7 +158,7 @@ def _cmd_newton(args: argparse.Namespace) -> int:
         "prime": polygon.prime,
         "points": [list(pt) for pt in polygon.points],
         "vertices": [list(v) for v in polygon.vertices],
-        "slopes": [{"slope": _frac_str(s), "length": length} for s, length in polygon.slopes],
+        "slopes": [{"slope": format_rational(s), "length": length} for s, length in polygon.slopes],
         "dumas": cert.to_json_dict(),
     }
     lines = [

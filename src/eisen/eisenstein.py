@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio
-from .exact import parse_integer, parse_rational
+from .exact import format_rational, parse_integer, parse_rational
 from .qmring import E2, GradedForm, serre_derivative
 
 #: coefficient vector of one weight: E4-exponent a -> w_{a,k}; b = (k-4a)/6 implied
@@ -161,8 +161,7 @@ class EisensteinTable:
         vec = self.w_vector(k)
         parts = [str(k)]
         for a in sorted(vec):
-            c = vec[a]
-            parts.append(f"{a},{(k - 4 * a) // 6}:{c.numerator}/{c.denominator}")
+            parts.append(f"{a},{(k - 4 * a) // 6}:{format_rational(vec[a])}")
         return "; ".join(parts)
 
     # -- persistence -------------------------------------------------------------
@@ -175,20 +174,20 @@ class EisensteinTable:
             for k in self.weights():
                 vec = self._w[k]
                 for a in sorted(vec):
-                    c = vec[a]
-                    writer.writerow([k, a, (k - 4 * a) // 6, f"{c.numerator}/{c.denominator}"])
+                    writer.writerow([k, a, (k - 4 * a) // 6, format_rational(vec[a])])
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
-        """Re-ingest a dump; validates index structure and the two base weights.
+        """Re-ingest a dump; validates index structure, the two base weights and the values.
 
         A row that does not parse as four fields k, a, b, w (``parse_integer``
         for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
         exponents are negative or do not satisfy 4a + 6b = k, or that repeats
         an earlier (k, a), raises ``ConsistencyError``; so does a loaded
         weight missing a row for any (a, b) with 4a + 6b = k (every w_{a,k}
-        is positive, so a real dump has them all).  Weights need not be
-        contiguous: ``extend`` fills any gap.
+        is positive, so a real dump has them all), or whose values do not give
+        E_k's first two q-coefficients (``_check_q_coefficients``).  Weights
+        need not be contiguous: ``extend`` fills any gap.
         """
         table = cls()
         loaded: dict[int, WVector] = {}
@@ -221,8 +220,35 @@ class EisensteinTable:
                 if loaded[k] != table._w[k]:
                     raise ConsistencyError(f"base weight {k} differs from its axiom")
                 continue
+            _check_q_coefficients(k, loaded[k])
             table._store(k, loaded[k])
         return table
+
+
+def _check_q_coefficients(k: int, vec: WVector) -> None:
+    """Raise ``ConsistencyError`` unless w(k) gives E_k = 1 - (2k/B_k) q + O(q^2).
+
+    With u_a = w_a r_4^a r_6^b / r_k and E_4^a E_6^b = 1 + (240a - 504b) q + ...,
+    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k.  Both sums run in
+    integers: r_4^a r_6^b = 2^b / (45^a 945^b) goes over 45^A 945^B, the
+    largest powers at weight k, and each w_a over the lcm of their denominators.
+    """
+    pairs = exponents(k)
+    a_top, b_top = pairs[-1][0], pairs[0][1]
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    sum0 = sum1 = 0
+    for a, b in pairs:
+        c = vec[a]
+        term = c.numerator * (den // c.denominator) * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b)
+        sum0 += term
+        sum1 += (240 * a - 504 * b) * term
+    scale = den * 45**a_top * 945**b_top  # sum w_a r_4^a r_6^b = sum0 / scale
+    r_k = zeta_ratio(k)
+    q1 = -2 * k * r_k / bernoulli(k)
+    if sum0 * r_k.denominator != r_k.numerator * scale:
+        raise ConsistencyError(f"weight {k}: the constant q-coefficient of E_k is not 1")
+    if sum1 * q1.denominator != q1.numerator * scale:
+        raise ConsistencyError(f"weight {k}: the q^1 coefficient of E_k is not -2k/B_k")
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 Everything downstream works over ``fractions.Fraction``: arbitrary-precision
 rationals, always in lowest terms with a positive denominator.  This module
 holds p-adic valuations with a proper infinity for the valuation of zero,
-base-2 digit sums, exact binomials, Bernoulli numbers, the rational number
-2*zeta(k)/pi^k that stands in for zeta(k) everywhere, and the one parser of
-exact numbers written as text.  No floating point.
+base-2 digit sums, exact binomials, Bernoulli numbers and the rational number
+2*zeta(k)/pi^k that stands in for zeta(k) everywhere (both read off one memo
+of integer tangent numbers), and the one parser and one writer of exact
+numbers as text.  No floating point.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from fractions import Fraction
 from typing import Union
 
@@ -86,14 +86,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-#: the primes below 100, so the usual moduli skip trial division
-_SMALL_PRIMES = frozenset(n for n in range(100) if is_prime(n))
+#: the primes below 100, ascending: the usual moduli skip trial division, and
+#: the scan's Dumas loop tries them in this order
+SMALL_PRIMES = tuple(n for n in range(100) if is_prime(n))
 
 
 def _check_prime(p: int) -> None:
     # every modulus is verified: at a composite p the valuation criterion
     # certifies reducible polynomials (x^2 - 4 passes it at p = 4)
-    if p not in _SMALL_PRIMES and not is_prime(p):
+    if p not in SMALL_PRIMES and not is_prime(p):
         raise InvalidPrimeError(f"p must be a prime >= 2, got {p}")
 
 
@@ -132,46 +133,44 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-_bernoulli_even: list[Fraction] = [Fraction(1)]  # index t holds B_{2t}
-_bernoulli_lock = threading.Lock()
+#: T_1, T_2, ...: a longer memo is built in full, then swapped in, so readers need no lock
+_tangent_numbers: tuple[int, ...] = ()
+
+
+def _tangent_number(h: int) -> int:
+    """T_h for h >= 1, by the integer recurrence of Brent and Harvey (arXiv:1108.0286)."""
+    global _tangent_numbers
+    memo = _tangent_numbers
+    if h > len(memo):
+        n = max(h, 2 * len(memo))
+        t = [math.factorial(i) for i in range(n)]
+        for k in range(1, n):
+            for j in range(k, n):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        memo = _tangent_numbers = tuple(t)
+    return memo[h - 1]
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n, memoized.
-
-    Computed from the defining convolution sum C(m+1, j) B_j = 0 restricted to
-    even indices (odd Bernoulli numbers vanish beyond B_1).  B_1 = -1/2.
-    The memo table is append-only: reads are lock-free, extension is serialized.
-    """
+    """Exact Bernoulli number B_n, with B_1 = -1/2; (-1)^(n/2-1) n T_(n/2) / (2^n (2^n - 1)) for even n >= 2."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(0)
-    half = n // 2
-    if half < len(_bernoulli_even):
-        return _bernoulli_even[half]
-    with _bernoulli_lock:
-        while len(_bernoulli_even) <= half:
-            t = len(_bernoulli_even)
-            m = 2 * t
-            acc = Fraction(0)
-            for j in range(t):
-                acc += math.comb(m + 1, 2 * j) * _bernoulli_even[j]
-            # the lone odd contribution C(m+1, 1) * B_1 folds into the 1/2
-            _bernoulli_even.append(Fraction(1, 2) - acc / (m + 1))
-    return _bernoulli_even[half]
+    if n == 0:
+        return Fraction(1)
+    return Fraction((-1) ** (n // 2 - 1) * n * _tangent_number(n // 2), 2**n * (2**n - 1))
 
 
 def zeta_ratio(k: int) -> Fraction:
-    """The exact rational 2*zeta(k)/pi^k = (-1)^(k/2-1) * 2^k * B_k / k! for even k >= 2.
+    """The exact rational 2*zeta(k)/pi^k = T_(k/2) / ((2^k - 1) (k-1)!) for even k >= 2.
 
     This ratio is the only representation of zeta(k) in the package: every
     identity used here is weight-homogeneous, so the pi powers always cancel.
     """
     if k < 2 or k % 2:
         raise DomainError(f"k must be even and >= 2, got {k}")
-    sign = 1 if (k // 2) % 2 == 1 else -1
-    return Fraction(sign * 2**k, math.factorial(k)) * bernoulli(k)
+    return Fraction(_tangent_number(k // 2), (2**k - 1) * math.factorial(k - 1))
 
 
 def divisor_power_sum(n: int, e: int) -> int:
@@ -205,6 +204,11 @@ def parse_rational(text: str) -> Fraction:
     if m is None:
         raise DomainError(f"{text!r} is not an integer or num/den in ASCII digits with a positive denominator")
     return Fraction(_to_int(m[1]), _to_int(m[2] or "1"))
+
+
+def format_rational(c: Fraction) -> str:
+    """The exact text ``num/den`` of c, which ``parse_rational`` reads back (integers as ``n/1``)."""
+    return f"{c.numerator}/{c.denominator}"
 
 
 def parse_integer(text: str) -> int:

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidPrimeError
-from .exact import INFINITY, Valuation, is_prime, valuation
+from .exact import INFINITY, Valuation, format_rational, is_prime, valuation
 
 Coeffs = Sequence[Union[int, Fraction]]
 
@@ -143,7 +143,7 @@ class IrreducibilityCertificate:
         poly = {
             "id": self.poly_id,
             "degree": self.degree,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            "coeffs": [format_rational(c) for c in self.coeffs],
         }
         if self.criterion == "dumas":
             return {

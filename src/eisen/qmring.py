@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DomainError, WeightMismatchError
-from .exact import divisor_power_sum, bernoulli, parse_integer, parse_rational
+from .exact import divisor_power_sum, bernoulli, format_rational, parse_integer, parse_rational
 
 #: exponent triple (e2, e4, e6)
 Monomial = tuple[int, int, int]
@@ -161,7 +161,7 @@ class GradedForm:
         """Canonical text: ``weight; e2,e4,e6:num/den; ...`` in lexicographic order."""
         parts = [str(self.weight)]
         for (e2, e4, e6), c in sorted(self._terms.items()):
-            parts.append(f"{e2},{e4},{e6}:{c.numerator}/{c.denominator}")
+            parts.append(f"{e2},{e4},{e6}:{format_rational(c)}")
         return "; ".join(parts)
 
     @classmethod

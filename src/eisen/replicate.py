@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import INFINITY, binomial, digit_sum_base2, is_prime, valuation, zeta_ratio
+from .exact import INFINITY, SMALL_PRIMES, binomial, digit_sum_base2, is_prime, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
     min_valuation2,
@@ -48,7 +48,7 @@ GOLDEN_PHI = {
     ),
 }
 
-DUMAS_SCAN_PRIMES = tuple(p for p in range(100) if is_prime(p))
+DUMAS_SCAN_PRIMES = SMALL_PRIMES
 
 #: q-series terms the self-test compares per weight
 SELFTEST_Q_TERMS = 30

@@ -211,6 +211,23 @@ class TestTablePersistence:
         assert captured.out == ""
         assert "weight 12 is missing rows" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv", [["wk", "--k", "36"], ["check", "--lemma", "conjecture", "--k-max", "60"]]
+    )
+    def test_dump_with_a_doubled_value_exits_2(self, tmp_path, capsys, argv):
+        dump = tmp_path / "table.csv"
+        assert main(["check", "--lemma", "conjecture", "--k-max", "60", "--table-dump", str(dump)]) == 0
+        lines = dump.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith("36,0,6,"))
+        num, den = lines[i][len("36,0,6,") :].split("/")
+        lines[i] = f"36,0,6,{2 * int(num)}/{den}"
+        dump.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(argv + ["--table-load", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weight 36: the constant q-coefficient of E_k is not 1" in captured.err
+
     def test_selftest_dumps_its_table(self, tmp_path, capsys):
         dump = tmp_path / "table.csv"
         args = ["selftest", "--k-max-dual", "16", "--k-max-q", "12", "--k-max-phi", "24"]

@@ -251,7 +251,8 @@ class TestMinValuation:
 
 class TestPersistence:
     def test_dump_and_load_round_trip(self, tmp_path, shared_table):
-        table = shared_table.ensure(40)
+        # to 480, so every weight the benchmark's dumps hold passes the value check
+        table = shared_table.ensure(480)
         path = tmp_path / "table.csv"
         table.dump_csv(path)
         loaded = EisensteinTable.load_csv(path)
@@ -306,9 +307,16 @@ class TestPersistence:
         assert time.perf_counter() - started < 0.1
 
     def test_integer_and_negative_w_fields_load(self, tmp_path):
+        # the base weights written as integers load; a negative w field
+        # parses, and only the value check refuses it (every w_{a,k} > 0)
         path = tmp_path / "table.csv"
+        path.write_text("k,a,b,w\n4,1,0,1\n6,0,1,1\n12,0,2,25/143\n12,3,0,18/143\n")
+        loaded = EisensteinTable.load_csv(path)
+        assert loaded.w_vector(4) == {1: 1} and loaded.w_vector(6) == {0: 1}
+        assert loaded.w_vector(12) == {0: Fraction(25, 143), 3: Fraction(18, 143)}
         path.write_text("k,a,b,w\n12,0,2,-25/143\n12,3,0,2\n")
-        assert EisensteinTable.load_csv(path).w_vector(12) == {0: Fraction(-25, 143), 3: Fraction(2)}
+        with pytest.raises(ConsistencyError, match="weight 12: the constant q-coefficient"):
+            EisensteinTable.load_csv(path)
 
     def test_dump_missing_one_row_rejected(self, tmp_path, shared_table):
         path = tmp_path / "table.csv"
@@ -317,6 +325,33 @@ class TestPersistence:
         dropped = next(i for i, line in enumerate(lines) if line.startswith("36,3,4,"))
         path.write_text("".join(lines[:dropped] + lines[dropped + 1 :]))
         with pytest.raises(ConsistencyError, match=r"weight 36 is missing rows for \(a, b\) in \[\(3, 4\)\]"):
+            EisensteinTable.load_csv(path)
+
+    @pytest.mark.parametrize("row, factor", [("36,0,6,", 2), ("60,15,0,", 3), ("120,0,20,", -1)])
+    def test_dump_with_one_value_changed_rejected(self, tmp_path, shared_table, row, factor):
+        path = tmp_path / "table.csv"
+        shared_table.ensure(120).dump_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith(row))
+        num, den = lines[i][len(row) :].split("/")
+        lines[i] = f"{row}{factor * int(num)}/{den}"
+        path.write_text("".join(lines))
+        k = row.split(",")[0]
+        with pytest.raises(ConsistencyError, match=f"weight {k}: the constant q-coefficient of E_k is not 1"):
+            EisensteinTable.load_csv(path)
+
+    def test_q1_check_catches_what_the_constant_term_misses(self, tmp_path):
+        # u_0 up by 1 and u_3 down by 1 at weight 24 keep sum u_a = 1 but move
+        # sum u_a (240a - 504b) by (0 - 2016) - (720 - 1008) = -1728
+        table = EisensteinTable().extend(24)
+        r4, r6, r24 = zeta_ratio(4), zeta_ratio(6), zeta_ratio(24)
+        u = {a: w * r4**a * r6 ** ((24 - 4 * a) // 6) / r24 for a, w in table.w_vector(24).items()}
+        u[0] += 1
+        u[3] -= 1
+        path = tmp_path / "table.csv"
+        table._w[24] = {a: v * r24 / (r4**a * r6 ** ((24 - 4 * a) // 6)) for a, v in u.items()}
+        table.dump_csv(path)
+        with pytest.raises(ConsistencyError, match="weight 24: the q\\^1 coefficient of E_k is not -2k/B_k"):
             EisensteinTable.load_csv(path)
 
     def test_every_w_entry_is_positive(self, shared_table):

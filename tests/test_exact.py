@@ -1,12 +1,13 @@
 import csv
 import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from eisen.cli import _frac_str
+from eisen import exact
 from eisen.errors import DomainError, InvalidPrimeError
 from eisen.exact import (
     INFINITY,
@@ -14,6 +15,7 @@ from eisen.exact import (
     binomial,
     digit_sum_base2,
     divisor_power_sum,
+    format_rational,
     is_prime,
     parse_integer,
     parse_rational,
@@ -131,6 +133,21 @@ class TestBinomial:
         assert binomial(24, 11) == 2496144
 
 
+def bernoulli_by_convolution(n_max: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_{n_max} from the defining sum C(m+1, j) B_j = 0 on even indices.
+
+    The O(n^2) Fraction recurrence that filled the Bernoulli memo before the
+    tangent numbers; kept as the reference they must reproduce.
+    """
+    even = [Fraction(1)]  # index t holds B_{2t}
+    for t in range(1, n_max // 2 + 1):
+        m = 2 * t
+        acc = sum((math.comb(m + 1, 2 * j) * even[j] for j in range(t)), Fraction(0))
+        # the lone odd contribution C(m+1, 1) * B_1 folds into the 1/2
+        even.append(Fraction(1, 2) - acc / (m + 1))
+    return even
+
+
 class TestBernoulli:
     def akiyama_tanigawa(self, n: int) -> Fraction:
         # independent oracle for B_n ("second" convention; even indices agree)
@@ -162,11 +179,29 @@ class TestBernoulli:
         for n in range(2, 202, 2):
             assert valuation(bernoulli(n), 2) == -1
 
-    def test_concurrent_reads(self):
+    def test_matches_convolution_sum_to_480(self):
+        even = bernoulli_by_convolution(480)
+        for n in range(0, 481):
+            expected = even[n // 2] if n % 2 == 0 else (Fraction(-1, 2) if n == 1 else 0)
+            assert bernoulli(n) == expected, n
+
+    def test_concurrent_reads(self, monkeypatch):
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(bernoulli, [300] * 16))
         assert len(set(results)) == 1
         assert results[0] == bernoulli(300)
+        # from an empty memo, threads of mixed sizes each swap in their own
+        sizes = [480, 2, 300, 40] * 4
+        reference = bernoulli_by_convolution(480)
+        monkeypatch.setattr(exact, "_tangent_numbers", ())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(bernoulli, sizes, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [reference[n // 2] for n in sizes]
 
 
 class TestZetaRatio:
@@ -190,6 +225,11 @@ class TestZetaRatio:
             assert valuation(zeta_ratio(k), 2) == valuation(Fraction(2**k) * bernoulli(k) / math.factorial(k), 2)
         for ell in range(0, 5):
             assert valuation(zeta_ratio(12 * 2**ell) / 2, 2) == 0
+
+    def test_matches_bernoulli_form_to_480(self):
+        for k in range(2, 481, 2):
+            sign = 1 if (k // 2) % 2 else -1
+            assert zeta_ratio(k) == Fraction(sign * 2**k, math.factorial(k)) * bernoulli(k), k
 
 
 class TestRationalArithmetic:
@@ -239,10 +279,16 @@ class TestParseRational:
         assert rows
         for k, a, _, w in rows:
             assert parse_rational(w) == table.w_vector(int(k))[int(a)]
-            assert _frac_str(parse_rational(w)) == w
+            assert format_rational(parse_rational(w)) == w
         for k in range(12, 61, 2):
             for c in phi_by_division(k, table).coeffs:
-                assert parse_rational(_frac_str(c)) == c
+                assert parse_rational(format_rational(c)) == c
+
+    def test_format_rational_writes_num_den(self):
+        assert format_rational(Fraction(-25, 143)) == "-25/143"
+        assert format_rational(Fraction(6, 4)) == "3/2"
+        assert format_rational(Fraction(-7)) == "-7/1"
+        assert format_rational(Fraction(0)) == "0/1"
 
     def test_integers_and_signs(self):
         assert parse_rational("-25/143") == Fraction(-25, 143)

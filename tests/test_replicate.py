@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +21,33 @@ from eisen.replicate import (
     gekeler_scan,
     selftest,
 )
+
+
+def bench_span_targets() -> tuple:
+    """The (module, attribute) pairs the benchmark's tracer wraps, read from
+    ``bench/spans.py`` without importing it."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py assigns no TARGETS")
+
+
+class TestBenchmarkHooks:
+    """Names the benchmark looks up in the package must not vanish under it."""
+
+    @pytest.mark.parametrize("module, attr", bench_span_targets())
+    def test_traced_name_resolves(self, module, attr):
+        owner = importlib.import_module(module)
+        if "." in attr:  # "Class.method": the tracer reads the class's own __dict__
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name))
+        else:
+            assert callable(getattr(owner, attr))
+
+    def test_replicate_binds_distinct_degree_pattern(self):
+        # bench/sample.py patches the name in replicate's globals too
+        assert replicate.distinct_degree_pattern is irreducibility.distinct_degree_pattern
 
 
 def record_for(report, key, value):
