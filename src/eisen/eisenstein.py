@@ -153,8 +153,17 @@ class EisensteinTable:
         )
 
     def e_polynomial(self, k: int) -> GradedForm:
-        """E_k in the E4/E6 basis (constant q-coefficient 1)."""
-        return self.graded_form(k) * (Fraction(1) / zeta_ratio(k))
+        """E_k in the E4/E6 basis (constant q-coefficient 1), from ``e_basis_numerators``."""
+        nums, scale = self.e_basis_numerators(k)
+        r_k = zeta_ratio(k)
+        return GradedForm(k, {(0, a, (k - 4 * a) // 6): Fraction(n, scale) / r_k for a, n in nums.items()})
+
+    def e_basis_numerators(self, k: int) -> tuple[dict[int, int], int]:
+        """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
+
+        Reads w(k) without filling the ``_scaled`` cache of the recurrences.
+        """
+        return _e_basis_numerators(k, self.w_vector(k))
 
     def canonical_entry(self, k: int) -> str:
         """Stable text form of one entry: ``k; a,b:num/den; ...`` ascending in a."""
@@ -184,9 +193,10 @@ class EisensteinTable:
         for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
         exponents are negative or do not satisfy 4a + 6b = k, or that repeats
         an earlier (k, a), raises ``ConsistencyError``; so does a loaded
-        weight missing a row for any (a, b) with 4a + 6b = k (every w_{a,k}
-        is positive, so a real dump has them all), or whose values do not give
-        E_k's first two q-coefficients (``_check_q_coefficients``).  Weights
+        weight missing a row for any (a, b) with 4a + 6b = k, whose values do
+        not give E_k's first two q-coefficients (``_check_q_coefficients``),
+        or with a value w <= 0.  Every w_{a,k} is positive: w(4) and w(6) are,
+        and so is every multiplier of the convolution recurrence.  Weights
         need not be contiguous: ``extend`` fills any gap.
         """
         table = cls()
@@ -221,28 +231,42 @@ class EisensteinTable:
                     raise ConsistencyError(f"base weight {k} differs from its axiom")
                 continue
             _check_q_coefficients(k, loaded[k])
+            nonpositive = [a for a, w in loaded[k].items() if w <= 0]
+            if nonpositive:
+                raise ConsistencyError(
+                    f"weight {k}: w_{{a,k}} <= 0 for a in {nonpositive}, but every w_{{a,k}} is positive"
+                )
             table._store(k, loaded[k])
         return table
+
+
+def _e_basis_numerators(k: int, vec: WVector) -> tuple[dict[int, int], int]:
+    """Integers nums, scale with w_a r_4^a r_6^b = nums[a] / scale, so u_a = nums[a] / (scale r_k).
+
+    r_4^a r_6^b = 2^b / (45^a 945^b) goes over 45^A 945^B, the largest powers
+    at weight k, and each w_a over the lcm of their denominators.  r_k is left
+    to the caller: one division per result, not per term.
+    """
+    pairs = exponents(k)
+    a_top, b_top = pairs[-1][0], pairs[0][1]
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    nums = {
+        a: vec[a].numerator * (den // vec[a].denominator) * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b)
+        for a, b in pairs
+    }
+    return nums, den * 45**a_top * 945**b_top
 
 
 def _check_q_coefficients(k: int, vec: WVector) -> None:
     """Raise ``ConsistencyError`` unless w(k) gives E_k = 1 - (2k/B_k) q + O(q^2).
 
     With u_a = w_a r_4^a r_6^b / r_k and E_4^a E_6^b = 1 + (240a - 504b) q + ...,
-    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k.  Both sums run in
-    integers: r_4^a r_6^b = 2^b / (45^a 945^b) goes over 45^A 945^B, the
-    largest powers at weight k, and each w_a over the lcm of their denominators.
+    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k, both summed in
+    integers over the scale of ``_e_basis_numerators``.
     """
-    pairs = exponents(k)
-    a_top, b_top = pairs[-1][0], pairs[0][1]
-    den = math.lcm(*(c.denominator for c in vec.values()))
-    sum0 = sum1 = 0
-    for a, b in pairs:
-        c = vec[a]
-        term = c.numerator * (den // c.denominator) * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b)
-        sum0 += term
-        sum1 += (240 * a - 504 * b) * term
-    scale = den * 45**a_top * 945**b_top  # sum w_a r_4^a r_6^b = sum0 / scale
+    nums, scale = _e_basis_numerators(k, vec)
+    sum0 = sum(nums.values())
+    sum1 = sum((240 * a - 504 * ((k - 4 * a) // 6)) * n for a, n in nums.items())
     r_k = zeta_ratio(k)
     q1 = -2 * k * r_k / bernoulli(k)
     if sum0 * r_k.denominator != r_k.numerator * scale:

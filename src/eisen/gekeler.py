@@ -11,6 +11,10 @@ from j = 0 and j = 1728.  Two routes compute phi_k: exact division in the
 E4/E6 basis (works for every even k) and, for k = 0 mod 12, a closed-form
 expression for each coefficient directly in terms of the expansion vector
 w(k).  The routes must agree exactly.
+
+Both routes sum integers over one common denominator and reduce once per
+coefficient.  They share no helper: division reads E_k's numerators off
+``EisensteinTable.e_basis_numerators``, the closed form scales w(k) itself.
 """
 
 from __future__ import annotations
@@ -91,11 +95,6 @@ class GekelerPolynomial:
         return "".join(pieces)
 
 
-def _from_table(k: int, table: EisensteinTable) -> dict[int, Fraction]:
-    """E-basis coefficients of E_k: exponent a -> u_a with E_k = sum u_a E4^a E6^b."""
-    return {a: u for (_, a, _), u in table.e_polynomial(k).terms().items()}
-
-
 def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     """phi_k by exact division of E_k by Delta^m E_4^delta E_6^epsilon.
 
@@ -104,13 +103,16 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     substitution B = A - 1728*Delta rewrites the quotient as a polynomial in
     j = A/Delta.  Each structural step that could leave a remainder is checked
     and raises ConsistencyError if violated, as is monicity of the result.
+    The sums run over the integer numerators of ``e_basis_numerators``.
     """
     m, delta, epsilon = elliptic_exponents(k)
-    u = _from_table(k, table)
+    nums, scale = table.e_basis_numerators(k)
+    r_k = zeta_ratio(k)
+    den = r_k.numerator * scale
 
     # strip E4^delta E6^epsilon, then fold into p_alpha * A^alpha * B^(m-alpha)
-    p: dict[int, Fraction] = {}
-    for a, coeff in u.items():
+    p: dict[int, int] = {}
+    for a, num in nums.items():
         b = (k - 4 * a) // 6
         a2, b2 = a - delta, b - epsilon
         if a2 < 0 or b2 < 0:
@@ -122,17 +124,13 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
         alpha = a2 // 3
         if alpha + b2 // 2 != m:
             raise ConsistencyError(f"Delta-degree mismatch at weight {k}: ({a2},{b2}) vs m={m}")
-        p[alpha] = p.get(alpha, Fraction(0)) + coeff
+        p[alpha] = p.get(alpha, 0) + num
 
     coeffs = []
     for r in range(m + 1):
         sign = -1 if (m - r) % 2 else 1
-        total = Fraction(0)
-        for alpha in range(r + 1):
-            pa = p.get(alpha)
-            if pa:
-                total += pa * math.comb(m - alpha, r - alpha)
-        coeffs.append(total * sign * Fraction(1728) ** (m - r))
+        total = sum(pa * math.comb(m - alpha, r - alpha) for alpha, pa in p.items() if alpha <= r)
+        coeffs.append(Fraction(sign * total * 1728 ** (m - r) * r_k.denominator, den))
     if coeffs[-1] != 1:
         raise ConsistencyError(f"phi_{k} came out non-monic: {coeffs[-1]}")
     return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=delta, epsilon=epsilon)
@@ -148,6 +146,10 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
 
     with r_k = 2 zeta(k)/pi^k.  Cross-checked against phi_by_division; any
     discrepancy is a hard failure in the callers that compare routes.
+
+    The a-dependent factor (49/20)^a is 49^a 20^(r-a) / 20^r; with w over the
+    lcm D of its denominators, S_r = sum D w 49^a 20^(r-a) C(..) is an integer and
+    t_{k,r} = (-1)^(k/12 - r) S_r 2^(2k/3 - 8r) / (r_k D 3^(k/4 + 3r) 5^(k/6 + r) 7^(k/6)).
     """
     if k % 12:
         raise DomainError(f"closed form needs k = 0 mod 12, got {k}")
@@ -155,22 +157,19 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
         raise DomainError(f"k must be >= 12, got {k}")
     m = k // 12
     vec = table.w_vector(k)
-    two_over_rk = Fraction(2) / zeta_ratio(k)
+    r_k = zeta_ratio(k)
+    den = math.lcm(*(w.denominator for w in vec.values()))
+    lifted = {a: w.numerator * (den // w.denominator) * 49**a for a in range(m + 1) if (w := vec.get(3 * a))}
     coeffs = []
     for r in range(m + 1):
         sign = -1 if (m - r) % 2 else 1
-        total = Fraction(0)
-        for a in range(r + 1):
-            w = vec.get(3 * a)
-            if not w:
-                continue
-            term = (
-                w
-                * Fraction(2) ** (2 * k // 3 - 6 * r - 2 * a - 1)
-                / (Fraction(3) ** (k // 4 + 3 * r) * Fraction(5) ** (a + k // 6) * Fraction(7) ** (k // 6 - 2 * a))
+        total = sum(v * 20 ** (r - a) * math.comb(m - a, m - r) for a, v in lifted.items() if a <= r)
+        coeffs.append(
+            Fraction(
+                sign * total * r_k.denominator * 2 ** (2 * k // 3 - 8 * r),
+                r_k.numerator * den * 3 ** (k // 4 + 3 * r) * 5 ** (k // 6 + r) * 7 ** (k // 6),
             )
-            total += term * math.comb(m - a, m - r)
-        coeffs.append(two_over_rk * sign * total)
+        )
     if coeffs[-1] != 1:
         raise ConsistencyError(f"closed form for phi_{k} came out non-monic: {coeffs[-1]}")
     return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=0, epsilon=0)

@@ -1,11 +1,13 @@
 import csv
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from eisen.cli import main
 from eisen.eisenstein import EisensteinTable
+from eisen.exact import format_rational, zeta_ratio
 
 
 class TestWk:
@@ -227,6 +229,27 @@ class TestTablePersistence:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "weight 36: the constant q-coefficient of E_k is not 1" in captured.err
+
+    @pytest.mark.parametrize("argv", [["wk", "--k", "24"], ["phi", "--k", "24"]])
+    def test_dump_along_the_q_check_null_space_exits_2(self, tmp_path, capsys, argv):
+        # (1, -2, 1) added to (u_0, u_3, u_6) of E_24 keeps both q-coefficients
+        # but makes w_{3,24} negative, which no real table has
+        dump = tmp_path / "table.csv"
+        assert main(["wk", "--k", "24", "--table-dump", str(dump)]) == 0
+        r4, r6, r24 = zeta_ratio(4), zeta_ratio(6), zeta_ratio(24)
+        shift = {0: 1, 3: -2, 6: 1}
+        lines = dump.read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            k, a, b, w = line.strip().split(",")
+            if k == "24" and int(a) in shift:
+                w = Fraction(w) + shift[int(a)] * r24 / (r4 ** int(a) * r6 ** int(b))
+                lines[i] = f"{k},{a},{b},{format_rational(w)}\n"
+        dump.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(argv + ["--table-load", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "every w_{a,k} is positive" in captured.err
 
     def test_selftest_dumps_its_table(self, tmp_path, capsys):
         dump = tmp_path / "table.csv"

@@ -1,8 +1,14 @@
+import ast
+import inspect
+import math
 from fractions import Fraction
 
 import pytest
 
+from eisen import gekeler
+from eisen.eisenstein import EisensteinTable
 from eisen.errors import ConsistencyError, DomainError
+from eisen.exact import zeta_ratio
 from eisen.gekeler import (
     GekelerPolynomial,
     elliptic_exponents,
@@ -18,6 +24,57 @@ PHI24 = (
     Fraction(-340364160000, 236364091),
     Fraction(1),
 )
+
+
+def phi_by_division_fraction(k: int, table: EisensteinTable) -> tuple[Fraction, ...]:
+    """phi_k's coefficients by division, summed term by term in Fractions.
+
+    The arithmetic ``phi_by_division`` used before it summed integer
+    numerators; kept as the reference the integer route must reproduce.
+    """
+    m, delta, epsilon = elliptic_exponents(k)
+    u = {a: c for (_, a, _), c in (table.graded_form(k) * (Fraction(1) / zeta_ratio(k))).terms().items()}
+    p: dict[int, Fraction] = {}
+    for a, coeff in u.items():
+        alpha = (a - delta) // 3
+        p[alpha] = p.get(alpha, Fraction(0)) + coeff
+    coeffs = []
+    for r in range(m + 1):
+        sign = -1 if (m - r) % 2 else 1
+        total = Fraction(0)
+        for alpha in range(r + 1):
+            pa = p.get(alpha)
+            if pa:
+                total += pa * math.comb(m - alpha, r - alpha)
+        coeffs.append(total * sign * Fraction(1728) ** (m - r))
+    return tuple(coeffs)
+
+
+def phi_closed_form_fraction(k: int, table: EisensteinTable) -> tuple[Fraction, ...]:
+    """phi_k's coefficients by the closed formula, every term a Fraction.
+
+    The arithmetic ``phi_closed_form`` used before it summed integers; kept as
+    the reference the integer route must reproduce.
+    """
+    m = k // 12
+    vec = table.w_vector(k)
+    two_over_rk = Fraction(2) / zeta_ratio(k)
+    coeffs = []
+    for r in range(m + 1):
+        sign = -1 if (m - r) % 2 else 1
+        total = Fraction(0)
+        for a in range(r + 1):
+            w = vec.get(3 * a)
+            if not w:
+                continue
+            term = (
+                w
+                * Fraction(2) ** (2 * k // 3 - 6 * r - 2 * a - 1)
+                / (Fraction(3) ** (k // 4 + 3 * r) * Fraction(5) ** (a + k // 6) * Fraction(7) ** (k // 6 - 2 * a))
+            )
+            total += term * math.comb(m - a, m - r)
+        coeffs.append(two_over_rk * sign * total)
+    return tuple(coeffs)
 
 
 class TestEllipticExponents:
@@ -93,6 +150,40 @@ class TestRouteEquivalence:
         table = shared_table.ensure(120)
         for k in range(12, 121, 12):
             assert phi_closed_form(k, table).coeffs == phi_by_division(k, table).coeffs, k
+
+    def test_division_matches_fraction_reference_to_480(self, shared_table):
+        table = shared_table.ensure(480)
+        for k in range(4, 481, 2):
+            assert phi_by_division(k, table).coeffs == phi_by_division_fraction(k, table), k
+
+    def test_closed_form_matches_fraction_reference_to_480(self, shared_table):
+        table = shared_table.ensure(480)
+        for k in range(12, 481, 12):
+            assert phi_closed_form(k, table).coeffs == phi_closed_form_fraction(k, table), k
+
+    @pytest.mark.parametrize("route", [phi_by_division, phi_closed_form])
+    def test_perturbed_weight_is_non_monic(self, route):
+        table = EisensteinTable().extend(24)
+        table._w[24][3] *= 2
+        with pytest.raises(ConsistencyError, match="non-monic"):
+            route(24, table)
+
+    def test_closed_form_shares_no_e_basis_helper(self):
+        tree = ast.parse(inspect.getsource(gekeler.phi_closed_form))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not {"e_basis_numerators", "_e_basis_numerators"} & names
+        assert "e_basis_numerators" in inspect.getsource(gekeler.phi_by_division)
+
+    def test_routes_leave_the_scaled_cache_empty(self, tmp_path):
+        dump = tmp_path / "table.csv"
+        EisensteinTable().extend(48).dump_csv(dump)
+        table = EisensteinTable.load_csv(dump)
+        for k in range(4, 49, 2):
+            phi_by_division(k, table)
+        for k in range(12, 49, 12):
+            phi_closed_form(k, table)
+        assert table._scaled == {}
 
     def test_closed_form_domain(self, shared_table):
         with pytest.raises(DomainError):
