@@ -141,16 +141,13 @@ class EisensteinTable:
     # -- conversions ------------------------------------------------------------
 
     def graded_form(self, k: int) -> GradedForm:
-        """G_k as a polynomial over the generators: sum w_{a,k} r4^a r6^b E4^a E6^b.
+        """G_k over the generators, sum w_{a,k} r4^a r6^b E4^a E6^b, from ``e_basis_numerators``.
 
         Coefficients absorb the ratios r_m = 2 zeta(m)/pi^m, so the q-expansion
         of the returned form equals r_k times the normalized series of E_k.
         """
-        vec = self.w_vector(k)
-        r4, r6 = zeta_ratio(4), zeta_ratio(6)
-        return GradedForm(
-            k, {(0, a, (k - 4 * a) // 6): w * r4**a * r6 ** ((k - 4 * a) // 6) for a, w in vec.items()}
-        )
+        nums, scale = self.e_basis_numerators(k)
+        return GradedForm.from_numerators(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
 
     def e_polynomial(self, k: int) -> GradedForm:
         """E_k in the E4/E6 basis (constant q-coefficient 1), from ``e_basis_numerators``."""
@@ -249,12 +246,15 @@ def _e_basis_numerators(k: int, vec: WVector) -> tuple[dict[int, int], int]:
     """
     pairs = exponents(k)
     a_top, b_top = pairs[-1][0], pairs[0][1]
-    den = math.lcm(*(c.denominator for c in vec.values()))
-    nums = {
-        a: vec[a].numerator * (den // vec[a].denominator) * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b)
-        for a, b in pairs
-    }
+    lifted, den = _integer_view(vec)
+    nums = {a: lifted[a] * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b) for a, b in pairs}
     return nums, den * 45**a_top * 945**b_top
+
+
+def _integer_view(vec: WVector) -> tuple[dict[int, int], int]:
+    """Integers nums, den with vec[a] = nums[a] / den, den the lcm of vec's denominators."""
+    den = math.lcm(*[c.denominator for c in vec.values()])
+    return {a: c.numerator * (den // c.denominator) for a, c in vec.items()}, den
 
 
 def _check_q_coefficients(k: int, vec: WVector) -> None:
@@ -454,32 +454,50 @@ def _popa_graded(k: int, table: EisensteinTable) -> WVector:
 
 def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     _require_weights(table, range(4, k - 1, 2))
-    acc: dict[int, Fraction] = {}
+    # integer views of w(m), one per weight for this call and dropped with it:
+    # no ``_scaled_vector``, whose cache belongs to the convolution this checks
+    views = {m: _integer_view(table._w[m]) for m in range(4, k - 1, 2)}
+    acc: dict[int, int] = {}
+    acc_den = 1
 
-    def add(a: int, v: Fraction) -> None:
-        if v:
-            acc[a] = acc.get(a, Fraction(0)) + v
+    def add(num: int, den: int, part: dict[int, int]) -> None:
+        # acc += (num / den) * part, over the running lcm of the term denominators
+        nonlocal acc_den
+        lcm = math.lcm(acc_den, den)
+        if lcm != acc_den:
+            grow = lcm // acc_den
+            for a in acc:
+                acc[a] *= grow
+            acc_den = lcm
+        mult = lcm // den * num
+        for a, v in part.items():
+            acc[a] = acc.get(a, 0) + mult * v
 
     for coeff, m1, m2 in _popa_common_terms(k):
-        w1, w2 = table._w[m1], table._w[m2]
-        for a1, v1 in w1.items():
-            for a2, v2 in w2.items():
-                add(a1 + a2, coeff * v1 * v2)
+        (nums1, den1), (nums2, den2) = views[m1], views[m2]
+        conv: dict[int, int] = {}
+        for a1, v1 in nums1.items():
+            for a2, v2 in nums2.items():
+                conv[a1 + a2] = conv.get(a1 + a2, 0) + v1 * v2
+        add(coeff.numerator, coeff.denominator * den1 * den2, conv)
 
     # combined closed form of the G_2 and derivative terms: after cancellation
     # they contribute -(d_{k-2}/2) * sum w_{a,k-2} ( (7a/2) G4^(a-1) G6^(b+1)
-    #                                              + (15b/7) G4^(a+2) G6^(b-1) )
+    #                                              + (15b/7) G4^(a+2) G6^(b-1) ),
+    # with 7a/2 = 49a/14 and 15b/7 = 30b/14 over a common 14
     half_dk2 = popa_d(k - 2) / 2
-    for a, w in table._w[k - 2].items():
+    nums, den = views[k - 2]
+    part: dict[int, int] = {}
+    for a, n in nums.items():
         b = (k - 2 - 4 * a) // 6
-        scale = -half_dk2 * w
         if a:
-            add(a - 1, scale * Fraction(7 * a, 2))
+            part[a - 1] = part.get(a - 1, 0) + 49 * a * n
         if b:
-            add(a + 2, scale * Fraction(15 * b, 7))
+            part[a + 2] = part.get(a + 2, 0) + 30 * b * n
+    add(-half_dk2.numerator, half_dk2.denominator * den * 14, part)
 
     cd = popa_c(k) * popa_d(k)
-    return {a: v / cd for a, v in acc.items() if v}
+    return {a: Fraction(v * cd.denominator, acc_den * cd.numerator) for a, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
     m = k // 12
     vec = table.w_vector(k)
     r_k = zeta_ratio(k)
-    den = math.lcm(*(w.denominator for w in vec.values()))
+    den = math.lcm(*[w.denominator for w in vec.values()])
     lifted = {a: w.numerator * (den // w.denominator) * 49**a for a in range(m + 1) if (w := vec.get(3 * a))}
     coeffs = []
     for r in range(m + 1):

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import math
 import time
 from fractions import Fraction
 
@@ -20,8 +23,43 @@ from eisen.eisenstein import (
     rademacher_expand_unfolded,
 )
 from eisen.qmring import E4, substitute_q_expansion
+from eisen.replicate import selftest
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
+
+
+def popa_precancelled_fraction(k: int, table: EisensteinTable) -> dict:
+    """w(k) by the precancelled Popa route, every term a Fraction.
+
+    The arithmetic ``popa_expand(route="precancelled")`` used before it summed
+    integer numerators; kept as the reference the integer route must reproduce.
+    """
+    acc: dict = {}
+
+    def add(a: int, v: Fraction) -> None:
+        if v:
+            acc[a] = acc.get(a, Fraction(0)) + v
+
+    for j in range(3, k // 2 - 1, 2):
+        coeff = (math.comb(k // 2, j) + math.comb(k // 2 - 2, j)) * popa_d(j + 1) * popa_d(k - j - 1)
+        for a1, v1 in table._w[j + 1].items():
+            for a2, v2 in table._w[k - j - 1].items():
+                add(a1 + a2, coeff * v1 * v2)
+    if k % 4 == 0:
+        coeff = Fraction(k, 2) * popa_d(k // 2) ** 2
+        for a1, v1 in table._w[k // 2].items():
+            for a2, v2 in table._w[k // 2].items():
+                add(a1 + a2, coeff * v1 * v2)
+    half_dk2 = popa_d(k - 2) / 2
+    for a, w in table._w[k - 2].items():
+        b = (k - 2 - 4 * a) // 6
+        scale = -half_dk2 * w
+        if a:
+            add(a - 1, scale * Fraction(7 * a, 2))
+        if b:
+            add(a + 2, scale * Fraction(15 * b, 7))
+    cd = popa_c(k) * popa_d(k)
+    return {a: v / cd for a, v in acc.items() if v}
 
 
 class TestConstants:
@@ -190,6 +228,34 @@ class TestPopa:
     def test_missing_prerequisites(self):
         with pytest.raises(MissingWeightError):
             popa_expand(16, EisensteinTable())
+
+    def test_precancelled_matches_its_fraction_reference_to_200(self, shared_table):
+        table = shared_table.ensure(200)
+        for k in range(8, 201, 2):
+            assert popa_expand(k, table, route="precancelled") == popa_precancelled_fraction(k, table), k
+
+    def test_graded_route_raises_on_an_uncancelled_e2_residue(self, shared_table, monkeypatch):
+        # any table passes the cancellation: the E2 part of serre_derivative(G)
+        # is (k - 2)/12 E2 G for every G of weight k - 2, so a wrong d_2 is the
+        # only way to leave a residue
+        table = shared_table.ensure(24)
+        monkeypatch.setattr(eisenstein, "D2", Fraction(-1, 7))
+        with pytest.raises(ConsistencyError, match="failed to cancel at weight 24"):
+            popa_expand(24, table, route="graded")
+
+    @pytest.mark.parametrize("route", [eisenstein._popa_graded, eisenstein._popa_precancelled])
+    def test_routes_share_no_convolution_helper(self, route):
+        tree = ast.parse(inspect.getsource(route))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not {"_scaled_convolution", "_scaled_vector"} & names
+
+    def test_selftest_leaves_the_scaled_cache_empty(self, tmp_path):
+        dump = tmp_path / "table.csv"
+        EisensteinTable().extend(48).dump_csv(dump)
+        table = EisensteinTable.load_csv(dump)
+        assert selftest(k_dual=48, k_qseries=24, k_phi=48, table=table).status == "PASS"
+        assert table._scaled == {}
 
 
 class TestQExpansionDirect:

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisen.errors import DomainError, WeightMismatchError
 from eisen.exact import zeta_ratio
@@ -197,3 +200,164 @@ class TestEquality:
     def test_e2_free_flag(self):
         assert (E4 * E6).is_e2_free
         assert not (E2 * E4).is_e2_free
+
+
+# -- Fraction references and integer representation ---------------------------
+
+
+def serre_derivative_fraction(f: GradedForm) -> GradedForm:
+    """q d/dq summed term by term in Fractions.
+
+    The arithmetic ``serre_derivative`` used before forms held integer
+    numerators; kept as the reference the integer route must reproduce.
+    """
+    rules = {
+        0: ((Fraction(1, 12), (2, 0, 0)), (Fraction(-1, 12), (0, 1, 0))),
+        1: ((Fraction(1, 3), (1, 1, 0)), (Fraction(-1, 3), (0, 0, 1))),
+        2: ((Fraction(1, 2), (1, 0, 1)), (Fraction(-1, 2), (0, 2, 0))),
+    }
+    terms: dict = {}
+    for mono, c in f.terms().items():
+        for slot in range(3):
+            e = mono[slot]
+            if not e:
+                continue
+            lowered = list(mono)
+            lowered[slot] = e - 1
+            for rule_c, rule_mono in rules[slot]:
+                out = tuple(lowered[i] + rule_mono[i] for i in range(3))
+                terms[out] = terms.get(out, Fraction(0)) + c * e * rule_c
+    return GradedForm(f.weight + 2, terms)
+
+
+def substitute_q_expansion_fraction(f: GradedForm, n_terms: int) -> list:
+    """The q-series of f, every product and sum a Fraction.
+
+    The arithmetic ``substitute_q_expansion`` used before forms held integer
+    numerators; kept as the reference the integer route must reproduce.
+    """
+
+    def mul(a: list, b: list) -> list:
+        out = [Fraction(0)] * n_terms
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[: n_terms - i]):
+                    if y:
+                        out[i + j] += x * y
+        return out
+
+    gens = [[Fraction(c) for c in generator_q_expansion(w, n_terms)] for w in (2, 4, 6)]
+    one = [Fraction(1)] + [Fraction(0)] * (n_terms - 1)
+    powers = [[one], [one], [one]]
+    total = [Fraction(0)] * n_terms
+
+    def power(slot: int, e: int) -> list:
+        while len(powers[slot]) <= e:
+            powers[slot].append(mul(powers[slot][-1], gens[slot]))
+        return powers[slot][e]
+
+    for (e2, e4, e6), c in f.terms().items():
+        cur = power(0, e2)
+        if e4:
+            cur = mul(cur, power(1, e4))
+        if e6:
+            cur = mul(cur, power(2, e6))
+        for i in range(n_terms):
+            if cur[i]:
+                total[i] += c * cur[i]
+    return total
+
+
+def monomials(weight: int) -> list:
+    return [
+        (e2, e4, (weight - 2 * e2 - 4 * e4) // 6)
+        for e2 in range(weight // 2 + 1)
+        for e4 in range((weight - 2 * e2) // 4 + 1)
+        if (weight - 2 * e2 - 4 * e4) % 6 == 0
+    ]
+
+
+fractions_st = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+
+
+@st.composite
+def forms(draw, weights=st.sampled_from(range(0, 17, 2))):
+    """A form of a drawn weight: E2 content included, zero coefficients and the zero form too."""
+    weight = draw(weights)
+    monos = draw(st.lists(st.sampled_from(monomials(weight)), max_size=6, unique=True))
+    return GradedForm(weight, {m: draw(st.one_of(st.just(Fraction(0)), fractions_st)) for m in monos})
+
+
+def in_lowest_terms(f: GradedForm) -> bool:
+    return f._den > 0 and math.gcd(f._den, *f._nums.values()) == 1 and all(f._nums.values())
+
+
+class TestIntegerRepresentation:
+    @given(st.sampled_from(range(0, 17, 2)).flatmap(
+        lambda w: st.tuples(st.just(w), st.dictionaries(st.sampled_from(monomials(w)), fractions_st))
+    ))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_terms_are_the_nonzero_entries(self, drawn):
+        weight, terms = drawn
+        assert GradedForm(weight, terms).terms() == {m: c for m, c in terms.items() if c}
+
+    @given(st.sampled_from(range(0, 17, 2)).flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.dictionaries(st.sampled_from(monomials(w)), st.integers(-10**30, 10**30)),
+            st.integers(1, 10**30),
+        )
+    ))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_from_numerators_matches_the_fraction_constructor(self, drawn):
+        weight, nums, den = drawn
+        f = GradedForm.from_numerators(weight, nums, den)
+        g = GradedForm(weight, {m: Fraction(n, den) for m, n in nums.items()})
+        assert f == g
+        assert hash(f) == hash(g)
+        assert in_lowest_terms(f)
+
+    @given(forms(), forms(), fractions_st)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_lowest_terms_after_every_operation(self, f, g, c):
+        results = [f * g, c * f, f * c, serre_derivative(f), -f]
+        if f.weight == g.weight or f.is_zero or g.is_zero:
+            results += [f + g, f - g]
+        assert all(in_lowest_terms(r) for r in results)
+
+    @pytest.mark.parametrize(
+        "weight, nums, error",
+        [
+            (5, {}, DomainError),
+            (2, {(-1, 1, 0): 1}, DomainError),
+            (8, {(1, 0, 0): 1}, WeightMismatchError),
+        ],
+    )
+    def test_both_constructors_raise_alike(self, weight, nums, error):
+        with pytest.raises(error) as from_fractions:
+            GradedForm(weight, {m: Fraction(n, 3) for m, n in nums.items()})
+        with pytest.raises(error) as from_numerators:
+            GradedForm.from_numerators(weight, nums, 3)
+        assert str(from_fractions.value) == str(from_numerators.value)
+
+    def test_nonpositive_denominator_rejected(self):
+        with pytest.raises(DomainError):
+            GradedForm.from_numerators(4, {(0, 1, 0): 1}, 0)
+
+
+class TestFractionReferences:
+    @given(forms())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_serre_derivative(self, f):
+        assert serre_derivative(f) == serre_derivative_fraction(f)
+
+    @given(forms(weights=st.sampled_from(range(0, 13, 2))), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_substitute_q_expansion(self, f, n_terms):
+        assert substitute_q_expansion(f, n_terms) == substitute_q_expansion_fraction(f, n_terms)
+
+    def test_zero_forms(self):
+        for z in (GradedForm.zero(0), GradedForm.zero(10)):
+            assert serre_derivative(z) == serre_derivative_fraction(z)
+            assert serre_derivative(z).is_zero
+            assert substitute_q_expansion(z, 6) == substitute_q_expansion_fraction(z, 6) == [0] * 6
