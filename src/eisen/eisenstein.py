@@ -78,12 +78,15 @@ class EisensteinTable:
     even weight is filled by the convolution recurrence when ``extend`` is
     called, or read from a dump by ``load_csv``.  Popa's recurrence never
     builds the table: it is the cross-check that ``popa_expand`` reproduces
-    each weight.  Entries are immutable once present.
+    each weight.  Entries are immutable once present, and so is every
+    ``GradedForm``, so ``graded_form(k)`` is built once and the graded Popa
+    route and the q-series oracle share it for the life of the table.
     """
 
     def __init__(self) -> None:
         self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
         self._scaled: dict[int, tuple[dict[int, int], int]] = {}
+        self._graded: dict[int, GradedForm] = {}
 
     def __contains__(self, k: int) -> bool:
         return k in self._w
@@ -108,10 +111,8 @@ class EisensteinTable:
         vec = self._w.get(k)
         if vec is None:
             raise MissingWeightError(f"weight {k} not in table (extend first)")
-        den = 1
-        for c in vec.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        scaled = ({a: int(c * den) for a, c in vec.items()}, den)
+        den = math.lcm(*[c.denominator for c in vec.values()])
+        scaled = ({a: c.numerator * (den // c.denominator) for a, c in vec.items()}, den)
         self._scaled[k] = scaled
         return scaled
 
@@ -145,9 +146,14 @@ class EisensteinTable:
 
         Coefficients absorb the ratios r_m = 2 zeta(m)/pi^m, so the q-expansion
         of the returned form equals r_k times the normalized series of E_k.
+        Built on first read and kept in ``_graded``.
         """
-        nums, scale = self.e_basis_numerators(k)
-        return GradedForm.from_numerators(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
+        form = self._graded.get(k)
+        if form is None:
+            nums, scale = self.e_basis_numerators(k)
+            form = GradedForm.from_numerators(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
+            self._graded[k] = form
+        return form
 
     def e_polynomial(self, k: int) -> GradedForm:
         """E_k in the E4/E6 basis (constant q-coefficient 1), from ``e_basis_numerators``."""

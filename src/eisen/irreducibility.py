@@ -649,13 +649,9 @@ def finite_field_degree_patterns(
 def primitive_integer_polynomial(coeffs: Coeffs) -> list[int]:
     """Clear denominators and divide out the content; preserves the root set."""
     cs = _as_fractions(coeffs)
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in cs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
+    lcm = math.lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (lcm // c.denominator) for c in cs]
+    content = math.gcd(*ints)
     return [c // content for c in ints]
 
 

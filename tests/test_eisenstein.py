@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from eisen.eisenstein import (
     rademacher_expand_folded,
     rademacher_expand_unfolded,
 )
-from eisen.qmring import E4, substitute_q_expansion
+from eisen.qmring import E4, GradedForm, substitute_q_expansion
 from eisen.replicate import selftest
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
@@ -136,6 +137,49 @@ class TestTable:
     def test_e_polynomial_weight_eight(self, shared_table):
         table = shared_table.ensure(8)
         assert table.e_polynomial(8) == E4 * E4
+
+
+class TestGradedFormMemo:
+    @staticmethod
+    def fresh(table: EisensteinTable, k: int) -> GradedForm:
+        nums, scale = table.e_basis_numerators(k)
+        return GradedForm.from_numerators(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
+
+    def test_memo_equals_a_fresh_build_to_480(self, shared_table):
+        table = shared_table.ensure(480)
+        for k in range(4, 481, 2):
+            cached, fresh = table.graded_form(k), self.fresh(table, k)
+            assert cached == fresh, k
+            assert cached.serialize() == fresh.serialize(), k
+            assert hash(cached) == hash(fresh), k
+
+    def test_second_read_returns_the_same_form(self, shared_table):
+        table = shared_table.ensure(24)
+        assert table.graded_form(24) is table.graded_form(24)
+
+    def test_changing_terms_leaves_the_memo_unchanged(self, shared_table):
+        table = shared_table.ensure(24)
+        terms = table.graded_form(24).terms()
+        terms[(0, 0, 4)] += 1
+        terms.clear()
+        assert table.graded_form(24) == self.fresh(table, 24)
+        assert table.graded_form(24).serialize() == self.fresh(table, 24).serialize()
+
+    def test_selftest_builds_each_weight_once(self, shared_table, tmp_path, monkeypatch):
+        dump = tmp_path / "table.csv"
+        shared_table.ensure(200).dump_csv(dump)
+        table = EisensteinTable.load_csv(dump)
+        calls: Counter = Counter()
+        build = eisenstein._e_basis_numerators
+
+        def counting(k, vec):
+            calls[k] += 1
+            return build(k, vec)
+
+        monkeypatch.setattr(eisenstein, "_e_basis_numerators", counting)
+        assert selftest(k_dual=200, k_qseries=60, k_phi=0, table=table).status == "PASS"
+        assert calls == Counter(range(4, 199, 2))
+        assert sum(calls.values()) == 98
 
 
 class TestRademacher:

@@ -16,6 +16,7 @@ from eisen.gekeler import (
     phi_closed_form,
     valuation_profile,
 )
+from eisen.replicate import gekeler_scan
 
 PHI12 = (Fraction(-432000, 691), Fraction(1))
 PHI16 = (Fraction(-3456000, 3617), Fraction(1))
@@ -184,6 +185,19 @@ class TestRouteEquivalence:
         for k in range(12, 49, 12):
             phi_closed_form(k, table)
         assert table._scaled == {}
+
+    def test_routes_and_scan_leave_the_graded_memo_empty(self, tmp_path):
+        # the memo serves the Popa and q-series cross-checks only; the phi
+        # routes and the scan read e_basis_numerators and keep no form
+        dump = tmp_path / "table.csv"
+        EisensteinTable().extend(120).dump_csv(dump)
+        table = EisensteinTable.load_csv(dump)
+        for k in range(4, 121, 2):
+            phi_by_division(k, table)
+        for k in range(12, 121, 12):
+            phi_closed_form(k, table)
+        assert gekeler_scan(120, table=table).status == "PASS"
+        assert table._graded == {}
 
     def test_closed_form_domain(self, shared_table):
         with pytest.raises(DomainError):

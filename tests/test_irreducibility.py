@@ -3,6 +3,7 @@ import copy
 import inspect
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -364,6 +365,27 @@ class TestHelpers:
         assert primitive_integer_polynomial([Fraction(3, 2), 1]) == [3, 2]
         assert primitive_integer_polynomial([2, 4, 2]) == [1, 2, 1]
         assert primitive_integer_polynomial([Fraction(-3456000, 3617), 1]) == [-3456000, 3617]
+        with pytest.raises(ZeroDivisionError):
+            primitive_integer_polynomial([0, 0])
+
+    def test_primitive_integer_polynomial_matches_fraction_reference(self, shared_table):
+        def reference(cs):
+            lcm = 1
+            for c in cs:
+                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+            ints = [int(c * lcm) for c in cs]
+            content = 0
+            for c in ints:
+                content = math.gcd(content, c)
+            return [c // content for c in ints]
+
+        table = shared_table.ensure(120)
+        for k in range(4, 121, 2):
+            cs = phi_by_division(k, table).coeffs
+            if len(cs) > 1:
+                assert primitive_integer_polynomial(cs) == reference(cs), k
+        cs = [Fraction(-6, 35), Fraction(10, 21), Fraction(0), Fraction(-14, 15)]
+        assert primitive_integer_polynomial(cs) == reference(cs) == [-9, 25, 0, -49]
 
     def test_select_witness_primes_proves_quickly(self):
         kept, examined = select_witness_primes([1, 0, 1], floor=2)
