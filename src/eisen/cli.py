@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .eisenstein import EisensteinTable
 from .errors import EisenError
-from .exact import format_rational, parse_rational
+from .exact import format_rational, json_valuation, parse_rational
 from .gekeler import phi_by_division, valuation_profile
 from .irreducibility import dumas_check, newton_polygon
 from . import replicate
@@ -129,7 +129,7 @@ def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     phi = phi_by_division(args.k, table)
     profile = valuation_profile(phi, 2)
-    profile_json = [str(v) if not isinstance(v, int) else v for v in profile]
+    profile_json = [json_valuation(v) for v in profile]
     coeffs = [format_rational(c) for c in phi.coeffs]
     doc = {
         "k": phi.k,

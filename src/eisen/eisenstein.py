@@ -105,15 +105,11 @@ class EisensteinTable:
     # -- scaled-integer view used by the recurrences -------------------------
 
     def _scaled_vector(self, k: int) -> tuple[dict[int, int], int]:
-        cached = self._scaled.get(k)
-        if cached is not None:
-            return cached
-        vec = self._w.get(k)
-        if vec is None:
-            raise MissingWeightError(f"weight {k} not in table (extend first)")
-        den = math.lcm(*[c.denominator for c in vec.values()])
-        scaled = ({a: c.numerator * (den // c.denominator) for a, c in vec.items()}, den)
-        self._scaled[k] = scaled
+        scaled = self._scaled.get(k)
+        if scaled is None:
+            if k not in self._w:
+                raise MissingWeightError(f"weight {k} not in table (extend first)")
+            scaled = self._scaled[k] = _integer_view(self._w[k])
         return scaled
 
     def _store(self, k: int, vec: WVector) -> None:
@@ -194,13 +190,14 @@ class EisensteinTable:
 
         A row that does not parse as four fields k, a, b, w (``parse_integer``
         for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
-        exponents are negative or do not satisfy 4a + 6b = k, or that repeats
-        an earlier (k, a), raises ``ConsistencyError``; so does a loaded
-        weight missing a row for any (a, b) with 4a + 6b = k, whose values do
-        not give E_k's first two q-coefficients (``_check_q_coefficients``),
-        or with a value w <= 0.  Every w_{a,k} is positive: w(4) and w(6) are,
-        and so is every multiplier of the convolution recurrence.  Weights
-        need not be contiguous: ``extend`` fills any gap.
+        exponents are negative or do not satisfy 4a + 6b = k, whose weight is
+        below 4, or that repeats an earlier (k, a), raises
+        ``ConsistencyError``; so does a loaded weight missing a row for any
+        (a, b) with 4a + 6b = k, whose values do not give E_k's first two
+        q-coefficients (``_check_q_coefficients``), or with a value w <= 0.
+        Every w_{a,k} is positive: w(4) and w(6) are, and so is every
+        multiplier of the convolution recurrence.  Weights need not be
+        contiguous: ``extend`` fills any gap.
         """
         table = cls()
         loaded: dict[int, WVector] = {}
@@ -221,6 +218,8 @@ class EisensteinTable:
                     raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
                 if a < 0 or b < 0:
                     raise ConsistencyError(f"bad index row {row!r}: negative exponent")
+                if k < 4:
+                    raise ConsistencyError(f"bad index row {row!r}: weight {k} is below 4")
                 vec = loaded.setdefault(k, {})
                 if a in vec:
                     raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")

@@ -58,6 +58,11 @@ INFINITY = _Infinity()
 Valuation = Union[int, _Infinity]
 
 
+def json_valuation(v: Valuation) -> Union[int, str]:
+    """A valuation as written in JSON documents and records: the int, or "inf" for INFINITY."""
+    return "inf" if v is INFINITY else int(v)
+
+
 # largest n that is_prime decides: trial division up to it takes at most ~33k
 # steps, and the scan's moduli stay below 10**4
 _PRIME_BOUND = 2**32

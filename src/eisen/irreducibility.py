@@ -21,6 +21,7 @@ comparisons throughout; nothing here touches floating point.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidPrimeError
-from .exact import INFINITY, Valuation, format_rational, is_prime, valuation
+from .exact import INFINITY, Valuation, format_rational, is_prime, json_valuation, valuation
 
 Coeffs = Sequence[Union[int, Fraction]]
 
@@ -113,62 +114,48 @@ def newton_polygon(coeffs: Coeffs, p: int) -> NewtonPolygon:
 
 @dataclass(frozen=True)
 class IrreducibilityCertificate:
-    """Outcome of one criterion on one polynomial.
+    """Outcome of one criterion on one polynomial, kept as its JSON document.
 
-    ``verdict`` is "irreducible" or "inconclusive" (the criteria implemented
-    here can never return "reducible"); ``witness`` holds everything needed to
-    re-check an "irreducible" verdict mechanically.
+    ``fields`` is the document after its "poly" object, in final order.  For
+    the Dumas criterion: prime, valuations, slope_num, slope_den, gcd,
+    verdict, criterion; valuations list nu_p(a_r) for r = 0 .. n-1 with "inf"
+    marking zero coefficients, and slope_num/slope_den the chord slope
+    -nu_p(a_0)/n in lowest terms (null, as is gcd, for a zero constant term).
+    For the degree-pattern criterion: primes (in the order kept), patterns
+    (keyed by prime, ascending), skipped, unexcluded_degrees, verdict,
+    criterion.  ``verdict`` is "irreducible" or "inconclusive" (the criteria
+    implemented here can never return "reducible"); an "irreducible"
+    document holds everything needed to re-check it mechanically.
+    ``reason`` says why a verdict is inconclusive, and ``slope_condition``
+    is Dumas' condition (i), which the document does not record.
     """
 
     poly_id: str
     coeffs: tuple[Fraction, ...]
-    verdict: str
-    criterion: str
-    primes: tuple[int, ...]
-    witness: dict
+    fields: dict
     reason: Optional[str] = None
+    slope_condition: Optional[bool] = None
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def verdict(self) -> str:
+        return self.fields["verdict"]
+
+    @property
+    def criterion(self) -> str:
+        return self.fields["criterion"]
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return (self.fields["prime"],) if "prime" in self.fields else tuple(self.fields["primes"])
 
     def to_json_dict(self) -> dict:
-        """JSON document with a stable field order (golden-file friendly).
+        """The document: the "poly" object, then a copy of ``fields`` that shares nothing with them.
 
-        For the Dumas criterion: poly, prime, valuations, slope_num, slope_den,
-        gcd, verdict, criterion.  ``slope_num``/``slope_den`` encode the chord
-        slope -nu_p(a_0)/n in lowest terms; valuations list nu_p(a_r) for
-        r = 0 .. n-1 with "inf" marking zero coefficients.
+        Coefficients are formatted here only: the scan's Dumas loop keeps verdicts, not documents.
         """
-        poly = {
-            "id": self.poly_id,
-            "degree": self.degree,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
-        if self.criterion == "dumas":
-            return {
-                "poly": poly,
-                "prime": self.primes[0],
-                "valuations": self.witness["valuations"],
-                "slope_num": self.witness["slope_num"],
-                "slope_den": self.witness["slope_den"],
-                "gcd": self.witness["gcd"],
-                "verdict": self.verdict,
-                "criterion": self.criterion,
-            }
-        return {
-            "poly": poly,
-            "primes": list(self.primes),
-            "patterns": self.witness.get("patterns", {}),
-            "skipped": self.witness.get("skipped", []),
-            "unexcluded_degrees": self.witness.get("unexcluded_degrees", []),
-            "verdict": self.verdict,
-            "criterion": self.criterion,
-        }
-
-
-def _json_valuation(v: Valuation) -> Union[int, str]:
-    return "inf" if v is INFINITY else int(v)
+        coeffs = [format_rational(c) for c in self.coeffs]
+        poly = {"id": self.poly_id, "degree": len(self.coeffs) - 1, "coeffs": coeffs}
+        return {"poly": poly, **copy.deepcopy(self.fields)}
 
 
 def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> IrreducibilityCertificate:
@@ -183,45 +170,27 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
     _require_monic(cs)
     n = len(cs) - 1
     vals = [valuation(c, p) for c in cs[:-1]]
-    json_vals = [_json_valuation(v) for v in vals]
-
-    def cert(verdict: str, slope_ok: bool, gcd_val: Optional[int], reason: Optional[str]) -> IrreducibilityCertificate:
-        v0 = vals[0]
-        witness = {
-            "valuations": json_vals,
-            "slope_num": None if v0 is INFINITY else -int(v0),
-            "slope_den": None if v0 is INFINITY else n,
-            "gcd": gcd_val,
-            "slope_condition": slope_ok,
-        }
-        if witness["slope_num"] is not None:
-            g = math.gcd(abs(witness["slope_num"]), witness["slope_den"])
-            if g > 1:
-                witness["slope_num"] //= g
-                witness["slope_den"] //= g
-        return IrreducibilityCertificate(
-            poly_id=poly_id,
-            coeffs=tuple(cs),
-            verdict=verdict,
-            criterion="dumas",
-            primes=(p,),
-            witness=witness,
-            reason=reason,
-        )
-
     v0 = vals[0]
     if v0 is INFINITY:
-        return cert("inconclusive", False, None, "zero constant term")
-    slope_ok = all(v is INFINITY or v * n >= v0 * (n - r) for r, v in enumerate(vals))
-    g = math.gcd(abs(v0), n)
-    if slope_ok and g == 1:
-        return cert("irreducible", True, g, None)
-    reason = []
-    if not slope_ok:
-        reason.append("slope condition fails")
-    if g != 1:
-        reason.append(f"gcd(nu(a_0), n) = {g}")
-    return cert("inconclusive", slope_ok, g, "; ".join(reason))
+        slope_ok, g, chord, reason = False, None, (None, None), "zero constant term"
+    else:
+        slope_ok = all(v is INFINITY or v * n >= v0 * (n - r) for r, v in enumerate(vals))
+        g = math.gcd(abs(v0), n)  # condition (ii), and the chord's reduction
+        chord = (-v0 // g, n // g)
+        failures = [] if slope_ok else ["slope condition fails"]
+        if g != 1:
+            failures.append(f"gcd(nu(a_0), n) = {g}")
+        reason = "; ".join(failures) or None
+    fields = {
+        "prime": p,
+        "valuations": [json_valuation(v) for v in vals],
+        "slope_num": chord[0],
+        "slope_den": chord[1],
+        "gcd": g,
+        "verdict": "irreducible" if slope_ok and g == 1 else "inconclusive",
+        "criterion": "dumas",
+    }
+    return IrreducibilityCertificate(poly_id, tuple(cs), fields, reason, slope_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +269,10 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
     slope_ok = all(v is None or v * n >= vals[0] * (n - r) for r, v in enumerate(vals))
     if not slope_ok:
         return False
+    # gcd(|nu(a_0)|, n) = 1, so the recorded chord must be -nu(a_0)/n unreduced
     if math.gcd(abs(vals[0]), n) != 1:
         return False
-    # recorded chord must match the recomputed one
-    g = math.gcd(abs(vals[0]), n)
-    if (doc["slope_num"], doc["slope_den"]) != (-vals[0] // g, n // g):
-        return False
-    return True
+    return (doc["slope_num"], doc["slope_den"]) == (-vals[0], n)
 
 
 # The pattern re-checker's own distinct-degree factorization: textbook
@@ -590,33 +556,25 @@ def assemble_pattern_certificate(
     if len(int_coeffs) < 2:
         raise DomainError("polynomial must have degree >= 1")
     n = len(int_coeffs) - 1
-
-    def cert(verdict: str, unexcluded: list[int], reason: Optional[str]) -> IrreducibilityCertificate:
-        return IrreducibilityCertificate(
-            poly_id=poly_id,
-            coeffs=tuple(Fraction(c) for c in int_coeffs),
-            verdict=verdict,
-            criterion="finite-field-pattern",
-            primes=tuple(patterns),
-            witness={
-                "patterns": {str(p): patterns[p] for p in sorted(patterns)},
-                "skipped": sorted(skipped),
-                "unexcluded_degrees": unexcluded,
-            },
-            reason=reason,
-        )
-
-    if not patterns:
-        return cert("inconclusive", list(range(1, n)), "no usable primes")
-    if any(pat == [n] for pat in patterns.values()):
-        return cert("irreducible", [], None)
     bits = (1 << (n + 1)) - 1
     for pat in patterns.values():
-        bits &= _subset_sum_bits(pat)
+        bits &= _subset_sum_bits(pat)  # a pattern [n] leaves only 0 and n
     unexcluded = [d for d in range(1, n) if (bits >> d) & 1]
-    if not unexcluded:
-        return cert("irreducible", [], None)
-    return cert("inconclusive", unexcluded, f"degrees {unexcluded} not excluded")
+    if not patterns:
+        reason = "no usable primes"
+    elif unexcluded:
+        reason = f"degrees {unexcluded} not excluded"
+    else:
+        reason = None
+    fields = {
+        "primes": list(patterns),
+        "patterns": {str(p): list(patterns[p]) for p in sorted(patterns)},
+        "skipped": sorted(skipped),
+        "unexcluded_degrees": unexcluded,
+        "verdict": "irreducible" if patterns and not unexcluded else "inconclusive",
+        "criterion": "finite-field-pattern",
+    }
+    return IrreducibilityCertificate(poly_id, tuple(Fraction(c) for c in int_coeffs), fields, reason)
 
 
 def finite_field_degree_patterns(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import INFINITY, SMALL_PRIMES, binomial, digit_sum_base2, is_prime, valuation, zeta_ratio
+from .exact import INFINITY, SMALL_PRIMES, binomial, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
     min_valuation2,
@@ -156,7 +156,7 @@ def check_lemma_valsum(k_max: int) -> CheckReport:
         expected = 1 if pow2 else 0
         record = {
             "k": k,
-            "valuation": val if val is not INFINITY else "inf",
+            "valuation": json_valuation(val),
             "expected": expected,
             "k_plus_2_power_of_two": pow2,
             "binom_mod4": None,
@@ -223,9 +223,9 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
                 sharp_ok = valuation(t1, 2) == -1 and valuation(t2, 2) == -1
         record = {
             "k": k,
-            "nu_first": nu_q1 if nu_q1 is not INFINITY else "inf",
-            "nu_second": nu_q2 if nu_q2 is not INFINITY else "inf",
-            "min_nu_sum_terms": "none" if j_min_nu is None else (j_min_nu if j_min_nu is not INFINITY else "inf"),
+            "nu_first": json_valuation(nu_q1),
+            "nu_second": json_valuation(nu_q2),
+            "min_nu_sum_terms": "none" if j_min_nu is None else json_valuation(j_min_nu),
             "sharp_pair_checked": pow2 and h - 2 >= 3,
             "identities_ok": identities_ok,
             "passed": (
@@ -318,11 +318,11 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
         profile_ok = all(
             profile[r] >= Fraction(2 * k, 3) - 8 * r for r in range(1, m)
         )
-        # the chord and gcd conditions are the criterion's own, read off its witness
+        # the chord and gcd conditions are the criterion's own, read off its certificate
         cert = dumas_check(phi.coeffs, 2, poly_id=f"phi_{k}")
-        chord_ok = cert.witness["slope_condition"]
-        gcd_val = cert.witness["gcd"]
+        chord_ok = cert.slope_condition
         doc = cert.to_json_dict()
+        gcd_val = doc["gcd"]
         rechecked = recheck_dumas_certificate(doc)
         record = {
             "ell": ell,

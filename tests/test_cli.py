@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from eisen import cli
 from eisen.cli import main
 from eisen.eisenstein import EisensteinTable
 from eisen.exact import format_rational, zeta_ratio
+from eisen.gekeler import GekelerPolynomial
 
 
 class TestWk:
@@ -47,6 +49,13 @@ class TestPhi:
         assert main(["phi", "--k", "12", "--json", "--out", str(target)]) == 0
         doc = json.loads(target.read_text())
         assert doc["coeffs"] == ["-432000/691", "1/1"]
+
+    def test_zero_coefficient_profiled_as_inf(self, monkeypatch, capsys):
+        # no phi_k with k <= 480 has a zero coefficient, so plant one
+        planted = GekelerPolynomial(k=24, coeffs=(Fraction(0), Fraction(3), Fraction(1)), delta=0, epsilon=0)
+        monkeypatch.setattr(cli, "phi_by_division", lambda k, table: planted)
+        assert main(["phi", "--k", "24", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["valuation_profile_2"] == ["inf", 0]
 
 
 class TestChecks:

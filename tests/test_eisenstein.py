@@ -395,10 +395,10 @@ class TestPersistence:
     # after "12,x,2,1/1" are not -?digits[/digits], though Fraction(str)
     # takes most of them; the last index fields are not -?digits, though
     # int(str) takes them; the lone well-formed row leaves weight 12 without
-    # its (a, b) = (3, 0) row
+    # its (a, b) = (3, 0) row; 0,0,0,1/1 satisfies 4a + 6b = k at weight 0
     @pytest.mark.parametrize(
         "row",
-        ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1"]
+        ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1", "0,0,0,1/1"]
         + [f"12,0,2,{w}" for w in ("1e3", "1.5", "+25/143", " 25/143", "25/-143", "1_000", "\u0663/1", "25/", "/143")]
         + ["1_2,0,2,25/143", "12,+0,2,25/143", " 12,0,2,25/143", "12,0, 2,25/143", "12,0,2,25/143"],
     )

@@ -17,6 +17,7 @@ from eisen.exact import (
     divisor_power_sum,
     format_rational,
     is_prime,
+    json_valuation,
     parse_integer,
     parse_rational,
     valuation,
@@ -99,6 +100,10 @@ class TestInfinity:
 
     def test_repr(self):
         assert repr(INFINITY) == "Infinity"
+
+    def test_json_valuation(self):
+        assert json_valuation(INFINITY) == "inf"
+        assert [json_valuation(v) for v in (0, 7, -3)] == [0, 7, -3]
 
 
 class TestDigitSums:

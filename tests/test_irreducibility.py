@@ -1,5 +1,6 @@
 import ast
 import copy
+import hashlib
 import inspect
 import itertools
 import json
@@ -18,6 +19,7 @@ from eisen.exact import INFINITY, is_prime
 from eisen.irreducibility import (
     NewtonPolygon,
     _ddf_by_repeated_squaring,
+    assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
     finite_field_degree_patterns,
@@ -28,6 +30,7 @@ from eisen.irreducibility import (
     select_witness_primes,
 )
 from eisen.gekeler import phi_by_division
+from eisen.replicate import check_theorem_main
 
 
 # --- independent test-side helpers -----------------------------------------
@@ -119,14 +122,14 @@ class TestDumas:
     def test_gcd_failure_is_inconclusive(self):
         cert = dumas_check([-1, 0, 1], 2)  # x^2 - 1: nu(a_0) = 0, gcd(0, 2) = 2
         assert cert.verdict == "inconclusive"
-        assert cert.witness["gcd"] == 2
+        assert cert.fields["gcd"] == 2
         assert "gcd" in cert.reason
 
     def test_phi_24_is_irreducible_at_two(self, shared_table):
         phi = phi_by_division(24, shared_table.ensure(24))
         cert = dumas_check(phi.coeffs, 2, poly_id="phi_24")
         assert cert.verdict == "irreducible"
-        assert cert.witness["valuations"] == [15, 10]
+        assert cert.fields["valuations"] == [15, 10]
 
     def test_non_monic_rejected(self):
         with pytest.raises(DomainError):
@@ -140,13 +143,13 @@ class TestDumas:
         cert = dumas_check([0, 2, 1], 2)
         assert cert.verdict == "inconclusive"
         assert cert.reason == "zero constant term"
-        assert cert.witness["valuations"][0] == "inf"
+        assert cert.fields["valuations"][0] == "inf"
 
     def test_slope_failure(self):
         # nu(a_0) = 2 but nu(a_1) = 0: point below the chord
         cert = dumas_check([4, 1, 1], 2)
         assert cert.verdict == "inconclusive"
-        assert not cert.witness["slope_condition"]
+        assert not cert.slope_condition
 
     def test_sparse_polynomial_vacuous_slots(self):
         # x^5 + 2: interior zero coefficients satisfy the slope bound vacuously
@@ -194,6 +197,32 @@ class TestDumasCertificateJson:
         bad = json.loads(json.dumps(doc))
         bad["verdict"] = "irreducible"
         assert not recheck_dumas_certificate(bad)
+
+    def test_editing_a_dumas_document_leaves_the_certificate_sound(self):
+        cert = dumas_check([2, 2, 1], 2)
+        cert.to_json_dict()["valuations"][0] = 3
+        assert recheck_dumas_certificate(cert.to_json_dict())
+
+
+# sha256 of json.dumps of every document in the corpus below, one per line,
+# recorded before certificates were kept as their documents
+CERTIFICATE_CORPUS_SHA256 = "a0811a099fde0a438f755630e481a2b9cedeb4a22126e184caef2482d6e22882"
+
+
+def test_certificate_documents_are_pinned(shared_table):
+    table = shared_table.ensure(200)
+    docs = [record["certificate"] for record in check_theorem_main(4, table).records]
+    for k in range(4, 201, 2):
+        phi = phi_by_division(k, table)
+        if phi.degree < 1:
+            continue
+        docs += [dumas_check(phi.coeffs, p, poly_id=f"phi_{k}").to_json_dict() for p in exact.SMALL_PRIMES[:8]]
+        ints = primitive_integer_polynomial(phi.coeffs)
+        kept, _examined = select_witness_primes(ints, floor=k)
+        docs.append(assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}").to_json_dict())
+    assert len(docs) == 851
+    digest = hashlib.sha256("\n".join(json.dumps(doc) for doc in docs).encode()).hexdigest()
+    assert digest == CERTIFICATE_CORPUS_SHA256
 
 
 class TestNewtonPolygon:
@@ -293,14 +322,14 @@ class TestFiniteFieldOracle:
     def test_x_squared_plus_one_at_three(self):
         cert = finite_field_degree_patterns([1, 0, 1], [3])
         assert cert.verdict == "irreducible"
-        assert cert.witness["patterns"] == {"3": [2]}
+        assert cert.fields["patterns"] == {"3": [2]}
 
     def test_x_fourth_plus_one_inconclusive(self):
         # splits into quadratics modulo every prime in the list
         cert = finite_field_degree_patterns([1, 0, 0, 0, 1], [3, 5, 7, 11, 13])
         assert cert.verdict == "inconclusive"
-        assert 2 in cert.witness["unexcluded_degrees"]
-        for pattern in cert.witness["patterns"].values():
+        assert 2 in cert.fields["unexcluded_degrees"]
+        for pattern in cert.fields["patterns"].values():
             assert pattern == [2, 2]
 
     def test_subset_sum_sieve(self):
@@ -311,7 +340,7 @@ class TestFiniteFieldOracle:
     def test_skipped_primes_recorded(self):
         cert = finite_field_degree_patterns([1, 2, 1], [3, 5])  # (x+1)^2 everywhere
         assert cert.verdict == "inconclusive"
-        assert cert.witness["skipped"] == [3, 5]
+        assert cert.fields["skipped"] == [3, 5]
         assert cert.reason == "no usable primes"
 
     def test_never_reports_reducible(self):
@@ -324,6 +353,17 @@ class TestFiniteFieldOracle:
         assert recheck_pattern_certificate(doc)
         doc["patterns"]["3"] = [1, 1]
         assert not recheck_pattern_certificate(doc)
+
+    def test_editing_a_pattern_document_leaves_the_certificate_sound(self):
+        kept = {3: [2]}
+        cert = assemble_pattern_certificate([1, 0, 1], kept, skipped=[2])
+        doc = cert.to_json_dict()
+        doc["patterns"]["3"].append(1)
+        doc["skipped"].append(5)
+        doc["primes"].append(7)
+        kept[3].append(1)
+        assert cert.to_json_dict()["skipped"] == [2] and cert.primes == (3,)
+        assert recheck_pattern_certificate(cert.to_json_dict())
 
     def test_consistency_with_dumas_on_random_inputs(self):
         rng = random.Random(41)
