@@ -212,8 +212,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(c: Fraction) -> str:
-    """The exact text ``num/den`` of c, which ``parse_rational`` reads back (integers as ``n/1``)."""
-    return f"{c.numerator}/{c.denominator}"
+    """The exact text ``num/den`` of c, which ``parse_rational`` reads back (integers as ``n/1``).
+
+    A part with more digits than ``str(int)`` converts (4300 by default)
+    raises ``DomainError``, as ``parse_rational`` does on the way in.
+    """
+    try:
+        return f"{c.numerator}/{c.denominator}"
+    except ValueError as exc:  # CPython's int-to-str digit limit
+        raise DomainError(str(exc)) from None
 
 
 def parse_integer(text: str) -> int:

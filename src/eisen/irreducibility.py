@@ -237,7 +237,8 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
     Checks that the recorded modulus is prime, recomputes every valuation from
     the serialized coefficients with a naive division loop (independent of the
     library's valuation code), compares them with the recorded ones, and
-    re-evaluates both conditions.  Returns True only for a sound "irreducible"
+    re-evaluates both conditions, which the recorded criterion "dumas" and
+    gcd 1 must match.  Returns True only for a sound "irreducible"
     certificate.
     """
     coeffs = _parse_coeffs(doc["poly"])
@@ -264,13 +265,13 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
         return False
     if vals[0] is None:
         return False
-    if doc["verdict"] != "irreducible":
+    if doc["verdict"] != "irreducible" or doc["criterion"] != "dumas":
         return False
     slope_ok = all(v is None or v * n >= vals[0] * (n - r) for r, v in enumerate(vals))
     if not slope_ok:
         return False
     # gcd(|nu(a_0)|, n) = 1, so the recorded chord must be -nu(a_0)/n unreduced
-    if math.gcd(abs(vals[0]), n) != 1:
+    if math.gcd(abs(vals[0]), n) != 1 or type(doc["gcd"]) is not int or doc["gcd"] != 1:
         return False
     return (doc["slope_num"], doc["slope_den"]) == (-vals[0], n)
 
@@ -382,15 +383,22 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
 
     Recomputes the pattern at every recorded prime with the re-checker's own
     repeated-squaring DDF and redoes the subset-sum exclusion over sets of
-    reachable degrees.  Returns True only for a sound "irreducible" verdict.
+    reachable degrees.  The other fields must agree: criterion
+    "finite-field-pattern", no unexcluded degrees, ``primes`` the primes of
+    ``patterns``, and ``skipped`` a list of other primes.  Returns True only
+    for a sound "irreducible" verdict.
     """
     coeffs = _parse_coeffs(doc["poly"])
     if coeffs is None or any(c.denominator != 1 for c in coeffs) or doc["verdict"] != "irreducible":
         return False
     ints = [c.numerator for c in coeffs]
     n = len(ints) - 1
-    patterns = doc["patterns"]
-    if not patterns:
+    patterns, primes, skipped = doc["patterns"], doc["primes"], doc["skipped"]
+    if not patterns or doc["criterion"] != "finite-field-pattern" or doc["unexcluded_degrees"] != []:
+        return False
+    if not all(isinstance(q, list) and all(type(x) is int for x in q) for q in (primes, skipped)):
+        return False
+    if set(primes) != {int(p_str) for p_str in patterns} or not set(primes).isdisjoint(skipped):
         return False
     # degrees a rational factor could still have, given the patterns so far
     reachable = set(range(n + 1))
@@ -410,53 +418,88 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
 # ---------------------------------------------------------------------------
 # finite-field degree patterns (distinct-degree factorization, no splitting)
 #
-# Polynomials mod p are lists of residues, constant term first.  The DDF
-# builds the Frobenius matrix Q of f once (Berlekamp 1967): row i is x^(ip)
-# mod f, so h^p = sum_i h_i x^(ip) = h Q for any h mod f, and each degree
-# step is one vector-matrix product instead of a powering (von zur Gathen and
-# Shoup 1992).  Rows are packed into integers, w bytes per coefficient, so a
-# product of packed polynomials or a combination of packed rows is a single
-# integer operation whose slots accumulate without reduction; unpacking takes
-# one % p per coefficient.
+# A polynomial mod p is one nonnegative integer with coefficient i in slot i,
+# bits [iW, (i+1)W) (Kronecker substitution), so one integer operation adds,
+# scales or multiplies every slot at once.  Slots may exceed p until ``red``
+# reduces all of them together.  The DDF builds the Frobenius matrix Q of f
+# once (Berlekamp 1967): row i is x^(ip) mod f, so h^p = sum_i h_i x^(ip) = h Q
+# for any h mod f, and each degree step is one vector-matrix product instead
+# of a powering (von zur Gathen and Shoup 1992).
+#
+# Slot bound: for deg f = n, no slot ever reaches B = n p (p + 1).  A product
+# of two reduced polynomials of degree < n, or h Q, sums at most n terms below
+# p^2 in a slot; a dividend starts below n p (f' has slots i c_i, h - x slots
+# below 2p) and each of its slots takes at most deg(divisor) <= n quotient
+# terms below p^2.  With S = bits(B - 1) and M = floor(2^S / p), floor(v M /
+# 2^S) is floor(v / p) or one less for every slot v < 2^S, so one
+# compare-and-subtract finishes the reduction; W (whole bytes) holds (B - 1) M,
+# so v M never spills into the next slot.
 
 
-def _pack(coeffs: Sequence[int], w: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+class _PackedGF:
+    """GF(p)[x] on packed integers of up to 2n - 1 slots, multiplying modulo the monic f of degree n."""
 
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        bound = n * p * (p + 1)
+        self.p, self.n, self.s = p, n, (bound - 1).bit_length()
+        self.m = (1 << self.s) // p
+        self.w = -(-((bound - 1) * self.m).bit_length() // 8)  # bytes per slot
+        self.W = W = 8 * self.w
+        ones = int.from_bytes(b"\1".ljust(self.w, b"\0") * (2 * n - 1), "little")
+        self.quotient_mask = ones * ((1 << (W - self.s)) - 1)
+        self.offset, self.top_bits = ones * ((1 << (W - 1)) - p), ones << (W - 1)
+        self.f = self.pack(f)
+        self.low = (1 << (n * W)) - 1
+        self.neg_f = self.pack([-c % p for c in f[:-1]])  # x^n mod f
+        self.barrett_g = self.divmod(1 << ((2 * n - 2) * W), self.f)[0]  # x^(2n-2) // f
 
-def _unpack(v: int, w: int, count: int, p: int) -> list[int]:
-    raw = v.to_bytes(w * count, "little")
-    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * count, w)]
+    def pack(self, coeffs: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(self.w, "little") for c in coeffs), "little")
 
+    def unpack(self, v: int) -> list[int]:
+        raw, w = v.to_bytes(self.n * self.w, "little"), self.w
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
-def _divmod_monic(a: Sequence[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic m over GF(p).
+    def degree(self, v: int) -> int:
+        """Degree of a reduced v (-1 for zero)."""
+        return (v.bit_length() - 1) // self.W
 
-    ``a`` may hold any integers; the quotient holds residues and the remainder
-    comes back reduced and trimmed, one % p per coefficient.
-    """
-    dm = len(m) - 1
-    r = list(a)
-    q = [0] * max(len(r) - dm, 0)
-    for shift in range(len(r) - 1 - dm, -1, -1):
-        c = r[shift + dm] % p
-        if c:
-            q[shift] = c
-            r[shift : shift + dm] = [x - c * y for x, y in zip(r[shift : shift + dm], m)]
-    r = [x % p for x in r[:dm]]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+    def red(self, v: int) -> int:
+        """Every slot of v mod p, by slot-parallel Barrett; each slot must be below the bound."""
+        p = self.p
+        v -= ((v * self.m >> self.s) & self.quotient_mask) * p  # each slot now below 2p
+        return v - (((v + self.offset) & self.top_bits) >> (self.W - 1)) * p
 
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and reduced remainder of a by the reduced nonzero b."""
+        p, W = self.p, self.W
+        cut = self.degree(b) * W
+        inv = pow(b >> cut, -1, p)
+        b_low = b & ((1 << cut) - 1)
+        q = 0
+        top = (a.bit_length() - 1) // W * W
+        while top >= cut:
+            t = a >> top
+            c = t * inv % p
+            q |= c << (top - cut)
+            a += ((p - c) * b_low - (t << cut)) << (top - cut)  # the top slot becomes exactly 0
+            top = (a.bit_length() - 1) // W * W
+        return q, self.red(a)
 
-def _gcd_monic(a: list[int], b: Sequence[int], p: int) -> list[int]:
-    """Monic gcd over GF(p) of the monic a and b, which is reduced mod a first."""
-    b = _divmod_monic(b, a, p)[1]
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        a, b = b, _divmod_monic(a, b, p)[1]
-    return a
+    def gcd(self, a: int, b: int) -> int:
+        """A gcd of the reduced nonzero a and b, which is reduced mod a first."""
+        b = self.divmod(b, a)[1]
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return a
+
+    def mulmod(self, a: int, b: int) -> int:
+        """a b mod f for reduced a, b of degree < n (polynomial Barrett)."""
+        prod = self.red(a * b)
+        nw = self.n * self.W
+        q = self.red((prod >> nw) * self.barrett_g) >> (nw - 2 * self.W)
+        return self.red((prod & self.low) + (q * self.neg_f & self.low))
 
 
 def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[int]]:
@@ -479,56 +522,35 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
         return None
     inv = pow(int_coeffs[-1], -1, p)
     f = [c % p * inv % p for c in int_coeffs]
-    if len(_gcd_monic(f, [i * c for i, c in enumerate(f)][1:], p)) > 1:
+    gf = _PackedGF(f, p)
+    if gf.degree(gf.gcd(gf.f, gf.pack([i * c for i, c in enumerate(f)][1:]))) > 0:
         return None  # f and f' share a factor (or f' = 0)
     if n == 1:
         return [1]
 
-    # a slot holds at most 2n products of residues before its one % p
-    w = (2 * n * (p - 1) ** 2).bit_length() // 8 + 1
-    xn = [-c % p for c in f[:-1]]  # x^n mod f
-
-    def times_x(v: list[int]) -> list[int]:
-        return [(a + v[-1] * b) % p for a, b in zip([0] + v[:-1], xn)]
-
-    # x^j mod f for j = n .. 2n-2 folds the top half of a product back down
-    fold = [xn]
-    for _ in range(n - 2):
-        fold.append(times_x(fold[-1]))
-    fold = [_pack(v, w) for v in fold]
-    low = (1 << (8 * w * n)) - 1
-
-    def mulmod(a: int, b: int) -> list[int]:
-        prod = a * b
-        high = _unpack(prod >> (8 * w * n), w, n - 1, p)
-        return _unpack((prod & low) + sum(map(mul, high, fold)), w, n, p)
-
-    x = [0, 1] + [0] * (n - 2)
+    x = gf.pack([0, 1])
     h = x
     for bit in bin(p)[3:]:  # x^p mod f, most significant bit first
-        packed = _pack(h, w)
-        h = mulmod(packed, packed)
+        h = gf.mulmod(h, h)
         if bit == "1":
-            h = times_x(h)
-    q = [1, _pack(h, w)]
+            h = gf.mulmod(h, x)
+    q = [1, h]
     for _ in range(n - 2):
-        q.append(_pack(mulmod(q[-1], q[1]), w))
+        q.append(gf.mulmod(q[-1], q[1]))
 
     pattern: list[int] = []
-    g = f
+    g = gf.f
     h = x
     d = 0
-    while len(g) - 1 >= 2 * (d + 1):
+    while gf.degree(g) >= 2 * (d + 1):
         d += 1
-        h = _unpack(sum(map(mul, h, q)), w, n, p)  # h^p, now x^(p^d) mod f
-        h_minus_x = h[:]
-        h_minus_x[1] -= 1
-        common = _gcd_monic(g, h_minus_x, p)
-        if len(common) > 1:
-            pattern.extend([d] * ((len(common) - 1) // d))
-            g = _divmod_monic(g, common, p)[0]
-    if len(g) - 1 > 0:
-        pattern.append(len(g) - 1)
+        h = gf.red(sum(map(mul, gf.unpack(h), q)))  # h^p, now x^(p^d) mod f
+        common = gf.gcd(g, h + ((p - 1) << gf.W))  # gcd(g, h - x)
+        if gf.degree(common) > 0:
+            pattern.extend([d] * (gf.degree(common) // d))
+            g = gf.divmod(g, common)[0]
+    if gf.degree(g) > 0:
+        pattern.append(gf.degree(g))
     return sorted(pattern)
 
 

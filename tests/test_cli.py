@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -56,6 +57,18 @@ class TestPhi:
         monkeypatch.setattr(cli, "phi_by_division", lambda k, table: planted)
         assert main(["phi", "--k", "24", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["valuation_profile_2"] == ["inf", 0]
+
+    def test_coefficient_past_the_digit_limit_exits_2(self, monkeypatch, capsys):
+        # 10**4300 has 4301 digits, one more than str(int) writes by default
+        planted = GekelerPolynomial(k=24, coeffs=(Fraction(10**4300), Fraction(3), Fraction(1)), delta=0, epsilon=0)
+        monkeypatch.setattr(cli, "phi_by_division", lambda k, table: planted)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["phi", "--k", "24", "--json"]) == 2
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert "4300" in capsys.readouterr().err
 
 
 class TestChecks:

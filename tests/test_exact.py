@@ -295,6 +295,21 @@ class TestParseRational:
         assert format_rational(Fraction(-7)) == "-7/1"
         assert format_rational(Fraction(0)) == "0/1"
 
+    def test_format_rational_stops_at_the_digit_limit(self):
+        # past CPython's int-to-str limit the writer raises DomainError, not a
+        # bare ValueError that the CLI would report as a failed check
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            widest = Fraction(10**4300 - 1, 7)
+            assert parse_rational(format_rational(widest)) == widest
+            with pytest.raises(DomainError, match="4300"):
+                format_rational(Fraction(10**4300, 7))
+            with pytest.raises(DomainError, match="4300"):
+                format_rational(Fraction(7, 10**4300 + 1))
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_integers_and_signs(self):
         assert parse_rational("-25/143") == Fraction(-25, 143)
         assert parse_rational("6/4") == Fraction(3, 2)

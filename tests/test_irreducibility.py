@@ -1,5 +1,6 @@
 import ast
 import copy
+import functools
 import hashlib
 import inspect
 import itertools
@@ -492,6 +493,106 @@ class TestDDFAgainstRechecker:
             distinct_degree_pattern([1, 0, 1], 9)
 
 
+# --- the packed GF(p) kernel: slot bound, differential and independence ----
+
+LARGEST_DECIDED_PRIME = 4294967291  # the largest prime below 2**32, where is_prime stops deciding
+DIFFERENTIAL_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 65537, LARGEST_DECIDED_PRIME)
+
+
+def differential_corpus():
+    """(f, p) pairs: random f of degree <= 45, and every third one u^2 v.
+
+    Above 2**16 the degree stays <= 12: the re-checker's repeated squaring
+    costs about a second per polynomial there at degree 45.
+    """
+    rng = random.Random(2024)
+    for i in range(150):
+        p = rng.choice(DIFFERENTIAL_PRIMES)
+        n_max = 45 if p < 2**16 else 12
+        if i % 3 == 0:
+            u = [rng.randint(-99, 99) for _ in range(rng.randint(1, 4))] + [1]
+            v = [rng.randint(-99, 99) for _ in range(rng.randint(0, n_max + 2 - 2 * len(u)))] + [rng.randint(1, 9)]
+            yield poly_mul(poly_mul(u, u), v), p
+        else:
+            n = rng.randint(1, n_max)
+            yield [rng.randint(-(10**9), 10**9) for _ in range(n)] + [rng.randint(1, 1000)], p
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("p", [2, 3, 37, LARGEST_DECIDED_PRIME])
+    def test_red_at_the_slot_bound(self, p):
+        n = 40
+        gf = irreducibility._PackedGF([1] * (n + 1), p)
+        bound = n * p * (p + 1)  # no slot the kernel forms reaches it
+        assert (bound - 1).bit_length() <= gf.s  # Barrett's estimate is off by at most one
+        assert (bound - 1) * gf.m < 1 << gf.W  # v M stays inside its slot
+        slots = ([bound - 1, 0, p - 1, p, 2 * p - 1, p * p, bound - 2] * n)[: 2 * n - 1]
+        assert gf.red(gf.pack(slots)) == gf.pack([v % p for v in slots])
+
+    @pytest.mark.parametrize("p", [2, 3, 37])
+    def test_ddf_at_primes_up_to_the_degree(self, p):
+        rng = random.Random(p)
+        for _ in range(6):
+            f = [rng.randint(-(10**6), 10**6) for _ in range(40)] + [rng.choice([1, rng.randint(1, 10**3)])]
+            assert distinct_degree_pattern(f, p) == _ddf_by_repeated_squaring(f, p)
+
+    def test_ddf_at_the_largest_prime(self):
+        # f is a product of distinct irreducible factors mod p of degrees 1..6,
+        # each certified by the re-checker, so its pattern is known in advance
+        p, rng = LARGEST_DECIDED_PRIME, random.Random(7)
+        factors = []
+        while sum(len(g) - 1 for g in factors) < 40:
+            d = min(rng.randint(1, 6), 40 - sum(len(g) - 1 for g in factors))
+            g = [rng.randrange(p) for _ in range(d)] + [1]
+            if _ddf_by_repeated_squaring(g, p) == [d] and g not in factors:
+                factors.append(g)
+        f = functools.reduce(poly_mul, factors, [rng.randrange(1, p)])
+        f = [c + p * rng.randint(-(10**9), 10**9) for c in f]  # same residues, wide integers
+        assert distinct_degree_pattern(f, p) == sorted(len(g) - 1 for g in factors)
+        assert distinct_degree_pattern(poly_mul(f, factors[0]), p) is None  # a squared factor
+
+    def test_random_corpus_matches_the_rechecker(self):
+        cases = list(differential_corpus())
+        unusable = 0
+        for f, p in cases:
+            pattern = distinct_degree_pattern(f, p)
+            assert pattern == _ddf_by_repeated_squaring(f, p), (f, p)
+            unusable += pattern is None
+        assert unusable >= len(cases) // 3  # the u^2 v third at least
+
+    def test_witness_primes_up_to_200_match_the_rechecker(self, shared_table, monkeypatch):
+        table = shared_table.ensure(200)
+        real = irreducibility.distinct_degree_pattern
+        seen = []
+        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", lambda f, p: seen.append((f, p)) or real(f, p))
+        for k in range(4, 201, 2):
+            phi = phi_by_division(k, table)
+            if phi.degree >= 1:
+                select_witness_primes(primitive_integer_polynomial(phi.coeffs), floor=k)
+        assert len(seen) > 300
+        for f, p in seen:
+            assert real(f, p) == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
+
+    def test_rechecker_and_kernel_share_no_name(self):
+        tree = ast.parse(inspect.getsource(irreducibility))
+        defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+                n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            }
+
+        kernel = ["_PackedGF", "distinct_degree_pattern"]
+        kernel_names = set(kernel) | {m.name for m in defs["_PackedGF"].body if isinstance(m, ast.FunctionDef)}
+        rechecker = [name for name in defs if name.startswith("_gf_")]
+        rechecker += ["_ddf_by_repeated_squaring", "recheck_pattern_certificate"]
+        assert len(rechecker) == 7 and {"red", "divmod", "mulmod", "gcd"} <= kernel_names
+        for name in rechecker:
+            assert not names(defs[name]) & kernel_names, name
+        for name in kernel:
+            assert not names(defs[name]) & set(rechecker), name
+
+
 # --- composite moduli --------------------------------------------------------
 
 # x^2 - 4 = (x - 2)(x + 2) "certified" at the composite modulus 4: nu_4(-4) = 1
@@ -522,6 +623,41 @@ class TestCompositeModulus:
     def test_forged_pattern_prime_rejected(self):
         doc = finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict()
         doc["patterns"] = {"9": [2]}
+        assert recheck_pattern_certificate(doc) is False
+
+
+class TestRecheckersReadEveryField:
+    def test_dumas_gcd_must_be_one(self):
+        doc = dumas_check([2, 2, 1], 2).to_json_dict()
+        assert recheck_dumas_certificate(doc)
+        for gcd in (7, True, 1.0):
+            doc["gcd"] = gcd
+            assert recheck_dumas_certificate(doc) is False
+
+    def test_criterion_must_match(self):
+        dumas = dumas_check([2, 2, 1], 2).to_json_dict()
+        dumas["criterion"] = "finite-field-pattern"
+        pattern = finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict()
+        pattern["criterion"] = "dumas"
+        assert recheck_dumas_certificate(dumas) is False
+        assert recheck_pattern_certificate(pattern) is False
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("primes", [2, 97]),
+            ("primes", []),
+            ("primes", [True]),
+            ("skipped", ["x"]),
+            ("skipped", [3]),  # a skipped prime that has a pattern
+            ("skipped", None),
+            ("unexcluded_degrees", [1]),
+        ],
+    )
+    def test_pattern_fields_must_agree(self, field, value):
+        doc = finite_field_degree_patterns([1, 0, 1], [2, 3]).to_json_dict()
+        assert doc["primes"] == [3] and doc["skipped"] == [2] and recheck_pattern_certificate(doc)
+        doc[field] = value
         assert recheck_pattern_certificate(doc) is False
 
 
