@@ -20,7 +20,6 @@ from .exact import (
     INFINITY,
     Valuation,
     bernoulli,
-    binomial,
     digit_sum_base2,
     valuation,
     zeta_ratio,

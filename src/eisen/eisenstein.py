@@ -151,12 +151,6 @@ class EisensteinTable:
             self._graded[k] = form
         return form
 
-    def e_polynomial(self, k: int) -> GradedForm:
-        """E_k in the E4/E6 basis (constant q-coefficient 1), from ``e_basis_numerators``."""
-        nums, scale = self.e_basis_numerators(k)
-        r_k = zeta_ratio(k)
-        return GradedForm(k, {(0, a, (k - 4 * a) // 6): Fraction(n, scale) / r_k for a, n in nums.items()})
-
     def e_basis_numerators(self, k: int) -> tuple[dict[int, int], int]:
         """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
 
@@ -164,25 +158,22 @@ class EisensteinTable:
         """
         return _e_basis_numerators(k, self.w_vector(k))
 
-    def canonical_entry(self, k: int) -> str:
-        """Stable text form of one entry: ``k; a,b:num/den; ...`` ascending in a."""
-        vec = self.w_vector(k)
-        parts = [str(k)]
-        for a in sorted(vec):
-            parts.append(f"{a},{(k - 4 * a) // 6}:{format_rational(vec[a])}")
-        return "; ".join(parts)
-
     # -- persistence -------------------------------------------------------------
 
     def dump_csv(self, path: Union[str, Path]) -> None:
-        """Write all entries as CSV rows (k, a, b, num/den), sorted."""
+        """Write all entries as CSV rows (k, a, b, num/den), sorted.
+
+        Every row is formatted before the path is opened, so a value that
+        ``format_rational`` refuses raises ``DomainError`` with no file
+        written and an existing file left as it was.
+        """
+        rows = [
+            [k, a, (k - 4 * a) // 6, format_rational(vec[a])]
+            for k, vec in sorted(self._w.items())
+            for a in sorted(vec)
+        ]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "a", "b", "w"])
-            for k in self.weights():
-                vec = self._w[k]
-                for a in sorted(vec):
-                    writer.writerow([k, a, (k - 4 * a) // 6, format_rational(vec[a])])
+            csv.writer(fh).writerows([["k", "a", "b", "w"], *rows])
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":

@@ -24,8 +24,8 @@ class MissingWeightError(EisenError, LookupError):
 class ConsistencyError(EisenError, RuntimeError):
     """An internal identity that must hold exactly failed to hold.
 
-    Raised, for example, when the weight-2 generator fails to cancel in the
-    convolution recurrence, when a ring division leaves a remainder, or when
-    two independent computation routes disagree.  Any occurrence is a bug or
-    corrupted input, never a recoverable condition.
+    Raised, for example, when the weight-2 generator fails to cancel in
+    Popa's recurrence, when ``phi_by_division`` leaves a structural
+    remainder, or when two independent computation routes disagree.  Any
+    occurrence is a bug or corrupted input, never a recoverable condition.
     """

@@ -3,10 +3,10 @@
 Everything downstream works over ``fractions.Fraction``: arbitrary-precision
 rationals, always in lowest terms with a positive denominator.  This module
 holds p-adic valuations with a proper infinity for the valuation of zero,
-base-2 digit sums, exact binomials, Bernoulli numbers and the rational number
-2*zeta(k)/pi^k that stands in for zeta(k) everywhere (both read off one memo
-of integer tangent numbers), and the one parser and one writer of exact
-numbers as text.  No floating point.
+base-2 digit sums, Bernoulli numbers and the rational number 2*zeta(k)/pi^k
+that stands in for zeta(k) everywhere (both read off one memo of integer
+tangent numbers), and the one parser and one writer of exact numbers as
+text.  No floating point.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ class _Infinity:
 
     def __ge__(self, other: object) -> bool:
         return True
-
-    # nu(x*y) = nu(x) + nu(y) stays total when one factor is zero
-    def __add__(self, other: object) -> "_Infinity":
-        return self
-
-    __radd__ = __add__
 
 
 INFINITY = _Infinity()
@@ -129,13 +123,6 @@ def digit_sum_base2(m: int) -> int:
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
     return bin(m).count("1")
-
-
-def binomial(n: int, r: int) -> int:
-    """Binomial coefficient, 0 outside the range 0 <= r <= n."""
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
 
 
 #: T_1, T_2, ...: a longer memo is built in full, then swapped in, so readers need no lock

@@ -238,8 +238,9 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
     the serialized coefficients with a naive division loop (independent of the
     library's valuation code), compares them with the recorded ones, and
     re-evaluates both conditions, which the recorded criterion "dumas" and
-    gcd 1 must match.  Returns True only for a sound "irreducible"
-    certificate.
+    gcd 1 must match.  Every recorded number must be an int (a valuation may
+    also be "inf"), not merely compare equal to one.  Returns True only for a
+    sound "irreducible" certificate.
     """
     coeffs = _parse_coeffs(doc["poly"])
     p = doc["prime"]
@@ -260,8 +261,10 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
         return v
 
     vals = [nu(c) for c in coeffs[:-1]]
-    recorded = [None if s == "inf" else s for s in doc["valuations"]]
-    if vals != recorded:
+    recorded = doc["valuations"]
+    if not isinstance(recorded, list) or not all(s == "inf" or type(s) is int for s in recorded):
+        return False
+    if vals != [None if s == "inf" else s for s in recorded]:
         return False
     if vals[0] is None:
         return False
@@ -273,7 +276,8 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
     # gcd(|nu(a_0)|, n) = 1, so the recorded chord must be -nu(a_0)/n unreduced
     if math.gcd(abs(vals[0]), n) != 1 or type(doc["gcd"]) is not int or doc["gcd"] != 1:
         return False
-    return (doc["slope_num"], doc["slope_den"]) == (-vals[0], n)
+    slope = (doc["slope_num"], doc["slope_den"])
+    return all(type(x) is int for x in slope) and slope == (-vals[0], n)
 
 
 # The pattern re-checker's own distinct-degree factorization: textbook
@@ -385,8 +389,9 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
     repeated-squaring DDF and redoes the subset-sum exclusion over sets of
     reachable degrees.  The other fields must agree: criterion
     "finite-field-pattern", no unexcluded degrees, ``primes`` the primes of
-    ``patterns``, and ``skipped`` a list of other primes.  Returns True only
-    for a sound "irreducible" verdict.
+    ``patterns``, and ``skipped`` a list of other primes; every recorded
+    degree, prime and skipped prime must be an int.  Returns True only for a
+    sound "irreducible" verdict.
     """
     coeffs = _parse_coeffs(doc["poly"])
     if coeffs is None or any(c.denominator != 1 for c in coeffs) or doc["verdict"] != "irreducible":
@@ -404,6 +409,8 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
     reachable = set(range(n + 1))
     for p_str, recorded in patterns.items():
         if not (isinstance(p_str, str) and p_str.isascii() and p_str.isdigit() and is_prime(int(p_str))):
+            return False
+        if not isinstance(recorded, list) or not all(type(d) is int for d in recorded):
             return False
         pattern = _ddf_by_repeated_squaring(ints, int(p_str))
         if pattern is None or pattern != recorded:

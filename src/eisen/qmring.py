@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import DomainError, WeightMismatchError
-from .exact import divisor_power_sum, bernoulli, format_rational, parse_integer, parse_rational
+from .exact import divisor_power_sum, bernoulli, format_rational
 
 #: exponent triple (e2, e4, e6)
 Monomial = tuple[int, int, int]
@@ -45,10 +45,10 @@ class GradedForm:
 
     Stored as integer numerators over one positive denominator in lowest
     terms (``gcd(den, *nums) == 1``), so ring arithmetic runs on integers with
-    one gcd per result; ``terms``, ``coefficient`` and ``serialize`` form the
-    Fractions when read.  Immutable once constructed.  Zero coefficients are
-    never stored; the zero form keeps a nominal weight but compares equal to
-    any other zero form and combines additively with forms of any weight.
+    one gcd per result; ``terms`` and ``serialize`` form the Fractions when
+    read.  Immutable once constructed.  Zero coefficients are never stored;
+    the zero form keeps a nominal weight but compares equal to any other zero
+    form and combines additively with forms of any weight.
     """
 
     __slots__ = ("weight", "_nums", "_den", "_hash")
@@ -105,15 +105,8 @@ class GradedForm:
     def is_zero(self) -> bool:
         return not self._nums
 
-    @property
-    def is_e2_free(self) -> bool:
-        return all(e2 == 0 for (e2, _, _) in self._nums)
-
     def terms(self) -> dict[Monomial, Fraction]:
         return {mono: Fraction(n, self._den) for mono, n in self._nums.items()}
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self._nums.get(tuple(mono), 0), self._den)
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -182,11 +175,6 @@ class GradedForm:
     def __rmul__(self, other: Scalar) -> "GradedForm":
         return self.__mul__(other)
 
-    def __truediv__(self, other: Scalar) -> "GradedForm":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     # -- canonical text form -------------------------------------------------
 
     def serialize(self) -> str:
@@ -195,19 +183,6 @@ class GradedForm:
         for (e2, e4, e6), n in sorted(self._nums.items()):
             parts.append(f"{e2},{e4},{e6}:{format_rational(Fraction(n, self._den))}")
         return "; ".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "GradedForm":
-        chunks = [s.strip() for s in text.split(";")]
-        weight = parse_integer(chunks[0])
-        terms: dict[Monomial, Fraction] = {}
-        for chunk in chunks[1:]:
-            if not chunk:
-                continue
-            mono_s, _, coeff_s = chunk.partition(":")
-            e2, e4, e6 = (parse_integer(e) for e in mono_s.split(","))
-            terms[(e2, e4, e6)] = parse_rational(coeff_s)
-        return cls(weight, terms)
 
 
 E2 = GradedForm(2, {(1, 0, 0): 1})

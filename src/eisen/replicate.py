@@ -4,8 +4,8 @@ Each check returns a CheckReport whose records are deterministic for fixed
 parameters (wall time aside) and ordered by the loop variable.  A report FAILs
 iff any record fails; the CLI turns that into a nonzero exit code.  Expected
 values inside records are recomputed from the defining formulas at run time,
-never hard-coded, except the two golden weight-16/24 polynomials which are
-frozen fixtures.
+never hard-coded.  ``GOLDEN_PHI`` holds the frozen weight-16/24 polynomials
+that the tests compare both phi routes against; no check reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import INFINITY, SMALL_PRIMES, binomial, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
+from .exact import INFINITY, SMALL_PRIMES, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
     min_valuation2,
@@ -150,7 +150,7 @@ def check_lemma_valsum(k_max: int) -> CheckReport:
     report = CheckReport("lemma-valsum", {"k_max": k_max})
     for k in range(4, k_max + 1, 2):
         sign = -1 if (k // 2) % 2 else 1
-        binom = binomial(k, k // 2 - 1)
+        binom = math.comb(k, k // 2 - 1)
         val = valuation(sign + binom, 2)
         pow2 = _is_power_of_two(k + 2)
         expected = 1 if pow2 else 0
@@ -193,7 +193,7 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
     for k in range(4, k_max + 1, 2):
         h = k // 2
         sign = -1 if h % 2 else 1
-        binom_central = binomial(k, h - 1)
+        binom_central = math.comb(k, h - 1)
         denom_sum = sign + binom_central
         cd = popa_c(k) * popa_d(k)
 
@@ -210,10 +210,10 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
         pow2 = _is_power_of_two(k + 2)
         for j in range(3, h - 1, 2):
             dprod = popa_d(j + 1) * popa_d(k - j - 1) / cd
-            t1 = binomial(h, j) * dprod
-            t2 = binomial(h - 2, j) * dprod
-            if t1 != Fraction(binomial(k - j - 2, h - 2), denom_sum) or t2 != Fraction(
-                binomial(k - j - 2, h), denom_sum
+            t1 = math.comb(h, j) * dprod
+            t2 = math.comb(h - 2, j) * dprod
+            if t1 != Fraction(math.comb(k - j - 2, h - 2), denom_sum) or t2 != Fraction(
+                math.comb(k - j - 2, h), denom_sum
             ):
                 identities_ok = False
             nu_sum = valuation(t1 + t2, 2)

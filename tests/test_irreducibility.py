@@ -634,6 +634,23 @@ class TestRecheckersReadEveryField:
             doc["gcd"] = gcd
             assert recheck_dumas_certificate(doc) is False
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("valuations", [1.0, True]),
+            ("valuations", [1, 1.0]),
+            ("valuations", [True, 1]),
+            ("slope_num", -1.0),
+            ("slope_den", 2.0),
+        ],
+    )
+    def test_dumas_numbers_must_be_ints(self, field, value):
+        # each value compares equal to the recorded one; only its type is wrong
+        doc = dumas_check([2, 2, 1], 2).to_json_dict()
+        assert doc[field] == value and recheck_dumas_certificate(doc)
+        doc[field] = value
+        assert recheck_dumas_certificate(doc) is False
+
     def test_criterion_must_match(self):
         dumas = dumas_check([2, 2, 1], 2).to_json_dict()
         dumas["criterion"] = "finite-field-pattern"
@@ -652,6 +669,7 @@ class TestRecheckersReadEveryField:
             ("skipped", [3]),  # a skipped prime that has a pattern
             ("skipped", None),
             ("unexcluded_degrees", [1]),
+            ("patterns", {"3": [2.0]}),
         ],
     )
     def test_pattern_fields_must_agree(self, field, value):
