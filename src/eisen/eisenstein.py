@@ -147,7 +147,7 @@ class EisensteinTable:
         form = self._graded.get(k)
         if form is None:
             nums, scale = self.e_basis_numerators(k)
-            form = GradedForm.from_numerators(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
+            form = GradedForm(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
             self._graded[k] = form
         return form
 

@@ -62,7 +62,7 @@ class GekelerPolynomial:
     def __post_init__(self) -> None:
         m = len(self.coeffs) - 1
         if self.coeffs[-1] != 1:
-            raise ConsistencyError(f"phi_{self.k} is not monic: leading {self.coeffs[-1]}")
+            raise ConsistencyError(f"phi_{self.k} came out non-monic: leading {self.coeffs[-1]}")
         if self.k != 12 * m + 4 * self.delta + 6 * self.epsilon:
             raise ConsistencyError(
                 f"weight bookkeeping broken: k={self.k}, m={m}, delta={self.delta}, epsilon={self.epsilon}"
@@ -102,8 +102,9 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     of A = E_4^3 times a power of B = E_6^2 with total Delta-degree m; the
     substitution B = A - 1728*Delta rewrites the quotient as a polynomial in
     j = A/Delta.  Each structural step that could leave a remainder is checked
-    and raises ConsistencyError if violated, as is monicity of the result.
-    The sums run over the integer numerators of ``e_basis_numerators``.
+    and raises ConsistencyError if violated, as ``GekelerPolynomial`` does for a
+    non-monic result.  The sums run over the integer numerators of
+    ``e_basis_numerators``.
     """
     m, delta, epsilon = elliptic_exponents(k)
     nums, scale = table.e_basis_numerators(k)
@@ -131,8 +132,6 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
         sign = -1 if (m - r) % 2 else 1
         total = sum(pa * math.comb(m - alpha, r - alpha) for alpha, pa in p.items() if alpha <= r)
         coeffs.append(Fraction(sign * total * 1728 ** (m - r) * r_k.denominator, den))
-    if coeffs[-1] != 1:
-        raise ConsistencyError(f"phi_{k} came out non-monic: {coeffs[-1]}")
     return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=delta, epsilon=epsilon)
 
 
@@ -170,8 +169,6 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
                 r_k.numerator * den * 3 ** (k // 4 + 3 * r) * 5 ** (k // 6 + r) * 7 ** (k // 6),
             )
         )
-    if coeffs[-1] != 1:
-        raise ConsistencyError(f"closed form for phi_{k} came out non-monic: {coeffs[-1]}")
     return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=0, epsilon=0)
 
 

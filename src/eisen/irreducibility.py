@@ -197,8 +197,17 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # re-checking certificate documents
 #
 # The re-checkers read nothing but the JSON document and share no arithmetic
-# with the code that produced it.  They are total: a malformed document is
-# rejected with False, never answered with an exception.
+# with the code that produced it, down to the primality test: were
+# ``exact.is_prime`` to admit a composite, a certifier using it and a
+# re-checker using it would accept the same forgery.  They are total: a
+# malformed document is rejected with False, never answered with an exception.
+
+
+def _is_prime_by_trial(n: int) -> bool:
+    """The re-checkers' primality test: trial division, and False (never an error) for n >= 2**32."""
+    if not 2 <= n < 2**32:
+        return False
+    return n == 2 or n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
 
 def _total(recheck: Callable[[Mapping], bool]) -> Callable[[Mapping], bool]:
@@ -244,7 +253,7 @@ def recheck_dumas_certificate(doc: Mapping) -> bool:
     """
     coeffs = _parse_coeffs(doc["poly"])
     p = doc["prime"]
-    if coeffs is None or coeffs[-1] != 1 or type(p) is not int or not is_prime(p):
+    if coeffs is None or coeffs[-1] != 1 or type(p) is not int or not _is_prime_by_trial(p):
         return False
     n = len(coeffs) - 1
 
@@ -345,7 +354,7 @@ def _ddf_by_repeated_squaring(int_coeffs: Sequence[int], p: int) -> Optional[lis
     degree step raises h to the p-th power modulo the unfactored part g by
     repeated squaring.
     """
-    if not is_prime(p):
+    if not _is_prime_by_trial(p):
         raise InvalidPrimeError(f"p = {p} is not prime")
     if int_coeffs[-1] % p == 0:
         return None
@@ -408,7 +417,7 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
     # degrees a rational factor could still have, given the patterns so far
     reachable = set(range(n + 1))
     for p_str, recorded in patterns.items():
-        if not (isinstance(p_str, str) and p_str.isascii() and p_str.isdigit() and is_prime(int(p_str))):
+        if not (isinstance(p_str, str) and p_str.isascii() and p_str.isdigit() and _is_prime_by_trial(int(p_str))):
             return False
         if not isinstance(recorded, list) or not all(type(d) is int for d in recorded):
             return False

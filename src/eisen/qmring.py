@@ -17,7 +17,8 @@ structurally.
 A form holds integer numerators over one denominator, and the generator
 q-expansions are integer series, so products, sums, derivatives and
 substitution run on integers; a Fraction is formed only when a coefficient is
-read.
+read.  Input is checked once, by the constructor; a ring result is valid by
+construction and is only put in lowest terms.
 """
 
 from __future__ import annotations
@@ -43,52 +44,50 @@ def _monomial_weight(mono: Monomial) -> int:
 class GradedForm:
     """Homogeneous polynomial in E2, E4, E6 with exact rational coefficients.
 
-    Stored as integer numerators over one positive denominator in lowest
-    terms (``gcd(den, *nums) == 1``), so ring arithmetic runs on integers with
-    one gcd per result; ``terms`` and ``serialize`` form the Fractions when
-    read.  Immutable once constructed.  Zero coefficients are never stored;
-    the zero form keeps a nominal weight but compares equal to any other zero
-    form and combines additively with forms of any weight.
+    ``GradedForm(weight, terms, den)`` is the form sum terms[m] / den * m; the
+    terms may be ints or Fractions, and this constructor is the one place a
+    weight, denominator or monomial is checked.  A form is stored as integer
+    numerators over one positive denominator in lowest terms (``gcd(den,
+    *nums) == 1``), so ring arithmetic runs on integers with one gcd per
+    result; ``terms`` and ``serialize`` form the Fractions when read.
+    Immutable once constructed.  Zero coefficients are never stored; the zero
+    form keeps a nominal weight but compares equal to any other zero form and
+    combines additively with forms of any weight.
     """
 
-    __slots__ = ("weight", "_nums", "_den", "_hash")
+    __slots__ = ("weight", "_nums", "_den")
 
-    def __init__(self, weight: int, terms: Mapping[Monomial, Scalar]):
-        fracs = {mono: Fraction(c) for mono, c in terms.items()}
-        den = math.lcm(*[c.denominator for c in fracs.values()])
-        self._build(weight, {mono: c.numerator * (den // c.denominator) for mono, c in fracs.items()}, den)
-
-    def _build(self, weight: int, nums: Mapping[Monomial, int], den: int) -> None:
+    def __new__(cls, weight: int, terms: Mapping[Monomial, Scalar], den: int = 1) -> "GradedForm":
         if weight < 0 or weight % 2:
             raise DomainError(f"weight must be even and >= 0, got {weight}")
         if den <= 0:
             raise DomainError(f"denominator must be positive, got {den}")
-        clean: dict[Monomial, int] = {}
-        for mono, n in sorted(nums.items()):
-            if not n:
-                continue
+        coeffs = {mono: Fraction(c) for mono, c in terms.items() if c}
+        for mono in coeffs:
             if min(mono) < 0:
                 raise DomainError(f"negative exponent in monomial {mono}")
             if _monomial_weight(mono) != weight:
                 raise WeightMismatchError(
                     f"monomial {mono} has weight {_monomial_weight(mono)}, expected {weight}"
                 )
-            clean[mono] = n
-        g = math.gcd(den, *clean.values())
-        if g > 1:
-            clean = {mono: n // g for mono, n in clean.items()}
-        self.weight = weight
-        self._nums = clean
-        self._den = den // g
-        self._hash: int | None = None
-
-    # -- constructors ------------------------------------------------------
+        scale = math.lcm(*[c.denominator for c in coeffs.values()])
+        nums = {mono: c.numerator * (scale // c.denominator) for mono, c in coeffs.items()}
+        return cls._normalised(weight, nums, den * scale)
 
     @classmethod
-    def from_numerators(cls, weight: int, nums: Mapping[Monomial, int], den: int) -> "GradedForm":
-        """The form sum nums[m] / den * m, with the same checks as the constructor."""
-        form = cls.__new__(cls)
-        form._build(weight, nums, den)
+    def _normalised(cls, weight: int, nums: Mapping[Monomial, int], den: int) -> "GradedForm":
+        """The form sum nums[m] / den * m, with zero numerators dropped and the gcd divided out.
+
+        Every ring result is built here unchecked: a sum, product, scalar
+        multiple or derivative of valid forms is homogeneous, has non-negative
+        exponents and a positive denominator by construction.
+        """
+        nums = {mono: n for mono, n in nums.items() if n}
+        g = math.gcd(den, *nums.values())
+        form = object.__new__(cls)
+        form.weight = weight
+        form._nums = {mono: n // g for mono, n in nums.items()} if g > 1 else nums
+        form._den = den // g
         return form
 
     @classmethod
@@ -97,7 +96,7 @@ class GradedForm:
 
     @classmethod
     def constant(cls, c: Scalar) -> "GradedForm":
-        return cls(0, {(0, 0, 0): Fraction(c)})
+        return cls(0, {(0, 0, 0): c})
 
     # -- inspection --------------------------------------------------------
 
@@ -114,17 +113,11 @@ class GradedForm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedForm):
             return NotImplemented
-        if not self._nums and not other._nums:
-            return True
-        return self.weight == other.weight and self._den == other._den and self._nums == other._nums
+        # a nonzero form's monomials fix its weight, and every zero form is {} over 1
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if not self._nums:
-                self._hash = hash(())
-            else:
-                self._hash = hash((self.weight, self._den, tuple(self._nums.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
         return f"GradedForm({self.serialize()!r})"
@@ -147,10 +140,10 @@ class GradedForm:
         nums = {mono: n * s for mono, n in self._nums.items()}
         for mono, n in other._nums.items():
             nums[mono] = nums.get(mono, 0) + n * t
-        return GradedForm.from_numerators(self.weight, nums, den)
+        return GradedForm._normalised(self.weight, nums, den)
 
     def __neg__(self) -> "GradedForm":
-        return GradedForm.from_numerators(self.weight, {m: -n for m, n in self._nums.items()}, self._den)
+        return GradedForm._normalised(self.weight, {m: -n for m, n in self._nums.items()}, self._den)
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
         return self + (-other)
@@ -162,13 +155,10 @@ class GradedForm:
                 for (b2, b4, b6), nb in other._nums.items():
                     mono = (a2 + b2, a4 + b4, a6 + b6)
                     nums[mono] = nums.get(mono, 0) + na * nb
-            return GradedForm.from_numerators(self.weight + other.weight, nums, self._den * other._den)
+            return GradedForm._normalised(self.weight + other.weight, nums, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return GradedForm.zero(self.weight)
-            c = Fraction(other)
-            return GradedForm.from_numerators(
-                self.weight, {m: n * c.numerator for m, n in self._nums.items()}, self._den * c.denominator
+            return GradedForm._normalised(
+                self.weight, {m: n * other.numerator for m, n in self._nums.items()}, self._den * other.denominator
             )
         return NotImplemented
 
@@ -221,7 +211,7 @@ def serre_derivative(f: GradedForm) -> GradedForm:
                     lowered[2] + rule_mono[2],
                 )
                 nums[out] = nums.get(out, 0) + n * e * rule_n
-    return GradedForm.from_numerators(f.weight + 2, nums, 12 * f._den)
+    return GradedForm._normalised(f.weight + 2, nums, 12 * f._den)
 
 
 # -- exact truncated q-series (plain lists, index = power of q) --

@@ -384,8 +384,8 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
             v0 = valuation(phi.coeffs[0], p)
             if v0 is INFINITY or math.gcd(abs(v0), phi.degree) != 1:
                 continue
-            if dumas_check(phi.coeffs, p, poly_id=f"phi_{k}").verdict == "irreducible":
-                record.update(verdict="irreducible", criterion="dumas", primes=[p], passed=True)
+            cert = dumas_check(phi.coeffs, p, poly_id=f"phi_{k}")
+            if cert.verdict == "irreducible":
                 break
         else:
             ints = primitive_integer_polynomial(phi.coeffs)
@@ -395,12 +395,12 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
                 # usable primes above the weight so the record stays informative
                 kept = _first_usable_primes(ints, k, ORACLE_PRIME_COUNT)
             cert = assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}")
-            record.update(
-                verdict=cert.verdict,
-                criterion=cert.criterion,
-                primes=list(cert.primes),
-                passed=cert.verdict != "reducible",
-            )
+        record.update(
+            verdict=cert.verdict,
+            criterion=cert.criterion,
+            primes=list(cert.primes),
+            passed=cert.verdict != "reducible",
+        )
         report.records.append(record)
     counts: dict[str, int] = {}
     for r in report.records:

@@ -142,7 +142,7 @@ class TestGradedFormMemo:
     @staticmethod
     def fresh(table: EisensteinTable, k: int) -> GradedForm:
         nums, scale = table.e_basis_numerators(k)
-        return GradedForm.from_numerators(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
+        return GradedForm(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
 
     def test_memo_equals_a_fresh_build_to_480(self, shared_table):
         table = shared_table.ensure(480)

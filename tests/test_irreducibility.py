@@ -591,6 +591,9 @@ class TestPackedKernel:
             assert not names(defs[name]) & kernel_names, name
         for name in kernel:
             assert not names(defs[name]) & set(rechecker), name
+        # nor do the re-checkers share the certifier's primality test
+        for name in rechecker + ["recheck_dumas_certificate", "_is_prime_by_trial"]:
+            assert "is_prime" not in names(defs[name]), name
 
 
 # --- composite moduli --------------------------------------------------------
@@ -619,6 +622,15 @@ class TestCompositeModulus:
 
     def test_rechecker_rejects_forged_certificate(self):
         assert recheck_dumas_certificate(FORGED_DUMAS_AT_4) is False
+
+    def test_rechecker_primality_test(self):
+        sieve = [n for n in range(200) if n > 1 and all(n % d for d in range(2, n))]
+        assert [n for n in range(-5, 200) if irreducibility._is_prime_by_trial(n)] == sieve
+        assert irreducibility._is_prime_by_trial(LARGEST_DECIDED_PRIME)
+        assert not irreducibility._is_prime_by_trial(65537 * 65521)
+        # at or above 2**32 the answer is False, never an error, even for a prime
+        for n in (2**32, 2**32 + 15, 10**29 + 319):
+            assert irreducibility._is_prime_by_trial(n) is False
 
     def test_forged_pattern_prime_rejected(self):
         doc = finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict()

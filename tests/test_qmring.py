@@ -302,9 +302,9 @@ class TestIntegerRepresentation:
         )
     ))
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_from_numerators_matches_the_fraction_constructor(self, drawn):
+    def test_numerators_over_den_match_the_fraction_terms(self, drawn):
         weight, nums, den = drawn
-        f = GradedForm.from_numerators(weight, nums, den)
+        f = GradedForm(weight, nums, den)
         g = GradedForm(weight, {m: Fraction(n, den) for m, n in nums.items()})
         assert f == g
         assert hash(f) == hash(g)
@@ -313,10 +313,24 @@ class TestIntegerRepresentation:
     @given(forms(), forms(), fractions_st)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_lowest_terms_after_every_operation(self, f, g, c):
+        # ring results skip the constructor's checks: each must be the form those checks accept
         results = [f * g, c * f, f * c, serre_derivative(f), -f]
         if f.weight == g.weight or f.is_zero or g.is_zero:
             results += [f + g, f - g]
-        assert all(in_lowest_terms(r) for r in results)
+        for r in results:
+            assert in_lowest_terms(r)
+            validated = GradedForm(r.weight, r.terms())
+            assert r == validated
+            assert hash(r) == hash(validated)
+
+    def test_insertion_order_does_not_change_the_hash(self):
+        nums = {(0, 3, 0): 2, (3, 0, 1): -5, (6, 0, 0): 7, (0, 0, 2): 1}
+        f = GradedForm(12, nums, 3)
+        g = GradedForm(12, dict(reversed(nums.items())), 3)
+        assert list(f._nums) == list(reversed(g._nums))
+        assert f == g
+        assert hash(f) == hash(g)
+        assert hash(GradedForm.zero(4)) == hash(GradedForm.zero(12)) == hash(E4 - E4)
 
     @pytest.mark.parametrize(
         "weight, nums, error",
@@ -326,16 +340,18 @@ class TestIntegerRepresentation:
             (8, {(1, 0, 0): 1}, WeightMismatchError),
         ],
     )
-    def test_both_constructors_raise_alike(self, weight, nums, error):
+    def test_bad_terms_raise_alike(self, weight, nums, error):
+        # the same bad input, given as Fractions and as int numerators over den
         with pytest.raises(error) as from_fractions:
             GradedForm(weight, {m: Fraction(n, 3) for m, n in nums.items()})
-        with pytest.raises(error) as from_numerators:
-            GradedForm.from_numerators(weight, nums, 3)
-        assert str(from_fractions.value) == str(from_numerators.value)
+        with pytest.raises(error) as from_ints:
+            GradedForm(weight, nums, 3)
+        assert str(from_fractions.value) == str(from_ints.value)
 
     def test_nonpositive_denominator_rejected(self):
-        with pytest.raises(DomainError):
-            GradedForm.from_numerators(4, {(0, 1, 0): 1}, 0)
+        for den in (0, -3):
+            with pytest.raises(DomainError):
+                GradedForm(4, {(0, 1, 0): 1}, den)
 
 
 class TestFractionReferences:
