@@ -13,14 +13,20 @@ must agree exactly; the q-expansion of either must match the divisor-sum
 q-expansion after scaling by 2 zeta(k) / pi^k.  All three paths are exposed.
 
 The production convolution sum is folded: its terms p and k/2 - p are equal,
-so each pair is convolved once with a doubled coefficient.  The unfolded,
-symmetric ordering is kept as an independent cross-check that ``extend`` runs
-at the weights 12 * 2^m and 12 * 2^m + 2 (both residues of k mod 4).
+so each pair is taken once with a doubled coefficient.  It is evaluated, not
+convolved: at (G4, G6) = (1, z), G_k is z^b0 R(z^2) with one unknown
+coefficient of R per (a, b), so the identity is summed at z = 1 .. n + 1 for
+the n unknowns, one product of two point values per pair and node, and w(k)
+is recovered by exact interpolation, the last node checking the result.  The
+unfolded, symmetric ordering is kept as an independent cross-check that
+``extend`` runs at the weights 12 * 2^m and 12 * 2^m + 2 (both residues of
+k mod 4); it convolves coefficient vectors and shares no arithmetic with the
+evaluated sum.
 
-Internally the table builder works on integer numerator vectors over a per
-weight common denominator; per-coefficient Fraction reduction happens once
-per weight.  This matters: naive Fraction arithmetic normalizes on every
-multiply and is ~25x slower at weight 500.
+Both sums work on integers over a per weight common denominator;
+per-coefficient Fraction reduction happens once per weight.  This matters:
+naive Fraction arithmetic normalizes on every multiply and is ~25x slower at
+weight 500.
 """
 
 from __future__ import annotations
@@ -85,7 +91,8 @@ class EisensteinTable:
 
     def __init__(self) -> None:
         self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
-        self._scaled: dict[int, tuple[dict[int, int], int]] = {}
+        self._points: dict[int, tuple[list[int], int]] = {}
+        self._nodes = 0
         self._graded: dict[int, GradedForm] = {}
 
     def __contains__(self, k: int) -> bool:
@@ -102,15 +109,25 @@ class EisensteinTable:
             raise MissingWeightError(f"weight {k} not in table (extend first)")
         return dict(self._w[k])
 
-    # -- scaled-integer view used by the recurrences -------------------------
+    # -- point values used by the production recurrence ------------------------
 
-    def _scaled_vector(self, k: int) -> tuple[dict[int, int], int]:
-        scaled = self._scaled.get(k)
-        if scaled is None:
+    def _point_values(self, k: int) -> tuple[list[int], int]:
+        """Integers vals, den with G_k(1, z) = vals[z - 1] / den at z = 1 .. ``_nodes``.
+
+        Evaluated on first read by ``_evaluate`` and kept in ``_points``.
+        """
+        points = self._points.get(k)
+        if points is None:
             if k not in self._w:
                 raise MissingWeightError(f"weight {k} not in table (extend first)")
-            scaled = self._scaled[k] = _integer_view(self._w[k])
-        return scaled
+            points = self._points[k] = _evaluate(k, self._w[k], self._nodes)
+        return points
+
+    def _reserve_nodes(self, count: int) -> None:
+        # more nodes than cached: drop every point value, re-evaluated on next read
+        if count > self._nodes:
+            self._nodes = count
+            self._points.clear()
 
     def _store(self, k: int, vec: WVector) -> None:
         self._w[k] = {a: vec[a] for a in sorted(vec)}
@@ -125,7 +142,13 @@ class EisensteinTable:
         k = 12 * 2^m + 2 (m >= 1) the unfolded ordering
         (``rademacher_expand_unfolded``) is evaluated too and must agree
         exactly, or ``ConsistencyError`` is raised.
+
+        The folded sum reads each weight's values at the nodes z = 1, 2, ...
+        (``_point_values``).  Their count is set once here, to the most any
+        weight up to k_max needs (len(exponents(k)) + 1 <= k // 12 + 2); a
+        later, larger ``extend`` re-evaluates them.
         """
+        self._reserve_nodes(k_max // 12 + 2)
         for k in range(8, k_max + 1, 2):
             if k in self._w:
                 continue
@@ -154,7 +177,7 @@ class EisensteinTable:
     def e_basis_numerators(self, k: int) -> tuple[dict[int, int], int]:
         """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
 
-        Reads w(k) without filling the ``_scaled`` cache of the recurrences.
+        Reads w(k) without filling the ``_points`` cache of the convolution.
         """
         return _e_basis_numerators(k, self.w_vector(k))
 
@@ -329,6 +352,103 @@ def _check_domain(k: int) -> None:
         raise DomainError(f"k must be even and >= 8, got {k}")
 
 
+def _require_weights(table: EisensteinTable, needed: Iterable[int]) -> None:
+    missing = sorted({m for m in needed if m not in table})
+    if missing:
+        raise MissingWeightError(f"table is missing prerequisite weights {missing}")
+
+
+def _evaluate(k: int, vec: WVector, count: int) -> tuple[list[int], int]:
+    """Integers vals, den with sum_a vec[a] z^b = vals[z - 1] / den at z = 1 .. count.
+
+    That is G_k at (G4, G6) = (1, z): z^b0 R(z^2), R evaluated by Horner from
+    the integer view of w(k).  b runs over b0, b0 + 2, ... and b0 is 0 or 1.
+    """
+    nums, den = _integer_view(vec)
+    pairs = exponents(k)
+    b0 = pairs[-1][1]
+    vals = []
+    for z in range(1, count + 1):
+        y = z * z
+        h = 0
+        for a, _ in pairs:  # b descending
+            h = h * y + nums.get(a, 0)
+        vals.append(h * z**b0)
+    return vals, den
+
+
+def _pointwise_convolution(
+    terms: Iterable[tuple[int, int, int]],
+    get_points: Callable[[int], tuple[list[int], int]],
+    count: int,
+) -> tuple[list[int], int]:
+    """Accumulate coeff * G_m1(1, z) G_m2(1, z) at z = 1 .. count over integers.
+
+    ``terms`` yields (coeff, m1, m2).  As in ``_scaled_convolution`` the
+    accumulator is kept over a running least common denominator, but each
+    pair costs one product of two point values per node, not one per pair of
+    coefficients.
+    """
+    acc = [0] * count
+    acc_den = 1
+    for coeff, m1, m2 in terms:
+        vals1, den1 = get_points(m1)
+        vals2, den2 = get_points(m2)
+        pair_den = den1 * den2
+        lcm = acc_den // math.gcd(acc_den, pair_den) * pair_den
+        if lcm != acc_den:
+            grow = lcm // acc_den
+            acc = [v * grow for v in acc]
+            acc_den = lcm
+        mult = (lcm // pair_den) * coeff
+        acc = [v + mult * (x * y) for v, x, y in zip(acc, vals1, vals2)]
+    return acc, acc_den
+
+
+def _interpolate(k: int, vals: list[int]) -> dict[int, int]:
+    """The integers N_a with sum_a N_a z^b = vals[z - 1] at z = 1 .. n + 1, n = len(exponents(k)).
+
+    Exact Lagrange interpolation of R(y) = vals[z - 1] / z^b0 at y = z^2 for
+    z = 1 .. n, in Newton's divided-difference form: R has integer
+    coefficients and integer nodes, so every divided difference is an integer
+    and every division exact.  Node n + 1 checks the interpolant.  A division
+    that leaves a remainder, or a mismatch at the check node, raises
+    ``ConsistencyError``.
+    """
+    pairs = exponents(k)
+    n = len(pairs)
+    b0 = pairs[-1][1]
+    ys = [z * z for z in range(1, n + 2)]
+    r_vals = []
+    for z, v in zip(range(1, n + 2), vals):
+        q, r = divmod(v, z**b0)
+        if r:
+            raise ConsistencyError(f"weight {k}: the value at z = {z} is not a multiple of z^{b0}")
+        r_vals.append(q)
+    c = r_vals[:n]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], ys[i] - ys[i - j])
+            if r:
+                raise ConsistencyError(f"weight {k}: a divided difference is not an integer")
+            c[i] = q
+    # Newton form to coefficients of y^0 .. y^(n-1)
+    coef = [0] * n
+    coef[0] = c[n - 1]
+    for i in range(n - 2, -1, -1):
+        y_i = ys[i]
+        for d in range(n - 1 - i, 0, -1):
+            coef[d] = coef[d - 1] - y_i * coef[d]
+        coef[0] = c[i] - y_i * coef[0]
+    check = 0
+    for v in reversed(coef):
+        check = check * ys[n] + v
+    if check != r_vals[n]:
+        raise ConsistencyError(f"weight {k}: the interpolant misses the check node z = {n + 1}")
+    # y^j is z^(b0 + 2j), the pair listed j-th from the end
+    return {a: coef[n - 1 - j] for j, (a, _) in enumerate(pairs)}
+
+
 def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
     """w(k) from the convolution identity, folded (the production path)
 
@@ -337,15 +457,19 @@ def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
                                 + 3 (k/2-1)^2 G_{k/2}^2        [term present only when 4 | k].
 
     The terms p and k/2 - p of the symmetric sum are equal, so each pair is
-    convolved once.  Needs all even weights 4 .. k-4 in the table.  k = 6 is
+    taken once.  The identity is evaluated at (G4, G6) = (1, z) for
+    z = 1 .. n + 1, n = len(exponents(k)), and w(k) recovered once by
+    ``_interpolate``.  Needs all even weights 4 .. k-4 in the table.  k = 6 is
     outside the domain (the left factor k/2-3 vanishes there).
     """
     _check_domain(k)
     terms = [(6 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, (k + 2) // 4)]
     if k % 4 == 0:
         terms.append((3 * (k // 2 - 1) ** 2, k // 2, k // 2))
-    acc, den = _scaled_convolution(terms, table._scaled_vector)
-    return _reduce_scaled(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
+    count = len(exponents(k)) + 1
+    table._reserve_nodes(count)
+    vals, den = _pointwise_convolution(terms, table._point_values, count)
+    return _reduce_scaled(_interpolate(k, vals), den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
 def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
@@ -353,14 +477,17 @@ def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
 
         (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p},
 
-    every term evaluated on its own.  It is the cross-check of the folded
-    production sum: ``extend`` compares the two at every weight 12 * 2^m and
-    12 * 2^m + 2.  About twice the work of ``rademacher_expand``.
+    every term evaluated on its own, in the coefficient domain on integer
+    views of w(m) built for this call.  It is the cross-check of the folded
+    production sum, with which it shares no convolution arithmetic: ``extend``
+    compares the two at every weight 12 * 2^m and 12 * 2^m + 2.
     """
     _check_domain(k)
+    _require_weights(table, range(4, k - 3, 2))
+    views = {m: _integer_view(table._w[m]) for m in range(4, k - 3, 2)}
     acc, den = _scaled_convolution(
         ((3 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 2 - 1)),
-        table._scaled_vector,
+        views.__getitem__,
     )
     return _reduce_scaled(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
 
@@ -377,12 +504,6 @@ def rademacher_expand_folded(k: int, table: EisensteinTable) -> WVector:
 
 # ---------------------------------------------------------------------------
 # Popa's recurrence
-
-
-def _require_weights(table: EisensteinTable, needed: Iterable[int]) -> None:
-    missing = sorted({m for m in needed if m not in table})
-    if missing:
-        raise MissingWeightError(f"table is missing prerequisite weights {missing}")
 
 
 def popa_expand(k: int, table: EisensteinTable, route: str = "graded") -> WVector:
@@ -451,7 +572,7 @@ def _popa_graded(k: int, table: EisensteinTable) -> WVector:
 def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     _require_weights(table, range(4, k - 1, 2))
     # integer views of w(m), one per weight for this call and dropped with it:
-    # no ``_scaled_vector``, whose cache belongs to the convolution this checks
+    # no ``_point_values``, whose cache belongs to the convolution this checks
     views = {m: _integer_view(table._w[m]) for m in range(4, k - 1, 2)}
     acc: dict[int, int] = {}
     acc_den = 1

@@ -101,10 +101,18 @@ def _int_valuation(n: int, p: int) -> int:
     # n != 0
     if p == 2:
         return (n & -n).bit_length() - 1
+    if n % p:
+        return 0
+    # p^(2^i) while it divides n, then strip those powers from the largest down
+    ladder = [p]
+    while n % (square := ladder[-1] * ladder[-1]) == 0:
+        ladder.append(square)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(ladder) - 1, -1, -1):
+        q, r = divmod(n, ladder[i])
+        if not r:
+            n = q
+            v += 1 << i
     return v
 
 

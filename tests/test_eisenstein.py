@@ -29,6 +29,24 @@ from eisen.replicate import selftest
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 
+#: the coefficient-domain convolution (``_scaled_vector`` is its former cache)
+CONVOLUTION_HELPERS = {"_scaled_convolution", "_scaled_vector"}
+#: the production sum's evaluation, interpolation and point-value cache
+POINT_VALUE_HELPERS = {
+    "_point_values",
+    "_points",
+    "_reserve_nodes",
+    "_evaluate",
+    "_pointwise_convolution",
+    "_interpolate",
+}
+
+
+def names_in(function) -> set:
+    tree = ast.parse(inspect.getsource(function))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
 
 def popa_precancelled_fraction(k: int, table: EisensteinTable) -> dict:
     """w(k) by the precancelled Popa route, every term a Fraction.
@@ -226,6 +244,8 @@ class TestRademacher:
         )
         EisensteinTable().extend(100)
         assert checked == [24, 26, 48, 50, 96, 98]
+        on_the_way_to_500 = [k for k in range(8, 501, 2) if eisenstein._cross_checked(k)]
+        assert on_the_way_to_500 == [24, 26, 48, 50, 96, 98, 192, 194, 384, 386]
 
     def test_extend_rejects_a_disagreeing_cross_check(self, monkeypatch):
         real = eisenstein.rademacher_expand_unfolded
@@ -241,6 +261,44 @@ class TestRademacher:
         with pytest.raises(ConsistencyError):
             table.extend(26)
         assert 26 not in table
+
+    @pytest.mark.parametrize("z", [1, 5])
+    def test_extend_rejects_a_perturbed_point_value(self, z):
+        # extend(42) evaluates at 42 // 12 + 2 = 5 nodes, all that w(44)
+        # needs (4 unknowns and the check node z = 5), so extend(44) reads
+        # the cached values as they are
+        table = EisensteinTable().extend(42)
+        table._point_values(20)[0][z - 1] += 1
+        match = "check node z = 5" if z == 5 else "weight 44"
+        with pytest.raises(ConsistencyError, match=match):
+            table.extend(44)
+        assert 44 not in table
+
+    def test_a_larger_extend_reevaluates_the_point_values(self):
+        table = EisensteinTable().extend(100)
+        assert table._nodes == 10
+        table.extend(200)
+        assert table._nodes == 200 // 12 + 2
+        assert {len(vals) for vals, _ in table._points.values()} == {table._nodes}
+        fresh = EisensteinTable().extend(200)
+        assert table.weights() == fresh.weights()
+        for k in fresh.weights():
+            assert table.w_vector(k) == fresh.w_vector(k), k
+
+    def test_expand_on_a_loaded_dump(self, shared_table, tmp_path):
+        built = shared_table.ensure(120)
+        dump = tmp_path / "table.csv"
+        built.dump_csv(dump)
+        loaded = EisensteinTable.load_csv(dump)
+        for k in range(8, 121, 2):
+            vec = rademacher_expand(k, loaded)
+            assert vec == built.w_vector(k), k
+            assert list(vec) == sorted(vec)
+
+    def test_folded_and_unfolded_share_no_convolution_arithmetic(self):
+        assert not CONVOLUTION_HELPERS & names_in(eisenstein.rademacher_expand)
+        assert not POINT_VALUE_HELPERS & names_in(eisenstein.rademacher_expand_unfolded)
+        assert "_scaled_convolution" in names_in(eisenstein.rademacher_expand_unfolded)
 
 
 class TestPopa:
@@ -288,17 +346,15 @@ class TestPopa:
 
     @pytest.mark.parametrize("route", [eisenstein._popa_graded, eisenstein._popa_precancelled])
     def test_routes_share_no_convolution_helper(self, route):
-        tree = ast.parse(inspect.getsource(route))
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not {"_scaled_convolution", "_scaled_vector"} & names
+        names = names_in(route)
+        assert not (CONVOLUTION_HELPERS | POINT_VALUE_HELPERS) & names
 
-    def test_selftest_leaves_the_scaled_cache_empty(self, tmp_path):
+    def test_selftest_leaves_the_point_value_cache_empty(self, tmp_path):
         dump = tmp_path / "table.csv"
         EisensteinTable().extend(48).dump_csv(dump)
         table = EisensteinTable.load_csv(dump)
         assert selftest(k_dual=48, k_qseries=24, k_phi=48, table=table).status == "PASS"
-        assert table._scaled == {}
+        assert table._points == {}
 
 
 class TestQExpansionDirect:

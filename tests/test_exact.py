@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisen import exact
 from eisen.errors import DomainError, InvalidPrimeError
@@ -80,6 +82,17 @@ class TestValuation:
                     assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
                 else:
                     assert valuation(x * y, p) is INFINITY
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=-(10**40), max_value=10**40).filter(bool),
+        st.sampled_from([2, 3, 5, 7, 101]),
+        st.integers(min_value=0, max_value=700),
+    )
+    def test_int_valuation_matches_the_naive_loop(self, m, p, e):
+        # the p, p^2, p^4, ... ladder against one division at a time
+        n = m * p**e
+        assert exact._int_valuation(n, p) == trial_division_valuation(n, p)
 
 
 class TestInfinity:

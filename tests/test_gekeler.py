@@ -176,7 +176,7 @@ class TestRouteEquivalence:
         assert not {"e_basis_numerators", "_e_basis_numerators"} & names
         assert "e_basis_numerators" in inspect.getsource(gekeler.phi_by_division)
 
-    def test_routes_leave_the_scaled_cache_empty(self, tmp_path):
+    def test_routes_leave_the_point_value_cache_empty(self, tmp_path):
         dump = tmp_path / "table.csv"
         EisensteinTable().extend(48).dump_csv(dump)
         table = EisensteinTable.load_csv(dump)
@@ -184,7 +184,7 @@ class TestRouteEquivalence:
             phi_by_division(k, table)
         for k in range(12, 49, 12):
             phi_closed_form(k, table)
-        assert table._scaled == {}
+        assert table._points == {}
 
     def test_routes_and_scan_leave_the_graded_memo_empty(self, tmp_path):
         # the memo serves the Popa and q-series cross-checks only; the phi

@@ -302,7 +302,7 @@ class TestSelftest:
     def test_fault_injection_detected(self):
         table = EisensteinTable().extend(48)
         table._w[20][2] += Fraction(1, 2)  # corrupt one stored coefficient
-        table._scaled.pop(20, None)
+        table._points.pop(20, None)
         report = selftest(k_dual=40, k_qseries=24, k_phi=48, table=table)
         assert report.status == "FAIL"
         first = report.first_failure()
