@@ -35,7 +35,7 @@ import csv
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Container, Iterable, Mapping, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio
@@ -91,8 +91,6 @@ class EisensteinTable:
 
     def __init__(self) -> None:
         self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
-        self._points: dict[int, tuple[list[int], int]] = {}
-        self._nodes = 0
         self._graded: dict[int, GradedForm] = {}
 
     def __contains__(self, k: int) -> bool:
@@ -106,28 +104,10 @@ class EisensteinTable:
 
     def w_vector(self, k: int) -> WVector:
         if k not in self._w:
+            if k < 4 or k % 2:
+                raise DomainError(f"k must be even and >= 4, got {k}")
             raise MissingWeightError(f"weight {k} not in table (extend first)")
         return dict(self._w[k])
-
-    # -- point values used by the production recurrence ------------------------
-
-    def _point_values(self, k: int) -> tuple[list[int], int]:
-        """Integers vals, den with G_k(1, z) = vals[z - 1] / den at z = 1 .. ``_nodes``.
-
-        Evaluated on first read by ``_evaluate`` and kept in ``_points``.
-        """
-        points = self._points.get(k)
-        if points is None:
-            if k not in self._w:
-                raise MissingWeightError(f"weight {k} not in table (extend first)")
-            points = self._points[k] = _evaluate(k, self._w[k], self._nodes)
-        return points
-
-    def _reserve_nodes(self, count: int) -> None:
-        # more nodes than cached: drop every point value, re-evaluated on next read
-        if count > self._nodes:
-            self._nodes = count
-            self._points.clear()
 
     def _store(self, k: int, vec: WVector) -> None:
         self._w[k] = {a: vec[a] for a in sorted(vec)}
@@ -143,19 +123,24 @@ class EisensteinTable:
         (``rademacher_expand_unfolded``) is evaluated too and must agree
         exactly, or ``ConsistencyError`` is raised.
 
-        The folded sum reads each weight's values at the nodes z = 1, 2, ...
-        (``_point_values``).  Their count is set once here, to the most any
-        weight up to k_max needs (len(exponents(k)) + 1 <= k // 12 + 2); a
-        later, larger ``extend`` re-evaluates them.
+        The folded sum reads each weight's values at the nodes z = 1, 2, ...,
+        as many as any weight up to k_max needs (len(exponents(k)) + 1 <=
+        k // 12 + 2).  They are held for this call only: every stored weight
+        is evaluated once when the first weight is missing, each new weight
+        right after it is stored, and all are dropped on return.
         """
-        self._reserve_nodes(k_max // 12 + 2)
+        nodes = k_max // 12 + 2
+        points: dict[int, tuple[list[int], int]] = {}
         for k in range(8, k_max + 1, 2):
             if k in self._w:
                 continue
-            vec = rademacher_expand(k, self)
+            if not points:
+                points = {m: _evaluate(m, vec, nodes) for m, vec in self._w.items()}
+            vec = rademacher_expand(k, points)
             if _cross_checked(k) and rademacher_expand_unfolded(k, self) != vec:
                 raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
             self._store(k, vec)
+            points[k] = _evaluate(k, self._w[k], nodes)
         return self
 
     # -- conversions ------------------------------------------------------------
@@ -177,7 +162,7 @@ class EisensteinTable:
     def e_basis_numerators(self, k: int) -> tuple[dict[int, int], int]:
         """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
 
-        Reads w(k) without filling the ``_points`` cache of the convolution.
+        Reads w(k) only: no point value of the convolution is evaluated.
         """
         return _e_basis_numerators(k, self.w_vector(k))
 
@@ -352,8 +337,8 @@ def _check_domain(k: int) -> None:
         raise DomainError(f"k must be even and >= 8, got {k}")
 
 
-def _require_weights(table: EisensteinTable, needed: Iterable[int]) -> None:
-    missing = sorted({m for m in needed if m not in table})
+def _require_weights(have: Container[int], needed: Iterable[int]) -> None:
+    missing = sorted({m for m in needed if m not in have})
     if missing:
         raise MissingWeightError(f"table is missing prerequisite weights {missing}")
 
@@ -379,7 +364,7 @@ def _evaluate(k: int, vec: WVector, count: int) -> tuple[list[int], int]:
 
 def _pointwise_convolution(
     terms: Iterable[tuple[int, int, int]],
-    get_points: Callable[[int], tuple[list[int], int]],
+    points: Mapping[int, tuple[list[int], int]],
     count: int,
 ) -> tuple[list[int], int]:
     """Accumulate coeff * G_m1(1, z) G_m2(1, z) at z = 1 .. count over integers.
@@ -392,8 +377,8 @@ def _pointwise_convolution(
     acc = [0] * count
     acc_den = 1
     for coeff, m1, m2 in terms:
-        vals1, den1 = get_points(m1)
-        vals2, den2 = get_points(m2)
+        vals1, den1 = points[m1]
+        vals2, den2 = points[m2]
         pair_den = den1 * den2
         lcm = acc_den // math.gcd(acc_den, pair_den) * pair_den
         if lcm != acc_den:
@@ -449,7 +434,7 @@ def _interpolate(k: int, vals: list[int]) -> dict[int, int]:
     return {a: coef[n - 1 - j] for j, (a, _) in enumerate(pairs)}
 
 
-def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
+def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> WVector:
     """w(k) from the convolution identity, folded (the production path)
 
         (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p}
@@ -459,16 +444,19 @@ def rademacher_expand(k: int, table: EisensteinTable) -> WVector:
     The terms p and k/2 - p of the symmetric sum are equal, so each pair is
     taken once.  The identity is evaluated at (G4, G6) = (1, z) for
     z = 1 .. n + 1, n = len(exponents(k)), and w(k) recovered once by
-    ``_interpolate``.  Needs all even weights 4 .. k-4 in the table.  k = 6 is
-    outside the domain (the left factor k/2-3 vanishes there).
+    ``_interpolate``.  ``points`` maps each even weight 4 .. k-4 to its
+    values at no fewer than n + 1 nodes, as ``_evaluate`` gives them.  k = 6
+    is outside the domain (the left factor k/2-3 vanishes there).
     """
     _check_domain(k)
     terms = [(6 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, (k + 2) // 4)]
     if k % 4 == 0:
         terms.append((3 * (k // 2 - 1) ** 2, k // 2, k // 2))
     count = len(exponents(k)) + 1
-    table._reserve_nodes(count)
-    vals, den = _pointwise_convolution(terms, table._point_values, count)
+    _require_weights(points, range(4, k - 3, 2))
+    if any(len(points[m][0]) < count for m in range(4, k - 3, 2)):
+        raise DomainError(f"weight {k} needs point values at {count} nodes")
+    vals, den = _pointwise_convolution(terms, points, count)
     return _reduce_scaled(_interpolate(k, vals), den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
@@ -493,13 +481,12 @@ def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
 
 
 def rademacher_expand_folded(k: int, table: EisensteinTable) -> WVector:
-    """The folded sum, which ``rademacher_expand`` now evaluates for every even k >= 8.
+    """``rademacher_expand`` on point values of ``table`` evaluated for this call.
 
-    Kept because ``bench/spans.py`` traces this name, and callers of the
-    earlier API may still use it.  It is a function rather than an alias, so
-    a tracer that wraps both names never wraps one object twice.
+    Only the benchmark needs it: ``bench/spans.py`` traces this name.
     """
-    return rademacher_expand(k, table)
+    count = len(exponents(k)) + 1
+    return rademacher_expand(k, {m: _evaluate(m, vec, count) for m, vec in table._w.items() if m < k - 2})
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +558,8 @@ def _popa_graded(k: int, table: EisensteinTable) -> WVector:
 
 def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     _require_weights(table, range(4, k - 1, 2))
-    # integer views of w(m), one per weight for this call and dropped with it:
-    # no ``_point_values``, whose cache belongs to the convolution this checks
+    # integer views of w(m), one per weight for this call and dropped with it;
+    # no point value of the convolution this route checks
     views = {m: _integer_view(table._w[m]) for m in range(4, k - 1, 2)}
     acc: dict[int, int] = {}
     acc_den = 1

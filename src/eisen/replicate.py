@@ -444,8 +444,11 @@ def selftest(
     8 <= k <= k_dual; (2) the q-expansion of the tabled polynomial form of
     G_k matches r_k times the divisor-sum expansion to ``SELFTEST_Q_TERMS``
     terms for even 4 <= k <= k_qseries; (3) the closed-form and division
-    routes for phi_k agree for k = 0 mod 12 up to k_phi.
+    routes for phi_k agree for k = 0 mod 12 up to k_phi.  A range below its
+    first weight (8, 4, 12) skips its sub-check; ``DomainError`` if all three do.
     """
+    if k_dual < 8 and k_qseries < 4 and k_phi < 12:
+        raise DomainError("no range reaches a weight: need k_dual >= 8, k_qseries >= 4 or k_phi >= 12")
     started = time.perf_counter()
     k_top = max(k_dual, k_qseries, k_phi)
     table = _ensure_table(table, k_top)

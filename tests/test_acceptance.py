@@ -17,7 +17,6 @@ from eisen.eisenstein import (
     EisensteinTable,
     popa_expand,
     q_expansion_direct,
-    rademacher_expand,
 )
 from eisen.exact import INFINITY, valuation, zeta_ratio
 from eisen.gekeler import phi_by_division, phi_closed_form, valuation_profile
@@ -59,9 +58,10 @@ def test_criterion_01_golden_fixtures():
 
 def test_criterion_02_weight_twelve_by_both_recurrences():
     started = time.perf_counter()
+    # extend fills w(12) by the convolution recurrence
     table = EisensteinTable().extend(12)
     ok = (
-        rademacher_expand(12, table) == W12
+        table.w_vector(12) == W12
         and popa_expand(12, table, route="graded") == W12
         and popa_expand(12, table, route="precancelled") == W12
     )

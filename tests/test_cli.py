@@ -30,6 +30,12 @@ class TestWk:
         assert rows[0] == ["k", "a", "b", "w"]
         assert rows[1] == ["10", "1", "1", "5/11"]
 
+    @pytest.mark.parametrize("k", ["7", "2", "0"])
+    def test_weight_outside_the_domain_exits_2(self, capsys, k):
+        # no extend can supply it, so the error names the domain, as phi's does
+        assert main(["wk", "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: k must be even and >= 4, got {k}\n"
+
 
 class TestPhi:
     def test_json_golden(self, capsys):
@@ -152,6 +158,12 @@ class TestSelftestCommand:
         code = main(["selftest", "--k-max-dual", "16", "--k-max-q", "12", "--k-max-phi", "12"])
         assert code == 0
         assert "selftest: PASS" in capsys.readouterr().out
+
+    def test_ranges_that_reach_no_weight_exit_2(self, capsys):
+        assert main(["selftest", "--k-max-dual", "4", "--k-max-q", "2", "--k-max-phi", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no range reaches a weight" in captured.err
 
 
 class TestNewton:

@@ -31,21 +31,33 @@ W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 
 #: the coefficient-domain convolution (``_scaled_vector`` is its former cache)
 CONVOLUTION_HELPERS = {"_scaled_convolution", "_scaled_vector"}
-#: the production sum's evaluation, interpolation and point-value cache
-POINT_VALUE_HELPERS = {
-    "_point_values",
-    "_points",
-    "_reserve_nodes",
-    "_evaluate",
-    "_pointwise_convolution",
-    "_interpolate",
-}
+#: the production sum's evaluation and interpolation
+POINT_VALUE_HELPERS = {"_evaluate", "_pointwise_convolution", "_interpolate"}
 
 
 def names_in(function) -> set:
     tree = ast.parse(inspect.getsource(function))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def point_values(table: EisensteinTable, k_max: int) -> dict:
+    """Every weight of ``table`` below k_max at the nodes ``extend(k_max)`` evaluates."""
+    nodes = k_max // 12 + 2
+    return {m: eisenstein._evaluate(m, table.w_vector(m), nodes) for m in table.weights() if m < k_max}
+
+
+def counting(monkeypatch, name: str) -> Counter:
+    """Count the calls, by weight, of the ``eisenstein`` function ``name``."""
+    calls: Counter = Counter()
+    real = getattr(eisenstein, name)
+
+    def wrapper(k, *args):
+        calls[k] += 1
+        return real(k, *args)
+
+    monkeypatch.setattr(eisenstein, name, wrapper)
+    return calls
 
 
 def popa_precancelled_fraction(k: int, table: EisensteinTable) -> dict:
@@ -125,6 +137,12 @@ class TestTable:
         with pytest.raises(MissingWeightError):
             table.w_vector(8)
 
+    @pytest.mark.parametrize("k", [7, 2, 0, -4])
+    def test_a_weight_no_extend_can_supply_is_out_of_domain(self, k):
+        table = EisensteinTable().extend(k)
+        with pytest.raises(DomainError, match=f"k must be even and >= 4, got {k}"):
+            table.w_vector(k)
+
     def test_extend_and_known_values(self, shared_table):
         table = shared_table.ensure(20)
         assert table.w_vector(8) == {2: Fraction(3, 7)}
@@ -203,19 +221,26 @@ class TestRademacher:
     def test_weight_eight_single_term(self, shared_table):
         # lone term p = 2: 3 * 3 * 3 / (1 * 7 * 9) = 3/7
         table = shared_table.ensure(8)
-        assert rademacher_expand(8, table) == {2: Fraction(3, 7)}
+        assert rademacher_expand(8, point_values(table, 8)) == {2: Fraction(3, 7)}
 
     def test_weight_twelve(self, shared_table):
         table = shared_table.ensure(12)
-        assert rademacher_expand(12, table) == W12
+        assert rademacher_expand(12, point_values(table, 12)) == W12
 
     def test_weight_six_out_of_domain(self, shared_table):
         with pytest.raises(DomainError):
-            rademacher_expand(6, shared_table.table)
+            rademacher_expand(6, point_values(shared_table.table, 6))
 
     def test_missing_prerequisites(self):
         with pytest.raises(MissingWeightError):
-            rademacher_expand(12, EisensteinTable())
+            rademacher_expand(12, point_values(EisensteinTable(), 12))
+
+    def test_too_few_nodes(self, shared_table):
+        # w(24) has 3 unknowns, so it reads 4 nodes
+        table = shared_table.ensure(20)
+        points = {m: eisenstein._evaluate(m, table.w_vector(m), 3) for m in range(4, 21, 2)}
+        with pytest.raises(DomainError, match="4 nodes"):
+            rademacher_expand(24, points)
 
     def test_folded_matches_symmetric(self, shared_table):
         table = shared_table.ensure(96)
@@ -224,17 +249,20 @@ class TestRademacher:
 
     def test_fold_covers_k_2_mod_4(self, shared_table):
         table = shared_table.ensure(10)
-        assert rademacher_expand(10, table) == rademacher_expand_unfolded(10, table) == {1: Fraction(5, 11)}
-        assert rademacher_expand_folded(10, table) == rademacher_expand(10, table)
-        for expand in (rademacher_expand, rademacher_expand_unfolded, rademacher_expand_folded):
+        points = point_values(table, 10)
+        assert rademacher_expand(10, points) == rademacher_expand_unfolded(10, table) == {1: Fraction(5, 11)}
+        assert rademacher_expand_folded(10, table) == rademacher_expand(10, points)
+        sources = ((rademacher_expand, points), (rademacher_expand_unfolded, table), (rademacher_expand_folded, table))
+        for expand, source in sources:
             for k in (6, 9, 11, 4, 2, 0, -2):
                 with pytest.raises(DomainError):
-                    expand(k, table)
+                    expand(k, source)
 
     def test_folded_matches_unfolded_to_200(self, shared_table):
         table = shared_table.ensure(200)
+        points = point_values(table, 200)
         for k in range(8, 201, 2):
-            assert rademacher_expand(k, table) == rademacher_expand_unfolded(k, table), k
+            assert rademacher_expand(k, points) == rademacher_expand_unfolded(k, table), k
 
     def test_extend_cross_checks_both_residues_mod_4(self, monkeypatch):
         checked = []
@@ -263,35 +291,67 @@ class TestRademacher:
         assert 26 not in table
 
     @pytest.mark.parametrize("z", [1, 5])
-    def test_extend_rejects_a_perturbed_point_value(self, z):
-        # extend(42) evaluates at 42 // 12 + 2 = 5 nodes, all that w(44)
-        # needs (4 unknowns and the check node z = 5), so extend(44) reads
-        # the cached values as they are
+    def test_extend_rejects_a_perturbed_point_value(self, z, monkeypatch):
+        # extend(44) evaluates at 44 // 12 + 2 = 5 nodes, all that w(44)
+        # needs (4 unknowns and the check node z = 5)
         table = EisensteinTable().extend(42)
-        table._point_values(20)[0][z - 1] += 1
+        real = eisenstein._evaluate
+
+        def perturbed(k, vec, count):
+            vals, den = real(k, vec, count)
+            if k == 20:
+                vals[z - 1] += 1
+            return vals, den
+
+        monkeypatch.setattr(eisenstein, "_evaluate", perturbed)
         match = "check node z = 5" if z == 5 else "weight 44"
         with pytest.raises(ConsistencyError, match=match):
             table.extend(44)
         assert 44 not in table
 
-    def test_a_larger_extend_reevaluates_the_point_values(self):
+    def test_a_larger_extend_reevaluates_the_point_values(self, monkeypatch):
+        # each extend evaluates every weight it reads at its own node count
         table = EisensteinTable().extend(100)
-        assert table._nodes == 10
+        nodes = []
+        real = eisenstein._evaluate
+        monkeypatch.setattr(eisenstein, "_evaluate", lambda k, vec, count: nodes.append(count) or real(k, vec, count))
         table.extend(200)
-        assert table._nodes == 200 // 12 + 2
-        assert {len(vals) for vals, _ in table._points.values()} == {table._nodes}
+        assert nodes == [200 // 12 + 2] * len(range(4, 201, 2))
+        monkeypatch.undo()
         fresh = EisensteinTable().extend(200)
         assert table.weights() == fresh.weights()
         for k in fresh.weights():
             assert table.w_vector(k) == fresh.w_vector(k), k
+
+    def test_extend_expands_and_evaluates_each_weight_once(self, tmp_path, monkeypatch):
+        expanded = counting(monkeypatch, "rademacher_expand")
+        evaluated = counting(monkeypatch, "_evaluate")
+        table = EisensteinTable().extend(100)
+        assert sum(expanded.values()) == 47
+        assert expanded == Counter(range(8, 101, 2))
+        assert evaluated == Counter(range(4, 101, 2))
+        # a loaded table that already holds every weight costs the warm calls nothing
+        dump = tmp_path / "table.csv"
+        table.dump_csv(dump)
+        expanded.clear()
+        evaluated.clear()
+        EisensteinTable.load_csv(dump).extend(100)
+        assert not expanded and not evaluated
+
+    def test_the_table_keeps_no_point_values(self):
+        # the point values live in one extend call; the table keeps w(k) and the graded memo
+        table = EisensteinTable().extend(100)
+        assert set(vars(table)) == {"_w", "_graded"}
+        assert table._graded == {}
 
     def test_expand_on_a_loaded_dump(self, shared_table, tmp_path):
         built = shared_table.ensure(120)
         dump = tmp_path / "table.csv"
         built.dump_csv(dump)
         loaded = EisensteinTable.load_csv(dump)
+        points = point_values(loaded, 120)
         for k in range(8, 121, 2):
-            vec = rademacher_expand(k, loaded)
+            vec = rademacher_expand(k, points)
             assert vec == built.w_vector(k), k
             assert list(vec) == sorted(vec)
 
@@ -349,12 +409,14 @@ class TestPopa:
         names = names_in(route)
         assert not (CONVOLUTION_HELPERS | POINT_VALUE_HELPERS) & names
 
-    def test_selftest_leaves_the_point_value_cache_empty(self, tmp_path):
+    def test_selftest_leaves_the_point_value_cache_empty(self, tmp_path, monkeypatch):
+        # the cross-checks evaluate no point value of the convolution they check
         dump = tmp_path / "table.csv"
         EisensteinTable().extend(48).dump_csv(dump)
         table = EisensteinTable.load_csv(dump)
+        evaluated = counting(monkeypatch, "_evaluate")
         assert selftest(k_dual=48, k_qseries=24, k_phi=48, table=table).status == "PASS"
-        assert table._points == {}
+        assert not evaluated
 
 
 class TestQExpansionDirect:

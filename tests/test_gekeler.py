@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisen import gekeler
+from eisen import eisenstein, gekeler
 from eisen.eisenstein import EisensteinTable
 from eisen.errors import ConsistencyError, DomainError
 from eisen.exact import zeta_ratio
@@ -176,15 +176,19 @@ class TestRouteEquivalence:
         assert not {"e_basis_numerators", "_e_basis_numerators"} & names
         assert "e_basis_numerators" in inspect.getsource(gekeler.phi_by_division)
 
-    def test_routes_leave_the_point_value_cache_empty(self, tmp_path):
+    def test_routes_leave_the_point_value_cache_empty(self, tmp_path, monkeypatch):
+        # the phi routes read w(k) only and evaluate no point value of the convolution
         dump = tmp_path / "table.csv"
         EisensteinTable().extend(48).dump_csv(dump)
         table = EisensteinTable.load_csv(dump)
+        evaluated = []
+        real = eisenstein._evaluate
+        monkeypatch.setattr(eisenstein, "_evaluate", lambda k, vec, count: evaluated.append(k) or real(k, vec, count))
         for k in range(4, 49, 2):
             phi_by_division(k, table)
         for k in range(12, 49, 12):
             phi_closed_form(k, table)
-        assert table._points == {}
+        assert evaluated == []
 
     def test_routes_and_scan_leave_the_graded_memo_empty(self, tmp_path):
         # the memo serves the Popa and q-series cross-checks only; the phi

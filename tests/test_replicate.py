@@ -302,11 +302,19 @@ class TestSelftest:
     def test_fault_injection_detected(self):
         table = EisensteinTable().extend(48)
         table._w[20][2] += Fraction(1, 2)  # corrupt one stored coefficient
-        table._points.pop(20, None)
         report = selftest(k_dual=40, k_qseries=24, k_phi=48, table=table)
         assert report.status == "FAIL"
         first = report.first_failure()
         assert first["k"] == 20
+
+    def test_ranges_that_reach_no_weight_are_rejected(self):
+        with pytest.raises(DomainError, match="no range reaches a weight"):
+            selftest(k_dual=7, k_qseries=3, k_phi=11, table=EisensteinTable())
+
+    def test_one_range_reaching_a_weight_is_enough(self, shared_table):
+        report = selftest(k_dual=0, k_qseries=4, k_phi=0, table=shared_table.ensure(4))
+        assert report.status == "PASS"
+        assert [(rec["check"], rec["k"]) for rec in report.records] == [("q-series", 4)]
 
     def test_default_ranges_pass(self, shared_table):
         # the CI defaults: dual recurrence to 200, series to 60, routes to 480
