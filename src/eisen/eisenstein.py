@@ -86,12 +86,16 @@ class EisensteinTable:
     builds the table: it is the cross-check that ``popa_expand`` reproduces
     each weight.  Entries are immutable once present, and so is every
     ``GradedForm``, so ``graded_form(k)`` is built once and the graded Popa
-    route and the q-series oracle share it for the life of the table.
+    route and the q-series oracle share it for the life of the table.  For
+    the same reason ``integer_view(k)`` is built once and kept in ``_views``
+    for the precancelled Popa route, its only reader.  Neither memo is filled
+    by ``extend``, ``load_csv`` or the phi routes.
     """
 
     def __init__(self) -> None:
         self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
         self._graded: dict[int, GradedForm] = {}
+        self._views: dict[int, tuple[dict[int, int], int]] = {}
 
     def __contains__(self, k: int) -> bool:
         return k in self._w
@@ -158,6 +162,17 @@ class EisensteinTable:
             form = GradedForm(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
             self._graded[k] = form
         return form
+
+    def integer_view(self, k: int) -> tuple[dict[int, int], int]:
+        """Integers nums, den with w_{a,k} = nums[a] / den, den the lcm of w(k)'s denominators.
+
+        Built on first read and kept in ``_views``; the result is shared, and
+        its reader must not change it.
+        """
+        view = self._views.get(k)
+        if view is None:
+            view = self._views[k] = _integer_view(self.w_vector(k))
+        return view
 
     def e_basis_numerators(self, k: int) -> tuple[dict[int, int], int]:
         """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
@@ -518,13 +533,18 @@ def popa_expand(k: int, table: EisensteinTable, route: str = "graded") -> WVecto
 
 
 def _popa_common_terms(k: int) -> list[tuple[Fraction, int, int]]:
-    # the product sum plus, for k = 0 mod 4, the square term; all in G-language
+    # the product sum plus, for k = 0 mod 4, the square term; all in G-language.
+    # d_{j+1} d_{k-j-1} = (-1)^((j+1)/2 + (k-j-1)/2) j! (k-j-2)! / 2^(k+2), and
+    # the sign's exponent is k/2, so each coefficient is one Fraction over 2^(k+2)
+    h = k // 2
+    sign = -1 if h % 2 else 1
+    den = 2 ** (k + 2)
     out = []
-    for j in range(3, k // 2 - 1, 2):
-        coeff = (math.comb(k // 2, j) + math.comb(k // 2 - 2, j)) * popa_d(j + 1) * popa_d(k - j - 1)
-        out.append((coeff, j + 1, k - j - 1))
+    for j in range(3, h - 1, 2):
+        num = (math.comb(h, j) + math.comb(h - 2, j)) * math.factorial(j) * math.factorial(k - j - 2)
+        out.append((Fraction(sign * num, den), j + 1, k - j - 1))
     if k % 4 == 0:
-        out.append((Fraction(k, 2) * popa_d(k // 2) ** 2, k // 2, k // 2))
+        out.append((Fraction(h * math.factorial(h - 1) ** 2, den), h, h))
     return out
 
 
@@ -558,9 +578,6 @@ def _popa_graded(k: int, table: EisensteinTable) -> WVector:
 
 def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     _require_weights(table, range(4, k - 1, 2))
-    # integer views of w(m), one per weight for this call and dropped with it;
-    # no point value of the convolution this route checks
-    views = {m: _integer_view(table._w[m]) for m in range(4, k - 1, 2)}
     acc: dict[int, int] = {}
     acc_den = 1
 
@@ -577,8 +594,10 @@ def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
         for a, v in part.items():
             acc[a] = acc.get(a, 0) + mult * v
 
+    # integer views of w(m) from the table's memo, built once per weight for
+    # the life of the table; no point value of the convolution this route checks
     for coeff, m1, m2 in _popa_common_terms(k):
-        (nums1, den1), (nums2, den2) = views[m1], views[m2]
+        (nums1, den1), (nums2, den2) = table.integer_view(m1), table.integer_view(m2)
         conv: dict[int, int] = {}
         for a1, v1 in nums1.items():
             for a2, v2 in nums2.items():
@@ -590,7 +609,7 @@ def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     #                                              + (15b/7) G4^(a+2) G6^(b-1) ),
     # with 7a/2 = 49a/14 and 15b/7 = 30b/14 over a common 14
     half_dk2 = popa_d(k - 2) / 2
-    nums, den = views[k - 2]
+    nums, den = table.integer_view(k - 2)
     part: dict[int, int] = {}
     for a, n in nums.items():
         b = (k - 2 - 4 * a) // 6

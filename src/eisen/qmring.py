@@ -18,7 +18,11 @@ A form holds integer numerators over one denominator, and the generator
 q-expansions are integer series, so products, sums, derivatives and
 substitution run on integers; a Fraction is formed only when a coefficient is
 read.  Input is checked once, by the constructor; a ring result is valid by
-construction and is only put in lowest terms.
+construction and is only put in lowest terms.  Sums and derivatives find the
+common factor by a gcd over every numerator.  Products and scalar multiples
+predict it from their factors, which are already in lowest terms: the content
+of a product of integer polynomials is the product of their contents (Gauss's
+lemma), and a scalar cancels against the form before it multiplies.
 """
 
 from __future__ import annotations
@@ -48,8 +52,13 @@ class GradedForm:
     terms may be ints or Fractions, and this constructor is the one place a
     weight, denominator or monomial is checked.  A form is stored as integer
     numerators over one positive denominator in lowest terms (``gcd(den,
-    *nums) == 1``), so ring arithmetic runs on integers with one gcd per
-    result; ``terms`` and ``serialize`` form the Fractions when read.
+    *nums) == 1``), so ring arithmetic runs on integers; ``terms`` and
+    ``serialize`` form the Fractions when read.  A sum or derivative takes
+    one gcd over its numerators and denominator.  A product A * B divides by
+    gcd(d_A, content(N_B)) * gcd(d_B, content(N_A)), and a multiple
+    (a/b) * F by gcd(d_F, a) * gcd(b, content(N_F)), taken before it
+    multiplies; each is exactly the gcd of the result, because its factors
+    are in lowest terms.
     Immutable once constructed.  Zero coefficients are never stored; the zero
     form keeps a nominal weight but compares equal to any other zero form and
     combines additively with forms of any weight.
@@ -78,12 +87,16 @@ class GradedForm:
     def _normalised(cls, weight: int, nums: Mapping[Monomial, int], den: int) -> "GradedForm":
         """The form sum nums[m] / den * m, with zero numerators dropped and the gcd divided out.
 
-        Every ring result is built here unchecked: a sum, product, scalar
-        multiple or derivative of valid forms is homogeneous, has non-negative
-        exponents and a positive denominator by construction.
+        Every ring result is built here or by ``_reduced`` unchecked: a sum,
+        product, scalar multiple or derivative of valid forms is homogeneous,
+        has non-negative exponents and a positive denominator by construction.
         """
         nums = {mono: n for mono, n in nums.items() if n}
-        g = math.gcd(den, *nums.values())
+        return cls._reduced(weight, nums, den, math.gcd(den, *nums.values()))
+
+    @classmethod
+    def _reduced(cls, weight: int, nums: dict[Monomial, int], den: int, g: int) -> "GradedForm":
+        """The form sum nums[m] / den * m, given nonzero ``nums`` and g = gcd(den, *nums)."""
         form = object.__new__(cls)
         form.weight = weight
         form._nums = {mono: n // g for mono, n in nums.items()} if g > 1 else nums
@@ -150,16 +163,28 @@ class GradedForm:
 
     def __mul__(self, other: Union["GradedForm", Scalar]) -> "GradedForm":
         if isinstance(other, GradedForm):
+            weight = self.weight + other.weight
+            if not self._nums or not other._nums:
+                return GradedForm.zero(weight)
             nums: dict[Monomial, int] = {}
             for (a2, a4, a6), na in self._nums.items():
                 for (b2, b4, b6), nb in other._nums.items():
                     mono = (a2 + b2, a4 + b4, a6 + b6)
                     nums[mono] = nums.get(mono, 0) + na * nb
-            return GradedForm._normalised(self.weight + other.weight, nums, self._den * other._den)
+            # Gauss's lemma: the content of N_A N_B is content(N_A) content(N_B),
+            # and gcd(d_A, content(N_A)) = gcd(d_B, content(N_B)) = 1
+            g = math.gcd(self._den, *other._nums.values()) * math.gcd(other._den, *self._nums.values())
+            nonzero = {mono: n for mono, n in nums.items() if n}
+            return GradedForm._reduced(weight, nonzero, self._den * other._den, g)
         if isinstance(other, (int, Fraction)):
-            return GradedForm._normalised(
-                self.weight, {m: n * other.numerator for m, n in self._nums.items()}, self._den * other.denominator
-            )
+            a, b = other.numerator, other.denominator
+            if not a or not self._nums:
+                return GradedForm.zero(self.weight)
+            # a/b and the form are each in lowest terms: cancel across, then multiply
+            g1, g2 = math.gcd(self._den, a), math.gcd(b, *self._nums.values())
+            s = a // g1
+            nums = {mono: n // g2 * s for mono, n in self._nums.items()}
+            return GradedForm._reduced(self.weight, nums, (self._den // g1) * (b // g2), 1)
         return NotImplemented
 
     def __rmul__(self, other: Scalar) -> "GradedForm":

@@ -365,9 +365,11 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
     factors of degree at most 2 (their roots are supersingular invariants) and
     carry no exclusion power.  A weight left inconclusive is reported, not
     failed; only a (criterion-impossible) "reducible" verdict fails a record.
+    12 is the first weight with deg phi_k >= 1, so a smaller k_max, which
+    could certify nothing, raises ``DomainError``.
     """
-    if k_max < 4:
-        raise DomainError("k_max must be >= 4")
+    if k_max < 12:
+        raise DomainError(f"k_max must be >= 12, the first weight with deg phi_k >= 1; got {k_max}")
     started = time.perf_counter()
     table = _ensure_table(table, k_max)
     report = CheckReport(

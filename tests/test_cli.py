@@ -120,6 +120,12 @@ class TestTheoremAndScan:
     def test_scan_bad_range(self, capsys):
         assert main(["scan", "--k-max", "3"]) == 2
 
+    def test_scan_that_can_certify_nothing_exits_2(self, capsys):
+        assert main(["scan", "--k-max", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k_max must be >= 12" in captured.err
+
 
 class TestUsage:
     def test_threads_flag_removed(self, capsys):

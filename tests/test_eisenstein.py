@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisen import eisenstein
+from eisen import cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
 from eisen.exact import INFINITY, digit_sum_base2, zeta_ratio
 from eisen.eisenstein import (
@@ -25,7 +25,7 @@ from eisen.eisenstein import (
     rademacher_expand_unfolded,
 )
 from eisen.qmring import GradedForm, substitute_q_expansion
-from eisen.replicate import selftest
+from eisen.replicate import gekeler_scan, selftest
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 
@@ -36,7 +36,10 @@ POINT_VALUE_HELPERS = {"_evaluate", "_pointwise_convolution", "_interpolate"}
 
 
 def names_in(function) -> set:
-    tree = ast.parse(inspect.getsource(function))
+    return names_in_tree(ast.parse(inspect.getsource(function)))
+
+
+def names_in_tree(tree: ast.AST) -> set:
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
@@ -58,6 +61,21 @@ def counting(monkeypatch, name: str) -> Counter:
 
     monkeypatch.setattr(eisenstein, name, wrapper)
     return calls
+
+
+def popa_common_terms_fraction(k: int) -> list:
+    """The coefficients of Popa's product sum and square term as products of ``popa_d``.
+
+    The definition ``_popa_common_terms`` used before it formed one Fraction
+    per coefficient; kept as the reference it must reproduce.
+    """
+    out = []
+    for j in range(3, k // 2 - 1, 2):
+        coeff = (math.comb(k // 2, j) + math.comb(k // 2 - 2, j)) * popa_d(j + 1) * popa_d(k - j - 1)
+        out.append((coeff, j + 1, k - j - 1))
+    if k % 4 == 0:
+        out.append((Fraction(k, 2) * popa_d(k // 2) ** 2, k // 2, k // 2))
+    return out
 
 
 def popa_precancelled_fraction(k: int, table: EisensteinTable) -> dict:
@@ -339,10 +357,12 @@ class TestRademacher:
         assert not expanded and not evaluated
 
     def test_the_table_keeps_no_point_values(self):
-        # the point values live in one extend call; the table keeps w(k) and the graded memo
+        # the point values live in one extend call; the table keeps w(k), the
+        # graded memo and the integer-view memo, and extend fills neither memo
         table = EisensteinTable().extend(100)
-        assert set(vars(table)) == {"_w", "_graded"}
+        assert set(vars(table)) == {"_w", "_graded", "_views"}
         assert table._graded == {}
+        assert table._views == {}
 
     def test_expand_on_a_loaded_dump(self, shared_table, tmp_path):
         built = shared_table.ensure(120)
@@ -404,10 +424,46 @@ class TestPopa:
         with pytest.raises(ConsistencyError, match="failed to cancel at weight 24"):
             popa_expand(24, table, route="graded")
 
+    def test_common_terms_match_the_popa_d_products(self):
+        for k in range(8, 401, 2):
+            assert eisenstein._popa_common_terms(k) == popa_common_terms_fraction(k), k
+
     @pytest.mark.parametrize("route", [eisenstein._popa_graded, eisenstein._popa_precancelled])
     def test_routes_share_no_convolution_helper(self, route):
         names = names_in(route)
         assert not (CONVOLUTION_HELPERS | POINT_VALUE_HELPERS) & names
+
+    def test_precancelled_route_builds_each_integer_view_once(self, monkeypatch):
+        table = EisensteinTable().extend(60)
+        for m in range(4, 59, 2):
+            table.graded_form(m)  # so that only the precancelled route builds views
+        built: Counter = Counter()
+        real = eisenstein._integer_view
+
+        def counting_view(vec):
+            built[next(m for m, w in table._w.items() if w == vec)] += 1
+            return real(vec)
+
+        monkeypatch.setattr(eisenstein, "_integer_view", counting_view)
+        assert selftest(k_dual=60, k_qseries=0, k_phi=0, table=table).status == "PASS"
+        assert built == Counter(range(4, 59, 2))
+        built.clear()
+        assert popa_expand(60, table, "precancelled") == table.w_vector(60)
+        assert not built
+
+    def test_build_and_scan_leave_the_integer_view_memo_empty(self):
+        table = EisensteinTable().extend(200)
+        assert gekeler_scan(120, table=table).status == "PASS"
+        assert table._views == {}
+
+    def test_only_the_precancelled_route_reads_the_integer_view_memo(self):
+        # outside the table's own constructor and memo, one reader in the package
+        readers = set()
+        for module in (cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.FunctionDef) and {"integer_view", "_views"} & names_in_tree(node):
+                    readers.add(node.name)
+        assert readers == {"__init__", "integer_view", "_popa_precancelled"}
 
     def test_selftest_leaves_the_point_value_cache_empty(self, tmp_path, monkeypatch):
         # the cross-checks evaluate no point value of the convolution they check

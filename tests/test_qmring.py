@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisen.errors import DomainError, WeightMismatchError
@@ -281,6 +281,28 @@ def forms(draw, weights=st.sampled_from(range(0, 17, 2))):
     return GradedForm(weight, {m: draw(st.one_of(st.just(Fraction(0)), fractions_st)) for m in monos})
 
 
+#: products of the primes 2, 3, 5, 7: contents, denominators and scalars drawn
+#: from them share factors often, so products and multiples must cancel
+smooth_st = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4).map(math.prod)
+
+
+@st.composite
+def cancelling_forms(draw, weights=st.sampled_from(range(0, 13, 2))):
+    """A form whose numerators share a drawn content and whose denominator is smooth; sometimes zero."""
+    weight = draw(weights)
+    monos = draw(st.lists(st.sampled_from(monomials(weight)), max_size=4, unique=True))
+    content = draw(smooth_st)
+    return GradedForm(weight, {m: content * draw(st.integers(-6, 6)) for m in monos}, draw(smooth_st))
+
+
+@st.composite
+def cancelling_scalars(draw):
+    """A smooth Fraction or int of either sign, or zero."""
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    num = sign * draw(smooth_st) * draw(st.integers(1, 11))
+    return draw(st.sampled_from([Fraction(num, draw(smooth_st)), num]))
+
+
 def in_lowest_terms(f: GradedForm) -> bool:
     return f._den > 0 and math.gcd(f._den, *f._nums.values()) == 1 and all(f._nums.values())
 
@@ -322,6 +344,30 @@ class TestIntegerRepresentation:
             validated = GradedForm(r.weight, r.terms())
             assert r == validated
             assert hash(r) == hash(validated)
+
+    @given(cancelling_forms(), cancelling_forms(), cancelling_scalars())
+    @example(
+        GradedForm(4, {(0, 1, 0): 6, (2, 0, 0): 10}, 7),  # content 2 over 7
+        GradedForm(6, {(0, 0, 1): 7, (3, 0, 0): 21}, 2),  # content 7 over 2
+        Fraction(-14, 3),
+    )
+    @example(GradedForm(4, {(0, 1, 0): 6, (2, 0, 0): 10}, 7), GradedForm.zero(8), Fraction(5, 4))
+    @example(GradedForm.zero(4), GradedForm(6, {(0, 0, 1): 7}, 2), Fraction(0))
+    @example(GradedForm(4, {(0, 1, 0): 6}, 7), GradedForm(2, {(1, 0, 0): 3}, 5), -7)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_products_match_the_normalised_raw_product(self, f, g, c):
+        # __mul__ divides by the gcd it predicts (Gauss's lemma, cancelling
+        # across); _normalised takes the gcd over the raw product itself
+        raw: dict = {}
+        for (a2, a4, a6), na in f._nums.items():
+            for (b2, b4, b6), nb in g._nums.items():
+                mono = (a2 + b2, a4 + b4, a6 + b6)
+                raw[mono] = raw.get(mono, 0) + na * nb
+        product = GradedForm._normalised(f.weight + g.weight, raw, f._den * g._den)
+        a, b = Fraction(c).numerator, Fraction(c).denominator
+        multiple = GradedForm._normalised(f.weight, {m: n * a for m, n in f._nums.items()}, f._den * b)
+        for got, want in ((f * g, product), (c * f, multiple), (f * c, multiple)):
+            assert (got.weight, got._nums, got._den) == (want.weight, want._nums, want._den)
 
     def test_insertion_order_does_not_change_the_hash(self):
         nums = {(0, 3, 0): 2, (3, 0, 1): -5, (6, 0, 0): 7, (0, 0, 2): 1}

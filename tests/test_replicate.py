@@ -182,6 +182,17 @@ class TestScan:
         assert record_for(report, "k", 16)["degree"] == 1
         assert record_for(report, "k", 24)["criterion"] == "dumas"
 
+    @pytest.mark.parametrize("k_max", [4, 10, 11])
+    def test_a_range_below_the_first_positive_degree_is_rejected(self, shared_table, k_max):
+        # no weight below 12 has deg phi_k >= 1, so such a scan could certify nothing
+        with pytest.raises(DomainError, match="k_max must be >= 12"):
+            gekeler_scan(k_max, table=shared_table.ensure(12))
+
+    def test_the_first_positive_degree_is_scanned(self, shared_table):
+        report = gekeler_scan(12, table=shared_table.ensure(12))
+        assert report.status == "PASS"
+        assert [(rec["k"], rec["degree"]) for rec in report.records] == [(12, 1)]
+
     def test_degree_zero_weights_not_recorded(self, shared_table):
         report = gekeler_scan(60, table=shared_table.ensure(60))
         ks = [rec["k"] for rec in report.records]
