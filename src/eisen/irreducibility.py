@@ -21,13 +21,15 @@ comparisons throughout; nothing here touches floating point.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidPrimeError
 from .exact import INFINITY, Valuation, format_rational, is_prime, json_valuation, valuation
@@ -42,7 +44,7 @@ _WITNESS_PRIMES_EXAMINED = 120
 
 
 def _as_fractions(coeffs: Coeffs) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     if len(out) < 2:
         raise DomainError("polynomial must have degree >= 1")
     return out
@@ -437,10 +439,11 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
 # A polynomial mod p is one nonnegative integer with coefficient i in slot i,
 # bits [iW, (i+1)W) (Kronecker substitution), so one integer operation adds,
 # scales or multiplies every slot at once.  Slots may exceed p until ``red``
-# reduces all of them together.  The DDF builds the Frobenius matrix Q of f
-# once (Berlekamp 1967): row i is x^(ip) mod f, so h^p = sum_i h_i x^(ip) = h Q
-# for any h mod f, and each degree step is one vector-matrix product instead
-# of a powering (von zur Gathen and Shoup 1992).
+# reduces all of them together.  Degree step 1 powers x to x^p mod f; when a
+# step 2 runs, the DDF builds the Frobenius matrix Q of f from it, once
+# (Berlekamp 1967): row i is x^(ip) mod f, so h^p = sum_i h_i x^(ip) = h Q for
+# any h mod f, and each later step is one vector-matrix product instead of a
+# powering (von zur Gathen and Shoup 1992).
 #
 # Slot bound: for deg f = n, no slot ever reaches B = n p (p + 1).  A product
 # of two reduced polynomials of degree < n, or h Q, sums at most n terms below
@@ -518,6 +521,25 @@ class _PackedGF:
         return self.red((prod & self.low) + (q * self.neg_f & self.low))
 
 
+#: the witness walk's nonzero bitmask of proper degrees not yet excluded,
+#: set by ``select_witness_primes`` around each of its DDF calls and None
+#: elsewhere.  It travels beside the call, not in it, so the walk calls
+#: ``distinct_degree_pattern(int_coeffs, p)`` as every other caller does and
+#: a wrapper written for that signature (a tracer, a fault injector) still
+#: sees and can replace every pattern of the walk.
+_WALK_REMAINING: ContextVar[Optional[int]] = ContextVar("walk_remaining", default=None)
+
+
+@contextlib.contextmanager
+def _walk_remaining(remaining: int) -> Iterator[None]:
+    """DDF calls in the block serve a walk whose unexcluded degrees are ``remaining``."""
+    token = _WALK_REMAINING.set(remaining)
+    try:
+        yield
+    finally:
+        _WALK_REMAINING.reset(token)
+
+
 def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[int]]:
     """Degree multiset of the irreducible factors of f mod p, or None.
 
@@ -526,8 +548,20 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     factorization only; the factors themselves are never split, so the result
     is deterministic.  The returned multiset always sums to deg f.
 
+    Inside the witness walk (``_walk_remaining``), whose nonzero bitmask
+    ``remaining`` holds the proper degrees not yet excluded, only a pattern
+    that can shrink it is asked for: the result is then also None when the
+    pattern's subset sums cover ``remaining``.  The loop stops as soon as
+    they must: the subset sums of the parts found so far, with the
+    unfactored rest g counted as one part, are subset sums of the final
+    pattern, since splitting g only adds sums.  Degree 1 has no proper
+    degree (the walk's mask is 0) and returns [1].  Outside the walk the
+    full pattern is returned.
+
     h tracks x^(p^d) mod f and g the part of f not yet factored; h - x is
-    reduced mod g before each gcd, which is valid because g divides f.
+    reduced mod g before each gcd, which is valid because g divides f.  The
+    squarefree test runs last, so a non-squarefree f runs the loop on
+    meaningless parts whose pattern is then thrown away.
     """
     if not is_prime(p):
         raise InvalidPrimeError(f"p = {p} is not prime")
@@ -536,13 +570,12 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     n = len(int_coeffs) - 1
     if n < 1:
         return None
+    if n == 1:
+        return [1]
+    remaining = _WALK_REMAINING.get()
     inv = pow(int_coeffs[-1], -1, p)
     f = [c % p * inv % p for c in int_coeffs]
     gf = _PackedGF(f, p)
-    if gf.degree(gf.gcd(gf.f, gf.pack([i * c for i, c in enumerate(f)][1:]))) > 0:
-        return None  # f and f' share a factor (or f' = 0)
-    if n == 1:
-        return [1]
 
     x = gf.pack([0, 1])
     h = x
@@ -550,23 +583,31 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
         h = gf.mulmod(h, h)
         if bit == "1":
             h = gf.mulmod(h, x)
-    q = [1, h]
-    for _ in range(n - 2):
-        q.append(gf.mulmod(q[-1], q[1]))
+    q = [1, h]  # rows 0 and 1 of Q; the rest once step 2 runs
 
     pattern: list[int] = []
     g = gf.f
-    h = x
-    d = 0
-    while gf.degree(g) >= 2 * (d + 1):
-        d += 1
-        h = gf.red(sum(map(mul, gf.unpack(h), q)))  # h^p, now x^(p^d) mod f
-        common = gf.gcd(g, h + ((p - 1) << gf.W))  # gcd(g, h - x)
+    d = 1
+    while True:
+        common = gf.gcd(g, h + ((p - 1) << gf.W))  # gcd(g, h - x), h = x^(p^d) mod f
         if gf.degree(common) > 0:
             pattern.extend([d] * (gf.degree(common) // d))
             g = gf.divmod(g, common)[0]
+            if remaining is not None:
+                sums = _subset_sum_bits(pattern)
+                if remaining & (sums | sums << gf.degree(g)) == remaining:
+                    return None  # no split of g can shrink remaining
+        if gf.degree(g) < 2 * (d + 1):
+            break
+        d += 1
+        if d == 2:
+            for _ in range(n - 2):
+                q.append(gf.mulmod(q[-1], q[1]))
+        h = gf.red(sum(map(mul, gf.unpack(h), q)))  # h^p, now x^(p^d) mod f
     if gf.degree(g) > 0:
         pattern.append(gf.degree(g))
+    if gf.degree(gf.gcd(gf.f, gf.pack([i * c for i, c in enumerate(f)][1:]))) > 0:
+        return None  # f and f' share a factor (or f' = 0)
     return sorted(pattern)
 
 
@@ -655,13 +696,16 @@ def select_witness_primes(int_coeffs: Sequence[int], floor: int = 0) -> tuple[Op
     """Walk primes above ``floor`` and pick a small witness set for the oracle.
 
     Keeps a prime only when its degree pattern strictly shrinks the set of
-    not-yet-excluded proper factor degrees (non-squarefree reductions are
-    skipped outright), and stops as soon as the kept patterns jointly exclude
-    every proper degree.  Returns (kept, primes_examined), where kept maps
-    each kept prime to its pattern in the order kept, ready for
-    ``assemble_pattern_certificate``; kept is None if no proof emerged within
-    the fixed caps (``ORACLE_PRIME_COUNT`` primes kept, 120 examined), which
-    is the honest outcome for a reducible input.
+    not-yet-excluded proper factor degrees, and stops as soon as the kept
+    patterns jointly exclude every proper degree.  The DDF runs inside
+    ``_walk_remaining`` of that set, so it returns a pattern only for a prime
+    to keep and stops early at the others; unusable reductions are skipped
+    as well.
+    Returns (kept, primes_examined), where kept maps each kept prime to its
+    pattern in the order kept, ready for ``assemble_pattern_certificate``;
+    kept is None if no proof emerged within the fixed caps
+    (``ORACLE_PRIME_COUNT`` primes kept, 120 examined), which is the honest
+    outcome for a reducible input.
     """
     n = len(int_coeffs) - 1
     proper_mask = ((1 << n) - 1) & ~1  # bits 1 .. n-1
@@ -674,15 +718,14 @@ def select_witness_primes(int_coeffs: Sequence[int], floor: int = 0) -> tuple[Op
         if not is_prime(p):
             continue
         examined += 1
-        pat = distinct_degree_pattern(int_coeffs, p)
+        with _walk_remaining(remaining):
+            pat = distinct_degree_pattern(int_coeffs, p)
         if pat is None:
             continue
         if pat == [n]:
             return {p: pat}, examined
-        sums = _subset_sum_bits(pat)
-        if remaining & sums != remaining:
-            kept[p] = pat
-            remaining &= sums
-            if not remaining:
-                return kept, examined
+        kept[p] = pat
+        remaining &= _subset_sum_bits(pat)
+        if not remaining:
+            return kept, examined
     return None, examined

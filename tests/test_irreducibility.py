@@ -32,6 +32,7 @@ from eisen.irreducibility import (
 )
 from eisen.gekeler import phi_by_division
 from eisen.replicate import check_theorem_main
+from helpers import covers
 
 
 # --- independent test-side helpers -----------------------------------------
@@ -493,6 +494,67 @@ class TestDDFAgainstRechecker:
             distinct_degree_pattern([1, 0, 1], 9)
 
 
+# --- the witness walk's pruned DDF ------------------------------------------
+
+
+@st.composite
+def masked_polys_mod_primes(draw):
+    """(f, prime, mask): deg f >= 2, every third f = u^2 v so a factor repeats mod
+    every prime, a leading coefficient possibly divisible by p, and mask a
+    nonzero set of proper degrees (bits 1 .. deg f - 1)."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    lead = draw(st.integers(1, 60))
+    if draw(st.integers(0, 2)) == 0:
+        u = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)) + [1]
+        v = draw(st.lists(st.integers(-9, 9), min_size=0, max_size=6)) + [lead]
+        f = poly_mul(poly_mul(u, u), v)
+    else:
+        n = draw(st.integers(2, 12))
+        f = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)) + [lead]
+    n = len(f) - 1
+    return f, p, draw(st.integers(1, (1 << (n - 1)) - 1)) << 1
+
+
+def reference_walk(ints, floor):
+    """``select_witness_primes`` written over unmasked patterns and sets of degrees."""
+    n = len(ints) - 1
+    remaining = set(range(1, n))
+    kept, examined, p = {}, 0, max(floor, 1)
+    while examined < irreducibility._WITNESS_PRIMES_EXAMINED and len(kept) < irreducibility.ORACLE_PRIME_COUNT:
+        p += 1
+        if not is_prime(p):
+            continue
+        examined += 1
+        pattern = distinct_degree_pattern(ints, p)
+        if pattern is None:
+            continue
+        if pattern == [n]:
+            return {p: pattern}, examined
+        shrunk = {d for d in remaining if covers(pattern, 1 << d)}
+        if shrunk != remaining:
+            kept[p], remaining = pattern, shrunk
+            if not remaining:
+                return kept, examined
+    return None, examined
+
+
+class TestPrunedDDF:
+    @given(masked_polys_mod_primes())
+    @example(([-1, 0, 0, 0, 1], 3, 0b1110))  # (x - 1)(x + 1)(x^2 + 1): covered after step 1
+    @example(([1, 0, 0, 0, 1], 3, 0b1110))  # x^4 + 1 = [2, 2] mod 3 leaves 1 and 3
+    @example(([1, 2, 2, 2, 1], 3, 0b0100))  # (x + 1)^2 (x^2 + 1)
+    @example(([1, 0, 3], 3, 0b10))  # p divides the leading coefficient
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_masked_call_returns_only_a_shrinking_pattern(self, case):
+        f, p, mask = case
+        full = distinct_degree_pattern(f, p)
+        assert full == _ddf_by_repeated_squaring(f, p)  # no mask: the pattern, as ever
+        expected = None if full is None or covers(full, mask) else full
+        with irreducibility._walk_remaining(mask):
+            assert distinct_degree_pattern(f, p) == expected
+        assert distinct_degree_pattern(f, p) == full  # the walk's mask is gone after it
+
+
 # --- the packed GF(p) kernel: slot bound, differential and independence ----
 
 LARGEST_DECIDED_PRIME = 4294967291  # the largest prime below 2**32, where is_prime stops deciding
@@ -564,14 +626,34 @@ class TestPackedKernel:
         table = shared_table.ensure(200)
         real = irreducibility.distinct_degree_pattern
         seen = []
-        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", lambda f, p: seen.append((f, p)) or real(f, p))
+
+        def recording(f, p):
+            returned = real(f, p)
+            seen.append((f, p, irreducibility._WALK_REMAINING.get(), returned))
+            return returned
+
+        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", recording)
+        walks = 0
         for k in range(4, 201, 2):
             phi = phi_by_division(k, table)
             if phi.degree >= 1:
-                select_witness_primes(primitive_integer_polynomial(phi.coeffs), floor=k)
-        assert len(seen) > 300
-        for f, p in seen:
-            assert real(f, p) == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
+                ints = primitive_integer_polynomial(phi.coeffs)
+                kept, examined = select_witness_primes(ints, floor=k)
+                ref_kept, ref_examined = reference_walk(ints, k)
+                assert examined == ref_examined, k
+                assert kept is not None and list(kept.items()) == list(ref_kept.items()), k
+                walks += 1
+        assert walks > 80 and len(seen) > 300
+        pruned = 0
+        for f, p, remaining, returned in seen:
+            full = real(f, p)
+            assert full == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
+            if returned is None and remaining:
+                pruned += 1
+                assert full is None or covers(full, remaining), (len(f) - 1, p)
+            else:
+                assert returned == full, (len(f) - 1, p)
+        assert pruned > 100
 
     def test_rechecker_and_kernel_share_no_name(self):
         tree = ast.parse(inspect.getsource(irreducibility))

@@ -10,7 +10,7 @@ import pytest
 from eisen import irreducibility, replicate
 from eisen.errors import ConsistencyError, DomainError
 from eisen.eisenstein import EisensteinTable
-from eisen.irreducibility import _ddf_by_repeated_squaring
+from eisen.irreducibility import _ddf_by_repeated_squaring, distinct_degree_pattern
 from eisen.replicate import (
     CheckReport,
     check_conjecture,
@@ -21,6 +21,7 @@ from eisen.replicate import (
     gekeler_scan,
     selftest,
 )
+from helpers import covers
 
 
 def bench_span_targets() -> tuple:
@@ -226,7 +227,7 @@ class TestScanPatterns:
 
         def recording(int_coeffs, p):
             pattern = real(int_coeffs, p)
-            seen.append((tuple(int_coeffs), p, pattern))
+            seen.append((tuple(int_coeffs), p, irreducibility._WALK_REMAINING.get(), pattern))
             return pattern
 
         monkeypatch.setattr(irreducibility, "distinct_degree_pattern", recording)
@@ -237,8 +238,14 @@ class TestScanPatterns:
         seen = self.record_ddf(monkeypatch)
         gekeler_scan(120, table=shared_table.ensure(120))
         assert len(seen) > 100
-        for f, p, pattern in seen:
-            assert pattern == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
+        for f, p, remaining, returned in seen:
+            full = distinct_degree_pattern(f, p)
+            assert full == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
+            if returned is None and remaining:
+                # pruned: the full pattern cannot shrink the walk's unexcluded degrees
+                assert full is None or covers(full, remaining), (len(f) - 1, p)
+            else:
+                assert returned == full, (len(f) - 1, p)
 
     def test_one_pattern_per_examined_prime(self, shared_table, monkeypatch):
         seen = self.record_ddf(monkeypatch)
@@ -254,7 +261,7 @@ class TestScanPatterns:
         report = gekeler_scan(60, table=shared_table.ensure(60))
         assert report.status == "PASS" and examined
         assert len(seen) == sum(examined)
-        assert len({(f, p) for f, p, _ in seen}) == len(seen)
+        assert len({(f, p) for f, p, *_ in seen}) == len(seen)
 
     def test_skipped_dumas_primes_never_certify(self, shared_table, monkeypatch):
         table = shared_table.ensure(120)
