@@ -12,9 +12,15 @@ E4/E6 basis (works for every even k) and, for k = 0 mod 12, a closed-form
 expression for each coefficient directly in terms of the expansion vector
 w(k).  The routes must agree exactly.
 
-Both routes sum integers over one common denominator and reduce once per
-coefficient.  They share no helper: division reads E_k's numerators off
-``EisensteinTable.e_basis_numerators``, the closed form scales w(k) itself.
+Both routes work on integers over one common denominator.  Each cancels the
+denominator of 1/r_k against the part of that denominator which does not
+depend on the coefficient index, by one gcd per weight, and then forms each
+coefficient as one Fraction.  Each reads its binomial sum as the coefficients
+of a polynomial, sum_a v_a x^a (1 + c x)^(m - a), built by Horner's rule:
+adds and small multiples, with no binomial coefficient.  They share no
+helper: division reads E_k's numerators off
+``EisensteinTable.e_basis_numerators``, the closed form scales w(k) itself,
+and each runs its own Horner loop, so each stays the other's cross-check.
 """
 
 from __future__ import annotations
@@ -103,13 +109,24 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     substitution B = A - 1728*Delta rewrites the quotient as a polynomial in
     j = A/Delta.  Each structural step that could leave a remainder is checked
     and raises ConsistencyError if violated, as ``GekelerPolynomial`` does for a
-    non-monic result.  The sums run over the integer numerators of
-    ``e_basis_numerators``.
+    non-monic result.
+
+    With E_k = sum nums[a] / (scale r_k) E4^a E6^b from ``e_basis_numerators``
+    and p_alpha the summed numerators of A^alpha B^(m-alpha),
+
+        t_{k,r} = (-1728)^(m - r) sum_alpha p_alpha C(m - alpha, r - alpha) / (scale r_k).
+
+    1/(scale r_k) is r_k.denominator / (r_k.numerator scale), and
+    gcd(r_k.denominator, scale) is cancelled once per weight (at k = 446
+    r_k.denominator divides scale and a 545-bit factor of scale is left).  The sum over alpha is the x^r
+    coefficient of sum_alpha p_alpha x^alpha (1 + x)^(m - alpha), built by
+    Horner in (1 + x): s <- s (1 + x) + p_alpha x^alpha, adds only.
     """
     m, delta, epsilon = elliptic_exponents(k)
     nums, scale = table.e_basis_numerators(k)
     r_k = zeta_ratio(k)
-    den = r_k.numerator * scale
+    g = math.gcd(r_k.denominator, scale)
+    up, den = r_k.denominator // g, r_k.numerator * (scale // g)
 
     # strip E4^delta E6^epsilon, then fold into p_alpha * A^alpha * B^(m-alpha)
     p: dict[int, int] = {}
@@ -127,11 +144,16 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
             raise ConsistencyError(f"Delta-degree mismatch at weight {k}: ({a2},{b2}) vs m={m}")
         p[alpha] = p.get(alpha, 0) + num
 
+    # Horner in (1 + x): s[r] = sum_alpha p_alpha C(m - alpha, r - alpha)
+    s: list[int] = []
+    for alpha in range(m + 1):
+        s.append(p.get(alpha, 0))
+        for i in range(alpha, 0, -1):
+            s[i] += s[i - 1]
     coeffs = []
     for r in range(m + 1):
         sign = -1 if (m - r) % 2 else 1
-        total = sum(pa * math.comb(m - alpha, r - alpha) for alpha, pa in p.items() if alpha <= r)
-        coeffs.append(Fraction(sign * total * 1728 ** (m - r) * r_k.denominator, den))
+        coeffs.append(Fraction(sign * s[r] * 1728 ** (m - r) * up, den))
     return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=delta, epsilon=epsilon)
 
 
@@ -147,8 +169,14 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
     discrepancy is a hard failure in the callers that compare routes.
 
     The a-dependent factor (49/20)^a is 49^a 20^(r-a) / 20^r; with w over the
-    lcm D of its denominators, S_r = sum D w 49^a 20^(r-a) C(..) is an integer and
+    lcm D of its denominators and v_a = D w_{3a,k} 49^a,
+    S_r = sum_a v_a 20^(r-a) C(m - a, m - r) is an integer and
     t_{k,r} = (-1)^(k/12 - r) S_r 2^(2k/3 - 8r) / (r_k D 3^(k/4 + 3r) 5^(k/6 + r) 7^(k/6)).
+    r_k's denominator is cancelled once per weight against
+    D 3^(k/4) 5^(k/6) 7^(k/6), the part free of r.  Since
+    20^(r-a) C(m - a, r - a) is the x^(r-a) coefficient of (1 + 20x)^(m - a),
+    S_r is the x^r coefficient of sum_a v_a x^a (1 + 20x)^(m - a), built by
+    Horner in (1 + 20x): s <- s (1 + 20x) + v_a x^a.
     """
     if k % 12:
         raise DomainError(f"closed form needs k = 0 mod 12, got {k}")
@@ -159,16 +187,19 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
     r_k = zeta_ratio(k)
     den = math.lcm(*[w.denominator for w in vec.values()])
     lifted = {a: w.numerator * (den // w.denominator) * 49**a for a in range(m + 1) if (w := vec.get(3 * a))}
+    free = den * 3 ** (k // 4) * 5 ** (k // 6) * 7 ** (k // 6)
+    g = math.gcd(r_k.denominator, free)
+    up, fixed = r_k.denominator // g, r_k.numerator * (free // g)
+    # Horner in (1 + 20x): s[r] = S_r = sum_a v_a 20^(r-a) C(m - a, m - r)
+    s: list[int] = []
+    for a in range(m + 1):
+        s.append(lifted.get(a, 0))
+        for i in range(a, 0, -1):
+            s[i] += 20 * s[i - 1]
     coeffs = []
     for r in range(m + 1):
         sign = -1 if (m - r) % 2 else 1
-        total = sum(v * 20 ** (r - a) * math.comb(m - a, m - r) for a, v in lifted.items() if a <= r)
-        coeffs.append(
-            Fraction(
-                sign * total * r_k.denominator * 2 ** (2 * k // 3 - 8 * r),
-                r_k.numerator * den * 3 ** (k // 4 + 3 * r) * 5 ** (k // 6 + r) * 7 ** (k // 6),
-            )
-        )
+        coeffs.append(Fraction(sign * s[r] * up * 2 ** (2 * k // 3 - 8 * r), fixed * 3 ** (3 * r) * 5**r))
     return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=0, epsilon=0)
 
 

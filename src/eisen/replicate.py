@@ -4,8 +4,7 @@ Each check returns a CheckReport whose records are deterministic for fixed
 parameters (wall time aside) and ordered by the loop variable.  A report FAILs
 iff any record fails; the CLI turns that into a nonzero exit code.  Expected
 values inside records are recomputed from the defining formulas at run time,
-never hard-coded.  ``GOLDEN_PHI`` holds the frozen weight-16/24 polynomials
-that the tests compare both phi routes against; no check reads it.
+never hard-coded.
 """
 
 from __future__ import annotations
@@ -37,16 +36,6 @@ from .irreducibility import (
     select_witness_primes,
 )
 from .qmring import substitute_q_expansion
-
-#: frozen golden fixtures (weight -> coefficients, constant first)
-GOLDEN_PHI = {
-    16: (Fraction(-3456000, 3617), Fraction(1)),
-    24: (
-        Fraction(30710845440000, 236364091),
-        Fraction(-340364160000, 236364091),
-        Fraction(1),
-    ),
-}
 
 DUMAS_SCAN_PRIMES = SMALL_PRIMES
 

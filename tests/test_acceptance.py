@@ -23,7 +23,6 @@ from eisen.gekeler import phi_by_division, phi_closed_form, valuation_profile
 from eisen.irreducibility import NewtonPolygon, distinct_degree_pattern, recheck_dumas_certificate
 from eisen.qmring import GradedForm, q_derivative, serre_derivative, substitute_q_expansion
 from eisen.replicate import (
-    GOLDEN_PHI,
     check_conjecture,
     check_lemma_ineq,
     check_lemma_valsum,
@@ -31,6 +30,7 @@ from eisen.replicate import (
     check_theorem_main,
     gekeler_scan,
 )
+from helpers import GOLDEN_PHI
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 

@@ -17,14 +17,7 @@ from eisen.gekeler import (
     valuation_profile,
 )
 from eisen.replicate import gekeler_scan
-
-PHI12 = (Fraction(-432000, 691), Fraction(1))
-PHI16 = (Fraction(-3456000, 3617), Fraction(1))
-PHI24 = (
-    Fraction(30710845440000, 236364091),
-    Fraction(-340364160000, 236364091),
-    Fraction(1),
-)
+from helpers import GOLDEN_PHI
 
 
 def phi_by_division_fraction(k: int, table: EisensteinTable) -> tuple[Fraction, ...]:
@@ -112,17 +105,17 @@ class TestEllipticExponents:
 class TestKnownPolynomials:
     def test_weight_twelve(self, shared_table):
         table = shared_table.ensure(24)
-        assert phi_closed_form(12, table).coeffs == PHI12
-        assert phi_by_division(12, table).coeffs == PHI12
+        assert phi_closed_form(12, table).coeffs == GOLDEN_PHI[12]
+        assert phi_by_division(12, table).coeffs == GOLDEN_PHI[12]
 
     def test_weight_sixteen_golden(self, shared_table):
         table = shared_table.ensure(16)
-        assert phi_by_division(16, table).coeffs == PHI16
+        assert phi_by_division(16, table).coeffs == GOLDEN_PHI[16]
 
     def test_weight_twentyfour_golden(self, shared_table):
         table = shared_table.ensure(24)
-        assert phi_closed_form(24, table).coeffs == PHI24
-        assert phi_by_division(24, table).coeffs == PHI24
+        assert phi_closed_form(24, table).coeffs == GOLDEN_PHI[24]
+        assert phi_by_division(24, table).coeffs == GOLDEN_PHI[24]
 
     def test_weight_four_constant(self, shared_table):
         phi = phi_by_division(4, shared_table.table)
@@ -175,6 +168,18 @@ class TestRouteEquivalence:
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not {"e_basis_numerators", "_e_basis_numerators"} & names
         assert "e_basis_numerators" in inspect.getsource(gekeler.phi_by_division)
+        # the routes cross-check each other, so each keeps its own Horner loop:
+        # neither calls a gekeler function beyond the exponents and the result type
+        defined = {
+            name
+            for name, obj in vars(gekeler).items()
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == gekeler.__name__
+        }
+        assert {"phi_by_division", "phi_closed_form", "valuation_profile"} <= defined
+        for route in (gekeler.phi_by_division, gekeler.phi_closed_form):
+            calls = [node.func for node in ast.walk(ast.parse(inspect.getsource(route))) if isinstance(node, ast.Call)]
+            called = {f.id for f in calls if isinstance(f, ast.Name)} | {f.attr for f in calls if isinstance(f, ast.Attribute)}
+            assert called & defined <= {"elliptic_exponents", "GekelerPolynomial"}, route.__name__
 
     def test_routes_leave_the_point_value_cache_empty(self, tmp_path, monkeypatch):
         # the phi routes read w(k) only and evaluate no point value of the convolution
@@ -235,6 +240,30 @@ class TestValuationProfile:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "extra, m_shift, match",
+        [
+            ({0: 1}, 0, r"not divisible by E4\^1 E6\^0: monomial \(0,2\)"),
+            ({2: 1}, 0, r"non-cube/non-square residue at weight 16: \(1,1\)"),
+            # b is read off k and a, so a monomial that passes the two checks
+            # above has Delta-degree m: only a wrong m from the exponent
+            # bookkeeping reaches this one
+            ({}, 1, r"Delta-degree mismatch at weight 16: .* vs m=2"),
+        ],
+        ids=["divisibility", "residue", "delta-degree"],
+    )
+    def test_division_structural_checks(self, extra, m_shift, match, monkeypatch):
+        # E_16's monomials (4,0) and (1,2), in two cases with one crafted E4
+        # exponent added: each check fires before any indexing by alpha, so
+        # the route raises ConsistencyError, never IndexError or KeyError
+        table = EisensteinTable().extend(16)
+        nums, scale = table.e_basis_numerators(16)
+        monkeypatch.setattr(table, "e_basis_numerators", lambda k: ({**nums, **extra}, scale))
+        real = gekeler.elliptic_exponents
+        monkeypatch.setattr(gekeler, "elliptic_exponents", lambda k: (real(k)[0] + m_shift, *real(k)[1:]))
+        with pytest.raises(ConsistencyError, match=match):
+            phi_by_division(16, table)
+
     def test_non_monic_rejected(self):
         with pytest.raises(ConsistencyError):
             GekelerPolynomial(k=12, coeffs=(Fraction(1), Fraction(2)), delta=0, epsilon=0)
