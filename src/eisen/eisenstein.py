@@ -206,38 +206,43 @@ class EisensteinTable:
         for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
         exponents are negative or do not satisfy 4a + 6b = k, whose weight is
         below 4, or that repeats an earlier (k, a), raises
-        ``ConsistencyError``; so does a loaded weight missing a row for any
-        (a, b) with 4a + 6b = k, whose values do not give E_k's first two
-        q-coefficients (``_check_q_coefficients``), or with a value w <= 0.
+        ``ConsistencyError``; so does a file that ``csv`` cannot read (such as
+        one with a field past ``csv.field_size_limit()``), and a loaded weight
+        missing a row for any (a, b) with 4a + 6b = k, whose values do not
+        give E_k's first two q-coefficients (``_check_q_coefficients``), or
+        with a value w <= 0.
         Every w_{a,k} is positive: w(4) and w(6) are, and so is every
         multiplier of the convolution recurrence.  Weights need not be
         contiguous: ``extend`` fills any gap.
         """
         table = cls()
         loaded: dict[int, WVector] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["k", "a", "b", "w"]:
-                raise ConsistencyError(f"unexpected table header {header!r}")
-            for row in reader:
-                if len(row) != 4:
-                    raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
-                try:
-                    k, a, b = (parse_integer(field) for field in row[:3])
-                    w = parse_rational(row[3])
-                except DomainError as exc:
-                    raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
-                if 4 * a + 6 * b != k:
-                    raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
-                if a < 0 or b < 0:
-                    raise ConsistencyError(f"bad index row {row!r}: negative exponent")
-                if k < 4:
-                    raise ConsistencyError(f"bad index row {row!r}: weight {k} is below 4")
-                vec = loaded.setdefault(k, {})
-                if a in vec:
-                    raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")
-                vec[a] = w
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != ["k", "a", "b", "w"]:
+                    raise ConsistencyError(f"unexpected table header {header!r}")
+                for row in reader:
+                    if len(row) != 4:
+                        raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
+                    try:
+                        k, a, b = (parse_integer(field) for field in row[:3])
+                        w = parse_rational(row[3])
+                    except DomainError as exc:
+                        raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
+                    if 4 * a + 6 * b != k:
+                        raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
+                    if a < 0 or b < 0:
+                        raise ConsistencyError(f"bad index row {row!r}: negative exponent")
+                    if k < 4:
+                        raise ConsistencyError(f"bad index row {row!r}: weight {k} is below 4")
+                    vec = loaded.setdefault(k, {})
+                    if a in vec:
+                        raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")
+                    vec[a] = w
+        except csv.Error as exc:
+            raise ConsistencyError(f"table {path} is not readable CSV: {exc}") from exc
         for k in sorted(loaded):
             missing = [(a, b) for a, b in exponents(k) if a not in loaded[k]]
             if missing:
@@ -550,29 +555,24 @@ def _popa_common_terms(k: int) -> list[tuple[Fraction, int, int]]:
 
 def _popa_graded(k: int, table: EisensteinTable) -> WVector:
     _require_weights(table, range(4, k - 1, 2))
-    r4, r6 = zeta_ratio(4), zeta_ratio(6)
-
-    acc = GradedForm.zero(k)
-    for coeff, m1, m2 in _popa_common_terms(k):
-        acc = acc + coeff * (table.graded_form(m1) * table.graded_form(m2))
-
-    # G_2 term: the stored representation of G_2 is r_2 E_2 = E_2 / 3
-    g_km2 = table.graded_form(k - 2)
-    dk2 = popa_d(k - 2)
-    acc = acc + ((k - 2) * D2 * dk2 * Fraction(1, 3)) * (E2 * g_km2)
-    # derivative term
-    acc = acc + (dk2 / 2) * serre_derivative(g_km2)
-
     cd = popa_c(k) * popa_d(k)
-    acc = acc * (Fraction(1) / cd)
-
+    form = table.graded_form
+    terms = [(coeff / cd, form(m1), form(m2)) for coeff, m1, m2 in _popa_common_terms(k)]
+    # the G_2 term, whose stored representation is r_2 E_2 = E_2 / 3, and the derivative term
+    g_km2 = form(k - 2)
+    dk2 = popa_d(k - 2)
+    terms.append(((k - 2) * D2 * dk2 / (3 * cd), E2, g_km2))
+    terms.append((dk2 / (2 * cd), serre_derivative(g_km2), None))
+    nums, den = GradedForm.combination(k, terms).numerators()
+    # w_{a,k} = c / (r4^a r6^b), one Fraction from integers
+    (n4, d4), (n6, d6) = (r.as_integer_ratio() for r in (zeta_ratio(4), zeta_ratio(6)))
     vec: WVector = {}
-    for (e2, a, b), c in acc.terms().items():
+    for (e2, a, b), n in nums.items():
         if e2:
             raise ConsistencyError(
-                f"weight-2 generator failed to cancel at weight {k}: residue {c} on E2^{e2} E4^{a} E6^{b}"
+                f"weight-2 generator failed to cancel at weight {k}: residue {Fraction(n, den)} on E2^{e2} E4^{a} E6^{b}"
             )
-        vec[a] = c / (r4**a * r6**b)
+        vec[a] = Fraction(n * d4**a * d6**b, den * n4**a * n6**b)
     return vec
 
 

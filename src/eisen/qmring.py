@@ -18,11 +18,10 @@ A form holds integer numerators over one denominator, and the generator
 q-expansions are integer series, so products, sums, derivatives and
 substitution run on integers; a Fraction is formed only when a coefficient is
 read.  Input is checked once, by the constructor; a ring result is valid by
-construction and is only put in lowest terms.  Sums and derivatives find the
-common factor by a gcd over every numerator.  Products and scalar multiples
-predict it from their factors, which are already in lowest terms: the content
-of a product of integer polynomials is the product of their contents (Gauss's
-lemma), and a scalar cancels against the form before it multiplies.
+construction and is only put in lowest terms.  Sums, differences, products
+and scalar multiples are all one multiply-accumulate,
+``GradedForm.combination``: sum c * F * G over one common denominator,
+reduced by a single gcd over the result's numerators.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, WeightMismatchError
 from .exact import divisor_power_sum, bernoulli, format_rational
@@ -53,12 +52,9 @@ class GradedForm:
     weight, denominator or monomial is checked.  A form is stored as integer
     numerators over one positive denominator in lowest terms (``gcd(den,
     *nums) == 1``), so ring arithmetic runs on integers; ``terms`` and
-    ``serialize`` form the Fractions when read.  A sum or derivative takes
-    one gcd over its numerators and denominator.  A product A * B divides by
-    gcd(d_A, content(N_B)) * gcd(d_B, content(N_A)), and a multiple
-    (a/b) * F by gcd(d_F, a) * gcd(b, content(N_F)), taken before it
-    multiplies; each is exactly the gcd of the result, because its factors
-    are in lowest terms.
+    ``serialize`` form the Fractions when read.  Every operator is a call to
+    ``combination``, and it and the derivative take one gcd over the
+    numerators and denominator of their result.
     Immutable once constructed.  Zero coefficients are never stored; the zero
     form keeps a nominal weight but compares equal to any other zero form and
     combines additively with forms of any weight.
@@ -87,21 +83,53 @@ class GradedForm:
     def _normalised(cls, weight: int, nums: Mapping[Monomial, int], den: int) -> "GradedForm":
         """The form sum nums[m] / den * m, with zero numerators dropped and the gcd divided out.
 
-        Every ring result is built here or by ``_reduced`` unchecked: a sum,
-        product, scalar multiple or derivative of valid forms is homogeneous,
-        has non-negative exponents and a positive denominator by construction.
+        Every ring result is built here unchecked: a sum of products and
+        multiples of valid forms, or a derivative, is homogeneous, has
+        non-negative exponents and a positive denominator by construction.
         """
         nums = {mono: n for mono, n in nums.items() if n}
-        return cls._reduced(weight, nums, den, math.gcd(den, *nums.values()))
-
-    @classmethod
-    def _reduced(cls, weight: int, nums: dict[Monomial, int], den: int, g: int) -> "GradedForm":
-        """The form sum nums[m] / den * m, given nonzero ``nums`` and g = gcd(den, *nums)."""
+        g = math.gcd(den, *nums.values())
         form = object.__new__(cls)
         form.weight = weight
         form._nums = {mono: n // g for mono, n in nums.items()} if g > 1 else nums
         form._den = den // g
         return form
+
+    @classmethod
+    def combination(
+        cls, weight: int, terms: Sequence[tuple[Scalar, "GradedForm", Optional["GradedForm"]]]
+    ) -> "GradedForm":
+        """The form sum c * F * G over the terms (c, F, G) of the given weight; G None stands for 1.
+
+        The one arithmetic path of the ring.  Every term is summed in integers
+        over the lcm of the term denominators c.den * F.den * G.den, and the
+        sum is put in lowest terms by a single gcd (``_normalised``).  A term
+        whose forms are nonzero must have the given weight, or
+        ``WeightMismatchError`` is raised; a zero form may have any weight.
+        """
+        dens = []
+        for c, f, g in terms:
+            if f._nums and (g is None or g._nums):
+                w = f.weight + (g.weight if g is not None else 0)
+                if w != weight:
+                    raise WeightMismatchError(f"a term of weight {w} in a sum of weight {weight}")
+            dens.append(c.denominator * f._den * (g._den if g is not None else 1))
+        den = math.lcm(*dens)
+        acc: dict[Monomial, int] = {}
+        for (c, f, g), d in zip(terms, dens):
+            mult = c.numerator * (den // d)
+            if not mult:
+                continue
+            nums = f._nums
+            if g is not None:
+                nums = {}
+                for (a2, a4, a6), na in f._nums.items():
+                    for (b2, b4, b6), nb in g._nums.items():
+                        mono = (a2 + b2, a4 + b4, a6 + b6)
+                        nums[mono] = nums.get(mono, 0) + na * nb
+            for mono, n in nums.items():
+                acc[mono] = acc.get(mono, 0) + mult * n
+        return cls._normalised(weight, acc, den)
 
     @classmethod
     def zero(cls, weight: int = 0) -> "GradedForm":
@@ -116,6 +144,10 @@ class GradedForm:
     @property
     def is_zero(self) -> bool:
         return not self._nums
+
+    def numerators(self) -> tuple[dict[Monomial, int], int]:
+        """Integers nums, den with ``terms()[m] == Fraction(nums[m], den)``, in lowest terms."""
+        return dict(self._nums), self._den
 
     def terms(self) -> dict[Monomial, Fraction]:
         return {mono: Fraction(n, self._den) for mono, n in self._nums.items()}
@@ -138,57 +170,28 @@ class GradedForm:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "GradedForm") -> "GradedForm":
-        if not isinstance(other, GradedForm):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.weight != other.weight:
-            raise WeightMismatchError(
-                f"cannot add weight {self.weight} to weight {other.weight}"
-            )
-        den = math.lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
-        nums = {mono: n * s for mono, n in self._nums.items()}
-        for mono, n in other._nums.items():
-            nums[mono] = nums.get(mono, 0) + n * t
-        return GradedForm._normalised(self.weight, nums, den)
-
-    def __neg__(self) -> "GradedForm":
-        return GradedForm._normalised(self.weight, {m: -n for m, n in self._nums.items()}, self._den)
+        return self._plus(1, other)
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
-        return self + (-other)
+        return self._plus(-1, other)
+
+    def _plus(self, sign: int, other: "GradedForm") -> "GradedForm":
+        if not isinstance(other, GradedForm):
+            return NotImplemented
+        weight = self.weight if self._nums else other.weight
+        return GradedForm.combination(weight, [(1, self, None), (sign, other, None)])
+
+    def __neg__(self) -> "GradedForm":
+        return GradedForm.combination(self.weight, [(-1, self, None)])
 
     def __mul__(self, other: Union["GradedForm", Scalar]) -> "GradedForm":
         if isinstance(other, GradedForm):
-            weight = self.weight + other.weight
-            if not self._nums or not other._nums:
-                return GradedForm.zero(weight)
-            nums: dict[Monomial, int] = {}
-            for (a2, a4, a6), na in self._nums.items():
-                for (b2, b4, b6), nb in other._nums.items():
-                    mono = (a2 + b2, a4 + b4, a6 + b6)
-                    nums[mono] = nums.get(mono, 0) + na * nb
-            # Gauss's lemma: the content of N_A N_B is content(N_A) content(N_B),
-            # and gcd(d_A, content(N_A)) = gcd(d_B, content(N_B)) = 1
-            g = math.gcd(self._den, *other._nums.values()) * math.gcd(other._den, *self._nums.values())
-            nonzero = {mono: n for mono, n in nums.items() if n}
-            return GradedForm._reduced(weight, nonzero, self._den * other._den, g)
+            return GradedForm.combination(self.weight + other.weight, [(1, self, other)])
         if isinstance(other, (int, Fraction)):
-            a, b = other.numerator, other.denominator
-            if not a or not self._nums:
-                return GradedForm.zero(self.weight)
-            # a/b and the form are each in lowest terms: cancel across, then multiply
-            g1, g2 = math.gcd(self._den, a), math.gcd(b, *self._nums.values())
-            s = a // g1
-            nums = {mono: n // g2 * s for mono, n in self._nums.items()}
-            return GradedForm._reduced(self.weight, nums, (self._den // g1) * (b // g2), 1)
+            return GradedForm.combination(self.weight, [(other, self, None)])
         return NotImplemented
 
-    def __rmul__(self, other: Scalar) -> "GradedForm":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     # -- canonical text form -------------------------------------------------
 

@@ -242,6 +242,14 @@ class TestTablePersistence:
         assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
         assert "1e3000000" in capsys.readouterr().err
 
+    def test_field_past_the_csv_field_limit_exits_2(self, tmp_path, capsys):
+        dump = tmp_path / "table.csv"
+        dump.write_text("k,a,b,w\n12,0,2," + "1" * (csv.field_size_limit() + 1) + "\n")
+        assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "field larger than field limit" in captured.err
+
     @pytest.mark.parametrize(
         "argv", [["wk", "--k", "12"], ["check", "--lemma", "conjecture", "--k-max", "12"]]
     )

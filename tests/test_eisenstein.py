@@ -424,6 +424,27 @@ class TestPopa:
         with pytest.raises(ConsistencyError, match="failed to cancel at weight 24"):
             popa_expand(24, table, route="graded")
 
+    def test_graded_route_is_one_combination_per_weight(self, shared_table, monkeypatch):
+        # all of Popa's terms go to the kernel at once: no ring operator, so
+        # no per-term reduction, runs on the graded route
+        table = shared_table.ensure(60)
+        weights = []
+        real = GradedForm.combination
+
+        def counting(weight, terms):
+            weights.append(weight)
+            return real(weight, terms)
+
+        def refuse(*args):
+            raise AssertionError("a ring operator ran on the graded Popa route")
+
+        monkeypatch.setattr(GradedForm, "combination", staticmethod(counting))
+        for name in ("__add__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(GradedForm, name, refuse)
+        for k in range(8, 61, 2):
+            assert popa_expand(k, table, route="graded") == table.w_vector(k), k
+        assert weights == list(range(8, 61, 2))
+
     def test_common_terms_match_the_popa_d_products(self):
         for k in range(8, 401, 2):
             assert eisenstein._popa_common_terms(k) == popa_common_terms_fraction(k), k

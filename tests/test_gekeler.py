@@ -245,10 +245,11 @@ class TestValidation:
         [
             ({0: 1}, 0, r"not divisible by E4\^1 E6\^0: monomial \(0,2\)"),
             ({2: 1}, 0, r"non-cube/non-square residue at weight 16: \(1,1\)"),
-            # b is read off k and a, so a monomial that passes the two checks
-            # above has Delta-degree m: only a wrong m from the exponent
-            # bookkeeping reaches this one
-            ({}, 1, r"Delta-degree mismatch at weight 16: .* vs m=2"),
+            # b is read off k and a, so every monomial that passes the two
+            # checks above has Delta-degree m by algebra: only a wrong m from
+            # the exponent bookkeeping can be off, and GekelerPolynomial's own
+            # weight check rejects the phi it gives
+            ({}, 1, r"weight bookkeeping broken: k=16, m=2,"),
         ],
         ids=["divisibility", "residue", "delta-degree"],
     )

@@ -400,6 +400,68 @@ class TestIntegerRepresentation:
                 GradedForm(4, {(0, 1, 0): 1}, den)
 
 
+def combination_fraction(weight: int, terms: list) -> GradedForm:
+    """sum c * F * G summed term by term over ``terms()``, every product and sum a Fraction."""
+    one = {(0, 0, 0): Fraction(1)}
+    total: dict = {}
+    for c, f, g in terms:
+        for m1, x in f.terms().items():
+            for m2, y in (one if g is None else g.terms()).items():
+                mono = tuple(i + j for i, j in zip(m1, m2))
+                total[mono] = total.get(mono, Fraction(0)) + c * x * y
+    return GradedForm(weight, total)
+
+
+@st.composite
+def combination_terms(draw):
+    """A weight and terms (c, F, G) of that weight: multiples, products (E2 content
+    included), zero forms of any weight, and terms that another term cancels."""
+    weight = draw(st.sampled_from(range(0, 17, 2)))
+    scalars = st.one_of(cancelling_scalars(), fractions_st, st.integers(-50, 50))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(scalars)
+        kind = draw(st.sampled_from(["multiple", "product", "zero"]))
+        if kind == "multiple":
+            term = (c, draw(st.one_of(forms(st.just(weight)), cancelling_forms(st.just(weight)))), None)
+        elif kind == "product":
+            w1 = draw(st.sampled_from(range(0, weight + 1, 2)))
+            term = (c, draw(forms(st.just(w1))), draw(cancelling_forms(st.just(weight - w1))))
+        else:
+            zero = GradedForm.zero(draw(st.sampled_from(range(0, 31, 2))))
+            term = draw(st.sampled_from([(c, zero, None), (c, zero, E2), (c, E6, zero)]))
+        terms.append(term)
+        if draw(st.booleans()):
+            c, f, g = term
+            terms.append((-c, f, None) if g is None else (-c, g, f))
+    return weight, draw(st.permutations(terms))
+
+
+class TestCombination:
+    @given(combination_terms())
+    @example((12, [(1, E4 * E4 * E4, None), (-1, E4, E4 * E4)]))
+    @example((4, [(Fraction(-2, 3), E2, E2), (3, E4, None), (0, GradedForm.zero(30), None)]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_fraction_sum_in_lowest_terms(self, drawn):
+        weight, terms = drawn
+        got = GradedForm.combination(weight, terms)
+        assert got == combination_fraction(weight, terms)
+        assert in_lowest_terms(got)
+        assert got.weight == weight
+
+    @given(forms().filter(bool), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_term_of_another_weight_raises(self, f, data):
+        g = data.draw(forms(st.sampled_from(range(0, 17, 2)).filter(lambda w: w != f.weight)).filter(bool))
+        c = data.draw(cancelling_scalars())
+        # also when the scalar is 0, or the stray term cancels against a third
+        for terms in ([(1, f, None), (c, g, None)], [(1, f, None), (c, g, None), (-c, g, None)]):
+            with pytest.raises(WeightMismatchError):
+                GradedForm.combination(f.weight, terms)
+        with pytest.raises(WeightMismatchError):
+            GradedForm.combination(f.weight + g.weight + 2, [(c, f, g)])
+
+
 class TestFractionReferences:
     @given(forms())
     @settings(max_examples=200, deadline=None, derandomize=True)
