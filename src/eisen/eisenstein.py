@@ -537,42 +537,45 @@ def popa_expand(k: int, table: EisensteinTable, route: str = "graded") -> WVecto
     raise DomainError(f"unknown route {route!r}")
 
 
-def _popa_common_terms(k: int) -> list[tuple[Fraction, int, int]]:
+def _popa_common_terms(k: int) -> list[tuple[int, int, int]]:
     # the product sum plus, for k = 0 mod 4, the square term; all in G-language.
     # d_{j+1} d_{k-j-1} = (-1)^((j+1)/2 + (k-j-1)/2) j! (k-j-2)! / 2^(k+2), and
-    # the sign's exponent is k/2, so each coefficient is one Fraction over 2^(k+2)
+    # the sign's exponent is k/2: each coefficient is the integer returned over 2^(k+2)
     h = k // 2
     sign = -1 if h % 2 else 1
-    den = 2 ** (k + 2)
     out = []
     for j in range(3, h - 1, 2):
         num = (math.comb(h, j) + math.comb(h - 2, j)) * math.factorial(j) * math.factorial(k - j - 2)
-        out.append((Fraction(sign * num, den), j + 1, k - j - 1))
+        out.append((sign * num, j + 1, k - j - 1))
     if k % 4 == 0:
-        out.append((Fraction(h * math.factorial(h - 1) ** 2, den), h, h))
+        out.append((h * math.factorial(h - 1) ** 2, h, h))
     return out
 
 
 def _popa_graded(k: int, table: EisensteinTable) -> WVector:
     _require_weights(table, range(4, k - 1, 2))
-    cd = popa_c(k) * popa_d(k)
     form = table.graded_form
-    terms = [(coeff / cd, form(m1), form(m2)) for coeff, m1, m2 in _popa_common_terms(k)]
-    # the G_2 term, whose stored representation is r_2 E_2 = E_2 / 3, and the derivative term
+    # every scalar over 2^(k+2) less the common factor g of the product sum and square
+    # term; then the G_2 term (stored as r_2 E_2 = E_2 / 3) and the derivative term
+    common = _popa_common_terms(k)
+    g = math.gcd(*[num for num, _, _ in common])
+    terms = [(num // g, form(m1), form(m2)) for num, m1, m2 in common]
     g_km2 = form(k - 2)
-    dk2 = popa_d(k - 2)
-    terms.append(((k - 2) * D2 * dk2 / (3 * cd), E2, g_km2))
-    terms.append((dk2 / (2 * cd), serre_derivative(g_km2), None))
+    dk2 = popa_d(k - 2) * 2 ** (k + 2)
+    terms.append(((k - 2) * D2 * dk2 / (3 * g), E2, g_km2))
+    terms.append((dk2 / (2 * g), serre_derivative(g_km2), None))
     nums, den = GradedForm.combination(k, terms).numerators()
-    # w_{a,k} = c / (r4^a r6^b), one Fraction from integers
+    # the sum is 2^(k+2) c_k d_k G_k / g: w_{a,k} = G_k's coefficient / (r4^a r6^b), one Fraction from integers
+    cd = popa_c(k) * popa_d(k)
+    up, den = cd.denominator * g, den * cd.numerator << (k + 2)
     (n4, d4), (n6, d6) = (r.as_integer_ratio() for r in (zeta_ratio(4), zeta_ratio(6)))
     vec: WVector = {}
     for (e2, a, b), n in nums.items():
         if e2:
             raise ConsistencyError(
-                f"weight-2 generator failed to cancel at weight {k}: residue {Fraction(n, den)} on E2^{e2} E4^{a} E6^{b}"
+                f"weight-2 generator failed to cancel at weight {k}: residue {Fraction(n * up, den)} on E2^{e2} E4^{a} E6^{b}"
             )
-        vec[a] = Fraction(n * d4**a * d6**b, den * n4**a * n6**b)
+        vec[a] = Fraction(n * up * d4**a * d6**b, den * n4**a * n6**b)
     return vec
 
 
@@ -595,20 +598,21 @@ def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
             acc[a] = acc.get(a, 0) + mult * v
 
     # integer views of w(m) from the table's memo, built once per weight for
-    # the life of the table; no point value of the convolution this route checks
-    for coeff, m1, m2 in _popa_common_terms(k):
+    # the life of the table; no point value of the convolution this route checks.
+    # Every term is over 2^(k+2), as in the graded route: acc is 2^(k+2) c_k d_k G_k
+    for num, m1, m2 in _popa_common_terms(k):
         (nums1, den1), (nums2, den2) = table.integer_view(m1), table.integer_view(m2)
         conv: dict[int, int] = {}
         for a1, v1 in nums1.items():
             for a2, v2 in nums2.items():
                 conv[a1 + a2] = conv.get(a1 + a2, 0) + v1 * v2
-        add(coeff.numerator, coeff.denominator * den1 * den2, conv)
+        add(num, den1 * den2, conv)
 
     # combined closed form of the G_2 and derivative terms: after cancellation
     # they contribute -(d_{k-2}/2) * sum w_{a,k-2} ( (7a/2) G4^(a-1) G6^(b+1)
     #                                              + (15b/7) G4^(a+2) G6^(b-1) ),
-    # with 7a/2 = 49a/14 and 15b/7 = 30b/14 over a common 14
-    half_dk2 = popa_d(k - 2) / 2
+    # with 7a/2 = 49a/14 and 15b/7 = 30b/14 over a common 14; d_{k-2}/2 is taken over 2^(k+2)
+    half_dk2 = popa_d(k - 2) * 2 ** (k + 1)
     nums, den = table.integer_view(k - 2)
     part: dict[int, int] = {}
     for a, n in nums.items():
@@ -620,7 +624,7 @@ def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     add(-half_dk2.numerator, half_dk2.denominator * den * 14, part)
 
     cd = popa_c(k) * popa_d(k)
-    return {a: Fraction(v * cd.denominator, acc_den * cd.numerator) for a, v in acc.items() if v}
+    return {a: Fraction(v * cd.denominator, acc_den * cd.numerator << (k + 2)) for a, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

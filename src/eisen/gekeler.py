@@ -14,23 +14,25 @@ w(k).  The routes must agree exactly.
 
 Both routes work on integers over one common denominator.  Each cancels the
 denominator of 1/r_k against the part of that denominator which does not
-depend on the coefficient index, by one gcd per weight, and then forms each
-coefficient as one Fraction.  Each reads its binomial sum as the coefficients
-of a polynomial, sum_a v_a x^a (1 + c x)^(m - a), built by Horner's rule:
-adds and small multiples, with no binomial coefficient.  They share no
-helper: division reads E_k's numerators off
+depend on the coefficient index, by one gcd per weight, and hands the
+numerators and that denominator to ``GekelerPolynomial.from_ratio``, which
+keeps phi_k's primitive integer polynomial.  Each reads its binomial sum as
+the coefficients of a polynomial, sum_a v_a x^a (1 + c x)^(m - a), built by
+Horner's rule: adds and small multiples, with no binomial coefficient.  They
+share no helper: division reads E_k's numerators off
 ``EisensteinTable.e_basis_numerators``, the closed form scales w(k) itself,
 and each runs its own Horner loop, so each stays the other's cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
-from .exact import Valuation, valuation, zeta_ratio
+from .exact import INFINITY, Valuation, valuation, zeta_ratio
 from .eisenstein import EisensteinTable
 
 # k mod 12 -> (delta, epsilon); the degree is m = (k - 4*delta - 6*epsilon)/12
@@ -55,20 +57,21 @@ def elliptic_exponents(k: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class GekelerPolynomial:
-    """Monic polynomial in X = j attached to weight k, plus elliptic exponents.
+    """Monic polynomial phi_k in X = j attached to weight k, plus elliptic exponents.
 
-    ``coeffs`` is constant-term first and includes the leading 1.
+    ``ints`` is phi_k's primitive integer polynomial, constant term first, leading
+    coefficient > 0; ``coeffs`` = ints / ints[-1] is formed on first read and kept.
     """
 
     k: int
-    coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...]
     delta: int
     epsilon: int
 
     def __post_init__(self) -> None:
-        m = len(self.coeffs) - 1
-        if self.coeffs[-1] != 1:
-            raise ConsistencyError(f"phi_{self.k} came out non-monic: leading {self.coeffs[-1]}")
+        m = len(self.ints) - 1
+        if self.ints[-1] <= 0 or math.gcd(*self.ints) != 1:
+            raise ConsistencyError(f"phi_{self.k} is not held as a primitive integer polynomial: {self.ints}")
         if self.k != 12 * m + 4 * self.delta + 6 * self.epsilon:
             raise ConsistencyError(
                 f"weight bookkeeping broken: k={self.k}, m={m}, delta={self.delta}, epsilon={self.epsilon}"
@@ -76,9 +79,21 @@ class GekelerPolynomial:
         if self.delta not in (0, 1, 2) or self.epsilon not in (0, 1):
             raise ConsistencyError(f"elliptic exponents out of range: {self.delta}, {self.epsilon}")
 
+    @classmethod
+    def from_ratio(cls, k: int, nums: list[int], den: int, delta: int, epsilon: int) -> "GekelerPolynomial":
+        """phi_k = nums / den, constant term first; ConsistencyError unless it is monic (nums[-1] == den)."""
+        if nums[-1] != den:
+            raise ConsistencyError(f"phi_{k} came out non-monic: leading {Fraction(nums[-1], den)}")
+        g = math.gcd(*nums) if den > 0 else -math.gcd(*nums)
+        return cls(k, tuple(n // g for n in nums), delta, epsilon)
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.ints[-1]) for c in self.ints)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def __str__(self) -> str:
         m = self.degree
@@ -147,11 +162,8 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
         s.append(p.get(alpha, 0))
         for i in range(alpha, 0, -1):
             s[i] += s[i - 1]
-    coeffs = []
-    for r in range(m + 1):
-        sign = -1 if (m - r) % 2 else 1
-        coeffs.append(Fraction(sign * s[r] * 1728 ** (m - r) * up, den))
-    return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=delta, epsilon=epsilon)
+    nums = [s[r] * (-1728) ** (m - r) * up for r in range(m + 1)]
+    return GekelerPolynomial.from_ratio(k, nums, den, delta, epsilon)
 
 
 def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
@@ -193,13 +205,12 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
         s.append(lifted.get(a, 0))
         for i in range(a, 0, -1):
             s[i] += 20 * s[i - 1]
-    coeffs = []
-    for r in range(m + 1):
-        sign = -1 if (m - r) % 2 else 1
-        coeffs.append(Fraction(sign * s[r] * up * 2 ** (2 * k // 3 - 8 * r), fixed * 3 ** (3 * r) * 5**r))
-    return GekelerPolynomial(k=k, coeffs=tuple(coeffs), delta=0, epsilon=0)
+    # over the one denominator fixed 3^(3m) 5^m = fixed 135^m
+    nums = [s[r] * (-135) ** (m - r) * up << (2 * k // 3 - 8 * r) for r in range(m + 1)]
+    return GekelerPolynomial.from_ratio(k, nums, fixed * 135**m, 0, 0)
 
 
 def valuation_profile(phi: GekelerPolynomial, p: int) -> tuple[Valuation, ...]:
-    """(nu_p(t_0), ..., nu_p(t_{m-1})): valuations of the non-leading coefficients."""
-    return tuple(valuation(c, p) for c in phi.coeffs[:-1])
+    """(nu_p(t_0), ..., nu_p(t_{m-1})): valuations of the non-leading coefficients, nu_p(ints_r) - nu_p(ints_m)."""
+    lead = valuation(phi.ints[-1], p)
+    return tuple(valuation(c, p) - lead if c else INFINITY for c in phi.ints[:-1])

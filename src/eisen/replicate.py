@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import INFINITY, SMALL_PRIMES, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
+from .exact import SMALL_PRIMES, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
     min_valuation2,
@@ -31,7 +31,6 @@ from .irreducibility import (
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
-    primitive_integer_polynomial,
     recheck_dumas_certificate,
     select_witness_primes,
 )
@@ -299,7 +298,7 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
         wa_ok = all(valuation(vec.get(3 * a, Fraction(0)), 2) >= 1 for a in range(1, m))
 
         phi = phi_closed_form(k, table)
-        if phi.coeffs != phi_by_division(k, table).coeffs:
+        if phi.ints != phi_by_division(k, table).ints:
             raise ConsistencyError(f"phi routes disagree at k={k}")  # pragma: no cover
         profile = valuation_profile(phi, 2)
         nu_t0 = profile[0]
@@ -342,18 +341,31 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
     return _timed(report, started)
 
 
+def dumas_applies(int_coeffs: Sequence[int], p: int) -> bool:
+    """The scan's Dumas screen: whether ``dumas_check`` at p certifies f / f_n, for integers f_r.
+
+    No Fraction is formed: valuations are nu_p(f_r) - nu_p(f_n), condition (ii) comes first.
+    """
+    n, lead = len(int_coeffs) - 1, valuation(int_coeffs[-1], p)
+    v0 = valuation(int_coeffs[0], p) - lead if int_coeffs[0] else None
+    if v0 is None or math.gcd(abs(v0), n) != 1:
+        return False
+    return all(not c or (valuation(c, p) - lead) * n >= v0 * (n - r) for r, c in enumerate(int_coeffs[1:-1], 1))
+
+
 def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
     """Certify irreducibility of phi_k for every even 4 <= k <= k_max with deg >= 1.
 
-    Strategy per weight: try the valuation criterion at every prime in
-    ``DUMAS_SCAN_PRIMES`` where nu_p(a_0) is finite and prime to the degree
-    (the criterion's condition (ii); other primes cannot certify and are
-    skipped); if none concludes, fall back to the finite-field
-    degree-pattern oracle.  Witness primes for the oracle are selected above
-    the weight k, because reductions at primes below the weight collapse into
-    factors of degree at most 2 (their roots are supersingular invariants) and
-    carry no exclusion power.  A weight left inconclusive is reported, not
-    failed; only a (criterion-impossible) "reducible" verdict fails a record.
+    Strategy per weight, on phi_k's primitive integer polynomial: the first
+    prime of ``DUMAS_SCAN_PRIMES`` that passes the screen ``dumas_applies``
+    gets the valuation criterion (``dumas_check``, which must then certify,
+    else ``ConsistencyError``); if no prime passes, fall back to the
+    finite-field degree-pattern oracle.  Witness primes for the oracle are
+    selected above the weight k, because reductions at primes below the weight
+    collapse into factors of degree at most 2 (their roots are supersingular
+    invariants) and carry no exclusion power.  A weight left inconclusive is
+    reported, not failed; only a (criterion-impossible) "reducible" verdict
+    fails a record.
     12 is the first weight with deg phi_k >= 1, so a smaller k_max, which
     could certify nothing, raises ``DomainError``.
     """
@@ -371,21 +383,18 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
             continue
         record = {"k": k, "degree": phi.degree}
         for p in DUMAS_SCAN_PRIMES:
-            # dumas_check needs a finite nu_p(a_0) prime to the degree; test that first
-            v0 = valuation(phi.coeffs[0], p)
-            if v0 is INFINITY or math.gcd(abs(v0), phi.degree) != 1:
-                continue
-            cert = dumas_check(phi.coeffs, p, poly_id=f"phi_{k}")
-            if cert.verdict == "irreducible":
+            if dumas_applies(phi.ints, p):
+                cert = dumas_check(phi.coeffs, p, poly_id=f"phi_{k}")
+                if cert.verdict != "irreducible":
+                    raise ConsistencyError(f"the Dumas screen passed phi_{k} at p = {p}, dumas_check did not")
                 break
         else:
-            ints = primitive_integer_polynomial(phi.coeffs)
-            kept, _examined = select_witness_primes(ints, floor=k)
+            kept, _examined = select_witness_primes(phi.ints, floor=k)
             if kept is None:
                 # no proof within the caps: still report the patterns at the first
                 # usable primes above the weight so the record stays informative
-                kept = _first_usable_primes(ints, k, ORACLE_PRIME_COUNT)
-            cert = assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}")
+                kept = _first_usable_primes(phi.ints, k, ORACLE_PRIME_COUNT)
+            cert = assemble_pattern_certificate(phi.ints, kept, poly_id=f"phi_{k}")
         record.update(
             verdict=cert.verdict,
             criterion=cert.criterion,
@@ -463,7 +472,7 @@ def selftest(
         report.records.append({"check": "q-series", "k": k, "passed": ok})
 
     for k in range(12, k_phi + 1, 12):
-        ok = phi_closed_form(k, table).coeffs == phi_by_division(k, table).coeffs
+        ok = phi_closed_form(k, table).ints == phi_by_division(k, table).ints
         report.records.append({"check": "phi-routes", "k": k, "passed": ok})
 
     return _timed(report, started)

@@ -59,14 +59,14 @@ class TestPhi:
 
     def test_zero_coefficient_profiled_as_inf(self, monkeypatch, capsys):
         # no phi_k with k <= 480 has a zero coefficient, so plant one
-        planted = GekelerPolynomial(k=24, coeffs=(Fraction(0), Fraction(3), Fraction(1)), delta=0, epsilon=0)
+        planted = GekelerPolynomial(k=24, ints=(0, 3, 1), delta=0, epsilon=0)
         monkeypatch.setattr(cli, "phi_by_division", lambda k, table: planted)
         assert main(["phi", "--k", "24", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["valuation_profile_2"] == ["inf", 0]
 
     def test_coefficient_past_the_digit_limit_exits_2(self, monkeypatch, capsys):
         # 10**4300 has 4301 digits, one more than str(int) writes by default
-        planted = GekelerPolynomial(k=24, coeffs=(Fraction(10**4300), Fraction(3), Fraction(1)), delta=0, epsilon=0)
+        planted = GekelerPolynomial(k=24, ints=(10**4300, 3, 1), delta=0, epsilon=0)
         monkeypatch.setattr(cli, "phi_by_division", lambda k, table: planted)
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)

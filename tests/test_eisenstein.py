@@ -67,7 +67,7 @@ def popa_common_terms_fraction(k: int) -> list:
     """The coefficients of Popa's product sum and square term as products of ``popa_d``.
 
     The definition ``_popa_common_terms`` used before it formed one Fraction
-    per coefficient; kept as the reference it must reproduce.
+    per coefficient; kept as the reference its integers over 2^(k+2) must reproduce.
     """
     out = []
     for j in range(3, k // 2 - 1, 2):
@@ -447,7 +447,8 @@ class TestPopa:
 
     def test_common_terms_match_the_popa_d_products(self):
         for k in range(8, 401, 2):
-            assert eisenstein._popa_common_terms(k) == popa_common_terms_fraction(k), k
+            over = [(Fraction(num, 2 ** (k + 2)), m1, m2) for num, m1, m2 in eisenstein._popa_common_terms(k)]
+            assert over == popa_common_terms_fraction(k), k
 
     @pytest.mark.parametrize("route", [eisenstein._popa_graded, eisenstein._popa_precancelled])
     def test_routes_share_no_convolution_helper(self, route):

@@ -16,6 +16,7 @@ from eisen.gekeler import (
     phi_closed_form,
     valuation_profile,
 )
+from eisen.irreducibility import primitive_integer_polynomial
 from eisen.replicate import gekeler_scan
 from helpers import GOLDEN_PHI
 
@@ -155,6 +156,16 @@ class TestRouteEquivalence:
         for k in range(12, 481, 12):
             assert phi_closed_form(k, table).coeffs == phi_closed_form_fraction(k, table), k
 
+    def test_ints_are_the_primitive_polynomial_of_the_fraction_references_to_200(self, shared_table):
+        def primitive(coeffs):  # the constant phi_k = 1 has no primitive polynomial of degree >= 1
+            return tuple(primitive_integer_polynomial(coeffs)) if len(coeffs) > 1 else (1,)
+
+        table = shared_table.ensure(200)
+        for k in range(4, 201, 2):
+            assert phi_by_division(k, table).ints == primitive(phi_by_division_fraction(k, table)), k
+        for k in range(12, 201, 12):
+            assert phi_closed_form(k, table).ints == primitive(phi_closed_form_fraction(k, table)), k
+
     @pytest.mark.parametrize("route", [phi_by_division, phi_closed_form])
     def test_perturbed_weight_is_non_monic(self, route):
         table = EisensteinTable().extend(24)
@@ -266,13 +277,26 @@ class TestValidation:
             phi_by_division(16, table)
 
     def test_non_monic_rejected(self):
-        with pytest.raises(ConsistencyError):
-            GekelerPolynomial(k=12, coeffs=(Fraction(1), Fraction(2)), delta=0, epsilon=0)
+        # 1 + 2X over 1: the routes' one constructor refuses a leading coefficient other than 1
+        with pytest.raises(ConsistencyError, match="non-monic: leading 2"):
+            GekelerPolynomial.from_ratio(12, [1, 2], 1, 0, 0)
 
     def test_weight_bookkeeping_rejected(self):
-        with pytest.raises(ConsistencyError):
-            GekelerPolynomial(k=14, coeffs=(Fraction(3), Fraction(1)), delta=0, epsilon=0)
+        with pytest.raises(ConsistencyError, match="weight bookkeeping broken"):
+            GekelerPolynomial(k=14, ints=(3, 1), delta=0, epsilon=0)
 
     def test_exponent_range_rejected(self):
-        with pytest.raises(ConsistencyError):
-            GekelerPolynomial(k=24, coeffs=(Fraction(3), Fraction(1)), delta=3, epsilon=0)
+        with pytest.raises(ConsistencyError, match="elliptic exponents out of range"):
+            GekelerPolynomial(k=24, ints=(3, 1), delta=3, epsilon=0)
+
+    @pytest.mark.parametrize("ints", [(2, 4), (-3, -2), (3, 0)], ids=["content-2", "negative-leading", "zero-leading"])
+    def test_non_primitive_ints_rejected(self, ints):
+        with pytest.raises(ConsistencyError, match="not held as a primitive integer polynomial"):
+            GekelerPolynomial(k=12, ints=ints, delta=0, epsilon=0)
+
+    def test_from_ratio_divides_out_the_content_with_the_sign(self):
+        # (-6 - 4X) / -4 = 3/2 + X, held as 3 + 2X whatever the sign of the denominator
+        for nums, den in (([-6, -4], -4), ([6, 4], 4), ([3, 2], 2)):
+            phi = GekelerPolynomial.from_ratio(12, nums, den, 0, 0)
+            assert phi.ints == (3, 2)
+            assert phi.coeffs == (Fraction(3, 2), Fraction(1))

@@ -31,7 +31,7 @@ from eisen.irreducibility import (
     select_witness_primes,
 )
 from eisen.gekeler import phi_by_division
-from eisen.replicate import check_theorem_main
+from eisen.replicate import check_theorem_main, dumas_applies
 from helpers import covers
 
 
@@ -165,6 +165,28 @@ class TestDumas:
 
     def test_degree_one_always_certified(self):
         assert dumas_check([Fraction(-432000, 691), 1], 2).verdict == "irreducible"
+
+
+@st.composite
+def monic_rational_polys(draw):
+    """Monic rational polynomials of degree 1..8, with zeros and prime powers among the coefficients."""
+    n = draw(st.integers(1, 8))
+    nums = st.integers(-2000, 2000) | st.sampled_from([0, 2**9, -(3**7), 5**4 * 7, 691 * 8])
+    dens = st.sampled_from([1, 2, 4, 3, 9, 5, 7, 12, 691, 3617, 2**11 * 3**5])
+    return [Fraction(draw(nums), draw(dens)) for _ in range(n)] + [Fraction(1)]
+
+
+class TestDumasScreen:
+    @given(monic_rational_polys(), st.integers(-50, 50).filter(bool))
+    @example([Fraction(0), Fraction(2), Fraction(1)], 1)  # zero constant term
+    @example([Fraction(2), Fraction(1), Fraction(1)], 1)  # gcd 1 at p = 2, the slope bound fails at r = 1
+    @example([Fraction(2), Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1)], -3)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_screen_is_true_iff_dumas_check_certifies(self, coeffs, scale):
+        # any nonzero multiple of the integer polynomial has the same valuation differences
+        ints = [scale * c for c in primitive_integer_polynomial(coeffs)]
+        for p in exact.SMALL_PRIMES:
+            assert dumas_applies(ints, p) == (dumas_check(coeffs, p).verdict == "irreducible"), p
 
 
 class TestDumasCertificateJson:

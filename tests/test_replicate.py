@@ -161,7 +161,7 @@ class TestTheoremMain:
             check_theorem_main(-1)
 
     def test_route_disagreement_is_a_consistency_error(self, shared_table, monkeypatch):
-        monkeypatch.setattr(replicate, "phi_by_division", lambda k, table: SimpleNamespace(coeffs=()))
+        monkeypatch.setattr(replicate, "phi_by_division", lambda k, table: SimpleNamespace(ints=()))
         with pytest.raises(ConsistencyError):
             check_theorem_main(1, table=shared_table.ensure(24))
 
@@ -204,6 +204,22 @@ class TestScan:
         report = gekeler_scan(60, table=shared_table.ensure(60))
         for rec in report.records:
             assert len(rec["primes"]) <= 10
+
+    def test_dumas_check_runs_once_per_dumas_record(self, shared_table, monkeypatch):
+        # the screen picks the prime; the full check runs there only, to make the certificate
+        calls = []
+        real = replicate.dumas_check
+        monkeypatch.setattr(replicate, "dumas_check", lambda coeffs, p, poly_id="poly": calls.append(p) or real(coeffs, p, poly_id))
+        report = gekeler_scan(120, table=shared_table.ensure(120))
+        dumas = [rec["primes"][0] for rec in report.records if rec["criterion"] == "dumas"]
+        assert report.status == "PASS" and calls == dumas and len(dumas) > 5
+
+    def test_screen_and_dumas_check_disagreeing_is_a_consistency_error(self, shared_table, monkeypatch):
+        # x^2 + 4 is inconclusive at every prime: gcd(nu_p(4), 2) = 2
+        real = replicate.dumas_check
+        monkeypatch.setattr(replicate, "dumas_check", lambda coeffs, p, poly_id="poly": real([4, 0, 1], p, poly_id))
+        with pytest.raises(ConsistencyError, match="Dumas screen passed phi_12 at p = 2"):
+            gekeler_scan(24, table=shared_table.ensure(24))
 
     def test_scan_agrees_with_theorem_certificates(self, shared_table):
         # the weights 12 * 2^l must come out of the sweep through the same
