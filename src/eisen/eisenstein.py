@@ -38,12 +38,17 @@ from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
-from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio
-from .exact import format_rational, parse_integer, parse_rational
+from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio, zeta_ratio_terms
+from .exact import format_rational, parse_integer, parse_ratio
 from .qmring import E2, GradedForm, serre_derivative
 
 #: coefficient vector of one weight: E4-exponent a -> w_{a,k}; b = (k-4a)/6 implied
 WVector = dict[int, Fraction]
+#: a loaded weight as its rows give it: the numerators and the denominators (> 0, not
+#: reduced) of w_{a,k}, a ascending as in exponents(k)
+WPairs = tuple[tuple[int, ...], tuple[int, ...]]
+#: integers nums, den with w_{a,k} = nums[a] / den
+IntegerView = tuple[dict[int, int], int]
 
 #: the weight-2 constant d_2 = -1/8 (the general formula below evaluated at k=2)
 D2 = Fraction(-1, 8)
@@ -90,28 +95,60 @@ class EisensteinTable:
     the same reason ``integer_view(k)`` is built once and kept in ``_views``
     for the precancelled Popa route, its only reader.  Neither memo is filled
     by ``extend``, ``load_csv`` or the phi routes.
+
+    Each weight is held in one form, a ascending.  Built weights and the
+    axioms are Fractions in ``_w``.  A loaded weight is kept in ``_pairs`` as
+    the integer pairs (num, den) of its rows, one tuple of numerators and one
+    of denominators, until w(k) is first read as Fractions (``w_vector``,
+    ``extend``, ``dump_csv``), which moves it to ``_w``; ``integer_view`` and
+    ``e_basis_numerators`` lift the pairs directly, so a weight that is only
+    read as integers never forms a Fraction.  Only the storage methods below
+    name the two dicts.
     """
 
     def __init__(self) -> None:
         self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
+        self._pairs: dict[int, WPairs] = {}
         self._graded: dict[int, GradedForm] = {}
-        self._views: dict[int, tuple[dict[int, int], int]] = {}
+        self._views: dict[int, IntegerView] = {}
 
     def __contains__(self, k: int) -> bool:
-        return k in self._w
+        return k in self._w or k in self._pairs
 
     def weights(self) -> list[int]:
-        return sorted(self._w)
+        return sorted([*self._w, *self._pairs])
 
     def max_weight(self) -> int:
-        return max(self._w)
+        return self.weights()[-1]
 
     def w_vector(self, k: int) -> WVector:
-        if k not in self._w:
-            if k < 4 or k % 2:
-                raise DomainError(f"k must be even and >= 4, got {k}")
-            raise MissingWeightError(f"weight {k} not in table (extend first)")
-        return dict(self._w[k])
+        return dict(self._vector(k))
+
+    def _vector(self, k: int) -> WVector:
+        """w(k) as the table's own Fractions; a loaded weight is moved out of ``_pairs`` on first read."""
+        vec = self._w.get(k)
+        if vec is None:
+            pairs = self._pairs.pop(k, None)
+            if pairs is None:
+                if k < 4 or k % 2:
+                    raise DomainError(f"k must be even and >= 4, got {k}")
+                raise MissingWeightError(f"weight {k} not in table (extend first)")
+            vec = self._w[k] = {a: Fraction(n, d) for (a, _), n, d in zip(exponents(k), *pairs)}
+        return vec
+
+    def _view(self, k: int) -> IntegerView:
+        """``_integer_view`` of w(k); a loaded weight's is lifted from its pairs, with no Fraction formed.
+
+        Over the lcm L of the pairs' denominators the gcd of L and the
+        numerators is 1 when every pair is in lowest terms, and L / D
+        otherwise, D the lcm of the reduced denominators; it is divided out.
+        """
+        pairs = self._pairs.get(k)
+        if pairs is None:
+            return _integer_view(self._vector(k))
+        nums, den = _lift(k, pairs)
+        g = math.gcd(den, *nums.values())
+        return ({a: n // g for a, n in nums.items()}, den // g) if g > 1 else (nums, den)
 
     def _store(self, k: int, vec: WVector) -> None:
         self._w[k] = {a: vec[a] for a in sorted(vec)}
@@ -136,15 +173,15 @@ class EisensteinTable:
         nodes = k_max // 12 + 2
         points: dict[int, tuple[list[int], int]] = {}
         for k in range(8, k_max + 1, 2):
-            if k in self._w:
+            if k in self:
                 continue
             if not points:
-                points = {m: _evaluate(m, vec, nodes) for m, vec in self._w.items()}
+                points = {m: _evaluate(m, self._vector(m), nodes) for m in self.weights()}
             vec = rademacher_expand(k, points)
             if _cross_checked(k) and rademacher_expand_unfolded(k, self) != vec:
                 raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
             self._store(k, vec)
-            points[k] = _evaluate(k, self._w[k], nodes)
+            points[k] = _evaluate(k, self._vector(k), nodes)
         return self
 
     # -- conversions ------------------------------------------------------------
@@ -163,7 +200,7 @@ class EisensteinTable:
             self._graded[k] = form
         return form
 
-    def integer_view(self, k: int) -> tuple[dict[int, int], int]:
+    def integer_view(self, k: int) -> IntegerView:
         """Integers nums, den with w_{a,k} = nums[a] / den, den the lcm of w(k)'s denominators.
 
         Built on first read and kept in ``_views``; the result is shared, and
@@ -171,15 +208,16 @@ class EisensteinTable:
         """
         view = self._views.get(k)
         if view is None:
-            view = self._views[k] = _integer_view(self.w_vector(k))
+            view = self._views[k] = self._view(k)
         return view
 
-    def e_basis_numerators(self, k: int) -> tuple[dict[int, int], int]:
+    def e_basis_numerators(self, k: int) -> IntegerView:
         """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
 
-        Reads w(k) only: no point value of the convolution is evaluated.
+        Reads w(k) only, as integers: no point value of the convolution is
+        evaluated, and a loaded weight forms no Fraction.
         """
-        return _e_basis_numerators(k, self.w_vector(k))
+        return _e_basis_numerators(k, self._view(k))
 
     # -- persistence -------------------------------------------------------------
 
@@ -191,9 +229,9 @@ class EisensteinTable:
         written and an existing file left as it was.
         """
         rows = [
-            [k, a, (k - 4 * a) // 6, format_rational(vec[a])]
-            for k, vec in sorted(self._w.items())
-            for a in sorted(vec)
+            [k, a, (k - 4 * a) // 6, format_rational(c)]
+            for k in self.weights()
+            for a, c in sorted(self._vector(k).items())
         ]
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([["k", "a", "b", "w"], *rows])
@@ -214,9 +252,16 @@ class EisensteinTable:
         Every w_{a,k} is positive: w(4) and w(6) are, and so is every
         multiplier of the convolution recurrence.  Weights need not be
         contiguous: ``extend`` fills any gap.
+
+        Every check runs on the integer pairs (num, den) of the rows
+        (``parse_ratio``), the value check on their integer view, and each
+        loaded weight is kept as its pairs: a Fraction is formed only when
+        w(k) is read as one.
         """
         table = cls()
-        loaded: dict[int, WVector] = {}
+        # k -> (numerators by a, denominators by a); a (num, den) tuple per row, kept to
+        # the end of the load and then freed, raised the warm runs' peak RSS by up to 0.3 MB
+        loaded: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
         try:
             with open(path, newline="") as fh:
                 reader = csv.reader(fh)
@@ -228,7 +273,7 @@ class EisensteinTable:
                         raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
                     try:
                         k, a, b = (parse_integer(field) for field in row[:3])
-                        w = parse_rational(row[3])
+                        n, d = parse_ratio(row[3])
                     except DomainError as exc:
                         raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
                     if 4 * a + 6 * b != k:
@@ -237,66 +282,92 @@ class EisensteinTable:
                         raise ConsistencyError(f"bad index row {row!r}: negative exponent")
                     if k < 4:
                         raise ConsistencyError(f"bad index row {row!r}: weight {k} is below 4")
-                    vec = loaded.setdefault(k, {})
-                    if a in vec:
+                    nums, dens = loaded.setdefault(k, ({}, {}))
+                    if a in nums:
                         raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")
-                    vec[a] = w
+                    nums[a], dens[a] = n, d
         except csv.Error as exc:
             raise ConsistencyError(f"table {path} is not readable CSV: {exc}") from exc
         for k in sorted(loaded):
-            missing = [(a, b) for a, b in exponents(k) if a not in loaded[k]]
+            nums, dens = loaded[k]
+            missing = [(a, b) for a, b in exponents(k) if a not in nums]
             if missing:
                 raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}")
             if k in (4, 6):
-                if loaded[k] != table._w[k]:
+                if nums != dens:
                     raise ConsistencyError(f"base weight {k} differs from its axiom")
                 continue
-            _check_q_coefficients(k, loaded[k])
-            nonpositive = [a for a, w in loaded[k].items() if w <= 0]
+            order = [a for a, _ in exponents(k)]
+            pairs = tuple(nums[a] for a in order), tuple(dens[a] for a in order)
+            _check_q_coefficients(k, _lift(k, pairs))
+            nonpositive = [a for a, n in nums.items() if n <= 0]
             if nonpositive:
                 raise ConsistencyError(
                     f"weight {k}: w_{{a,k}} <= 0 for a in {nonpositive}, but every w_{{a,k}} is positive"
                 )
-            table._store(k, loaded[k])
+            table._pairs[k] = pairs
         return table
 
 
-def _e_basis_numerators(k: int, vec: WVector) -> tuple[dict[int, int], int]:
+def _e_basis_numerators(k: int, view: IntegerView) -> IntegerView:
     """Integers nums, scale with w_a r_4^a r_6^b = nums[a] / scale, so u_a = nums[a] / (scale r_k).
 
     r_4^a r_6^b = 2^b / (45^a 945^b) goes over 45^A 945^B, the largest powers
-    at weight k, and each w_a over the lcm of their denominators.  r_k is left
-    to the caller: one division per result, not per term.
+    at weight k, and each w_a over its integer view's denominator.  r_k is
+    left to the caller: one division per result, not per term.
     """
     pairs = exponents(k)
     a_top, b_top = pairs[-1][0], pairs[0][1]
-    lifted, den = _integer_view(vec)
+    lifted, den = view
     nums = {a: lifted[a] * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b) for a, b in pairs}
     return nums, den * 45**a_top * 945**b_top
 
 
-def _integer_view(vec: WVector) -> tuple[dict[int, int], int]:
+def _integer_view(vec: WVector) -> IntegerView:
     """Integers nums, den with vec[a] = nums[a] / den, den the lcm of vec's denominators."""
     den = math.lcm(*[c.denominator for c in vec.values()])
     return {a: c.numerator * (den // c.denominator) for a, c in vec.items()}, den
 
 
-def _check_q_coefficients(k: int, vec: WVector) -> None:
-    """Raise ``ConsistencyError`` unless w(k) gives E_k = 1 - (2k/B_k) q + O(q^2).
+def _lift(k: int, pairs: WPairs) -> IntegerView:
+    """Integers nums, den with nums[a] / den = n / d for the pairs (n, d) of w(k), den the lcm of the d."""
+    den = math.lcm(*pairs[1])
+    return {a: n * (den // d) for (a, _), n, d in zip(exponents(k), *pairs)}, den
+
+
+def _check_q_coefficients(k: int, view: IntegerView) -> None:
+    """Raise ``ConsistencyError`` unless w(k) = nums[a] / den gives E_k = 1 - (2k/B_k) q + O(q^2).
 
     With u_a = w_a r_4^a r_6^b / r_k and E_4^a E_6^b = 1 + (240a - 504b) q + ...,
-    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k, both summed in
-    integers over the scale of ``_e_basis_numerators``.
+    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k.  Along the
+    exponents a = a0 + 3j, b = b0 - 2j (j = 0 .. J) of weight k,
+    r_4^a r_6^b = r_4^a0 r_6^b0 (49/20)^j, as r_4^3 / r_6^2 = 49/20, so each
+    sum is one pass over the integers nums[a] 49^j 20^(J-j), over
+    45^a0 945^b0 20^J den / 2^b0.  The right sides are r_k = T_(k/2) /
+    ((2^k - 1) (k-1)!) and -2k r_k / B_k = (-1)^(k/2) 2^(k+1) / (k-1)!
+    (``_q1_ratio``), compared by cross-multiplication: no Bernoulli number
+    and no Fraction is formed.
     """
-    nums, scale = _e_basis_numerators(k, vec)
-    sum0 = sum(nums.values())
-    sum1 = sum((240 * a - 504 * ((k - 4 * a) // 6)) * n for a, n in nums.items())
-    r_k = zeta_ratio(k)
-    q1 = -2 * k * r_k / bernoulli(k)
-    if sum0 * r_k.denominator != r_k.numerator * scale:
+    nums, den = view
+    pairs = exponents(k)
+    (a0, b0), top = pairs[0], len(pairs) - 1
+    sum0 = sum1 = 0
+    for j, (a, b) in enumerate(pairs):
+        x = nums[a] * 49**j * 20 ** (top - j)
+        sum0 += x
+        sum1 += (240 * a - 504 * b) * x
+    scale = 45**a0 * 945**b0 * 20**top * den
+    t, d = zeta_ratio_terms(k)
+    if sum0 * d << b0 != t * scale:
         raise ConsistencyError(f"weight {k}: the constant q-coefficient of E_k is not 1")
-    if sum1 * q1.denominator != q1.numerator * scale:
+    t, d = _q1_ratio(k)
+    if sum1 * d << b0 != t * scale:
         raise ConsistencyError(f"weight {k}: the q^1 coefficient of E_k is not -2k/B_k")
+
+
+def _q1_ratio(k: int) -> tuple[int, int]:
+    """-2k r_k / B_k, the q^1 coefficient of r_k E_k, as the integers (-1)^(k/2) 2^(k+1) and (k-1)!."""
+    return (-1 if k // 2 % 2 else 1) << (k + 1), math.factorial(k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +563,7 @@ def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
     """
     _check_domain(k)
     _require_weights(table, range(4, k - 3, 2))
-    views = {m: _integer_view(table._w[m]) for m in range(4, k - 3, 2)}
+    views = {m: _integer_view(table.w_vector(m)) for m in range(4, k - 3, 2)}
     acc, den = _scaled_convolution(
         ((3 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 2 - 1)),
         views.__getitem__,
@@ -506,7 +577,7 @@ def rademacher_expand_folded(k: int, table: EisensteinTable) -> WVector:
     Only the benchmark needs it: ``bench/spans.py`` traces this name.
     """
     count = len(exponents(k)) + 1
-    return rademacher_expand(k, {m: _evaluate(m, vec, count) for m, vec in table._w.items() if m < k - 2})
+    return rademacher_expand(k, {m: _evaluate(m, table.w_vector(m), count) for m in table.weights() if m < k - 2})
 
 
 # ---------------------------------------------------------------------------

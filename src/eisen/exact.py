@@ -168,9 +168,14 @@ def zeta_ratio(k: int) -> Fraction:
     This ratio is the only representation of zeta(k) in the package: every
     identity used here is weight-homogeneous, so the pi powers always cancel.
     """
+    return Fraction(*zeta_ratio_terms(k))
+
+
+def zeta_ratio_terms(k: int) -> tuple[int, int]:
+    """The integers T_(k/2) and (2^k - 1) (k-1)!, whose quotient is ``zeta_ratio(k)``, not reduced."""
     if k < 2 or k % 2:
         raise DomainError(f"k must be even and >= 2, got {k}")
-    return Fraction(_tangent_number(k // 2), (2**k - 1) * math.factorial(k - 1))
+    return _tangent_number(k // 2), (2**k - 1) * math.factorial(k - 1)
 
 
 def divisor_power_sum(n: int, e: int) -> int:
@@ -193,17 +198,23 @@ def divisor_power_sum(n: int, e: int) -> int:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational written as ``-?digits`` or ``-?digits/digits``, denominator positive.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The integers (num, den) written as ``-?digits`` or ``-?digits/digits``, den positive, as written.
 
     Anything else raises ``DomainError``: no ``+``, spaces, underscores,
     decimal point or exponent, so ``"1e3000000"`` is refused at once where
-    ``Fraction(str)`` would expand it to three million digits.
+    ``Fraction(str)`` would expand it to three million digits.  The pair is
+    not reduced: ``"2/4"`` gives (2, 4).
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise DomainError(f"{text!r} is not an integer or num/den in ASCII digits with a positive denominator")
-    return Fraction(_to_int(m[1]), _to_int(m[2] or "1"))
+    return _to_int(m[1]), _to_int(m[2] or "1")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational that ``parse_ratio`` reads, in lowest terms."""
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(c: Fraction) -> str:

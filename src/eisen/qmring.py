@@ -17,11 +17,13 @@ structurally.
 A form holds integer numerators over one denominator, and the generator
 q-expansions are integer series, so products, sums, derivatives and
 substitution run on integers; a Fraction is formed only when a coefficient is
-read.  Input is checked once, by the constructor; a ring result is valid by
-construction and is only put in lowest terms.  Sums, differences, products
-and scalar multiples are all one multiply-accumulate,
-``GradedForm.combination``: sum c * F * G over one common denominator,
-reduced by a single gcd over the result's numerators.
+read.  The generator expansions and their powers are built once per run and
+kept, keyed by (weight, exponent, number of terms), so substituting the forms
+of many weights builds each power once.  Input is checked once, by the
+constructor; a ring result is valid by construction and is only put in
+lowest terms.  Sums, differences, products and scalar multiples are all one
+multiply-accumulate, ``GradedForm.combination``: sum c * F * G over one
+common denominator, reduced by a single gcd over the result's numerators.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def serre_derivative(f: GradedForm) -> GradedForm:
 # -- exact truncated q-series (plain lists, index = power of q) --
 
 
-def series_mul(a: list[Scalar], b: list[Scalar], n_terms: int) -> list[Scalar]:
+def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n_terms: int) -> list[Scalar]:
     """Product of two q-series truncated to n_terms coefficients; integer series stay integer."""
     out: list[Scalar] = [0] * n_terms
     for i, x in enumerate(a[:n_terms]):
@@ -277,33 +279,44 @@ def generator_q_expansion(weight: int, n_terms: int) -> tuple[int, ...]:
     return (1, *[scale * divisor_power_sum(n, weight - 1) for n in range(1, n_terms)])
 
 
+#: (weight, n_terms) -> the generator's powers 0, 1, ..., e_max built so far: a longer
+#: tuple is built in full, then swapped in, so readers need no lock
+_generator_powers: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _generator_power(weight: int, e: int, n_terms: int) -> tuple[int, ...]:
+    """The generator of the given weight to the power e >= 0, as a truncated integer q-series.
+
+    Each power is built once per run, from the one below it, and kept, like
+    the generator expansions themselves.
+    """
+    powers = _generator_powers.get((weight, n_terms), ((1,) + (0,) * (n_terms - 1),))
+    if e >= len(powers):
+        gen = generator_q_expansion(weight, n_terms)
+        grown = list(powers)
+        while len(grown) <= e:
+            grown.append(tuple(series_mul(grown[-1], gen, n_terms)))
+        powers = _generator_powers[weight, n_terms] = tuple(grown)
+    return powers[e]
+
+
 def substitute_q_expansion(f: GradedForm, n_terms: int) -> list[Fraction]:
     """Evaluate a form as an exact truncated q-series.
 
     Substitutes the integer generator expansions, multiplies integer series
     and sums f's numerators; each q-coefficient is divided by f's denominator
-    once.  Powers of each generator are built incrementally so repeated
-    exponents are cheap.
+    once.  Each generator power is built once per run, from the one below it
+    (``_generator_power``), so the forms of many weights share them.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    gens = [generator_q_expansion(w, n_terms) for w in (2, 4, 6)]
-    one = [1] + [0] * (n_terms - 1)
-    powers: list[list[list[int]]] = [[one], [one], [one]]
     total = [0] * n_terms
-
-    def power(slot: int, e: int) -> list[int]:
-        cache = powers[slot]
-        while len(cache) <= e:
-            cache.append(series_mul(cache[-1], gens[slot], n_terms))
-        return cache[e]
-
     for (e2, e4, e6), n in f._nums.items():
-        cur = power(0, e2)
+        cur = _generator_power(2, e2, n_terms)
         if e4:
-            cur = series_mul(cur, power(1, e4), n_terms)
+            cur = series_mul(cur, _generator_power(4, e4, n_terms), n_terms)
         if e6:
-            cur = series_mul(cur, power(2, e6), n_terms)
+            cur = series_mul(cur, _generator_power(6, e6, n_terms), n_terms)
         for i in range(n_terms):
             total[i] += n * cur[i]
     return [Fraction(t, f._den) for t in total]

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+from eisen import eisenstein
+from eisen.errors import ConsistencyError
+from eisen.exact import bernoulli, zeta_ratio
+
 #: frozen golden phi_k (weight -> coefficients, constant first)
 GOLDEN_PHI = {
     12: (Fraction(-432000, 691), Fraction(1)),
@@ -20,3 +24,24 @@ def covers(pattern, mask):
     for d in pattern:
         sums |= {s + d for s in sums}
     return all(d in sums for d in range(mask.bit_length()) if mask >> d & 1)
+
+
+def check_q_coefficients_fraction(k, vec):
+    """Raise ``ConsistencyError`` unless w(k) gives E_k = 1 - (2k/B_k) q + O(q^2).
+
+    The value check ``load_csv`` made while it held every weight as Fractions,
+    kept as the reference its integer check must reproduce: with
+    u_a = w_a r_4^a r_6^b / r_k and E_4^a E_6^b = 1 + (240a - 504b) q + ...,
+    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k, both summed in
+    integers over the scale of ``_e_basis_numerators``, compared with the
+    Fractions r_k and -2k r_k / B_k.
+    """
+    nums, scale = eisenstein._e_basis_numerators(k, eisenstein._integer_view(vec))
+    sum0 = sum(nums.values())
+    sum1 = sum((240 * a - 504 * ((k - 4 * a) // 6)) * n for a, n in nums.items())
+    r_k = zeta_ratio(k)
+    q1 = -2 * k * r_k / bernoulli(k)
+    if sum0 * r_k.denominator != r_k.numerator * scale:
+        raise ConsistencyError(f"weight {k}: the constant q-coefficient of E_k is not 1")
+    if sum1 * q1.denominator != q1.numerator * scale:
+        raise ConsistencyError(f"weight {k}: the q^1 coefficient of E_k is not -2k/B_k")

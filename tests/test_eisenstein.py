@@ -7,10 +7,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisen import cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
-from eisen.exact import INFINITY, digit_sum_base2, zeta_ratio
+from eisen.exact import INFINITY, bernoulli, digit_sum_base2, zeta_ratio
 from eisen.eisenstein import (
     D2,
     EisensteinTable,
@@ -26,6 +28,7 @@ from eisen.eisenstein import (
 )
 from eisen.qmring import GradedForm, substitute_q_expansion
 from eisen.replicate import gekeler_scan, selftest
+from helpers import check_q_coefficients_fraction
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 
@@ -185,6 +188,17 @@ class TestTable:
         for k in (12, 30, 60):
             assert all(e2 == 0 for (e2, _, _) in table.graded_form(k).terms())
 
+    def test_only_the_storage_methods_name_the_storage_dicts(self):
+        # every other reader goes through __contains__, weights, w_vector,
+        # integer_view or e_basis_numerators, so a weight that is loaded but
+        # not yet read as Fractions is seen everywhere
+        readers = set()
+        for module in (cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.FunctionDef) and {"_w", "_pairs"} & names_in_tree(node):
+                    readers.add(node.name)
+        assert readers == {"__init__", "__contains__", "weights", "_vector", "_view", "_store", "load_csv"}
+
     def test_e8_is_e4_squared(self, shared_table):
         # E_8 = sum nums[a] / (scale r_8) E4^a E6^b, so E_8 = E4^2 is one term with nums[2] = scale r_8
         nums, scale = shared_table.ensure(8).e_basis_numerators(8)
@@ -225,9 +239,9 @@ class TestGradedFormMemo:
         calls: Counter = Counter()
         build = eisenstein._e_basis_numerators
 
-        def counting(k, vec):
+        def counting(k, view):
             calls[k] += 1
-            return build(k, vec)
+            return build(k, view)
 
         monkeypatch.setattr(eisenstein, "_e_basis_numerators", counting)
         assert selftest(k_dual=200, k_qseries=60, k_phi=0, table=table).status == "PASS"
@@ -357,10 +371,11 @@ class TestRademacher:
         assert not expanded and not evaluated
 
     def test_the_table_keeps_no_point_values(self):
-        # the point values live in one extend call; the table keeps w(k), the
-        # graded memo and the integer-view memo, and extend fills neither memo
+        # the point values live in one extend call; the table keeps w(k) (as
+        # Fractions, or as a loaded weight's pairs), the graded memo and the
+        # integer-view memo, and extend fills neither memo
         table = EisensteinTable().extend(100)
-        assert set(vars(table)) == {"_w", "_graded", "_views"}
+        assert set(vars(table)) == {"_w", "_pairs", "_graded", "_views"}
         assert table._graded == {}
         assert table._views == {}
 
@@ -696,3 +711,141 @@ class TestPersistence:
         path.write_text("12,0,2,25/143\n")
         with pytest.raises(ConsistencyError):
             EisensteinTable.load_csv(path)
+
+
+def loaded_copy(table: EisensteinTable, path) -> EisensteinTable:
+    table.dump_csv(path)
+    return EisensteinTable.load_csv(path)
+
+
+def as_pairs(k: int, vec: dict, factor: int = 1) -> tuple:
+    """w(k) as ``load_csv`` keeps a loaded weight, each pair scaled by factor."""
+    order = [a for a, _ in exponents(k)]
+    return tuple(vec[a].numerator * factor for a in order), tuple(vec[a].denominator * factor for a in order)
+
+
+def rejection(check, *args):
+    """The message ``check`` raises ``ConsistencyError`` with, or None if it accepts."""
+    try:
+        check(*args)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+class TestDeferredLoad:
+    """A loaded weight is kept as its rows' integer pairs until it is read as Fractions."""
+
+    def test_loaded_and_built_tables_read_alike_to_480(self, shared_table, tmp_path):
+        built = shared_table.ensure(480)
+        loaded = loaded_copy(built, tmp_path / "table.csv")
+        assert loaded.weights() == built.weights() and loaded.max_weight() == built.max_weight()
+        # each weight is held in one form: the axioms as Fractions, the loaded weights as pairs
+        assert set(loaded._w) == {4, 6} and set(loaded._pairs) == set(range(8, built.max_weight() + 1, 2))
+        for k in range(4, 481, 2):
+            assert k in loaded
+            view = eisenstein._integer_view(built.w_vector(k))
+            nums, scale = built.e_basis_numerators(k)
+            form = GradedForm(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
+            # from the pairs first, then from the Fractions that w_vector moves them to
+            assert loaded.e_basis_numerators(k) == (nums, scale), k
+            assert loaded.integer_view(k) == view, k
+            assert loaded.graded_form(k) == form, k
+            assert loaded.w_vector(k) == built.w_vector(k), k
+            assert list(loaded.w_vector(k)) == sorted(built.w_vector(k)), k
+            assert loaded.e_basis_numerators(k) == (nums, scale), k
+            assert k in loaded._w and k not in loaded._pairs, k
+
+    def test_scan_forms_no_fraction_of_w(self, shared_table, tmp_path, monkeypatch):
+        loaded = loaded_copy(shared_table.ensure(446), tmp_path / "table.csv")
+
+        def refuse(*args):
+            raise AssertionError("a Fraction of w(k) was formed")
+
+        monkeypatch.setattr(eisenstein, "Fraction", refuse)
+        assert gekeler_scan(446, table=loaded).status == "PASS"
+
+    def test_an_unreduced_row_loads_and_dumps_reduced(self, tmp_path):
+        # 6/14 is w_{2,8} = 3/7 and 50/286 is w_{0,12} = 25/143, written unreduced
+        path = tmp_path / "table.csv"
+        path.write_text("k,a,b,w\n4,1,0,2/2\n6,0,1,3/3\n8,2,0,6/14\n12,0,2,50/286\n12,3,0,18/143\n")
+        loaded = EisensteinTable.load_csv(path)
+        built = EisensteinTable().extend(12)
+        # the integer views of the pairs are those of the reduced values
+        assert loaded.integer_view(12) == eisenstein._integer_view(W12) == ({0: 25, 3: 18}, 143)
+        assert loaded.e_basis_numerators(8) == built.e_basis_numerators(8)
+        dumped = tmp_path / "dumped.csv"
+        loaded.dump_csv(dumped)
+        assert dumped.read_text().splitlines() == [
+            "k,a,b,w", "4,1,0,1/1", "6,0,1,1/1", "8,2,0,3/7", "12,0,2,25/143", "12,3,0,18/143"
+        ]
+        assert loaded.w_vector(8) == {2: Fraction(3, 7)}
+        assert loaded.w_vector(12) == W12
+
+    def test_extend_fills_a_gap_in_a_loaded_dump_as_a_build_does(self, tmp_path):
+        # 48 is a cross-checked weight, so the unfolded sum reads the loaded table too
+        built = EisensteinTable().extend(72)
+        path = tmp_path / "table.csv"
+        built.dump_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(("30,", "48,", "62,"))))
+        loaded = EisensteinTable.load_csv(path)
+        assert loaded.weights() == [k for k in range(4, 73, 2) if k not in (30, 48, 62)]
+        loaded.extend(72)
+        assert loaded.weights() == built.weights()
+        for k in built.weights():
+            assert loaded.w_vector(k) == built.w_vector(k), k
+        refilled, fresh = tmp_path / "refilled.csv", tmp_path / "fresh.csv"
+        loaded.dump_csv(refilled)
+        built.dump_csv(fresh)
+        assert refilled.read_bytes() == fresh.read_bytes()
+
+    def test_the_q1_closed_form_to_1000(self):
+        for k in range(4, 1001, 2):
+            assert Fraction(*eisenstein._q1_ratio(k)) == -2 * k * zeta_ratio(k) / bernoulli(k), k
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_check_rejects_exactly_when_the_fraction_reference_does(self, shared_table, data):
+        table = shared_table.ensure(480)
+        k = data.draw(st.sampled_from(range(8, 481, 2)), label="k")
+        vec = table.w_vector(k)
+        for a in data.draw(st.lists(st.sampled_from(sorted(vec)), unique=True), label="changed"):
+            kind = data.draw(st.sampled_from(["add", "scale", "flip", "zero"]), label=f"kind {a}")
+            if kind == "add":
+                vec[a] += Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 10**6)))
+            elif kind == "scale":
+                vec[a] *= Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9)))
+            elif kind == "flip":
+                vec[a] = -vec[a]
+            else:
+                vec[a] = Fraction(0)
+        factor = data.draw(st.integers(1, 6), label="unreduced by")
+        view = eisenstein._lift(k, as_pairs(k, vec, factor))
+        expected = rejection(check_q_coefficients_fraction, k, vec)
+        assert rejection(eisenstein._check_q_coefficients, k, view) == expected
+
+    def test_a_zero_value_on_the_null_space_is_refused(self, tmp_path):
+        # u + t (1, -2, 1) with t = -u_0 keeps both q-coefficients and zeroes w_{0,24}
+        table = EisensteinTable().extend(24)
+        r4, r6, r24 = zeta_ratio(4), zeta_ratio(6), zeta_ratio(24)
+        ratio = {a: r4**a * r6 ** ((24 - 4 * a) // 6) / r24 for a, _ in exponents(24)}
+        u = {a: w * ratio[a] for a, w in table.w_vector(24).items()}
+        shift = -u[0]
+        table._w[24] = {a: (u[a] + shift * c) / ratio[a] for a, c in ((0, 1), (3, -2), (6, 1))}
+        path = tmp_path / "table.csv"
+        table.dump_csv(path)
+        assert "24,0,4,0/1" in path.read_text()
+        with pytest.raises(ConsistencyError, match=r"weight 24: w_\{a,k\} <= 0 for a in \[0\]"):
+            EisensteinTable.load_csv(path)
+
+    def test_both_checks_accept_the_null_space_shift_of_w24(self, shared_table):
+        # (1, -2, 1) / 100 on (u_0, u_3, u_6) keeps sum u_a and sum u_a (240a - 504b):
+        # the blind spot of a two-coefficient check, shared by the reference
+        vec = shared_table.ensure(24).w_vector(24)
+        r4, r6, r24 = zeta_ratio(4), zeta_ratio(6), zeta_ratio(24)
+        for a, du in ((0, 1), (3, -2), (6, 1)):
+            vec[a] += Fraction(du, 100) * r24 / (r4**a * r6 ** ((24 - 4 * a) // 6))
+        assert vec != shared_table.table.w_vector(24)
+        assert rejection(check_q_coefficients_fraction, 24, vec) is None
+        assert rejection(eisenstein._check_q_coefficients, 24, eisenstein._lift(24, as_pairs(24, vec))) is None

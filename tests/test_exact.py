@@ -20,9 +20,11 @@ from eisen.exact import (
     is_prime,
     json_valuation,
     parse_integer,
+    parse_ratio,
     parse_rational,
     valuation,
     zeta_ratio,
+    zeta_ratio_terms,
 )
 from eisen.gekeler import phi_by_division
 
@@ -226,6 +228,12 @@ class TestZetaRatio:
         for ell in range(0, 5):
             assert valuation(zeta_ratio(12 * 2**ell) / 2, 2) == 0
 
+    def test_terms_are_the_unreduced_closed_form(self):
+        for k in range(2, 201, 2):
+            t, d = zeta_ratio_terms(k)
+            assert d == (2**k - 1) * math.factorial(k - 1)
+            assert Fraction(t, d) == zeta_ratio(k), k
+
     def test_matches_bernoulli_form_to_480(self):
         for k in range(2, 481, 2):
             sign = 1 if (k // 2) % 2 else -1
@@ -311,12 +319,21 @@ class TestParseRational:
         assert parse_rational("-7") == -7
         assert parse_integer("-12") == -12 and parse_integer("0") == 0
 
+    def test_the_pair_is_read_as_written(self):
+        assert parse_ratio("-25/143") == (-25, 143)
+        assert parse_ratio("6/4") == (6, 4)
+        assert parse_ratio("-7") == (-7, 1)
+        assert parse_ratio("0/005") == (0, 5)
+
     @pytest.mark.parametrize(
         "text", ["1e3", "1.5", "+1", " 1", "1_0", "1/0", "1/00", "1/-2", "\u0663/1", "1/", "/2", ""]
     )
     def test_rejects_non_digit_text(self, text):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as pair_error:
+            parse_ratio(text)
+        with pytest.raises(DomainError) as rational_error:
             parse_rational(text)
+        assert str(pair_error.value) == str(rational_error.value)
 
     @pytest.mark.parametrize("text", ["1/2", "+1", " 1", "1 ", "1_0", "1e3", "\u0663", ""])
     def test_integer_rejects_non_digit_text(self, text):

@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eisen import qmring
 from eisen.errors import DomainError, WeightMismatchError
 from eisen.exact import zeta_ratio
 from eisen.qmring import (
@@ -165,6 +167,43 @@ class TestQExpansion:
     def test_bad_term_count(self):
         with pytest.raises(DomainError):
             substitute_q_expansion(E4, 0)
+
+    def test_generator_powers_are_the_repeated_products(self):
+        for weight in (2, 4, 6):
+            power = [1, 0, 0, 0, 0, 0]
+            for e in range(8):
+                assert list(qmring._generator_power(weight, e, 6)) == power, (weight, e)
+                power = series_mul(power, generator_q_expansion(weight, 6), 6)
+        # built iteratively, so a high power needs no deep recursion
+        assert qmring._generator_power(4, 1500, 2) == (1, 240 * 1500)
+
+    def test_selftest_builds_each_generator_power_once(self, shared_table, monkeypatch):
+        # the q-series oracle substitutes the forms of 29 weights; each power
+        # of E4 and E6 is built once for the run, not once per weight
+        from eisen.replicate import SELFTEST_Q_TERMS, selftest
+
+        n = SELFTEST_Q_TERMS
+        table = shared_table.ensure(480)
+        gens = {id(generator_q_expansion(w, n)): w for w in (2, 4, 6)}
+        built: Counter = Counter()
+        real = qmring.series_mul
+
+        def counting(a, b, n_terms):
+            out = real(a, b, n_terms)
+            if id(b) in gens:  # a power built from the one below it: record the exponent reached
+                built[gens[id(b)], out[1] // b[1], n_terms] += 1
+            return out
+
+        monkeypatch.setattr(qmring, "_generator_powers", {})
+        monkeypatch.setattr(qmring, "series_mul", counting)
+        report = selftest(table=table)
+        assert report.status == "PASS"
+        assert set(built.values()) == {1}
+        assert set(built) == {(4, e, n) for e in range(1, 16)} | {(6, e, n) for e in range(1, 11)}
+        records = [r for r in report.records if r["check"] == "q-series"]
+        assert records == [{"check": "q-series", "k": k, "passed": True} for k in range(4, 61, 2)]
+        assert selftest(k_dual=0, k_qseries=60, k_phi=0, table=table).records == records
+        assert sum(built.values()) == 25
 
 
 class TestSerialization:
