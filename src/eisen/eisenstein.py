@@ -23,10 +23,10 @@ unfolded, symmetric ordering is kept as an independent cross-check that
 k mod 4); it convolves coefficient vectors and shares no arithmetic with the
 evaluated sum.
 
-Both sums work on integers over a per weight common denominator;
-per-coefficient Fraction reduction happens once per weight.  This matters:
-naive Fraction arithmetic normalizes on every multiply and is ~25x slower at
-weight 500.
+Both sums work on integers over a per weight common denominator and return
+w(k) in the table's form, reduced by one gcd chain per weight, with no
+Fraction formed.  This matters: naive Fraction arithmetic normalizes on
+every multiply and is ~25x slower at weight 500.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from .qmring import E2, GradedForm, serre_derivative
 
 #: coefficient vector of one weight: E4-exponent a -> w_{a,k}; b = (k-4a)/6 implied
 WVector = dict[int, Fraction]
-#: a loaded weight as its rows give it: the numerators and the denominators (> 0, not
-#: reduced) of w_{a,k}, a ascending as in exponents(k)
-WPairs = tuple[tuple[int, ...], tuple[int, ...]]
 #: integers nums, den with w_{a,k} = nums[a] / den
 IntegerView = tuple[dict[int, int], int]
 
@@ -89,69 +86,48 @@ class EisensteinTable:
     even weight is filled by the convolution recurrence when ``extend`` is
     called, or read from a dump by ``load_csv``.  Popa's recurrence never
     builds the table: it is the cross-check that ``popa_expand`` reproduces
-    each weight.  Entries are immutable once present, and so is every
-    ``GradedForm``, so ``graded_form(k)`` is built once and the graded Popa
-    route and the q-series oracle share it for the life of the table.  For
-    the same reason ``integer_view(k)`` is built once and kept in ``_views``
-    for the precancelled Popa route, its only reader.  Neither memo is filled
-    by ``extend``, ``load_csv`` or the phi routes.
+    each weight.
 
-    Each weight is held in one form, a ascending.  Built weights and the
-    axioms are Fractions in ``_w``.  A loaded weight is kept in ``_pairs`` as
-    the integer pairs (num, den) of its rows, one tuple of numerators and one
-    of denominators, until w(k) is first read as Fractions (``w_vector``,
-    ``extend``, ``dump_csv``), which moves it to ``_w``; ``integer_view`` and
-    ``e_basis_numerators`` lift the pairs directly, so a weight that is only
-    read as integers never forms a Fraction.  Only the storage methods below
-    name the two dicts.
+    Each weight is held in one form, its reduced integer view in ``_views``:
+    integers nums, den with w_{a,k} = nums[a] / den, den > 0 the lcm of the
+    reduced denominators (so gcd(den, *nums) = 1), a ascending as in
+    ``exponents(k)``.  ``integer_view`` returns it as stored, and
+    ``w_vector`` forms Fractions from it on each call.  Entries are immutable
+    once present, and so is every ``GradedForm``, so ``graded_form(k)`` is
+    built once and kept in ``_graded``, the one memo, which the graded Popa
+    route and the q-series oracle share for the life of the table; neither
+    ``extend``, ``load_csv`` nor the phi routes fill it.
     """
 
     def __init__(self) -> None:
-        self._w: dict[int, WVector] = {4: {1: Fraction(1)}, 6: {0: Fraction(1)}}
-        self._pairs: dict[int, WPairs] = {}
+        self._views: dict[int, IntegerView] = {4: ({1: 1}, 1), 6: ({0: 1}, 1)}
         self._graded: dict[int, GradedForm] = {}
-        self._views: dict[int, IntegerView] = {}
 
     def __contains__(self, k: int) -> bool:
-        return k in self._w or k in self._pairs
+        return k in self._views
 
     def weights(self) -> list[int]:
-        return sorted([*self._w, *self._pairs])
+        return sorted(self._views)
 
     def max_weight(self) -> int:
         return self.weights()[-1]
 
-    def w_vector(self, k: int) -> WVector:
-        return dict(self._vector(k))
+    def integer_view(self, k: int) -> IntegerView:
+        """w(k) as stored: integers nums, den with w_{a,k} = nums[a] / den, reduced, a ascending.
 
-    def _vector(self, k: int) -> WVector:
-        """w(k) as the table's own Fractions; a loaded weight is moved out of ``_pairs`` on first read."""
-        vec = self._w.get(k)
-        if vec is None:
-            pairs = self._pairs.pop(k, None)
-            if pairs is None:
-                if k < 4 or k % 2:
-                    raise DomainError(f"k must be even and >= 4, got {k}")
-                raise MissingWeightError(f"weight {k} not in table (extend first)")
-            vec = self._w[k] = {a: Fraction(n, d) for (a, _), n, d in zip(exponents(k), *pairs)}
-        return vec
-
-    def _view(self, k: int) -> IntegerView:
-        """``_integer_view`` of w(k); a loaded weight's is lifted from its pairs, with no Fraction formed.
-
-        Over the lcm L of the pairs' denominators the gcd of L and the
-        numerators is 1 when every pair is in lowest terms, and L / D
-        otherwise, D the lcm of the reduced denominators; it is divided out.
+        The result is shared, and its reader must not change it.
         """
-        pairs = self._pairs.get(k)
-        if pairs is None:
-            return _integer_view(self._vector(k))
-        nums, den = _lift(k, pairs)
-        g = math.gcd(den, *nums.values())
-        return ({a: n // g for a, n in nums.items()}, den // g) if g > 1 else (nums, den)
+        view = self._views.get(k)
+        if view is None:
+            if k < 4 or k % 2:
+                raise DomainError(f"k must be even and >= 4, got {k}")
+            raise MissingWeightError(f"weight {k} not in table (extend first)")
+        return view
 
-    def _store(self, k: int, vec: WVector) -> None:
-        self._w[k] = {a: vec[a] for a in sorted(vec)}
+    def w_vector(self, k: int) -> WVector:
+        """w(k) as Fractions, formed from ``integer_view(k)`` on each call."""
+        nums, den = self.integer_view(k)
+        return {a: Fraction(n, den) for a, n in nums.items()}
 
     # -- building -------------------------------------------------------------
 
@@ -176,12 +152,12 @@ class EisensteinTable:
             if k in self:
                 continue
             if not points:
-                points = {m: _evaluate(m, self._vector(m), nodes) for m in self.weights()}
-            vec = rademacher_expand(k, points)
-            if _cross_checked(k) and rademacher_expand_unfolded(k, self) != vec:
+                points = {m: _evaluate(m, view, nodes) for m, view in self._views.items()}
+            view = rademacher_expand(k, points)
+            if _cross_checked(k) and rademacher_expand_unfolded(k, self) != view:
                 raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
-            self._store(k, vec)
-            points[k] = _evaluate(k, self._vector(k), nodes)
+            self._views[k] = view
+            points[k] = _evaluate(k, view, nodes)
         return self
 
     # -- conversions ------------------------------------------------------------
@@ -200,24 +176,13 @@ class EisensteinTable:
             self._graded[k] = form
         return form
 
-    def integer_view(self, k: int) -> IntegerView:
-        """Integers nums, den with w_{a,k} = nums[a] / den, den the lcm of w(k)'s denominators.
-
-        Built on first read and kept in ``_views``; the result is shared, and
-        its reader must not change it.
-        """
-        view = self._views.get(k)
-        if view is None:
-            view = self._views[k] = self._view(k)
-        return view
-
     def e_basis_numerators(self, k: int) -> IntegerView:
         """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
 
-        Reads w(k) only, as integers: no point value of the convolution is
-        evaluated, and a loaded weight forms no Fraction.
+        Reads w(k) only, as its integer view: no point value of the
+        convolution is evaluated and no Fraction is formed.
         """
-        return _e_basis_numerators(k, self._view(k))
+        return _e_basis_numerators(k, self.integer_view(k))
 
     # -- persistence -------------------------------------------------------------
 
@@ -231,7 +196,7 @@ class EisensteinTable:
         rows = [
             [k, a, (k - 4 * a) // 6, format_rational(c)]
             for k in self.weights()
-            for a, c in sorted(self._vector(k).items())
+            for a, c in self.w_vector(k).items()
         ]
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([["k", "a", "b", "w"], *rows])
@@ -254,9 +219,10 @@ class EisensteinTable:
         contiguous: ``extend`` fills any gap.
 
         Every check runs on the integer pairs (num, den) of the rows
-        (``parse_ratio``), the value check on their integer view, and each
-        loaded weight is kept as its pairs: a Fraction is formed only when
-        w(k) is read as one.
+        (``parse_ratio``), the value check on their integer view over the lcm
+        of the row denominators; that view, divided by its gcd, is what the
+        table stores, so no Fraction is formed.  Each weight's rows are
+        dropped as it is converted.
         """
         table = cls()
         # k -> (numerators by a, denominators by a); a (num, den) tuple per row, kept to
@@ -289,7 +255,7 @@ class EisensteinTable:
         except csv.Error as exc:
             raise ConsistencyError(f"table {path} is not readable CSV: {exc}") from exc
         for k in sorted(loaded):
-            nums, dens = loaded[k]
+            nums, dens = loaded.pop(k)
             missing = [(a, b) for a, b in exponents(k) if a not in nums]
             if missing:
                 raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}")
@@ -297,15 +263,14 @@ class EisensteinTable:
                 if nums != dens:
                     raise ConsistencyError(f"base weight {k} differs from its axiom")
                 continue
-            order = [a for a, _ in exponents(k)]
-            pairs = tuple(nums[a] for a in order), tuple(dens[a] for a in order)
-            _check_q_coefficients(k, _lift(k, pairs))
+            view = _lift(k, nums, dens)
+            _check_q_coefficients(k, view)
             nonpositive = [a for a, n in nums.items() if n <= 0]
             if nonpositive:
                 raise ConsistencyError(
                     f"weight {k}: w_{{a,k}} <= 0 for a in {nonpositive}, but every w_{{a,k}} is positive"
                 )
-            table._pairs[k] = pairs
+            table._views[k] = _reduced(*view)
         return table
 
 
@@ -323,16 +288,16 @@ def _e_basis_numerators(k: int, view: IntegerView) -> IntegerView:
     return nums, den * 45**a_top * 945**b_top
 
 
-def _integer_view(vec: WVector) -> IntegerView:
-    """Integers nums, den with vec[a] = nums[a] / den, den the lcm of vec's denominators."""
-    den = math.lcm(*[c.denominator for c in vec.values()])
-    return {a: c.numerator * (den // c.denominator) for a, c in vec.items()}, den
+def _lift(k: int, nums: Mapping[int, int], dens: Mapping[int, int]) -> IntegerView:
+    """Integers lifted, den with lifted[a] / den = nums[a] / dens[a], den the lcm of the dens, a ascending."""
+    den = math.lcm(*dens.values())
+    return {a: nums[a] * (den // dens[a]) for a, _ in exponents(k)}, den
 
 
-def _lift(k: int, pairs: WPairs) -> IntegerView:
-    """Integers nums, den with nums[a] / den = n / d for the pairs (n, d) of w(k), den the lcm of the d."""
-    den = math.lcm(*pairs[1])
-    return {a: n * (den // d) for (a, _), n, d in zip(exponents(k), *pairs)}, den
+def _reduced(nums: dict[int, int], den: int) -> IntegerView:
+    """nums / den (den > 0) as the table stores it: both divided by gcd(den, *nums), one gcd chain per weight."""
+    g = math.gcd(den, *nums.values())
+    return ({a: n // g for a, n in nums.items()}, den // g) if g > 1 else (nums, den)
 
 
 def _check_q_coefficients(k: int, view: IntegerView) -> None:
@@ -417,10 +382,6 @@ def _scaled_convolution(
     return acc, acc_den
 
 
-def _reduce_scaled(acc: dict[int, int], den: int) -> WVector:
-    return {a: Fraction(v, den) for a, v in acc.items() if v}
-
-
 def _check_domain(k: int) -> None:
     if k == 6:
         raise DomainError("k = 6 makes the left factor k/2 - 3 vanish")
@@ -434,13 +395,14 @@ def _require_weights(have: Container[int], needed: Iterable[int]) -> None:
         raise MissingWeightError(f"table is missing prerequisite weights {missing}")
 
 
-def _evaluate(k: int, vec: WVector, count: int) -> tuple[list[int], int]:
-    """Integers vals, den with sum_a vec[a] z^b = vals[z - 1] / den at z = 1 .. count.
+def _evaluate(k: int, view: IntegerView, count: int) -> tuple[list[int], int]:
+    """Integers vals, den with sum_a w_{a,k} z^b = vals[z - 1] / den at z = 1 .. count.
 
     That is G_k at (G4, G6) = (1, z): z^b0 R(z^2), R evaluated by Horner from
-    the integer view of w(k).  b runs over b0, b0 + 2, ... and b0 is 0 or 1.
+    the integer view nums, den of w(k).  b runs over b0, b0 + 2, ... and b0
+    is 0 or 1.
     """
-    nums, den = _integer_view(vec)
+    nums, den = view
     pairs = exponents(k)
     b0 = pairs[-1][1]
     vals = []
@@ -448,7 +410,7 @@ def _evaluate(k: int, vec: WVector, count: int) -> tuple[list[int], int]:
         y = z * z
         h = 0
         for a, _ in pairs:  # b descending
-            h = h * y + nums.get(a, 0)
+            h = h * y + nums[a]
         vals.append(h * z**b0)
     return vals, den
 
@@ -525,7 +487,7 @@ def _interpolate(k: int, vals: list[int]) -> dict[int, int]:
     return {a: coef[n - 1 - j] for j, (a, _) in enumerate(pairs)}
 
 
-def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> WVector:
+def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> IntegerView:
     """w(k) from the convolution identity, folded (the production path)
 
         (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p}
@@ -535,7 +497,8 @@ def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> WV
     The terms p and k/2 - p of the symmetric sum are equal, so each pair is
     taken once.  The identity is evaluated at (G4, G6) = (1, z) for
     z = 1 .. n + 1, n = len(exponents(k)), and w(k) recovered once by
-    ``_interpolate``.  ``points`` maps each even weight 4 .. k-4 to its
+    ``_interpolate`` and returned as the table stores it, reduced by
+    ``_reduced``.  ``points`` maps each even weight 4 .. k-4 to its
     values at no fewer than n + 1 nodes, as ``_evaluate`` gives them.  k = 6
     is outside the domain (the left factor k/2-3 vanishes there).
     """
@@ -548,36 +511,36 @@ def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> WV
     if any(len(points[m][0]) < count for m in range(4, k - 3, 2)):
         raise DomainError(f"weight {k} needs point values at {count} nodes")
     vals, den = _pointwise_convolution(terms, points, count)
-    return _reduce_scaled(_interpolate(k, vals), den * (k // 2 - 3) * (k - 1) * (k + 1))
+    return _reduced(_interpolate(k, vals), den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
-def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> WVector:
+def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> IntegerView:
     """The same w(k) from the symmetric, unfolded sum
 
         (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p},
 
-    every term evaluated on its own, in the coefficient domain on integer
-    views of w(m) built for this call.  It is the cross-check of the folded
-    production sum, with which it shares no convolution arithmetic: ``extend``
-    compares the two at every weight 12 * 2^m and 12 * 2^m + 2.
+    every term evaluated on its own, in the coefficient domain on the table's
+    integer views of w(m), and reduced as ``rademacher_expand`` is (its keys
+    in the order the convolution reaches them).  It is the cross-check of the
+    folded production sum, with which it shares no convolution arithmetic:
+    ``extend`` compares the two at every weight 12 * 2^m and 12 * 2^m + 2.
     """
     _check_domain(k)
     _require_weights(table, range(4, k - 3, 2))
-    views = {m: _integer_view(table.w_vector(m)) for m in range(4, k - 3, 2)}
     acc, den = _scaled_convolution(
         ((3 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 2 - 1)),
-        views.__getitem__,
+        table.integer_view,
     )
-    return _reduce_scaled(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
+    return _reduced(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
-def rademacher_expand_folded(k: int, table: EisensteinTable) -> WVector:
+def rademacher_expand_folded(k: int, table: EisensteinTable) -> IntegerView:
     """``rademacher_expand`` on point values of ``table`` evaluated for this call.
 
     Only the benchmark needs it: ``bench/spans.py`` traces this name.
     """
     count = len(exponents(k)) + 1
-    return rademacher_expand(k, {m: _evaluate(m, table.w_vector(m), count) for m in table.weights() if m < k - 2})
+    return rademacher_expand(k, {m: _evaluate(m, table.integer_view(m), count) for m in table.weights() if m < k - 2})
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +631,9 @@ def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
         for a, v in part.items():
             acc[a] = acc.get(a, 0) + mult * v
 
-    # integer views of w(m) from the table's memo, built once per weight for
-    # the life of the table; no point value of the convolution this route checks.
-    # Every term is over 2^(k+2), as in the graded route: acc is 2^(k+2) c_k d_k G_k
+    # the table's integer views of w(m), as stored, and no point value of the
+    # convolution this route checks.  Every term is over 2^(k+2), as in the
+    # graded route: acc is 2^(k+2) c_k d_k G_k
     for num, m1, m2 in _popa_common_terms(k):
         (nums1, den1), (nums2, den2) = table.integer_view(m1), table.integer_view(m2)
         conv: dict[int, int] = {}

@@ -20,8 +20,9 @@ keeps phi_k's primitive integer polynomial.  Each reads its binomial sum as
 the coefficients of a polynomial, sum_a v_a x^a (1 + c x)^(m - a), built by
 Horner's rule: adds and small multiples, with no binomial coefficient.  They
 share no helper: division reads E_k's numerators off
-``EisensteinTable.e_basis_numerators``, the closed form scales w(k) itself,
-and each runs its own Horner loop, so each stays the other's cross-check.
+``EisensteinTable.e_basis_numerators``, the closed form scales the table's
+integer view of w(k) itself (``EisensteinTable.integer_view``), and each runs
+its own Horner loop, so each stays the other's cross-check.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
     with r_k = 2 zeta(k)/pi^k.  Cross-checked against phi_by_division; any
     discrepancy is a hard failure in the callers that compare routes.
 
-    The a-dependent factor (49/20)^a is 49^a 20^(r-a) / 20^r; with w over the
-    lcm D of its denominators and v_a = D w_{3a,k} 49^a,
+    The a-dependent factor (49/20)^a is 49^a 20^(r-a) / 20^r; with w(k) read
+    as the table stores it, w_{a,k} = lifted[a] / D, and v_a = lifted[3a] 49^a,
     S_r = sum_a v_a 20^(r-a) C(m - a, m - r) is an integer and
     t_{k,r} = (-1)^(k/12 - r) S_r 2^(2k/3 - 8r) / (r_k D 3^(k/4 + 3r) 5^(k/6 + r) 7^(k/6)).
     r_k's denominator is cancelled once per weight against
@@ -192,17 +193,15 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
     if k < 12:
         raise DomainError(f"k must be >= 12, got {k}")
     m = k // 12
-    vec = table.w_vector(k)
+    lifted, den = table.integer_view(k)
     r_k = zeta_ratio(k)
-    den = math.lcm(*[w.denominator for w in vec.values()])
-    lifted = {a: w.numerator * (den // w.denominator) * 49**a for a in range(m + 1) if (w := vec.get(3 * a))}
     free = den * 3 ** (k // 4) * 5 ** (k // 6) * 7 ** (k // 6)
     g = math.gcd(r_k.denominator, free)
     up, fixed = r_k.denominator // g, r_k.numerator * (free // g)
     # Horner in (1 + 20x): s[r] = S_r = sum_a v_a 20^(r-a) C(m - a, m - r)
     s: list[int] = []
     for a in range(m + 1):
-        s.append(lifted.get(a, 0))
+        s.append(lifted[3 * a] * 49**a)
         for i in range(a, 0, -1):
             s[i] += 20 * s[i - 1]
     # over the one denominator fixed 3^(3m) 5^m = fixed 135^m

@@ -1,5 +1,6 @@
 """Test-side helpers shared by more than one test module."""
 
+import math
 from fractions import Fraction
 
 from eisen import eisenstein
@@ -26,6 +27,15 @@ def covers(pattern, mask):
     return all(d in sums for d in range(mask.bit_length()) if mask >> d & 1)
 
 
+def integer_view_of(vec):
+    """Integers nums, den with vec[a] = nums[a] / den, den the lcm of vec's denominators.
+
+    The reduced integer view an ``EisensteinTable`` stores, formed from Fractions.
+    """
+    den = math.lcm(*[c.denominator for c in vec.values()])
+    return {a: c.numerator * (den // c.denominator) for a, c in vec.items()}, den
+
+
 def check_q_coefficients_fraction(k, vec):
     """Raise ``ConsistencyError`` unless w(k) gives E_k = 1 - (2k/B_k) q + O(q^2).
 
@@ -36,7 +46,7 @@ def check_q_coefficients_fraction(k, vec):
     integers over the scale of ``_e_basis_numerators``, compared with the
     Fractions r_k and -2k r_k / B_k.
     """
-    nums, scale = eisenstein._e_basis_numerators(k, eisenstein._integer_view(vec))
+    nums, scale = eisenstein._e_basis_numerators(k, integer_view_of(vec))
     sum0 = sum(nums.values())
     sum1 = sum((240 * a - 504 * ((k - 4 * a) // 6)) * n for a, n in nums.items())
     r_k = zeta_ratio(k)

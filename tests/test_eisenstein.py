@@ -28,9 +28,11 @@ from eisen.eisenstein import (
 )
 from eisen.qmring import GradedForm, substitute_q_expansion
 from eisen.replicate import gekeler_scan, selftest
-from helpers import check_q_coefficients_fraction
+from helpers import check_q_coefficients_fraction, integer_view_of
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
+#: w(12) as the table stores it
+W12_VIEW = ({0: 25, 3: 18}, 143)
 
 #: the coefficient-domain convolution (``_scaled_vector`` is its former cache)
 CONVOLUTION_HELPERS = {"_scaled_convolution", "_scaled_vector"}
@@ -50,7 +52,7 @@ def names_in_tree(tree: ast.AST) -> set:
 def point_values(table: EisensteinTable, k_max: int) -> dict:
     """Every weight of ``table`` below k_max at the nodes ``extend(k_max)`` evaluates."""
     nodes = k_max // 12 + 2
-    return {m: eisenstein._evaluate(m, table.w_vector(m), nodes) for m in table.weights() if m < k_max}
+    return {m: eisenstein._evaluate(m, table.integer_view(m), nodes) for m in table.weights() if m < k_max}
 
 
 def counting(monkeypatch, name: str) -> Counter:
@@ -95,16 +97,16 @@ def popa_precancelled_fraction(k: int, table: EisensteinTable) -> dict:
 
     for j in range(3, k // 2 - 1, 2):
         coeff = (math.comb(k // 2, j) + math.comb(k // 2 - 2, j)) * popa_d(j + 1) * popa_d(k - j - 1)
-        for a1, v1 in table._w[j + 1].items():
-            for a2, v2 in table._w[k - j - 1].items():
+        for a1, v1 in table.w_vector(j + 1).items():
+            for a2, v2 in table.w_vector(k - j - 1).items():
                 add(a1 + a2, coeff * v1 * v2)
     if k % 4 == 0:
         coeff = Fraction(k, 2) * popa_d(k // 2) ** 2
-        for a1, v1 in table._w[k // 2].items():
-            for a2, v2 in table._w[k // 2].items():
+        for a1, v1 in table.w_vector(k // 2).items():
+            for a2, v2 in table.w_vector(k // 2).items():
                 add(a1 + a2, coeff * v1 * v2)
     half_dk2 = popa_d(k - 2) / 2
-    for a, w in table._w[k - 2].items():
+    for a, w in table.w_vector(k - 2).items():
         b = (k - 2 - 4 * a) // 6
         scale = -half_dk2 * w
         if a:
@@ -189,15 +191,14 @@ class TestTable:
             assert all(e2 == 0 for (e2, _, _) in table.graded_form(k).terms())
 
     def test_only_the_storage_methods_name_the_storage_dicts(self):
-        # every other reader goes through __contains__, weights, w_vector,
-        # integer_view or e_basis_numerators, so a weight that is loaded but
-        # not yet read as Fractions is seen everywhere
+        # every other reader goes through __contains__, weights, integer_view,
+        # w_vector or e_basis_numerators; only the two producers write a view
         readers = set()
         for module in (cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate):
             for node in ast.walk(ast.parse(inspect.getsource(module))):
-                if isinstance(node, ast.FunctionDef) and {"_w", "_pairs"} & names_in_tree(node):
+                if isinstance(node, ast.FunctionDef) and "_views" in names_in_tree(node):
                     readers.add(node.name)
-        assert readers == {"__init__", "__contains__", "weights", "_vector", "_view", "_store", "load_csv"}
+        assert readers == {"__init__", "__contains__", "weights", "integer_view", "extend", "load_csv"}
 
     def test_e8_is_e4_squared(self, shared_table):
         # E_8 = sum nums[a] / (scale r_8) E4^a E6^b, so E_8 = E4^2 is one term with nums[2] = scale r_8
@@ -253,11 +254,11 @@ class TestRademacher:
     def test_weight_eight_single_term(self, shared_table):
         # lone term p = 2: 3 * 3 * 3 / (1 * 7 * 9) = 3/7
         table = shared_table.ensure(8)
-        assert rademacher_expand(8, point_values(table, 8)) == {2: Fraction(3, 7)}
+        assert rademacher_expand(8, point_values(table, 8)) == ({2: 3}, 7)
 
     def test_weight_twelve(self, shared_table):
         table = shared_table.ensure(12)
-        assert rademacher_expand(12, point_values(table, 12)) == W12
+        assert rademacher_expand(12, point_values(table, 12)) == W12_VIEW
 
     def test_weight_six_out_of_domain(self, shared_table):
         with pytest.raises(DomainError):
@@ -270,7 +271,7 @@ class TestRademacher:
     def test_too_few_nodes(self, shared_table):
         # w(24) has 3 unknowns, so it reads 4 nodes
         table = shared_table.ensure(20)
-        points = {m: eisenstein._evaluate(m, table.w_vector(m), 3) for m in range(4, 21, 2)}
+        points = {m: eisenstein._evaluate(m, table.integer_view(m), 3) for m in range(4, 21, 2)}
         with pytest.raises(DomainError, match="4 nodes"):
             rademacher_expand(24, points)
 
@@ -282,7 +283,7 @@ class TestRademacher:
     def test_fold_covers_k_2_mod_4(self, shared_table):
         table = shared_table.ensure(10)
         points = point_values(table, 10)
-        assert rademacher_expand(10, points) == rademacher_expand_unfolded(10, table) == {1: Fraction(5, 11)}
+        assert rademacher_expand(10, points) == rademacher_expand_unfolded(10, table) == ({1: 5}, 11)
         assert rademacher_expand_folded(10, table) == rademacher_expand(10, points)
         sources = ((rademacher_expand, points), (rademacher_expand_unfolded, table), (rademacher_expand_folded, table))
         for expand, source in sources:
@@ -311,10 +312,10 @@ class TestRademacher:
         real = eisenstein.rademacher_expand_unfolded
 
         def perturbed(k, table):
-            vec = real(k, table)
+            nums, den = real(k, table)
             if k == 26:
-                vec[min(vec)] += 1
-            return vec
+                nums[min(nums)] += 1
+            return nums, den
 
         monkeypatch.setattr(eisenstein, "rademacher_expand_unfolded", perturbed)
         table = EisensteinTable().extend(24)
@@ -329,8 +330,8 @@ class TestRademacher:
         table = EisensteinTable().extend(42)
         real = eisenstein._evaluate
 
-        def perturbed(k, vec, count):
-            vals, den = real(k, vec, count)
+        def perturbed(k, view, count):
+            vals, den = real(k, view, count)
             if k == 20:
                 vals[z - 1] += 1
             return vals, den
@@ -346,7 +347,7 @@ class TestRademacher:
         table = EisensteinTable().extend(100)
         nodes = []
         real = eisenstein._evaluate
-        monkeypatch.setattr(eisenstein, "_evaluate", lambda k, vec, count: nodes.append(count) or real(k, vec, count))
+        monkeypatch.setattr(eisenstein, "_evaluate", lambda k, view, count: nodes.append(count) or real(k, view, count))
         table.extend(200)
         assert nodes == [200 // 12 + 2] * len(range(4, 201, 2))
         monkeypatch.undo()
@@ -371,13 +372,12 @@ class TestRademacher:
         assert not expanded and not evaluated
 
     def test_the_table_keeps_no_point_values(self):
-        # the point values live in one extend call; the table keeps w(k) (as
-        # Fractions, or as a loaded weight's pairs), the graded memo and the
-        # integer-view memo, and extend fills neither memo
+        # the point values live in one extend call; the table keeps the views
+        # of w(k) and the graded memo, and extend leaves the memo empty
         table = EisensteinTable().extend(100)
-        assert set(vars(table)) == {"_w", "_pairs", "_graded", "_views"}
+        assert set(vars(table)) == {"_views", "_graded"}
+        assert sorted(table._views) == list(range(4, 101, 2))
         assert table._graded == {}
-        assert table._views == {}
 
     def test_expand_on_a_loaded_dump(self, shared_table, tmp_path):
         built = shared_table.ensure(120)
@@ -386,9 +386,9 @@ class TestRademacher:
         loaded = EisensteinTable.load_csv(dump)
         points = point_values(loaded, 120)
         for k in range(8, 121, 2):
-            vec = rademacher_expand(k, points)
-            assert vec == built.w_vector(k), k
-            assert list(vec) == sorted(vec)
+            view = rademacher_expand(k, points)
+            assert view == built.integer_view(k), k
+            assert list(view[0]) == [a for a, _ in exponents(k)], k
 
     def test_folded_and_unfolded_share_no_convolution_arithmetic(self):
         assert not CONVOLUTION_HELPERS & names_in(eisenstein.rademacher_expand)
@@ -469,38 +469,6 @@ class TestPopa:
     def test_routes_share_no_convolution_helper(self, route):
         names = names_in(route)
         assert not (CONVOLUTION_HELPERS | POINT_VALUE_HELPERS) & names
-
-    def test_precancelled_route_builds_each_integer_view_once(self, monkeypatch):
-        table = EisensteinTable().extend(60)
-        for m in range(4, 59, 2):
-            table.graded_form(m)  # so that only the precancelled route builds views
-        built: Counter = Counter()
-        real = eisenstein._integer_view
-
-        def counting_view(vec):
-            built[next(m for m, w in table._w.items() if w == vec)] += 1
-            return real(vec)
-
-        monkeypatch.setattr(eisenstein, "_integer_view", counting_view)
-        assert selftest(k_dual=60, k_qseries=0, k_phi=0, table=table).status == "PASS"
-        assert built == Counter(range(4, 59, 2))
-        built.clear()
-        assert popa_expand(60, table, "precancelled") == table.w_vector(60)
-        assert not built
-
-    def test_build_and_scan_leave_the_integer_view_memo_empty(self):
-        table = EisensteinTable().extend(200)
-        assert gekeler_scan(120, table=table).status == "PASS"
-        assert table._views == {}
-
-    def test_only_the_precancelled_route_reads_the_integer_view_memo(self):
-        # outside the table's own constructor and memo, one reader in the package
-        readers = set()
-        for module in (cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate):
-            for node in ast.walk(ast.parse(inspect.getsource(module))):
-                if isinstance(node, ast.FunctionDef) and {"integer_view", "_views"} & names_in_tree(node):
-                    readers.add(node.name)
-        assert readers == {"__init__", "integer_view", "_popa_precancelled"}
 
     def test_selftest_leaves_the_point_value_cache_empty(self, tmp_path, monkeypatch):
         # the cross-checks evaluate no point value of the convolution they check
@@ -591,7 +559,8 @@ class TestPersistence:
         # a refused value must not leave a truncated dump, which would load
         # cleanly as a smaller table, nor empty a file already at the path
         table = EisensteinTable().extend(24)
-        table._w[24][min(table._w[24])] = Fraction(10**4300, 7)  # a 4301-digit numerator
+        nums, den = table.integer_view(24)
+        nums[min(nums)] = 10**4300 * den  # w_{0,24} = 10^4300, a 4301-digit numerator
         kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
         kept.write_bytes(b"k,a,b,w\n4,1,0,1/1\n")
         old = sys.get_int_max_str_digits()
@@ -687,7 +656,7 @@ class TestPersistence:
         u[0] += 1
         u[3] -= 1
         path = tmp_path / "table.csv"
-        table._w[24] = {a: v * r24 / (r4**a * r6 ** ((24 - 4 * a) // 6)) for a, v in u.items()}
+        table._views[24] = integer_view_of({a: v * r24 / (r4**a * r6 ** ((24 - 4 * a) // 6)) for a, v in u.items()})
         table.dump_csv(path)
         with pytest.raises(ConsistencyError, match="weight 24: the q\\^1 coefficient of E_k is not -2k/B_k"):
             EisensteinTable.load_csv(path)
@@ -718,10 +687,9 @@ def loaded_copy(table: EisensteinTable, path) -> EisensteinTable:
     return EisensteinTable.load_csv(path)
 
 
-def as_pairs(k: int, vec: dict, factor: int = 1) -> tuple:
-    """w(k) as ``load_csv`` keeps a loaded weight, each pair scaled by factor."""
-    order = [a for a, _ in exponents(k)]
-    return tuple(vec[a].numerator * factor for a in order), tuple(vec[a].denominator * factor for a in order)
+def as_rows(vec: dict, factor: int = 1) -> tuple:
+    """w(k) as ``load_csv`` reads a weight's rows, numerators and denominators by a, each scaled by factor."""
+    return {a: c.numerator * factor for a, c in vec.items()}, {a: c.denominator * factor for a, c in vec.items()}
 
 
 def rejection(check, *args):
@@ -734,27 +702,58 @@ def rejection(check, *args):
 
 
 class TestDeferredLoad:
-    """A loaded weight is kept as its rows' integer pairs until it is read as Fractions."""
+    """A loaded weight is checked in integers and stored as its reduced integer view, the one form of w(k)."""
 
     def test_loaded_and_built_tables_read_alike_to_480(self, shared_table, tmp_path):
         built = shared_table.ensure(480)
         loaded = loaded_copy(built, tmp_path / "table.csv")
         assert loaded.weights() == built.weights() and loaded.max_weight() == built.max_weight()
-        # each weight is held in one form: the axioms as Fractions, the loaded weights as pairs
-        assert set(loaded._w) == {4, 6} and set(loaded._pairs) == set(range(8, built.max_weight() + 1, 2))
         for k in range(4, 481, 2):
             assert k in loaded
-            view = eisenstein._integer_view(built.w_vector(k))
+            vec = built.w_vector(k)
             nums, scale = built.e_basis_numerators(k)
             form = GradedForm(k, {(0, a, (k - 4 * a) // 6): n for a, n in nums.items()}, scale)
-            # from the pairs first, then from the Fractions that w_vector moves them to
+            # the stored view is that of the Fractions it gives, on either table
+            assert loaded.integer_view(k) == built.integer_view(k) == integer_view_of(vec), k
             assert loaded.e_basis_numerators(k) == (nums, scale), k
-            assert loaded.integer_view(k) == view, k
             assert loaded.graded_form(k) == form, k
-            assert loaded.w_vector(k) == built.w_vector(k), k
-            assert list(loaded.w_vector(k)) == sorted(built.w_vector(k)), k
-            assert loaded.e_basis_numerators(k) == (nums, scale), k
-            assert k in loaded._w and k not in loaded._pairs, k
+            assert loaded.w_vector(k) == vec, k
+            assert list(loaded.w_vector(k)) == sorted(vec), k
+            # w_vector forms new Fractions on each call: changing them leaves the view as it was
+            vec.clear()
+            assert loaded.w_vector(k) == built.w_vector(k) != {}, k
+
+    @pytest.mark.parametrize("kind", ["built", "loaded", "gap-filled", "unreduced rows"])
+    def test_every_stored_view_is_reduced_and_a_ascending(self, shared_table, tmp_path, kind):
+        built = shared_table.ensure(480)
+        path = tmp_path / "table.csv"
+        built.dump_csv(path)
+        if kind == "gap-filled":
+            # 48 is a cross-checked weight, so the unfolded sum runs on the loaded views too
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith(("30,", "48,", "62,"))))
+        elif kind == "unreduced rows":
+            # 6/14 is w_{2,8} = 3/7 and 50/286 is w_{0,12} = 25/143
+            text = path.read_text().replace("\n8,2,0,3/7\n", "\n8,2,0,6/14\n")
+            path.write_text(text.replace("\n12,0,2,25/143\n", "\n12,0,2,50/286\n"))
+            assert "6/14" in path.read_text() and "50/286" in path.read_text()
+        table = built if kind == "built" else EisensteinTable.load_csv(path).extend(480)
+        assert set(vars(table)) == {"_views", "_graded"}
+        assert table.weights() == built.weights()
+        for k in table.weights():
+            nums, den = table.integer_view(k)
+            assert den > 0 and math.gcd(den, *nums.values()) == 1, k
+            assert list(nums) == [a for a, _ in exponents(k)], k
+            assert (nums, den) == built.integer_view(k), k
+
+    def test_phi_routes_form_no_fraction_of_w(self, shared_table, tmp_path, monkeypatch):
+        loaded = loaded_copy(shared_table.ensure(480), tmp_path / "table.csv")
+
+        def refuse(*args):
+            raise AssertionError("a Fraction of w(k) was formed")
+
+        monkeypatch.setattr(eisenstein, "Fraction", refuse)
+        assert selftest(k_dual=0, k_qseries=0, k_phi=480, table=loaded).status == "PASS"
 
     def test_scan_forms_no_fraction_of_w(self, shared_table, tmp_path, monkeypatch):
         loaded = loaded_copy(shared_table.ensure(446), tmp_path / "table.csv")
@@ -771,8 +770,8 @@ class TestDeferredLoad:
         path.write_text("k,a,b,w\n4,1,0,2/2\n6,0,1,3/3\n8,2,0,6/14\n12,0,2,50/286\n12,3,0,18/143\n")
         loaded = EisensteinTable.load_csv(path)
         built = EisensteinTable().extend(12)
-        # the integer views of the pairs are those of the reduced values
-        assert loaded.integer_view(12) == eisenstein._integer_view(W12) == ({0: 25, 3: 18}, 143)
+        # the stored views are those of the reduced values
+        assert loaded.integer_view(12) == integer_view_of(W12) == W12_VIEW
         assert loaded.e_basis_numerators(8) == built.e_basis_numerators(8)
         dumped = tmp_path / "dumped.csv"
         loaded.dump_csv(dumped)
@@ -821,7 +820,7 @@ class TestDeferredLoad:
             else:
                 vec[a] = Fraction(0)
         factor = data.draw(st.integers(1, 6), label="unreduced by")
-        view = eisenstein._lift(k, as_pairs(k, vec, factor))
+        view = eisenstein._lift(k, *as_rows(vec, factor))
         expected = rejection(check_q_coefficients_fraction, k, vec)
         assert rejection(eisenstein._check_q_coefficients, k, view) == expected
 
@@ -832,7 +831,7 @@ class TestDeferredLoad:
         ratio = {a: r4**a * r6 ** ((24 - 4 * a) // 6) / r24 for a, _ in exponents(24)}
         u = {a: w * ratio[a] for a, w in table.w_vector(24).items()}
         shift = -u[0]
-        table._w[24] = {a: (u[a] + shift * c) / ratio[a] for a, c in ((0, 1), (3, -2), (6, 1))}
+        table._views[24] = integer_view_of({a: (u[a] + shift * c) / ratio[a] for a, c in ((0, 1), (3, -2), (6, 1))})
         path = tmp_path / "table.csv"
         table.dump_csv(path)
         assert "24,0,4,0/1" in path.read_text()
@@ -848,4 +847,4 @@ class TestDeferredLoad:
             vec[a] += Fraction(du, 100) * r24 / (r4**a * r6 ** ((24 - 4 * a) // 6))
         assert vec != shared_table.table.w_vector(24)
         assert rejection(check_q_coefficients_fraction, 24, vec) is None
-        assert rejection(eisenstein._check_q_coefficients, 24, eisenstein._lift(24, as_pairs(24, vec))) is None
+        assert rejection(eisenstein._check_q_coefficients, 24, eisenstein._lift(24, *as_rows(vec))) is None

@@ -169,7 +169,8 @@ class TestRouteEquivalence:
     @pytest.mark.parametrize("route", [phi_by_division, phi_closed_form])
     def test_perturbed_weight_is_non_monic(self, route):
         table = EisensteinTable().extend(24)
-        table._w[24][3] *= 2
+        nums, _ = table.integer_view(24)
+        nums[3] *= 2  # w_{3,24} doubled in the stored view
         with pytest.raises(ConsistencyError, match="non-monic"):
             route(24, table)
 

@@ -335,7 +335,8 @@ class TestSelftest:
 
     def test_fault_injection_detected(self):
         table = EisensteinTable().extend(48)
-        table._w[20][2] += Fraction(1, 2)  # corrupt one stored coefficient
+        nums, den = table.integer_view(20)
+        nums[2] += den  # corrupt one stored coefficient: w_{2,20} up by 1
         report = selftest(k_dual=40, k_qseries=24, k_phi=48, table=table)
         assert report.status == "FAIL"
         first = report.first_failure()
