@@ -23,10 +23,11 @@ unfolded, symmetric ordering is kept as an independent cross-check that
 k mod 4); it convolves coefficient vectors and shares no arithmetic with the
 evaluated sum.
 
-Both sums work on integers over a per weight common denominator and return
-w(k) in the table's form, reduced by one gcd chain per weight, with no
-Fraction formed.  This matters: naive Fraction arithmetic normalizes on
-every multiply and is ~25x slower at weight 500.
+Both sums and both Popa routes work on integers over a per weight common
+denominator and return w(k) in the table's form, its reduced integer view,
+with no Fraction formed; so do the checks that read it.  This matters: naive
+Fraction arithmetic normalizes on every multiply and is ~25x slower at
+weight 500.  Fractions of w are formed only where w is written as text.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ from pathlib import Path
 from typing import Callable, Container, Iterable, Mapping, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
-from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio, zeta_ratio_terms
+from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio_terms
 from .exact import format_rational, parse_integer, parse_ratio
 from .qmring import E2, GradedForm, serre_derivative
 
-#: coefficient vector of one weight: E4-exponent a -> w_{a,k}; b = (k-4a)/6 implied
-WVector = dict[int, Fraction]
-#: integers nums, den with w_{a,k} = nums[a] / den
+#: integers nums, den with w_{a,k} = nums[a] / den; E4-exponent a, b = (k-4a)/6 implied
 IntegerView = tuple[dict[int, int], int]
 
 #: the weight-2 constant d_2 = -1/8 (the general formula below evaluated at k=2)
@@ -91,11 +90,12 @@ class EisensteinTable:
     Each weight is held in one form, its reduced integer view in ``_views``:
     integers nums, den with w_{a,k} = nums[a] / den, den > 0 the lcm of the
     reduced denominators (so gcd(den, *nums) = 1), a ascending as in
-    ``exponents(k)``.  ``integer_view`` returns it as stored, and
-    ``w_vector`` forms Fractions from it on each call.  Entries are immutable
-    once present, and so is every ``GradedForm``, so ``graded_form(k)`` is
-    built once and kept in ``_graded``, the one memo, which the graded Popa
-    route and the q-series oracle share for the life of the table; neither
+    ``exponents(k)``.  ``integer_view`` returns it as stored to every route and
+    check; ``w_vector`` forms Fractions from it on each call, for the readers
+    that write w as text (``wk`` and ``dump_csv``).  Entries are immutable once
+    present, and so is every ``GradedForm``, so ``graded_form(k)`` is built
+    once and kept in ``_graded``, the one memo, which the graded Popa route
+    and the q-series oracle share for the life of the table; neither
     ``extend``, ``load_csv`` nor the phi routes fill it.
     """
 
@@ -124,7 +124,7 @@ class EisensteinTable:
             raise MissingWeightError(f"weight {k} not in table (extend first)")
         return view
 
-    def w_vector(self, k: int) -> WVector:
+    def w_vector(self, k: int) -> dict[int, Fraction]:
         """w(k) as Fractions, formed from ``integer_view(k)`` on each call."""
         nums, den = self.integer_view(k)
         return {a: Fraction(n, den) for a, n in nums.items()}
@@ -142,22 +142,22 @@ class EisensteinTable:
 
         The folded sum reads each weight's values at the nodes z = 1, 2, ...,
         as many as any weight up to k_max needs (len(exponents(k)) + 1 <=
-        k // 12 + 2).  They are held for this call only: every stored weight
-        is evaluated once when the first weight is missing, each new weight
-        right after it is stored, and all are dropped on return.
+        k // 12 + 2).  They are held for this call only: a weight, loaded or
+        built, is evaluated the first time a sum reads it (the sum for k reads
+        4 .. k - 4), and all are dropped on return.
         """
         nodes = k_max // 12 + 2
         points: dict[int, tuple[list[int], int]] = {}
         for k in range(8, k_max + 1, 2):
             if k in self:
                 continue
-            if not points:
-                points = {m: _evaluate(m, view, nodes) for m, view in self._views.items()}
+            for m in range(4, k - 3, 2):
+                if m not in points:
+                    points[m] = _evaluate(m, self._views[m], nodes)
             view = rademacher_expand(k, points)
             if _cross_checked(k) and rademacher_expand_unfolded(k, self) != view:
                 raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
             self._views[k] = view
-            points[k] = _evaluate(k, view, nodes)
         return self
 
     # -- conversions ------------------------------------------------------------
@@ -295,9 +295,9 @@ def _lift(k: int, nums: Mapping[int, int], dens: Mapping[int, int]) -> IntegerVi
 
 
 def _reduced(nums: dict[int, int], den: int) -> IntegerView:
-    """nums / den (den > 0) as the table stores it: both divided by gcd(den, *nums), one gcd chain per weight."""
-    g = math.gcd(den, *nums.values())
-    return ({a: n // g for a, n in nums.items()}, den // g) if g > 1 else (nums, den)
+    """nums / den as the table stores it: over gcd(den, *nums), negated if den < 0 (as ``from_ratio``), so den > 0."""
+    g = math.gcd(den, *nums.values()) * (-1 if den < 0 else 1)
+    return ({a: n // g for a, n in nums.items()}, den // g) if g != 1 else (nums, den)
 
 
 def _check_q_coefficients(k: int, view: IntegerView) -> None:
@@ -547,7 +547,7 @@ def rademacher_expand_folded(k: int, table: EisensteinTable) -> IntegerView:
 # Popa's recurrence
 
 
-def popa_expand(k: int, table: EisensteinTable, route: str = "graded") -> WVector:
+def popa_expand(k: int, table: EisensteinTable, route: str = "graded") -> IntegerView:
     """w(k) from Popa's recurrence
 
         c_k d_k G_k = sum_{j odd, 3 <= j <= k/2-2} (C(k/2,j) + C(k/2-2,j)) d_{j+1} d_{k-j-1} G_{j+1} G_{k-j-1}
@@ -561,6 +561,8 @@ def popa_expand(k: int, table: EisensteinTable, route: str = "graded") -> WVecto
     quasimodular ring and performs the cancellation structurally;
     ``precancelled`` substitutes the combined closed form of the two middle
     terms and never materializes the weight-2 generator.  They must agree.
+    Both return the reduced integer view (``_reduced``, which makes den > 0
+    where c_k d_k < 0), so each agrees with the table iff it == ``integer_view(k)``.
     """
     if k < 8 or k % 2:
         raise DomainError(f"k must be even and >= 8, got {k}")
@@ -586,7 +588,7 @@ def _popa_common_terms(k: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _popa_graded(k: int, table: EisensteinTable) -> WVector:
+def _popa_graded(k: int, table: EisensteinTable) -> IntegerView:
     _require_weights(table, range(4, k - 1, 2))
     form = table.graded_form
     # every scalar over 2^(k+2) less the common factor g of the product sum and square
@@ -599,21 +601,21 @@ def _popa_graded(k: int, table: EisensteinTable) -> WVector:
     terms.append(((k - 2) * D2 * dk2 / (3 * g), E2, g_km2))
     terms.append((dk2 / (2 * g), serre_derivative(g_km2), None))
     nums, den = GradedForm.combination(k, terms).numerators()
-    # the sum is 2^(k+2) c_k d_k G_k / g: w_{a,k} = G_k's coefficient / (r4^a r6^b), one Fraction from integers
+    # the sum is 2^(k+2) c_k d_k G_k / g: w_{a,k} = its coefficient / (r4^a r6^b), r4 = 1/45, r6 = 2/945, over 2^b_top
     cd = popa_c(k) * popa_d(k)
     up, den = cd.denominator * g, den * cd.numerator << (k + 2)
-    (n4, d4), (n6, d6) = (r.as_integer_ratio() for r in (zeta_ratio(4), zeta_ratio(6)))
-    vec: WVector = {}
+    b_top = exponents(k)[0][1]
+    vec: dict[int, int] = {}
     for (e2, a, b), n in nums.items():
         if e2:
             raise ConsistencyError(
                 f"weight-2 generator failed to cancel at weight {k}: residue {Fraction(n * up, den)} on E2^{e2} E4^{a} E6^{b}"
             )
-        vec[a] = Fraction(n * up * d4**a * d6**b, den * n4**a * n6**b)
-    return vec
+        vec[a] = n * up * 45**a * 945**b << (b_top - b)
+    return _reduced(vec, den << b_top)
 
 
-def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
+def _popa_precancelled(k: int, table: EisensteinTable) -> IntegerView:
     _require_weights(table, range(4, k - 1, 2))
     acc: dict[int, int] = {}
     acc_den = 1
@@ -658,7 +660,7 @@ def _popa_precancelled(k: int, table: EisensteinTable) -> WVector:
     add(-half_dk2.numerator, half_dk2.denominator * den * 14, part)
 
     cd = popa_c(k) * popa_d(k)
-    return {a: Fraction(v * cd.denominator, acc_den * cd.numerator << (k + 2)) for a, v in acc.items() if v}
+    return _reduced({a: v * cd.denominator for a, v in acc.items()}, acc_den * cd.numerator << (k + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +680,10 @@ def q_expansion_direct(k: int, n_terms: int) -> list[Fraction]:
     return out
 
 
-def min_valuation2(vec: Mapping[int, Fraction]) -> Valuation:
-    """Minimum 2-adic valuation over a coefficient vector (nonempty)."""
-    if not vec:
+def min_valuation2(view: IntegerView) -> Valuation:
+    """min_a nu_2(w_{a,k}) = min_a nu_2(nums[a]) - nu_2(den) of an integer view (nonempty); INFINITY if all are 0."""
+    nums, den = view
+    if not nums:
         raise DomainError("empty coefficient vector")
-    best: Valuation = INFINITY
-    for c in vec.values():
-        v = valuation(c, 2)
-        if v < best:
-            best = v
-    return best
+    best = min(valuation(n, 2) for n in nums.values())
+    return best if best is INFINITY else best - valuation(den, 2)

@@ -240,7 +240,7 @@ def check_min_valuation(k_max: int, table: Optional[EisensteinTable] = None) -> 
     table = _ensure_table(table, k_max)
     report = CheckReport("min-valuation", {"k_max": k_max})
     for k in range(4, k_max + 1, 2):
-        mv = min_valuation2(table.w_vector(k))
+        mv = min_valuation2(table.integer_view(k))
         report.records.append({"k": k, "min_valuation2": int(mv), "passed": mv >= 0})
     return _timed(report, started)
 
@@ -256,7 +256,7 @@ def check_conjecture(k_max: int, table: Optional[EisensteinTable] = None) -> Che
         s2 = digit_sum_base2(k)
         pow2 = _is_power_of_two(k)
         predicted = 0 if pow2 else s2 - 2
-        computed = int(min_valuation2(table.w_vector(k)))
+        computed = int(min_valuation2(table.integer_view(k)))
         report.records.append(
             {
                 "k": k,
@@ -293,9 +293,10 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
     for ell in range(ell_max + 1):
         k = 12 * 2**ell
         m = k // 12
-        vec = table.w_vector(k)
-        w0_ok = valuation(vec.get(0, Fraction(0)), 2) == 0
-        wa_ok = all(valuation(vec.get(3 * a, Fraction(0)), 2) >= 1 for a in range(1, m))
+        nums, den = table.integer_view(k)
+        nu_den = valuation(den, 2)
+        w0_ok = valuation(nums[0], 2) == nu_den
+        wa_ok = all(valuation(nums[3 * a], 2) >= nu_den + 1 for a in range(1, m))
 
         phi = phi_closed_form(k, table)
         if phi.ints != phi_by_division(k, table).ints:
@@ -457,7 +458,7 @@ def selftest(
     )
 
     for k in range(8, k_dual + 1, 2):
-        expected = table.w_vector(k)
+        expected = table.integer_view(k)
         graded_ok = popa_expand(k, table, route="graded") == expected
         pre_ok = popa_expand(k, table, route="precancelled") == expected
         report.records.append(

@@ -9,6 +9,7 @@ table, so no budget is met by hiding setup in a fixture.  Run with
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -33,6 +34,8 @@ from eisen.replicate import (
 from helpers import GOLDEN_PHI
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
+#: w(12) as the table stores it: integers nums, den with w_{a,12} = nums[a] / den
+W12_VIEW = ({0: 25, 3: 18}, 143)
 
 
 def report(name: str, budget_s: float, started: float, ok: bool, detail: str = "") -> None:
@@ -62,8 +65,9 @@ def test_criterion_02_weight_twelve_by_both_recurrences():
     table = EisensteinTable().extend(12)
     ok = (
         table.w_vector(12) == W12
-        and popa_expand(12, table, route="graded") == W12
-        and popa_expand(12, table, route="precancelled") == W12
+        and table.integer_view(12) == W12_VIEW
+        and popa_expand(12, table, route="graded") == W12_VIEW
+        and popa_expand(12, table, route="precancelled") == W12_VIEW
     )
     report("criterion-02 w(12) = {25/143, 18/143} by both recurrences", 1.0, started, ok)
 
@@ -73,12 +77,13 @@ def test_criterion_03_dual_recurrence_to_200():
     table = EisensteinTable().extend(200)
     ok = True
     for k in range(8, 201, 2):
-        expected = table.w_vector(k)
-        if popa_expand(k, table, route="graded") != expected:
-            ok = False
-            break
-        if popa_expand(k, table, route="precancelled") != expected:
-            ok = False
+        # both routes return the reduced view, den > 0 where c_k d_k < 0 too (k = 2 mod 4)
+        expected = table.integer_view(k)
+        for route in ("graded", "precancelled"):
+            nums, den = popa_expand(k, table, route=route)
+            if (nums, den) != expected or den <= 0 or math.gcd(den, *nums.values()) != 1:
+                ok = False
+        if not ok:
             break
     report("criterion-03 dual-recurrence equivalence, even 8..200", 30.0, started, ok)
 

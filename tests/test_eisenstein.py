@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eisen import cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
-from eisen.exact import INFINITY, bernoulli, digit_sum_base2, zeta_ratio
+from eisen.exact import INFINITY, bernoulli, digit_sum_base2, valuation, zeta_ratio
 from eisen.eisenstein import (
     D2,
     EisensteinTable,
@@ -27,7 +27,7 @@ from eisen.eisenstein import (
     rademacher_expand_unfolded,
 )
 from eisen.qmring import GradedForm, substitute_q_expansion
-from eisen.replicate import gekeler_scan, selftest
+from eisen.replicate import check_conjecture, check_min_valuation, check_theorem_main, gekeler_scan, selftest
 from helpers import check_q_coefficients_fraction, integer_view_of
 
 W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
@@ -343,13 +343,13 @@ class TestRademacher:
         assert 44 not in table
 
     def test_a_larger_extend_reevaluates_the_point_values(self, monkeypatch):
-        # each extend evaluates every weight it reads at its own node count
+        # each extend evaluates every weight its sums read (4 .. k_max - 4) at its own node count
         table = EisensteinTable().extend(100)
         nodes = []
         real = eisenstein._evaluate
         monkeypatch.setattr(eisenstein, "_evaluate", lambda k, view, count: nodes.append(count) or real(k, view, count))
         table.extend(200)
-        assert nodes == [200 // 12 + 2] * len(range(4, 201, 2))
+        assert nodes == [200 // 12 + 2] * len(range(4, 197, 2))
         monkeypatch.undo()
         fresh = EisensteinTable().extend(200)
         assert table.weights() == fresh.weights()
@@ -362,7 +362,8 @@ class TestRademacher:
         table = EisensteinTable().extend(100)
         assert sum(expanded.values()) == 47
         assert expanded == Counter(range(8, 101, 2))
-        assert evaluated == Counter(range(4, 101, 2))
+        # a weight is evaluated when a sum first reads it: the last, 100, reads 4 .. 96
+        assert evaluated == Counter(range(4, 97, 2))
         # a loaded table that already holds every weight costs the warm calls nothing
         dump = tmp_path / "table.csv"
         table.dump_csv(dump)
@@ -399,21 +400,22 @@ class TestRademacher:
 class TestPopa:
     def test_weight_eight(self, shared_table):
         table = shared_table.ensure(8)
-        assert popa_expand(8, table) == {2: Fraction(3, 7)}
+        assert popa_expand(8, table) == ({2: 3}, 7)
 
     def test_weight_ten(self, shared_table):
         table = shared_table.ensure(10)
-        assert popa_expand(10, table) == {1: Fraction(5, 11)}
+        # c_10 d_10 < 0: the route's view still has den > 0
+        assert popa_expand(10, table) == ({1: 5}, 11)
 
     def test_weight_twelve_both_routes(self, shared_table):
         table = shared_table.ensure(12)
-        assert popa_expand(12, table, route="graded") == W12
-        assert popa_expand(12, table, route="precancelled") == W12
+        assert popa_expand(12, table, route="graded") == W12_VIEW
+        assert popa_expand(12, table, route="precancelled") == W12_VIEW
 
     def test_routes_agree_up_to_120(self, shared_table):
         table = shared_table.ensure(120)
         for k in range(8, 121, 2):
-            expected = table.w_vector(k)
+            expected = table.integer_view(k)
             assert popa_expand(k, table, route="graded") == expected, k
             assert popa_expand(k, table, route="precancelled") == expected, k
 
@@ -428,7 +430,8 @@ class TestPopa:
     def test_precancelled_matches_its_fraction_reference_to_200(self, shared_table):
         table = shared_table.ensure(200)
         for k in range(8, 201, 2):
-            assert popa_expand(k, table, route="precancelled") == popa_precancelled_fraction(k, table), k
+            reference = integer_view_of(popa_precancelled_fraction(k, table))
+            assert popa_expand(k, table, route="precancelled") == reference, k
 
     def test_graded_route_raises_on_an_uncancelled_e2_residue(self, shared_table, monkeypatch):
         # any table passes the cancellation: the E2 part of serre_derivative(G)
@@ -457,7 +460,7 @@ class TestPopa:
         for name in ("__add__", "__mul__", "__rmul__"):
             monkeypatch.setattr(GradedForm, name, refuse)
         for k in range(8, 61, 2):
-            assert popa_expand(k, table, route="graded") == table.w_vector(k), k
+            assert popa_expand(k, table, route="graded") == table.integer_view(k), k
         assert weights == list(range(8, 61, 2))
 
     def test_common_terms_match_the_popa_d_products(self):
@@ -520,21 +523,34 @@ class TestQExpansionDirect:
 class TestMinValuation:
     def test_weight_twelve(self, shared_table):
         table = shared_table.ensure(12)
-        assert min_valuation2(table.w_vector(12)) == 0
+        assert min_valuation2(table.integer_view(12)) == 0
 
     def test_weight_four(self, shared_table):
-        assert min_valuation2(shared_table.table.w_vector(4)) == 0
+        assert min_valuation2(shared_table.table.integer_view(4)) == 0
 
     def test_weight_twenty_matches_digit_sum(self, shared_table):
         table = shared_table.ensure(20)
-        assert min_valuation2(table.w_vector(20)) == digit_sum_base2(20) - 2 == 0
+        assert min_valuation2(table.integer_view(20)) == digit_sum_base2(20) - 2 == 0
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            min_valuation2({})
+            min_valuation2(({}, 1))
 
     def test_zero_vector_value(self):
-        assert min_valuation2({0: Fraction(0)}) is INFINITY
+        assert min_valuation2(({0: 0}, 1)) is INFINITY
+        assert min_valuation2(({0: 0, 3: 0}, 8)) is INFINITY
+
+    def test_the_den_valuation_is_subtracted(self):
+        # every w(k) has an odd den, so only a planted view can show it
+        assert min_valuation2(({0: 3, 3: 4}, 8)) == -3
+        assert min_valuation2(({0: 0, 3: 2}, 4)) == -1
+        assert min_valuation2(({1: 12}, 1)) == 2
+
+    def test_view_minus_den_matches_the_fraction_minimum_to_500(self, shared_table):
+        table = shared_table.ensure(500)
+        for k in range(4, 501, 2):
+            expected = min(valuation(c, 2) for c in table.w_vector(k).values())
+            assert min_valuation2(table.integer_view(k)) == expected, k
 
 
 class TestPersistence:
@@ -798,6 +814,32 @@ class TestDeferredLoad:
         loaded.dump_csv(refilled)
         built.dump_csv(fresh)
         assert refilled.read_bytes() == fresh.read_bytes()
+
+    def test_a_gap_fill_evaluates_only_the_weights_its_sum_reads(self, shared_table, tmp_path, monkeypatch):
+        # the sum for the one missing weight 30 reads 4 .. 26; no weight above the gap is evaluated
+        fresh = tmp_path / "fresh.csv"
+        shared_table.ensure(500).dump_csv(fresh)
+        path = tmp_path / "table.csv"
+        path.write_text("".join(line for line in fresh.read_text().splitlines(keepends=True) if not line.startswith("30,")))
+        loaded = EisensteinTable.load_csv(path)
+        evaluated = counting(monkeypatch, "_evaluate")
+        loaded.extend(500)
+        assert evaluated == Counter(range(4, 27, 2))
+        refilled = tmp_path / "refilled.csv"
+        loaded.dump_csv(refilled)
+        assert refilled.read_bytes() == fresh.read_bytes()
+
+    def test_the_valuation_checks_and_selftest_read_views(self, shared_table, tmp_path, monkeypatch):
+        loaded = loaded_copy(shared_table.ensure(480), tmp_path / "table.csv")
+
+        def refuse(*args):
+            raise AssertionError("w_vector was called")
+
+        monkeypatch.setattr(EisensteinTable, "w_vector", refuse)
+        assert selftest(table=loaded).status == "PASS"
+        assert check_min_valuation(480, table=loaded).status == "PASS"
+        assert check_conjecture(480, table=loaded).status == "PASS"
+        assert check_theorem_main(5, table=loaded).status == "PASS"
 
     def test_the_q1_closed_form_to_1000(self):
         for k in range(4, 1001, 2):

@@ -165,6 +165,26 @@ class TestTheoremMain:
         with pytest.raises(ConsistencyError):
             check_theorem_main(1, table=shared_table.ensure(24))
 
+    @pytest.mark.parametrize(
+        "a, value, failing, holding",
+        [(0, 2, "w0_valuation_zero", "w3a_valuations_ge1"), (3, 1, "w3a_valuations_ge1", "w0_valuation_zero"),
+         (9, 3, "w3a_valuations_ge1", "w0_valuation_zero")],
+    )
+    def test_each_hypothesis_fails_on_a_planted_valuation(self, shared_table, monkeypatch, a, value, failing, holding):
+        # w(48) over 4 den, so numerator and value valuations differ, with w_{a,48} planted as an
+        # integer of nu_2 = 1 (a = 0) or 0 (a = 3, 9): exactly its hypothesis fails.  phi_48
+        # still comes from the true table, so only the check's own reading of the view changes
+        good = shared_table.ensure(48)
+        for name in ("phi_closed_form", "phi_by_division"):
+            monkeypatch.setattr(replicate, name, lambda k, table, real=getattr(replicate, name): real(k, good))
+        planted = EisensteinTable()
+        planted._views.update(good._views)
+        nums, den = good.integer_view(48)
+        planted._views[48] = ({**{b: 4 * n for b, n in nums.items()}, a: 4 * value * den}, 4 * den)
+        report = check_theorem_main(2, table=planted)
+        assert [r["passed"] for r in report.records] == [True, True, False]
+        assert not report.records[2][failing] and report.records[2][holding]
+
     def test_certificate_rechecked_once_per_weight(self, shared_table, monkeypatch):
         calls = []
         real = replicate.recheck_dumas_certificate
