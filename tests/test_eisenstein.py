@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import math
 import sys
@@ -36,8 +37,12 @@ W12_VIEW = ({0: 25, 3: 18}, 143)
 
 #: the coefficient-domain convolution (``_scaled_vector`` is its former cache)
 CONVOLUTION_HELPERS = {"_scaled_convolution", "_scaled_vector"}
-#: the production sum's evaluation and interpolation
-POINT_VALUE_HELPERS = {"_evaluate", "_pointwise_convolution", "_interpolate"}
+#: the production sum's evaluation, run length and interpolation
+POINT_VALUE_HELPERS = {"_evaluate", "_pointwise_convolution", "RUN", "_interpolate"}
+#: sha256 of ``dump_csv`` of a table built to 200 and to 500: the order and the
+#: grouping in which the convolution sums its terms must not change a byte
+TABLE_200_SHA256 = "790965b3d9a2d453cd4cf0785a3c9e9906e49d0b9124460a966dcd809456243b"
+TABLE_500_SHA256 = "b3842a59b4eba81d3f4e1d3b4f1c22049a4258b01e1e61b7ecfb27683f02cb9e"
 
 
 def names_in(function) -> set:
@@ -53,6 +58,22 @@ def point_values(table: EisensteinTable, k_max: int) -> dict:
     """Every weight of ``table`` below k_max at the nodes ``extend(k_max)`` evaluates."""
     nodes = k_max // 12 + 2
     return {m: eisenstein._evaluate(m, table.integer_view(m), nodes) for m in table.weights() if m < k_max}
+
+
+@st.composite
+def convolution_terms(draw, n_terms: int) -> tuple:
+    """n_terms terms (coeff, m1, m2) over random point values at 1-4 nodes.
+
+    The denominators are odd and share the primes 3, 5, 7 and 11, so the
+    running lcm of the pair denominators grows unevenly from term to term.
+    """
+    count = draw(st.integers(1, 4))
+    vals = st.lists(st.integers(-(10**30), 10**30), min_size=count, max_size=count)
+    dens = st.builds(lambda e: 3 ** e[0] * 5 ** e[1] * 7 ** e[2] * 11 ** e[3], st.tuples(*[st.integers(0, 3)] * 4))
+    points = dict(enumerate(draw(st.lists(st.tuples(vals, dens), min_size=1, max_size=6))))
+    weight = st.sampled_from(sorted(points))
+    terms = draw(st.lists(st.tuples(st.integers(-(10**6), 10**6), weight, weight), min_size=n_terms, max_size=n_terms))
+    return terms, points, count
 
 
 def counting(monkeypatch, name: str) -> Counter:
@@ -177,6 +198,16 @@ class TestTable:
         fresh = EisensteinTable().extend(60)
         for k in fresh.weights():
             assert fresh.w_vector(k) == shared_table.table.w_vector(k)
+
+    def test_a_fresh_build_to_200_dumps_the_pinned_bytes(self, tmp_path):
+        dump = tmp_path / "table.csv"
+        EisensteinTable().extend(200).dump_csv(dump)
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == TABLE_200_SHA256
+
+    def test_the_shared_table_to_500_dumps_the_pinned_bytes(self, shared_table, tmp_path):
+        dump = tmp_path / "table.csv"
+        shared_table.ensure(500).dump_csv(dump)
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == TABLE_500_SHA256
 
     def test_index_structure(self, shared_table):
         table = shared_table.ensure(120)
@@ -391,6 +422,36 @@ class TestRademacher:
             assert view == built.integer_view(k), k
             assert list(view[0]) == [a for a, _ in exponents(k)], k
 
+    @pytest.mark.parametrize("n_terms", [1, 8, 9, 17])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_run_sums_are_the_exact_sum_in_any_order(self, n_terms, data):
+        # 1, 8, 9 and 17 terms: one short run, one full run, and a run boundary crossed once and twice
+        terms, points, count = data.draw(convolution_terms(n_terms))
+        acc, den = eisenstein._pointwise_convolution(terms, points, count)
+        assert den == math.lcm(*[points[m1][1] * points[m2][1] for _, m1, m2 in terms])
+        for z in range(count):
+            exact = sum(Fraction(c * points[m1][0][z] * points[m2][0][z], points[m1][1] * points[m2][1]) for c, m1, m2 in terms)
+            assert Fraction(acc[z], den) == exact, z
+        permuted = data.draw(st.permutations(terms))
+        assert eisenstein._pointwise_convolution(permuted, points, count) == (acc, den)
+
+    def test_the_folded_sum_takes_the_square_term_first_and_p_descending(self, shared_table, monkeypatch):
+        table = shared_table.ensure(40)
+        seen = {}
+        real = eisenstein._pointwise_convolution
+
+        def recording(terms, points, count):
+            seen[len(terms)] = [(m1, m2) for _, m1, m2 in terms]
+            return real(terms, points, count)
+
+        monkeypatch.setattr(eisenstein, "_pointwise_convolution", recording)
+        rademacher_expand(40, point_values(table, 40))
+        rademacher_expand(38, point_values(table, 38))
+        descending = range(9, 1, -1)
+        assert seen[9] == [(20, 20), *[(2 * p, 40 - 2 * p) for p in descending]]
+        assert seen[8] == [(2 * p, 38 - 2 * p) for p in descending]
+
     def test_folded_and_unfolded_share_no_convolution_arithmetic(self):
         assert not CONVOLUTION_HELPERS & names_in(eisenstein.rademacher_expand)
         assert not POINT_VALUE_HELPERS & names_in(eisenstein.rademacher_expand_unfolded)
@@ -431,7 +492,10 @@ class TestPopa:
         table = shared_table.ensure(200)
         for k in range(8, 201, 2):
             reference = integer_view_of(popa_precancelled_fraction(k, table))
-            assert popa_expand(k, table, route="precancelled") == reference, k
+            view = popa_expand(k, table, route="precancelled")
+            assert view == reference, k
+            # the table's form, keys a ascending, not only equal under ==
+            assert list(view[0]) == [a for a, _ in exponents(k)], k
 
     def test_graded_route_raises_on_an_uncancelled_e2_residue(self, shared_table, monkeypatch):
         # any table passes the cancellation: the E2 part of serre_derivative(G)
