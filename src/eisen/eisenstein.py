@@ -14,14 +14,21 @@ q-expansion after scaling by 2 zeta(k) / pi^k.  All three paths are exposed.
 
 The production convolution sum is folded: its terms p and k/2 - p are equal,
 so each pair is taken once with a doubled coefficient.  It is evaluated, not
-convolved: at (G4, G6) = (1, z), G_k is z^b0 R(z^2) with one unknown
-coefficient of R per (a, b), so the identity is summed at z = 1 .. n + 1 for
-the n unknowns, one product of two point values per pair and node, and w(k)
-is recovered by exact interpolation, the last node checking the result.  The
-unfolded, symmetric ordering is kept as an independent cross-check that
-``extend`` runs at the weights 12 * 2^m and 12 * 2^m + 2 (both residues of
-k mod 4); it convolves coefficient vectors and shares no arithmetic with the
-evaluated sum.
+convolved: at (G4, G6) = (1, z), G_k is z^b0 R(z^2), b0 = 0 or 1, with one
+unknown coefficient of R per (a, b), so the identity, read as one in R
+(a pair of weights both 2 mod 4 carries the factor z^2 = y), is summed at
+the n + 1 nodes y = 0, 1, -1, 2, -2, ... for the n unknowns, one product of
+two point values per pair and node, and w(k) is recovered by exact
+interpolation at n of them, the last one checking the result.  Each R is
+split into its even and odd halves, R(y) = E(y^2) + y O(y^2): one Horner
+pass per half gives R at both y and -y, and the values at y and -y give
+both halves at y^2, so each half is interpolated on its own, with half the
+divided differences.  Every built weight then passes the same value check
+as a loaded one (``_check_q_coefficients``), which a fault in the sum that
+the check node cannot see does not.  The unfolded, symmetric ordering is
+kept as an independent cross-check that ``extend`` runs at the weights
+12 * 2^m and 12 * 2^m + 2 (both residues of k mod 4); it convolves
+coefficient vectors and shares no arithmetic with the evaluated sum.
 
 Both sums and both Popa routes work on integers over a per weight common
 denominator and return w(k) in the table's form, its reduced integer view,
@@ -29,14 +36,14 @@ with no Fraction formed; so do the checks that read it.  This matters: naive
 Fraction arithmetic normalizes on every multiply and is ~25x slower at
 weight 500.  Fractions of w are formed only where w is written as text.
 
-Most of the evaluated sum's cost is scaling each pair's product up to the
-running common denominator.  The large-prime part of a pair's denominator
-is nested in p, so the folded sum takes its terms p descending, where the
-running lcm grows in small steps, and adds them in runs of ``RUN`` terms,
-each over its own running lcm: at k = 500 the multipliers lcm / (den1 den2)
-average 352 bits in ascending order over one running lcm, 179 bits in
-descending order, and 44 bits within the runs.  The order and the runs
-change no integer of the result.
+Most of the evaluated sum's cost is scaling each pair's product up to a
+common denominator.  The large-prime part of a pair's denominator is nested
+in p, so the folded sum takes its terms p descending, where the running lcm
+grows in small steps, and adds them in runs of ``RUN`` terms, each over the
+lcm of its own pair denominators: at k = 500 the multipliers
+lcm / (den1 den2) average 352 bits in ascending order over one running lcm,
+179 bits in descending order, and 86 bits over the runs' lcms.  The order
+and the runs change no integer of the result.
 """
 
 from __future__ import annotations
@@ -150,9 +157,11 @@ class EisensteinTable:
         (``rademacher_expand``).  At each weight k = 12 * 2^m and
         k = 12 * 2^m + 2 (m >= 1) the unfolded ordering
         (``rademacher_expand_unfolded``) is evaluated too and must agree
-        exactly, or ``ConsistencyError`` is raised.
+        exactly, or ``ConsistencyError`` is raised.  Every built weight must
+        then give E_k's first two q-coefficients (``_check_q_coefficients``,
+        the check ``load_csv`` makes) before it is stored.
 
-        The folded sum reads each weight's values at the nodes z = 1, 2, ...,
+        The folded sum reads each weight's values at the nodes y = 0, 1, -1, ...,
         as many as any weight up to k_max needs (len(exponents(k)) + 1 <=
         k // 12 + 2).  They are held for this call only: a weight, loaded or
         built, is evaluated the first time a sum reads it (the sum for k reads
@@ -169,6 +178,7 @@ class EisensteinTable:
             view = rademacher_expand(k, points)
             if _cross_checked(k) and rademacher_expand_unfolded(k, self) != view:
                 raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
+            _check_q_coefficients(k, view)
             self._views[k] = view
         return self
 
@@ -199,19 +209,20 @@ class EisensteinTable:
     # -- persistence -------------------------------------------------------------
 
     def dump_csv(self, path: Union[str, Path]) -> None:
-        """Write all entries as CSV rows (k, a, b, num/den), sorted.
+        """Write all entries as CSV rows (k, a, b, num/den), sorted, each ended by CRLF.
 
-        Every row is formatted before the path is opened, so a value that
+        The bytes are those of ``csv.writer``'s defaults: no field needs
+        quoting.  Every row is formatted before the path is opened, so a value that
         ``format_rational`` refuses raises ``DomainError`` with no file
         written and an existing file left as it was.
         """
-        rows = [
-            [k, a, (k - 4 * a) // 6, format_rational(c)]
+        text = "".join(
+            f"{k},{a},{(k - 4 * a) // 6},{format_rational(c)}\r\n"
             for k in self.weights()
             for a, c in self.w_vector(k).items()
-        ]
+        )
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([["k", "a", "b", "w"], *rows])
+            fh.write("k,a,b,w\r\n" + text)
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
@@ -407,24 +418,33 @@ def _require_weights(have: Container[int], needed: Iterable[int]) -> None:
         raise MissingWeightError(f"table is missing prerequisite weights {missing}")
 
 
-def _evaluate(k: int, view: IntegerView, count: int) -> tuple[list[int], int]:
-    """Integers vals, den with sum_a w_{a,k} z^b = vals[z - 1] / den at z = 1 .. count.
+def _nodes(count: int) -> list[int]:
+    """The first ``count`` nodes of the evaluated sum, y = 0, 1, -1, 2, -2, ..."""
+    return [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(count)]
 
-    That is G_k at (G4, G6) = (1, z): z^b0 R(z^2), R evaluated by Horner from
-    the integer view nums, den of w(k).  b runs over b0, b0 + 2, ... and b0
-    is 0 or 1.
+
+def _evaluate(k: int, view: IntegerView, count: int) -> tuple[list[int], int]:
+    """Integers vals, den with R(y) = vals[i] / den at the first ``count`` nodes y (``_nodes``).
+
+    G_k(1, z) = z^b0 R(z^2), b0 = 0 or 1, and R's coefficient of y^j is
+    w_{a,k} at b = b0 + 2j.  R is split into its halves, R(y) = E(y^2) +
+    y O(y^2), and each half is evaluated by Horner in y^2 from the integer
+    view nums, den of w(k), once for both nodes y and -y.
     """
     nums, den = view
-    pairs = exponents(k)
-    b0 = pairs[-1][1]
-    vals = []
-    for z in range(1, count + 1):
-        y = z * z
-        h = 0
-        for a, _ in pairs:  # b descending
-            h = h * y + nums[a]
-        vals.append(h * z**b0)
-    return vals, den
+    ascending = [nums[a] for a, _ in reversed(exponents(k))]  # y^0, y^1, ...
+    even, odd = ascending[0::2][::-1], ascending[1::2][::-1]  # Horner order, highest first
+    vals = [ascending[0]]
+    for y in range(1, count // 2 + 1):
+        t = y * y
+        e = o = 0
+        for c in even:
+            e = e * t + c
+        for c in odd:
+            o = o * t + c
+        o *= y
+        vals += (e + o, e - o)
+    return vals[:count], den
 
 
 def _pointwise_convolution(
@@ -432,38 +452,40 @@ def _pointwise_convolution(
     points: Mapping[int, tuple[list[int], int]],
     count: int,
 ) -> tuple[list[int], int]:
-    """Accumulate coeff * G_m1(1, z) G_m2(1, z) at z = 1 .. count over integers.
+    """Accumulate coeff * y^f R_m1(y) R_m2(y) at the first ``count`` nodes y over integers.
 
-    ``terms`` holds (coeff, m1, m2).  As in ``_scaled_convolution`` each sum
-    is kept over a running least common denominator, but each pair costs one
+    ``terms`` holds (coeff, m1, m2), and f = 1 when m1 and m2 are both 2 mod 4
+    (b0 = 1 each, so z^b0 z^b0 = y), else 0.  As in ``_scaled_convolution``
+    each sum is kept over a common denominator, but each pair costs one
     product of two point values per node, not one per pair of coefficients.
     The terms are summed in runs of ``RUN`` consecutive terms, each over the
-    running lcm of its own pair denominators, and the run sums then over the
-    running lcm of the runs.  Most of the sum's cost is scaling each product
-    by lcm / (den1 den2), and a run keeps that multiplier short: at k = 500,
-    in ``rademacher_expand``'s descending order, it averages 44 bits within
-    the runs (179 bits over one running lcm), and the 16 run merges scale
-    the run sums by 104 bits and the total by 152 bits on average.  The
-    result is the same pair of integers in any order and any grouping: den
-    is the lcm of all pair denominators, and vals[z - 1] / den the exact sum
-    at node z.
+    lcm of its own pair denominators, and the run sums then over the running
+    lcm of the runs.  Most of the sum's cost is scaling each product by
+    lcm / (den1 den2), and a run keeps that multiplier short: at k = 500, in
+    ``rademacher_expand``'s descending order, it averages 86 bits over the
+    runs' lcms (179 bits over one running lcm of all terms), and the 16 run
+    merges scale the run sums by 104 bits and the total by 152 bits on
+    average.  Taking each run's lcm once, up front, leaves its sum nothing to
+    rescale: a running lcm within the runs makes the multipliers 44 bits on
+    average, but the rescaling made the build about 5% slower.  The result is
+    the same pair of integers in any order and any grouping: den is the lcm
+    of all pair denominators, and vals[i] / den the exact sum at node i.
     """
+    ys = _nodes(count)
     total = [0] * count
     total_den = 1
     for start in range(0, len(terms), RUN):
+        run = terms[start : start + RUN]
+        pair_dens = [points[m1][1] * points[m2][1] for _, m1, m2 in run]
+        acc_den = math.lcm(*pair_dens)
         acc = [0] * count
-        acc_den = 1
-        for coeff, m1, m2 in terms[start : start + RUN]:
-            vals1, den1 = points[m1]
-            vals2, den2 = points[m2]
-            pair_den = den1 * den2
-            lcm = acc_den // math.gcd(acc_den, pair_den) * pair_den
-            if lcm != acc_den:
-                grow = lcm // acc_den
-                acc = [v * grow for v in acc]
-                acc_den = lcm
-            mult = (lcm // pair_den) * coeff
-            acc = [v + mult * (x * y) for v, x, y in zip(acc, vals1, vals2)]
+        for (coeff, m1, m2), pair_den in zip(run, pair_dens):
+            vals1, vals2 = points[m1][0], points[m2][0]
+            mult = acc_den // pair_den * coeff
+            if m1 % 4 == m2 % 4 == 2:
+                acc = [v + mult * y * (x1 * x2) for v, y, x1, x2 in zip(acc, ys, vals1, vals2)]
+            else:
+                acc = [v + mult * (x1 * x2) for v, x1, x2 in zip(acc, vals1, vals2)]
         lcm = total_den // math.gcd(total_den, acc_den) * acc_den
         grow, mult = lcm // total_den, lcm // acc_den
         total = [grow * t + mult * v for t, v in zip(total, acc)]
@@ -471,47 +493,69 @@ def _pointwise_convolution(
     return total, total_den
 
 
-def _interpolate(k: int, vals: list[int]) -> dict[int, int]:
-    """The integers N_a with sum_a N_a z^b = vals[z - 1] at z = 1 .. n + 1, n = len(exponents(k)).
+def _newton(k: int, ts: list[int], vals: list[int]) -> list[int]:
+    """The integer coefficients, t^0 first, of the polynomial of degree < len(ts) with values vals at ts.
 
-    Exact Lagrange interpolation of R(y) = vals[z - 1] / z^b0 at y = z^2 for
-    z = 1 .. n, in Newton's divided-difference form: R has integer
-    coefficients and integer nodes, so every divided difference is an integer
-    and every division exact.  Node n + 1 checks the interpolant.  A division
-    that leaves a remainder, or a mismatch at the check node, raises
-    ``ConsistencyError``.
+    Newton's divided differences: the polynomial has integer coefficients
+    and the nodes are integers, so every divided difference is an integer
+    and every division exact; a remainder raises ``ConsistencyError``.
     """
-    pairs = exponents(k)
-    n = len(pairs)
-    b0 = pairs[-1][1]
-    ys = [z * z for z in range(1, n + 2)]
-    r_vals = []
-    for z, v in zip(range(1, n + 2), vals):
-        q, r = divmod(v, z**b0)
-        if r:
-            raise ConsistencyError(f"weight {k}: the value at z = {z} is not a multiple of z^{b0}")
-        r_vals.append(q)
-    c = r_vals[:n]
+    n = len(ts)
+    c = list(vals)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            q, r = divmod(c[i] - c[i - 1], ys[i] - ys[i - j])
+            q, r = divmod(c[i] - c[i - 1], ts[i] - ts[i - j])
             if r:
                 raise ConsistencyError(f"weight {k}: a divided difference is not an integer")
             c[i] = q
-    # Newton form to coefficients of y^0 .. y^(n-1)
+    # Newton form to coefficients of t^0 .. t^(n-1)
     coef = [0] * n
-    coef[0] = c[n - 1]
-    for i in range(n - 2, -1, -1):
-        y_i = ys[i]
+    for i in range(n - 1, -1, -1):
+        t_i = ts[i]
         for d in range(n - 1 - i, 0, -1):
-            coef[d] = coef[d - 1] - y_i * coef[d]
-        coef[0] = c[i] - y_i * coef[0]
+            coef[d] = coef[d - 1] - t_i * coef[d]
+        coef[0] = c[i] - t_i * coef[0]
+    return coef
+
+
+def _interpolate(k: int, vals: list[int]) -> dict[int, int]:
+    """The integers N_a of R(y) = sum_a N_a y^((b - b0)/2) from its values at the first n + 1 nodes.
+
+    n = len(exponents(k)), and vals[i] is R at the i-th node of ``_nodes``:
+    y = 0, 1, -1, 2, -2, ...  Each pair of nodes y, -y gives the values of
+    both halves of R(y) = E(y^2) + y O(y^2) at t = y^2, E = (R(y) + R(-y)) / 2
+    and O = (R(y) - R(-y)) / (2y), and each half is interpolated on its own
+    (``_newton``): E on ceil(n/2) nodes, O on floor(n/2).  For n even the
+    halves use y = +-1 .. +-n/2 and y = 0 checks the interpolant; for n odd E
+    also uses y = 0 and y = (n + 1)/2 checks it.  A half that is not an
+    integer, a division with a remainder, or a mismatch at the check node
+    raises ``ConsistencyError``.
+    """
+    pairs = exponents(k)
+    n = len(pairs)
+    h = n // 2
+    ts = [0] if n % 2 else []
+    even_vals = [vals[0]] if n % 2 else []
+    odd_vals = []
+    for y in range(1, h + 1):
+        plus, minus = vals[2 * y - 1], vals[2 * y]
+        e, r = divmod(plus + minus, 2)
+        o, s = divmod(plus - minus, 2 * y)
+        if r or s:
+            raise ConsistencyError(f"weight {k}: the values at y = {y} and y = {-y} have no integer halves")
+        ts.append(y * y)
+        even_vals.append(e)
+        odd_vals.append(o)
+    even, odd = _newton(k, ts, even_vals), _newton(k, ts[n % 2 :], odd_vals)
+    coef = [0] * n  # y^0 .. y^(n-1)
+    coef[::2], coef[1::2] = even, odd
+    y_check = (n + 1) // 2 if n % 2 else 0
     check = 0
     for v in reversed(coef):
-        check = check * ys[n] + v
-    if check != r_vals[n]:
-        raise ConsistencyError(f"weight {k}: the interpolant misses the check node z = {n + 1}")
-    # y^j is z^(b0 + 2j), the pair listed j-th from the end
+        check = check * y_check + v
+    if check != vals[n if n % 2 else 0]:
+        raise ConsistencyError(f"weight {k}: the interpolant misses the check node y = {y_check}")
+    # y^j is the pair listed j-th from the end
     return {a: coef[n - 1 - j] for j, (a, _) in enumerate(pairs)}
 
 
@@ -525,10 +569,11 @@ def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> In
     The terms p and k/2 - p of the symmetric sum are equal, so each pair is
     taken once.  The terms are summed square term first and p descending: the
     large-prime part of den(w(2p)) den(w(k-2p)) is nested in p, so in that
-    order the running lcm of ``_pointwise_convolution`` grows in small steps,
+    order the lcm of ``_pointwise_convolution`` grows in small steps,
     and at k = 500 its multipliers total 22.2k bits over the 124 terms,
     against 43.6k bits ascending.  The identity is evaluated at
-    (G4, G6) = (1, z) for z = 1 .. n + 1, n = len(exponents(k)), and w(k)
+    (G4, G6) = (1, z) as one in R, G_k(1, z) = z^b0 R(z^2), at the first
+    n + 1 nodes y = 0, 1, -1, 2, -2, ..., n = len(exponents(k)), and w(k)
     recovered once by ``_interpolate`` and returned as the table stores it,
     reduced by ``_reduced``.  ``points`` maps each even weight 4 .. k-4 to its
     values at no fewer than n + 1 nodes, as ``_evaluate`` gives them.  k = 6

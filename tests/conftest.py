@@ -1,8 +1,15 @@
 import time
 
 import pytest
+from hypothesis import Phase, settings
 
 from eisen.eisenstein import EisensteinTable
+
+# hypothesis's explain phase reruns a failing example many times to report
+# which parts of it matter; on the exact-arithmetic tests here that took
+# 40-89 s per failure, so the suite reports the shrunk example without it
+settings.register_profile("no-explain", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 class TimedTable:

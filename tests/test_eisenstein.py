@@ -2,6 +2,7 @@ import ast
 import hashlib
 import inspect
 import math
+import random
 import sys
 import time
 from collections import Counter
@@ -38,7 +39,7 @@ W12_VIEW = ({0: 25, 3: 18}, 143)
 #: the coefficient-domain convolution (``_scaled_vector`` is its former cache)
 CONVOLUTION_HELPERS = {"_scaled_convolution", "_scaled_vector"}
 #: the production sum's evaluation, run length and interpolation
-POINT_VALUE_HELPERS = {"_evaluate", "_pointwise_convolution", "RUN", "_interpolate"}
+POINT_VALUE_HELPERS = {"_nodes", "_evaluate", "_pointwise_convolution", "RUN", "_interpolate", "_newton"}
 #: sha256 of ``dump_csv`` of a table built to 200 and to 500: the order and the
 #: grouping in which the convolution sums its terms must not change a byte
 TABLE_200_SHA256 = "790965b3d9a2d453cd4cf0785a3c9e9906e49d0b9124460a966dcd809456243b"
@@ -60,17 +61,39 @@ def point_values(table: EisensteinTable, k_max: int) -> dict:
     return {m: eisenstein._evaluate(m, table.integer_view(m), nodes) for m in table.weights() if m < k_max}
 
 
+def nodes(count: int) -> list:
+    """The evaluated sum's first ``count`` nodes, y = 0, 1, -1, 2, -2, ..."""
+    return [0, *(sign * y for y in range(1, count) for sign in (1, -1))][:count]
+
+
+def horner_at_nodes(k: int, nums: dict, count: int) -> list:
+    """R(y) = sum_a nums[a] y^((b - b0)/2) at the first ``count`` nodes, each power on its own."""
+    b0 = exponents(k)[-1][1]
+    return [sum(nums[a] * y ** ((b - b0) // 2) for a, b in exponents(k)) for y in nodes(count)]
+
+
+def weights_by_unknowns(n_max: int) -> dict:
+    """The least weight k >= 8 with n = len(exponents(k)) unknowns and b0 = k/2 mod 2, by (n, b0)."""
+    found: dict = {}
+    for k in range(8, 12 * n_max + 12, 2):
+        found.setdefault((len(exponents(k)), k // 2 % 2), k)
+    return {key: k for key, k in found.items() if key[0] <= n_max}
+
+
 @st.composite
 def convolution_terms(draw, n_terms: int) -> tuple:
-    """n_terms terms (coeff, m1, m2) over random point values at 1-4 nodes.
+    """n_terms terms (coeff, m1, m2) over random point values at 1-5 nodes.
 
-    The denominators are odd and share the primes 3, 5, 7 and 11, so the
-    running lcm of the pair denominators grows unevenly from term to term.
+    The weights are 4, 6, 8, ..., so pairs of two weights 2 mod 4 (whose
+    products carry the factor y) and other pairs both occur.  The
+    denominators are odd and share the primes 3, 5, 7 and 11, so the lcm of
+    the pair denominators grows unevenly from term to term.
     """
-    count = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 5))
     vals = st.lists(st.integers(-(10**30), 10**30), min_size=count, max_size=count)
     dens = st.builds(lambda e: 3 ** e[0] * 5 ** e[1] * 7 ** e[2] * 11 ** e[3], st.tuples(*[st.integers(0, 3)] * 4))
-    points = dict(enumerate(draw(st.lists(st.tuples(vals, dens), min_size=1, max_size=6))))
+    drawn = draw(st.lists(st.tuples(vals, dens), min_size=1, max_size=6))
+    points = {4 + 2 * i: point for i, point in enumerate(drawn)}
     weight = st.sampled_from(sorted(points))
     terms = draw(st.lists(st.tuples(st.integers(-(10**6), 10**6), weight, weight), min_size=n_terms, max_size=n_terms))
     return terms, points, count
@@ -354,21 +377,22 @@ class TestRademacher:
             table.extend(26)
         assert 26 not in table
 
-    @pytest.mark.parametrize("z", [1, 5])
-    def test_extend_rejects_a_perturbed_point_value(self, z, monkeypatch):
-        # extend(44) evaluates at 44 // 12 + 2 = 5 nodes, all that w(44)
-        # needs (4 unknowns and the check node z = 5)
+    @pytest.mark.parametrize("node", [1, 5])
+    def test_extend_rejects_a_perturbed_point_value(self, node, monkeypatch):
+        # extend(44) evaluates at 44 // 12 + 2 = 5 nodes, y = 0, 1, -1, 2, -2,
+        # all that w(44) needs: its 4 unknowns come from y = +-1 and +-2, and
+        # the 1st node, y = 0, is the check node
         table = EisensteinTable().extend(42)
         real = eisenstein._evaluate
 
         def perturbed(k, view, count):
             vals, den = real(k, view, count)
             if k == 20:
-                vals[z - 1] += 1
+                vals[node - 1] += 1
             return vals, den
 
         monkeypatch.setattr(eisenstein, "_evaluate", perturbed)
-        match = "check node z = 5" if z == 5 else "weight 44"
+        match = "check node y = 0" if node == 1 else "weight 44"
         with pytest.raises(ConsistencyError, match=match):
             table.extend(44)
         assert 44 not in table
@@ -427,14 +451,63 @@ class TestRademacher:
     @given(data=st.data())
     def test_run_sums_are_the_exact_sum_in_any_order(self, n_terms, data):
         # 1, 8, 9 and 17 terms: one short run, one full run, and a run boundary crossed once and twice
+        # the oracle multiplies by y wherever both weights are 2 mod 4 (b0 = 1 each)
         terms, points, count = data.draw(convolution_terms(n_terms))
         acc, den = eisenstein._pointwise_convolution(terms, points, count)
         assert den == math.lcm(*[points[m1][1] * points[m2][1] for _, m1, m2 in terms])
-        for z in range(count):
-            exact = sum(Fraction(c * points[m1][0][z] * points[m2][0][z], points[m1][1] * points[m2][1]) for c, m1, m2 in terms)
-            assert Fraction(acc[z], den) == exact, z
+        for i, y in enumerate(nodes(count)):
+            exact = sum(
+                Fraction(
+                    c * (y if m1 % 4 == m2 % 4 == 2 else 1) * points[m1][0][i] * points[m2][0][i],
+                    points[m1][1] * points[m2][1],
+                )
+                for c, m1, m2 in terms
+            )
+            assert Fraction(acc[i], den) == exact, i
         permuted = data.draw(st.permutations(terms))
         assert eisenstein._pointwise_convolution(permuted, points, count) == (acc, den)
+
+    def test_extend_value_checks_each_weight_it_builds(self, tmp_path, monkeypatch):
+        checked = counting(monkeypatch, "_check_q_coefficients")
+        table = EisensteinTable().extend(100)
+        assert checked == Counter(range(8, 101, 2))
+        # a loaded weight is checked by the load, not again by extend
+        dump = tmp_path / "table.csv"
+        table.dump_csv(dump)
+        checked.clear()
+        loaded = EisensteinTable.load_csv(dump)
+        assert checked == Counter(range(8, 101, 2))
+        checked.clear()
+        loaded.extend(100)
+        assert not checked
+
+    def test_the_value_check_stops_a_sum_fault_the_check_node_cannot_see(self, monkeypatch):
+        # a mutant sum that scales each run sum after the first by its merge
+        # multiplier once too often: every linear combination of the pairs'
+        # values is again a polynomial's values, so interpolation and its check
+        # node pass it.  40 is the first weight with two runs (9 terms), and
+        # no unfolded cross-check runs, so only the value check is left.
+        real = eisenstein._pointwise_convolution
+
+        def mutant(terms, points, count):
+            total, den = real(terms[: eisenstein.RUN], points, count)
+            for start in range(eisenstein.RUN, len(terms), eisenstein.RUN):
+                acc, acc_den = real(terms[start : start + eisenstein.RUN], points, count)
+                lcm = math.lcm(den, acc_den)
+                mult = lcm // acc_den
+                total = [lcm // den * t + mult * mult * v for t, v in zip(total, acc)]
+                den = lcm
+            return total, den
+
+        table = EisensteinTable().extend(38)
+        truth = EisensteinTable().extend(40).integer_view(40)
+        monkeypatch.setattr(eisenstein, "_cross_checked", lambda k: False)
+        monkeypatch.setattr(eisenstein, "_pointwise_convolution", mutant)
+        assert rademacher_expand(40, point_values(table, 40)) != truth
+        with pytest.raises(ConsistencyError, match="weight 40: the constant q-coefficient"):
+            table.extend(40)
+        assert 40 not in table
+        assert table.weights() == list(range(4, 39, 2))
 
     def test_the_folded_sum_takes_the_square_term_first_and_p_descending(self, shared_table, monkeypatch):
         table = shared_table.ensure(40)
@@ -456,6 +529,51 @@ class TestRademacher:
         assert not CONVOLUTION_HELPERS & names_in(eisenstein.rademacher_expand)
         assert not POINT_VALUE_HELPERS & names_in(eisenstein.rademacher_expand_unfolded)
         assert "_scaled_convolution" in names_in(eisenstein.rademacher_expand_unfolded)
+
+
+class TestEvenOddKernel:
+    """The evaluated sum's kernel against plain evaluation of R at y = 0, 1, -1, 2, -2, ..."""
+
+    def test_the_nodes(self):
+        assert eisenstein._nodes(7) == nodes(7) == [0, 1, -1, 2, -2, 3, -3]
+        assert eisenstein._nodes(0) == []
+
+    @pytest.mark.parametrize("b0", [0, 1])
+    def test_the_halves_evaluate_r_as_plain_horner_does(self, b0):
+        rng = random.Random(b0)
+        weights = {n: k for (n, parity), k in weights_by_unknowns(45).items() if parity == b0}
+        assert sorted(weights) == list(range(1, 46))
+        for n, k in weights.items():
+            nums = {a: rng.randint(-(10**40), 10**40) for a, _ in exponents(k)}
+            for count in (n + 1, n + 2):
+                assert eisenstein._evaluate(k, (nums, 7), count) == (horner_at_nodes(k, nums, count), 7), (k, count)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_interpolation_round_trips_integer_polynomials(self, parity, data):
+        k = data.draw(st.sampled_from([k for k in range(8, 301, 2) if len(exponents(k)) % 2 == parity]), label="k")
+        nums = {a: data.draw(st.integers(-(10**30), 10**30)) for a, _ in exponents(k)}
+        interpolated = eisenstein._interpolate(k, horner_at_nodes(k, nums, len(exponents(k)) + 1))
+        assert interpolated == nums
+        assert list(interpolated) == [a for a, _ in exponents(k)]
+
+    # n = 4 unknowns at k = 44 (check node y = 0), n = 3 at k = 24 (check node y = 2)
+    @pytest.mark.parametrize("k, check", [(44, 0), (24, 2)])
+    def test_a_perturbed_value_at_the_check_node_is_rejected(self, k, check):
+        n = len(exponents(k))
+        vals = horner_at_nodes(k, {a: 3 * a + 1 for a, _ in exponents(k)}, n + 1)
+        vals[nodes(n + 1).index(check)] += 1
+        with pytest.raises(ConsistencyError, match=f"weight {k}: the interpolant misses the check node y = {check}"):
+            eisenstein._interpolate(k, vals)
+
+    @pytest.mark.parametrize("k", [44, 24])
+    def test_an_odd_sum_at_a_pair_of_nodes_is_rejected(self, k):
+        n = len(exponents(k))
+        vals = horner_at_nodes(k, {a: 3 * a + 1 for a, _ in exponents(k)}, n + 1)
+        vals[nodes(n + 1).index(-1)] += 1
+        with pytest.raises(ConsistencyError, match=f"weight {k}: the values at y = 1 and y = -1 have no integer halves"):
+            eisenstein._interpolate(k, vals)
 
 
 class TestPopa:
