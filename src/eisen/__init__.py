@@ -33,7 +33,6 @@ from .eisenstein import (
     q_expansion_direct,
     rademacher_expand,
     rademacher_expand_folded,
-    rademacher_expand_unfolded,
 )
 from .gekeler import (
     GekelerPolynomial,

@@ -25,12 +25,13 @@ pass per half gives R at both y and -y, and the values at y and -y give
 both halves at y^2, so each half is interpolated on its own, with half the
 divided differences.  Every built weight then passes the same value check
 as a loaded one (``_check_q_coefficients``), which a fault in the sum that
-the check node cannot see does not.  The unfolded, symmetric ordering is
-kept as an independent cross-check that ``extend`` runs at the weights
-12 * 2^m and 12 * 2^m + 2 (both residues of k mod 4); it convolves
-coefficient vectors and shares no arithmetic with the evaluated sum.
+the check node cannot see does not.  At the weights 12 * 2^m and
+12 * 2^m + 2 (both residues of k mod 4) ``extend`` also compares each built
+weight with Popa's recurrence (its precancelled route), a different identity
+that convolves coefficient vectors and shares no arithmetic with the
+evaluated sum.
 
-Both sums and both Popa routes work on integers over a per weight common
+The sum and both Popa routes work on integers over a per weight common
 denominator and return w(k) in the table's form, its reduced integer view,
 with no Fraction formed; so do the checks that read it.  This matters: naive
 Fraction arithmetic normalizes on every multiply and is ~25x slower at
@@ -49,10 +50,11 @@ and the runs change no integer of the result.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Container, Iterable, Mapping, Sequence, Union
+from typing import Container, Iterable, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio_terms
@@ -104,7 +106,8 @@ class EisensteinTable:
     even weight is filled by the convolution recurrence when ``extend`` is
     called, or read from a dump by ``load_csv``.  Popa's recurrence never
     builds the table: it is the cross-check that ``popa_expand`` reproduces
-    each weight.
+    each weight, and ``extend`` runs it at the weights 12 * 2^m and
+    12 * 2^m + 2.
 
     Each weight is held in one form, its reduced integer view in ``_views``:
     integers nums, den with w_{a,k} = nums[a] / den, den > 0 the lcm of the
@@ -155,9 +158,10 @@ class EisensteinTable:
 
         Each missing weight is evaluated once by the folded sum
         (``rademacher_expand``).  At each weight k = 12 * 2^m and
-        k = 12 * 2^m + 2 (m >= 1) the unfolded ordering
-        (``rademacher_expand_unfolded``) is evaluated too and must agree
-        exactly, or ``ConsistencyError`` is raised.  Every built weight must
+        k = 12 * 2^m + 2 (m >= 1) Popa's recurrence (``popa_expand``, route
+        ``precancelled``, which reads only the stored integer views of
+        4 .. k - 2) is evaluated too and must agree exactly, or
+        ``ConsistencyError`` is raised.  Every built weight must
         then give E_k's first two q-coefficients (``_check_q_coefficients``,
         the check ``load_csv`` makes) before it is stored.
 
@@ -176,8 +180,8 @@ class EisensteinTable:
                 if m not in points:
                     points[m] = _evaluate(m, self._views[m], nodes)
             view = rademacher_expand(k, points)
-            if _cross_checked(k) and rademacher_expand_unfolded(k, self) != view:
-                raise ConsistencyError(f"folded and unfolded convolutions disagree at weight {k}")
+            if _cross_checked(k) and popa_expand(k, self, route="precancelled") != view:
+                raise ConsistencyError(f"the convolution and Popa's recurrence disagree at weight {k}")
             _check_q_coefficients(k, view)
             self._views[k] = view
         return self
@@ -229,7 +233,7 @@ class EisensteinTable:
         """Re-ingest a dump; validates index structure, the two base weights and the values.
 
         A row that does not parse as four fields k, a, b, w (``parse_integer``
-        for k, a, b and ``parse_rational`` for w: ASCII digits only), whose
+        for k, a, b and ``parse_ratio`` for w: ASCII digits only), whose
         exponents are negative or do not satisfy 4a + 6b = k, whose weight is
         below 4, or that repeats an earlier (k, a), raises
         ``ConsistencyError``; so does a file that ``csv`` cannot read (such as
@@ -279,9 +283,14 @@ class EisensteinTable:
             raise ConsistencyError(f"table {path} is not readable CSV: {exc}") from exc
         for k in sorted(loaded):
             nums, dens = loaded.pop(k)
-            missing = [(a, b) for a, b in exponents(k) if a not in nums]
-            if missing:
-                raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}")
+            # every row is index-checked and unique, so a weight is whole iff it has
+            # dim M_k rows; the error names at most three missing pairs and counts the rest
+            absent = k // 12 + (k % 12 != 2) - len(nums)
+            if absent:
+                pairs = ((a, (k - 4 * a) // 6) for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0 and a not in nums)
+                missing = list(itertools.islice(pairs, 3))
+                more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
+                raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}{more}")
             if k in (4, 6):
                 if nums != dens:
                     raise ConsistencyError(f"base weight {k} differs from its axiom")
@@ -364,45 +373,9 @@ def _q1_ratio(k: int) -> tuple[int, int]:
 
 def _cross_checked(k: int) -> bool:
     """True at the weights 12 * 2^m and 12 * 2^m + 2, m >= 1, where ``extend``
-    also evaluates the unfolded sum."""
+    also evaluates Popa's recurrence."""
     q, r = divmod(k, 12)
     return r in (0, 2) and q >= 2 and q & (q - 1) == 0
-
-
-def _scaled_convolution(
-    terms: Iterable[tuple[int, int, int]],
-    get_scaled: Callable[[int], tuple[dict[int, int], int]],
-) -> tuple[dict[int, int], int]:
-    """Accumulate coeff * w(m1) x w(m2) over integer vectors.
-
-    ``terms`` yields (coeff, m1, m2).  The accumulator is kept over a running
-    least common denominator so no Fraction normalization happens inside the
-    double loop.  Each pair's numerators are convolved first, without the
-    multiplier, which then scales each output exponent once.
-    """
-    acc: dict[int, int] = {}
-    acc_den = 1
-    for coeff, m1, m2 in terms:
-        nums1, den1 = get_scaled(m1)
-        nums2, den2 = get_scaled(m2)
-        pair_den = den1 * den2
-        g = math.gcd(acc_den, pair_den)
-        lcm = acc_den // g * pair_den
-        if lcm != acc_den:
-            grow = lcm // acc_den
-            if grow != 1:
-                for key in acc:
-                    acc[key] *= grow
-            acc_den = lcm
-        mult = (lcm // pair_den) * coeff
-        conv: dict[int, int] = {}
-        for a1, v1 in nums1.items():
-            for a2, v2 in nums2.items():
-                key = a1 + a2
-                conv[key] = conv.get(key, 0) + v1 * v2
-        for key, v in conv.items():
-            acc[key] = acc.get(key, 0) + mult * v
-    return acc, acc_den
 
 
 def _check_domain(k: int) -> None:
@@ -455,9 +428,9 @@ def _pointwise_convolution(
     """Accumulate coeff * y^f R_m1(y) R_m2(y) at the first ``count`` nodes y over integers.
 
     ``terms`` holds (coeff, m1, m2), and f = 1 when m1 and m2 are both 2 mod 4
-    (b0 = 1 each, so z^b0 z^b0 = y), else 0.  As in ``_scaled_convolution``
-    each sum is kept over a common denominator, but each pair costs one
-    product of two point values per node, not one per pair of coefficients.
+    (b0 = 1 each, so z^b0 z^b0 = y), else 0.  Each sum is kept over a common
+    denominator, and each pair costs one product of two point values per
+    node, not one per pair of coefficients.
     The terms are summed in runs of ``RUN`` consecutive terms, each over the
     lcm of its own pair denominators, and the run sums then over the running
     lcm of the runs.  Most of the sum's cost is scaling each product by
@@ -588,26 +561,6 @@ def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> In
         raise DomainError(f"weight {k} needs point values at {count} nodes")
     vals, den = _pointwise_convolution(terms, points, count)
     return _reduced(_interpolate(k, vals), den * (k // 2 - 3) * (k - 1) * (k + 1))
-
-
-def rademacher_expand_unfolded(k: int, table: EisensteinTable) -> IntegerView:
-    """The same w(k) from the symmetric, unfolded sum
-
-        (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p},
-
-    every term evaluated on its own, in the coefficient domain on the table's
-    integer views of w(m), and reduced as ``rademacher_expand`` is (its keys
-    in the order the convolution reaches them).  It is the cross-check of the
-    folded production sum, with which it shares no convolution arithmetic:
-    ``extend`` compares the two at every weight 12 * 2^m and 12 * 2^m + 2.
-    """
-    _check_domain(k)
-    _require_weights(table, range(4, k - 3, 2))
-    acc, den = _scaled_convolution(
-        ((3 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range(2, k // 2 - 1)),
-        table.integer_view,
-    )
-    return _reduced(acc, den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
 def rademacher_expand_folded(k: int, table: EisensteinTable) -> IntegerView:

@@ -26,7 +26,6 @@ from eisen.eisenstein import (
     q_expansion_direct,
     rademacher_expand,
     rademacher_expand_folded,
-    rademacher_expand_unfolded,
 )
 from eisen.qmring import GradedForm, substitute_q_expansion
 from eisen.replicate import check_conjecture, check_min_valuation, check_theorem_main, gekeler_scan, selftest
@@ -36,8 +35,6 @@ W12 = {0: Fraction(25, 143), 3: Fraction(18, 143)}
 #: w(12) as the table stores it
 W12_VIEW = ({0: 25, 3: 18}, 143)
 
-#: the coefficient-domain convolution (``_scaled_vector`` is its former cache)
-CONVOLUTION_HELPERS = {"_scaled_convolution", "_scaled_vector"}
 #: the production sum's evaluation, run length and interpolation
 POINT_VALUE_HELPERS = {"_nodes", "_evaluate", "_pointwise_convolution", "RUN", "_interpolate", "_newton"}
 #: sha256 of ``dump_csv`` of a table built to 200 and to 500: the order and the
@@ -97,6 +94,27 @@ def convolution_terms(draw, n_terms: int) -> tuple:
     weight = st.sampled_from(sorted(points))
     terms = draw(st.lists(st.tuples(st.integers(-(10**6), 10**6), weight, weight), min_size=n_terms, max_size=n_terms))
     return terms, points, count
+
+
+def run_merge_mutant():
+    """A faulty ``_pointwise_convolution``: each run sum after the first is scaled by its merge multiplier twice.
+
+    Every linear combination of the pairs' values is again a polynomial's
+    values, so interpolation and its check node pass the wrong sum.
+    """
+    real = eisenstein._pointwise_convolution
+
+    def mutant(terms, points, count):
+        total, den = real(terms[: eisenstein.RUN], points, count)
+        for start in range(eisenstein.RUN, len(terms), eisenstein.RUN):
+            acc, acc_den = real(terms[start : start + eisenstein.RUN], points, count)
+            lcm = math.lcm(den, acc_den)
+            mult = lcm // acc_den
+            total = [lcm // den * t + mult * mult * v for t, v in zip(total, acc)]
+            den = lcm
+        return total, den
+
+    return mutant
 
 
 def counting(monkeypatch, name: str) -> Counter:
@@ -329,51 +347,49 @@ class TestRademacher:
         with pytest.raises(DomainError, match="4 nodes"):
             rademacher_expand(24, points)
 
-    def test_folded_matches_symmetric(self, shared_table):
+    def test_folded_matches_popa(self, shared_table):
         table = shared_table.ensure(96)
         for k in (8, 12, 16, 24, 48, 96):
-            assert rademacher_expand_folded(k, table) == rademacher_expand_unfolded(k, table)
+            assert rademacher_expand_folded(k, table) == popa_expand(k, table, route="precancelled"), k
 
     def test_fold_covers_k_2_mod_4(self, shared_table):
         table = shared_table.ensure(10)
         points = point_values(table, 10)
-        assert rademacher_expand(10, points) == rademacher_expand_unfolded(10, table) == ({1: 5}, 11)
+        assert rademacher_expand(10, points) == popa_expand(10, table, route="precancelled") == ({1: 5}, 11)
         assert rademacher_expand_folded(10, table) == rademacher_expand(10, points)
-        sources = ((rademacher_expand, points), (rademacher_expand_unfolded, table), (rademacher_expand_folded, table))
-        for expand, source in sources:
+        for expand, source in ((rademacher_expand, points), (rademacher_expand_folded, table)):
             for k in (6, 9, 11, 4, 2, 0, -2):
                 with pytest.raises(DomainError):
                     expand(k, source)
 
-    def test_folded_matches_unfolded_to_200(self, shared_table):
-        table = shared_table.ensure(200)
-        points = point_values(table, 200)
-        for k in range(8, 201, 2):
-            assert rademacher_expand(k, points) == rademacher_expand_unfolded(k, table), k
-
     def test_extend_cross_checks_both_residues_mod_4(self, monkeypatch):
         checked = []
-        real = eisenstein.rademacher_expand_unfolded
-        monkeypatch.setattr(
-            eisenstein, "rademacher_expand_unfolded", lambda k, table: checked.append(k) or real(k, table)
-        )
-        EisensteinTable().extend(100)
-        assert checked == [24, 26, 48, 50, 96, 98]
+        real = eisenstein.popa_expand
+
+        def spy(k, table, route="graded"):
+            checked.append((k, route))
+            return real(k, table, route)
+
+        monkeypatch.setattr(eisenstein, "popa_expand", spy)
+        table = EisensteinTable().extend(100)
+        assert checked == [(k, "precancelled") for k in (24, 26, 48, 50, 96, 98)]
+        # the precancelled route reads the stored views and leaves the graded memo empty
+        assert table._graded == {}
         on_the_way_to_500 = [k for k in range(8, 501, 2) if eisenstein._cross_checked(k)]
         assert on_the_way_to_500 == [24, 26, 48, 50, 96, 98, 192, 194, 384, 386]
 
     def test_extend_rejects_a_disagreeing_cross_check(self, monkeypatch):
-        real = eisenstein.rademacher_expand_unfolded
+        real = eisenstein.popa_expand
 
-        def perturbed(k, table):
-            nums, den = real(k, table)
+        def perturbed(k, table, route="graded"):
+            nums, den = real(k, table, route)
             if k == 26:
                 nums[min(nums)] += 1
             return nums, den
 
-        monkeypatch.setattr(eisenstein, "rademacher_expand_unfolded", perturbed)
+        monkeypatch.setattr(eisenstein, "popa_expand", perturbed)
         table = EisensteinTable().extend(24)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="the convolution and Popa's recurrence disagree at weight 26"):
             table.extend(26)
         assert 26 not in table
 
@@ -482,32 +498,27 @@ class TestRademacher:
         assert not checked
 
     def test_the_value_check_stops_a_sum_fault_the_check_node_cannot_see(self, monkeypatch):
-        # a mutant sum that scales each run sum after the first by its merge
-        # multiplier once too often: every linear combination of the pairs'
-        # values is again a polynomial's values, so interpolation and its check
-        # node pass it.  40 is the first weight with two runs (9 terms), and
-        # no unfolded cross-check runs, so only the value check is left.
-        real = eisenstein._pointwise_convolution
-
-        def mutant(terms, points, count):
-            total, den = real(terms[: eisenstein.RUN], points, count)
-            for start in range(eisenstein.RUN, len(terms), eisenstein.RUN):
-                acc, acc_den = real(terms[start : start + eisenstein.RUN], points, count)
-                lcm = math.lcm(den, acc_den)
-                mult = lcm // acc_den
-                total = [lcm // den * t + mult * mult * v for t, v in zip(total, acc)]
-                den = lcm
-            return total, den
-
+        # 40 is the first weight with two runs (9 terms) and is not
+        # cross-checked, so only the value check can stop the mutant there
         table = EisensteinTable().extend(38)
         truth = EisensteinTable().extend(40).integer_view(40)
-        monkeypatch.setattr(eisenstein, "_cross_checked", lambda k: False)
-        monkeypatch.setattr(eisenstein, "_pointwise_convolution", mutant)
+        monkeypatch.setattr(eisenstein, "_pointwise_convolution", run_merge_mutant())
         assert rademacher_expand(40, point_values(table, 40)) != truth
         with pytest.raises(ConsistencyError, match="weight 40: the constant q-coefficient"):
             table.extend(40)
         assert 40 not in table
         assert table.weights() == list(range(4, 39, 2))
+
+    def test_the_popa_cross_check_stops_the_same_fault_without_the_value_check(self, monkeypatch):
+        # with the value check off the mutant's 40 .. 46 are stored; 48 is the
+        # next cross-checked weight, and Popa's recurrence disagrees there
+        table = EisensteinTable().extend(38)
+        monkeypatch.setattr(eisenstein, "_check_q_coefficients", lambda k, view: None)
+        monkeypatch.setattr(eisenstein, "_pointwise_convolution", run_merge_mutant())
+        with pytest.raises(ConsistencyError, match="the convolution and Popa's recurrence disagree at weight 48"):
+            table.extend(60)
+        assert 48 not in table
+        assert table.weights() == list(range(4, 47, 2))
 
     def test_the_folded_sum_takes_the_square_term_first_and_p_descending(self, shared_table, monkeypatch):
         table = shared_table.ensure(40)
@@ -524,11 +535,6 @@ class TestRademacher:
         descending = range(9, 1, -1)
         assert seen[9] == [(20, 20), *[(2 * p, 40 - 2 * p) for p in descending]]
         assert seen[8] == [(2 * p, 38 - 2 * p) for p in descending]
-
-    def test_folded_and_unfolded_share_no_convolution_arithmetic(self):
-        assert not CONVOLUTION_HELPERS & names_in(eisenstein.rademacher_expand)
-        assert not POINT_VALUE_HELPERS & names_in(eisenstein.rademacher_expand_unfolded)
-        assert "_scaled_convolution" in names_in(eisenstein.rademacher_expand_unfolded)
 
 
 class TestEvenOddKernel:
@@ -653,7 +659,7 @@ class TestPopa:
     @pytest.mark.parametrize("route", [eisenstein._popa_graded, eisenstein._popa_precancelled])
     def test_routes_share_no_convolution_helper(self, route):
         names = names_in(route)
-        assert not (CONVOLUTION_HELPERS | POINT_VALUE_HELPERS) & names
+        assert not POINT_VALUE_HELPERS & names
 
     def test_selftest_leaves_the_point_value_cache_empty(self, tmp_path, monkeypatch):
         # the cross-checks evaluate no point value of the convolution they check
@@ -823,6 +829,19 @@ class TestPersistence:
         with pytest.raises(ConsistencyError, match="weight 12: the constant q-coefficient"):
             EisensteinTable.load_csv(path)
 
+    def test_a_huge_weight_with_missing_rows_is_named_briefly(self, tmp_path):
+        # 4a + 6b = 4 * 10^6 has dim M_k = 333334 solutions and the dump gives one:
+        # the error names the first three missing pairs and counts the rest
+        path = tmp_path / "huge.csv"
+        path.write_text("k,a,b,w\n4,1,0,1/1\n6,0,1,1/1\n4000000,1000000,0,1/1\n")
+        with pytest.raises(ConsistencyError) as raised:
+            EisensteinTable.load_csv(path)
+        message = str(raised.value)
+        assert len(message) < 200
+        assert message == (
+            "weight 4000000 is missing rows for (a, b) in [(1, 666666), (4, 666664), (7, 666662)] and 333330 more"
+        )
+
     def test_dump_missing_one_row_rejected(self, tmp_path, shared_table):
         path = tmp_path / "table.csv"
         shared_table.ensure(60).dump_csv(path)
@@ -927,7 +946,7 @@ class TestDeferredLoad:
         path = tmp_path / "table.csv"
         built.dump_csv(path)
         if kind == "gap-filled":
-            # 48 is a cross-checked weight, so the unfolded sum runs on the loaded views too
+            # 48 is a cross-checked weight, so Popa's recurrence runs on the loaded views too
             lines = path.read_text().splitlines(keepends=True)
             path.write_text("".join(line for line in lines if not line.startswith(("30,", "48,", "62,"))))
         elif kind == "unreduced rows":
@@ -979,8 +998,8 @@ class TestDeferredLoad:
         assert loaded.w_vector(8) == {2: Fraction(3, 7)}
         assert loaded.w_vector(12) == W12
 
-    def test_extend_fills_a_gap_in_a_loaded_dump_as_a_build_does(self, tmp_path):
-        # 48 is a cross-checked weight, so the unfolded sum reads the loaded table too
+    def test_extend_fills_a_gap_in_a_loaded_dump_as_a_build_does(self, tmp_path, monkeypatch):
+        # 48 is a cross-checked weight, so Popa's recurrence reads the loaded table too
         built = EisensteinTable().extend(72)
         path = tmp_path / "table.csv"
         built.dump_csv(path)
@@ -988,7 +1007,16 @@ class TestDeferredLoad:
         path.write_text("".join(line for line in lines if not line.startswith(("30,", "48,", "62,"))))
         loaded = EisensteinTable.load_csv(path)
         assert loaded.weights() == [k for k in range(4, 73, 2) if k not in (30, 48, 62)]
+        checked = []
+        real = eisenstein.popa_expand
+
+        def spy(k, table, route="graded"):
+            checked.append((k, table, route))
+            return real(k, table, route)
+
+        monkeypatch.setattr(eisenstein, "popa_expand", spy)
         loaded.extend(72)
+        assert checked == [(48, loaded, "precancelled")]
         assert loaded.weights() == built.weights()
         for k in built.weights():
             assert loaded.w_vector(k) == built.w_vector(k), k
