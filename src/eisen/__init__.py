@@ -50,10 +50,9 @@ from .irreducibility import (
     finite_field_degree_patterns,
     newton_polygon,
     primitive_integer_polynomial,
-    recheck_dumas_certificate,
-    recheck_pattern_certificate,
     select_witness_primes,
 )
+from .recheck import recheck_dumas_certificate, recheck_pattern_certificate
 from .replicate import (
     CheckReport,
     check_conjecture,

@@ -31,10 +31,10 @@ from .irreducibility import (
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
-    recheck_dumas_certificate,
     select_witness_primes,
 )
 from .qmring import substitute_q_expansion
+from .recheck import recheck_dumas_certificate
 
 DUMAS_SCAN_PRIMES = SMALL_PRIMES
 

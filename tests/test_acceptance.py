@@ -21,8 +21,9 @@ from eisen.eisenstein import (
 )
 from eisen.exact import INFINITY, valuation, zeta_ratio
 from eisen.gekeler import phi_by_division, phi_closed_form, valuation_profile
-from eisen.irreducibility import NewtonPolygon, distinct_degree_pattern, recheck_dumas_certificate
+from eisen.irreducibility import NewtonPolygon, distinct_degree_pattern
 from eisen.qmring import GradedForm, q_derivative, serre_derivative, substitute_q_expansion
+from eisen.recheck import recheck_dumas_certificate
 from eisen.replicate import (
     check_conjecture,
     check_lemma_ineq,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisen import cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate
+from eisen import cli, eisenstein, exact, gekeler, irreducibility, qmring, recheck, replicate
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
 from eisen.exact import INFINITY, bernoulli, digit_sum_base2, valuation, zeta_ratio
 from eisen.eisenstein import (
@@ -266,7 +266,7 @@ class TestTable:
         # every other reader goes through __contains__, weights, integer_view,
         # w_vector or e_basis_numerators; only the two producers write a view
         readers = set()
-        for module in (cli, eisenstein, exact, gekeler, irreducibility, qmring, replicate):
+        for module in (cli, eisenstein, exact, gekeler, irreducibility, qmring, recheck, replicate):
             for node in ast.walk(ast.parse(inspect.getsource(module))):
                 if isinstance(node, ast.FunctionDef) and "_views" in names_in_tree(node):
                     readers.add(node.name)

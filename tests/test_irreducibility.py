@@ -7,30 +7,31 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eisen import exact, irreducibility
+from eisen import exact, irreducibility, recheck
 from eisen.errors import DomainError, InvalidPrimeError
 from eisen.exact import INFINITY, is_prime
 from eisen.irreducibility import (
     NewtonPolygon,
-    _ddf_by_repeated_squaring,
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
     finite_field_degree_patterns,
     newton_polygon,
     primitive_integer_polynomial,
-    recheck_dumas_certificate,
-    recheck_pattern_certificate,
     select_witness_primes,
 )
 from eisen.gekeler import phi_by_division
+from eisen.recheck import _ddf_by_repeated_squaring, recheck_dumas_certificate, recheck_pattern_certificate
 from eisen.replicate import check_theorem_main, dumas_applies
 from helpers import covers
 
@@ -677,28 +678,6 @@ class TestPackedKernel:
                 assert returned == full, (len(f) - 1, p)
         assert pruned > 100
 
-    def test_rechecker_and_kernel_share_no_name(self):
-        tree = ast.parse(inspect.getsource(irreducibility))
-        defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-
-        def names(node):
-            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-                n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-            }
-
-        kernel = ["_PackedGF", "distinct_degree_pattern"]
-        kernel_names = set(kernel) | {m.name for m in defs["_PackedGF"].body if isinstance(m, ast.FunctionDef)}
-        rechecker = [name for name in defs if name.startswith("_gf_")]
-        rechecker += ["_ddf_by_repeated_squaring", "recheck_pattern_certificate"]
-        assert len(rechecker) == 7 and {"red", "divmod", "mulmod", "gcd"} <= kernel_names
-        for name in rechecker:
-            assert not names(defs[name]) & kernel_names, name
-        for name in kernel:
-            assert not names(defs[name]) & set(rechecker), name
-        # nor do the re-checkers share the certifier's primality test
-        for name in rechecker + ["recheck_dumas_certificate", "_is_prime_by_trial"]:
-            assert "is_prime" not in names(defs[name]), name
-
 
 # --- composite moduli --------------------------------------------------------
 
@@ -729,12 +708,12 @@ class TestCompositeModulus:
 
     def test_rechecker_primality_test(self):
         sieve = [n for n in range(200) if n > 1 and all(n % d for d in range(2, n))]
-        assert [n for n in range(-5, 200) if irreducibility._is_prime_by_trial(n)] == sieve
-        assert irreducibility._is_prime_by_trial(LARGEST_DECIDED_PRIME)
-        assert not irreducibility._is_prime_by_trial(65537 * 65521)
+        assert [n for n in range(-5, 200) if recheck._is_prime_by_trial(n)] == sieve
+        assert recheck._is_prime_by_trial(LARGEST_DECIDED_PRIME)
+        assert not recheck._is_prime_by_trial(65537 * 65521)
         # at or above 2**32 the answer is False, never an error, even for a prime
         for n in (2**32, 2**32 + 15, 10**29 + 319):
-            assert irreducibility._is_prime_by_trial(n) is False
+            assert recheck._is_prime_by_trial(n) is False
 
     def test_forged_pattern_prime_rejected(self):
         doc = finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict()
@@ -786,6 +765,9 @@ class TestRecheckersReadEveryField:
             ("skipped", None),
             ("unexcluded_degrees", [1]),
             ("patterns", {"3": [2.0]}),
+            ("patterns", {"03": [2]}),  # the prime 3, not keyed by its plain digits
+            ("primes", [3, 3]),
+            ("patterns", {"3": [2], "03": [2]}),  # the prime 3 twice
         ],
     )
     def test_pattern_fields_must_agree(self, field, value):
@@ -873,16 +855,80 @@ class TestRecheckersTotal:
         assert recheck_pattern_certificate(pattern) is False
         assert time.perf_counter() - started < 0.1
 
-    def test_pattern_rechecker_never_calls_production_ddf(self, monkeypatch):
-        calls = []
-        real = irreducibility.distinct_degree_pattern
-        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", lambda f, p: calls.append(p) or real(f, p))
-        assert all(recheck_pattern_certificate(doc) for doc in VALID_DOCS[1:])
-        assert calls == []
 
-    def test_rechecker_parser_is_not_the_production_parser(self):
-        assert irreducibility._parse_rational is not exact.parse_rational
-        tree = ast.parse(inspect.getsource(irreducibility))
-        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert "parse_rational" not in names
+# --- the re-checkers' module imports only the standard library -----------------
+
+# imports a copy of recheck.py from the directory argv[1] and re-checks each
+# document of the JSON file argv[2]; prints the verdicts and every module of
+# the package that got loaded
+RUN_ALONE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import recheck
+with open(sys.argv[2]) as f:
+    docs = json.load(f)
+verdicts = [
+    (recheck.recheck_dumas_certificate if doc["criterion"] == "dumas" else recheck.recheck_pattern_certificate)(doc)
+    for doc in docs
+]
+print(json.dumps({"verdicts": verdicts, "loaded": sorted(m for m in sys.modules if m.startswith("eisen"))}))
+"""
+
+
+def recheck_alone(tmp_path, docs):
+    """Re-check ``docs`` with a copy of recheck.py alone in ``tmp_path``, isolated from site-packages."""
+    (tmp_path / "recheck.py").write_bytes(Path(recheck.__file__).read_bytes())
+    (tmp_path / "docs.json").write_text(json.dumps(docs))
+    # -I alone still runs site's .pth files, which may import third-party modules
+    argv = [sys.executable, "-I", "-S", "-c", RUN_ALONE, str(tmp_path), str(tmp_path / "docs.json")]
+    out = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    assert out["loaded"] == []
+    return out["verdicts"]
+
+
+def with_root_at_one(doc):
+    """The document with its constant term changed so that x = 1 is a root: from degree 2 on, f is reducible."""
+    doc = copy.deepcopy(doc)
+    coeffs = [exact.parse_rational(c) for c in doc["poly"]["coeffs"]]
+    doc["poly"]["coeffs"][0] = exact.format_rational(coeffs[0] - sum(coeffs))
+    return doc
+
+
+def imports(source):
+    """(level, module) of every ``import`` and ``from`` statement in ``source``, with the names a ``from`` takes."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.level, node.module or "", [alias.name for alias in node.names]
+
+
+class TestRecheckModule:
+    def test_imports_only_the_standard_library(self):
+        found = list(imports(inspect.getsource(recheck)))
+        assert found
+        for level, module, _ in found:
+            assert level == 0 and module.partition(".")[0] in sys.stdlib_module_names, module
+
+    def test_a_copy_alone_rechecks_documents(self, tmp_path):
+        assert recheck_alone(tmp_path, [*VALID_DOCS, FORGED_DUMAS_AT_4]) == [True] * len(VALID_DOCS) + [False]
+
+    def test_a_copy_alone_rechecks_real_certificates(self, shared_table, tmp_path):
+        table = shared_table.ensure(12 * 2**5)
+        docs = [record["certificate"] for record in check_theorem_main(5, table).records]
+        for k in (50, 100, 200):
+            ints = phi_by_division(k, table).ints
+            kept, _ = select_witness_primes(ints, floor=k)
+            docs.append(assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}").to_json_dict())
+        assert len(docs) == 9 and {doc["verdict"] for doc in docs} == {"irreducible"}
+        changed = [with_root_at_one(doc) for doc in docs]
+        assert recheck_alone(tmp_path, docs + changed) == [True] * 9 + [False] * 9
+
+    def test_only_the_package_root_and_replicate_import_it(self):
+        # so the certifier never borrows re-checker code
+        importers = set()
+        for path in Path(recheck.__file__).parent.glob("*.py"):
+            for _, module, names in imports(path.read_text()):
+                if module.rpartition(".")[2] == "recheck" or module in ("", "eisen") and "recheck" in names:
+                    importers.add(path.stem)
+        assert importers == {"__init__", "replicate"}

@@ -10,7 +10,8 @@ import pytest
 from eisen import irreducibility, replicate
 from eisen.errors import ConsistencyError, DomainError
 from eisen.eisenstein import EisensteinTable
-from eisen.irreducibility import _ddf_by_repeated_squaring, distinct_degree_pattern
+from eisen.irreducibility import distinct_degree_pattern
+from eisen.recheck import _ddf_by_repeated_squaring
 from eisen.replicate import (
     CheckReport,
     check_conjecture,
