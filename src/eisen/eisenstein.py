@@ -49,7 +49,6 @@ and the runs change no integer of the result.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from fractions import Fraction
@@ -58,7 +57,7 @@ from typing import Container, Iterable, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio_terms
-from .exact import format_rational, parse_integer, parse_ratio
+from .exact import excerpt, format_rational, parse_integer, parse_ratio
 from .qmring import E2, GradedForm, serre_derivative
 
 #: integers nums, den with w_{a,k} = nums[a] / den; E4-exponent a, b = (k-4a)/6 implied
@@ -232,12 +231,15 @@ class EisensteinTable:
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
         """Re-ingest a dump; validates index structure, the two base weights and the values.
 
-        A row that does not parse as four fields k, a, b, w (``parse_integer``
-        for k, a, b and ``parse_ratio`` for w: ASCII digits only), whose
-        exponents are negative or do not satisfy 4a + 6b = k, whose weight is
-        below 4, or that repeats an earlier (k, a), raises
-        ``ConsistencyError``; so does a file that ``csv`` cannot read (such as
-        one with a field past ``csv.field_size_limit()``), and a loaded weight
+        The file is read in the grammar ``dump_csv`` writes, one line at a
+        time: the header line ``k,a,b,w``, then one row per line, each line
+        ended by CRLF or LF (the last may have none; text mode reads both as
+        LF) and split on commas, with no quoting.  A row that does not split
+        into four fields k, a, b, w (``parse_integer`` for k, a, b and
+        ``parse_ratio`` for w: ASCII digits only), whose exponents are
+        negative or do not satisfy 4a + 6b = k, whose weight is below 4, or
+        that repeats an earlier (k, a), raises ``ConsistencyError``, quoting
+        the line only as far as ``excerpt`` does; so does a loaded weight
         missing a row for any (a, b) with 4a + 6b = k, whose values do not
         give E_k's first two q-coefficients (``_check_q_coefficients``), or
         with a value w <= 0.
@@ -255,32 +257,30 @@ class EisensteinTable:
         # k -> (numerators by a, denominators by a); a (num, den) tuple per row, kept to
         # the end of the load and then freed, raised the warm runs' peak RSS by up to 0.3 MB
         loaded: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header != ["k", "a", "b", "w"]:
-                    raise ConsistencyError(f"unexpected table header {header!r}")
-                for row in reader:
-                    if len(row) != 4:
-                        raise ConsistencyError(f"bad table row {row!r}: expected 4 fields")
-                    try:
-                        k, a, b = (parse_integer(field) for field in row[:3])
-                        n, d = parse_ratio(row[3])
-                    except DomainError as exc:
-                        raise ConsistencyError(f"bad table row {row!r}: {exc}") from exc
-                    if 4 * a + 6 * b != k:
-                        raise ConsistencyError(f"bad index row {row!r}: 4a+6b != k")
-                    if a < 0 or b < 0:
-                        raise ConsistencyError(f"bad index row {row!r}: negative exponent")
-                    if k < 4:
-                        raise ConsistencyError(f"bad index row {row!r}: weight {k} is below 4")
-                    nums, dens = loaded.setdefault(k, ({}, {}))
-                    if a in nums:
-                        raise ConsistencyError(f"duplicate row {row!r} for (k, a) = ({k}, {a})")
-                    nums[a], dens[a] = n, d
-        except csv.Error as exc:
-            raise ConsistencyError(f"table {path} is not readable CSV: {exc}") from exc
+        with open(path) as fh:  # text mode: a CRLF line end reads as LF
+            header = next(fh, "").removesuffix("\n")
+            if header != "k,a,b,w":
+                raise ConsistencyError(f"unexpected table header {excerpt(header)}")
+            for line in fh:
+                line = line.removesuffix("\n")
+                row = line.split(",")
+                if len(row) != 4:
+                    raise ConsistencyError(f"bad table row {excerpt(line)}: expected 4 fields")
+                try:
+                    k, a, b = (parse_integer(field) for field in row[:3])
+                    n, d = parse_ratio(row[3])
+                except DomainError as exc:
+                    raise ConsistencyError(f"bad table row {excerpt(line)}: {exc}") from exc
+                if 4 * a + 6 * b != k:
+                    raise ConsistencyError(f"bad index row {excerpt(line)}: 4a+6b != k")
+                if a < 0 or b < 0:
+                    raise ConsistencyError(f"bad index row {excerpt(line)}: negative exponent")
+                if k < 4:
+                    raise ConsistencyError(f"bad index row {excerpt(line)}: weight {k} is below 4")
+                nums, dens = loaded.setdefault(k, ({}, {}))
+                if a in nums:
+                    raise ConsistencyError(f"duplicate row {excerpt(line)} for (k, a) = ({k}, {a})")
+                nums[a], dens[a] = n, d
         for k in sorted(loaded):
             nums, dens = loaded.pop(k)
             # every row is index-checked and unique, so a weight is whole iff it has

@@ -194,6 +194,17 @@ def divisor_power_sum(n: int, e: int) -> int:
     return total
 
 
+#: characters of an input an error message quotes; the rest is counted, not echoed
+EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """``repr(text)``, or for a longer text the repr of its first ``EXCERPT_CHARS`` characters and its length."""
+    if len(text) <= EXCERPT_CHARS:
+        return repr(text)
+    return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
+
+
 #: exact text: an integer or num/den in ASCII digits, the denominator nonzero
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
@@ -208,7 +219,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        raise DomainError(f"{text!r} is not an integer or num/den in ASCII digits with a positive denominator")
+        raise DomainError(f"{excerpt(text)} is not an integer or num/den in ASCII digits with a positive denominator")
     return _to_int(m[1]), _to_int(m[2] or "1")
 
 
@@ -233,7 +244,7 @@ def parse_integer(text: str) -> int:
     """The integer written as ``-?digits`` in ASCII; anything else raises ``DomainError``."""
     m = _RATIONAL.fullmatch(text)
     if m is None or m[2] is not None:
-        raise DomainError(f"{text!r} is not an integer in ASCII digits")
+        raise DomainError(f"{excerpt(text)} is not an integer in ASCII digits")
     return _to_int(text)
 
 

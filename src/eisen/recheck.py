@@ -216,7 +216,8 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
     reachable degrees.  The other fields must agree: criterion
     "finite-field-pattern", no unexcluded degrees, ``primes`` the primes of
     ``patterns`` with none twice, each pattern keyed by its prime's plain
-    decimal digits, and ``skipped`` a list of other primes; every recorded
+    decimal digits, and ``skipped`` a list of other primes, each prime by the
+    re-checker's own trial division and none listed twice; every recorded
     degree, prime and skipped prime must be an int.  Returns True only for a
     sound "irreducible" verdict.
     """
@@ -233,6 +234,8 @@ def recheck_pattern_certificate(doc: Mapping) -> bool:
     if set(primes) != {int(p_str) for p_str in patterns} or not set(primes).isdisjoint(skipped):
         return False
     if not len(primes) == len(set(primes)) == len(patterns):
+        return False
+    if len(skipped) != len(set(skipped)) or not all(_is_prime_by_trial(q) for q in skipped):
         return False
     # degrees a rational factor could still have, given the patterns so far
     reachable = set(range(n + 1))

@@ -111,13 +111,6 @@ def _timed(report: CheckReport, started: float) -> CheckReport:
     return report
 
 
-def _ensure_table(table: Optional[EisensteinTable], k_max: int) -> EisensteinTable:
-    if table is None:
-        table = EisensteinTable()
-    table.extend(k_max)
-    return table
-
-
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
@@ -232,12 +225,12 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
 # expansion-vector valuations
 
 
-def check_min_valuation(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
-    """min_a nu_2(w_{a,k}) >= 0 for every even 4 <= k <= k_max."""
+def check_min_valuation(k_max: int, table: EisensteinTable) -> CheckReport:
+    """min_a nu_2(w_{a,k}) >= 0 for every even 4 <= k <= k_max; extends ``table`` to k_max."""
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
     started = time.perf_counter()
-    table = _ensure_table(table, k_max)
+    table.extend(k_max)
     report = CheckReport("min-valuation", {"k_max": k_max})
     for k in range(4, k_max + 1, 2):
         mv = min_valuation2(table.integer_view(k))
@@ -245,12 +238,12 @@ def check_min_valuation(k_max: int, table: Optional[EisensteinTable] = None) -> 
     return _timed(report, started)
 
 
-def check_conjecture(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
-    """min_a nu_2(w_{a,k}) against the predicted s_2(k) - 2, or 0 at powers of two."""
+def check_conjecture(k_max: int, table: EisensteinTable) -> CheckReport:
+    """min_a nu_2(w_{a,k}) against the predicted s_2(k) - 2, or 0 at powers of two; extends ``table`` to k_max."""
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
     started = time.perf_counter()
-    table = _ensure_table(table, k_max)
+    table.extend(k_max)
     report = CheckReport("conjecture", {"k_max": k_max})
     for k in range(4, k_max + 1, 2):
         s2 = digit_sum_base2(k)
@@ -274,8 +267,8 @@ def check_conjecture(k_max: int, table: Optional[EisensteinTable] = None) -> Che
 # the headline irreducibility family
 
 
-def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
-    """2-adic certificates for phi_k, k = 12 * 2^ell, 0 <= ell <= ell_max.
+def check_theorem_main(ell_max: int, table: EisensteinTable) -> CheckReport:
+    """2-adic certificates for phi_k, k = 12 * 2^ell, 0 <= ell <= ell_max; extends ``table`` to 12 * 2^ell_max.
 
     For each ell the full hypothesis chain is re-verified from scratch:
     nu_2(w_{0,k}) = 0 and nu_2(w_{3a,k}) >= 1 for the expansion vector;
@@ -288,7 +281,7 @@ def check_theorem_main(ell_max: int, table: Optional[EisensteinTable] = None) ->
         raise DomainError("ell_max must be >= 0")
     started = time.perf_counter()
     k_top = 12 * 2**ell_max
-    table = _ensure_table(table, k_top)
+    table.extend(k_top)
     report = CheckReport("theorem-main", {"ell_max": ell_max})
     for ell in range(ell_max + 1):
         k = 12 * 2**ell
@@ -354,8 +347,8 @@ def dumas_applies(int_coeffs: Sequence[int], p: int) -> bool:
     return all(not c or (valuation(c, p) - lead) * n >= v0 * (n - r) for r, c in enumerate(int_coeffs[1:-1], 1))
 
 
-def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckReport:
-    """Certify irreducibility of phi_k for every even 4 <= k <= k_max with deg >= 1.
+def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
+    """Certify irreducibility of phi_k for every even 4 <= k <= k_max with deg >= 1; extends ``table`` to k_max.
 
     Strategy per weight, on phi_k's primitive integer polynomial: the first
     prime of ``DUMAS_SCAN_PRIMES`` that passes the screen ``dumas_applies``
@@ -373,7 +366,7 @@ def gekeler_scan(k_max: int, table: Optional[EisensteinTable] = None) -> CheckRe
     if k_max < 12:
         raise DomainError(f"k_max must be >= 12, the first weight with deg phi_k >= 1; got {k_max}")
     started = time.perf_counter()
-    table = _ensure_table(table, k_max)
+    table.extend(k_max)
     report = CheckReport(
         "gekeler-scan",
         {"k_max": k_max, "dumas_prime_limit": DUMAS_SCAN_PRIMES[-1], "oracle_prime_count": ORACLE_PRIME_COUNT},
@@ -436,7 +429,8 @@ def selftest(
     k_dual: int = 200,
     k_qseries: int = 60,
     k_phi: int = 480,
-    table: Optional[EisensteinTable] = None,
+    *,
+    table: EisensteinTable,
 ) -> CheckReport:
     """The CI entry point: every cross-route identity on its default desk range.
 
@@ -447,12 +441,13 @@ def selftest(
     terms for even 4 <= k <= k_qseries; (3) the closed-form and division
     routes for phi_k agree for k = 0 mod 12 up to k_phi.  A range below its
     first weight (8, 4, 12) skips its sub-check; ``DomainError`` if all three do.
+    ``table`` is extended to the largest of the three ranges.
     """
     if k_dual < 8 and k_qseries < 4 and k_phi < 12:
         raise DomainError("no range reaches a weight: need k_dual >= 8, k_qseries >= 4 or k_phi >= 12")
     started = time.perf_counter()
     k_top = max(k_dual, k_qseries, k_phi)
-    table = _ensure_table(table, k_top)
+    table.extend(k_top)
     report = CheckReport(
         "selftest", {"k_dual": k_dual, "k_qseries": k_qseries, "k_phi": k_phi, "n_terms": SELFTEST_Q_TERMS}
     )

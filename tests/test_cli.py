@@ -242,13 +242,36 @@ class TestTablePersistence:
         assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
         assert "1e3000000" in capsys.readouterr().err
 
-    def test_field_past_the_csv_field_limit_exits_2(self, tmp_path, capsys):
-        dump = tmp_path / "table.csv"
-        dump.write_text("k,a,b,w\n12,0,2," + "1" * (csv.field_size_limit() + 1) + "\n")
-        assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
+    # an error quotes a bad input only in part, so its message stays short however long the input
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["wk", "--k", "12", "--table-load"], "k,a,b,w\n12,0,2," + "1" * 200_000 + "\n"),
+            (["wk", "--k", "12", "--table-load"], "k,a,b,w\n12,0,2," + "1" * 100_000 + "\n"),
+            (["wk", "--k", "12", "--table-load"], "k,a,b,w\n" + "1" * 5000 + ",0,2,25/143\n"),
+            (["newton", "--p", "2", "--poly"], "1e" + "1" * 200_000 + "\n"),
+        ],
+        ids=["w-field", "w-field-100000-digits", "k-field", "poly-line"],
+    )
+    def test_a_long_input_exits_2_with_a_short_message(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main(argv + [str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "field larger than field limit" in captured.err
+        assert captured.err.startswith("error: ") and len(captured.err.encode()) < 300
+
+    # the loader reads only the grammar dump_csv writes: no quoting, one row of four fields per line
+    @pytest.mark.parametrize(
+        "rows", ['"12",0,2,25/143\n12,3,0,18/143\n', "12,0,2,25/143\n\n12,3,0,18/143\n", "12,0,2,25/143,\n12,3,0,18/143\n"],
+        ids=["quoted-field", "blank-line", "fifth-field"],
+    )
+    def test_a_row_outside_the_dump_grammar_exits_2(self, tmp_path, capsys, rows):
+        dump = tmp_path / "table.csv"
+        dump.write_text("k,a,b,w\n" + rows)
+        assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad table row" in captured.err
 
     @pytest.mark.parametrize(
         "argv", [["wk", "--k", "12"], ["check", "--lemma", "conjecture", "--k-max", "12"]]

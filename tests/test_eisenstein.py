@@ -752,6 +752,18 @@ class TestPersistence:
         for k in table.weights():
             assert loaded.w_vector(k) == table.w_vector(k)
 
+    def test_lf_and_crlf_dumps_load_alike(self, tmp_path, shared_table):
+        table = shared_table.ensure(60)
+        crlf = tmp_path / "crlf.csv"
+        table.dump_csv(crlf)
+        data = crlf.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") > 1
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(data.replace(b"\r\n", b"\n"))
+        tables = [EisensteinTable.load_csv(path) for path in (crlf, lf)]
+        assert tables[0]._views == tables[1]._views
+        assert tables[0].weights() == table.weights()
+
     def test_loaded_table_extends(self, tmp_path, shared_table):
         table = shared_table.ensure(40)
         path = tmp_path / "table.csv"

@@ -768,6 +768,11 @@ class TestRecheckersReadEveryField:
             ("patterns", {"03": [2]}),  # the prime 3, not keyed by its plain digits
             ("primes", [3, 3]),
             ("patterns", {"3": [2], "03": [2]}),  # the prime 3 twice
+            ("skipped", [4]),  # each skipped entry must be a prime, listed once
+            ("skipped", [2, 2]),
+            ("skipped", [1]),
+            ("skipped", [-7]),
+            ("skipped", [10**40]),
         ],
     )
     def test_pattern_fields_must_agree(self, field, value):
@@ -924,11 +929,11 @@ class TestRecheckModule:
         changed = [with_root_at_one(doc) for doc in docs]
         assert recheck_alone(tmp_path, docs + changed) == [True] * 9 + [False] * 9
 
-    def test_only_the_package_root_and_replicate_import_it(self):
+    def test_only_replicate_imports_it(self):
         # so the certifier never borrows re-checker code
         importers = set()
         for path in Path(recheck.__file__).parent.glob("*.py"):
             for _, module, names in imports(path.read_text()):
                 if module.rpartition(".")[2] == "recheck" or module in ("", "eisen") and "recheck" in names:
                     importers.add(path.stem)
-        assert importers == {"__init__", "replicate"}
+        assert importers == {"replicate"}

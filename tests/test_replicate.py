@@ -120,10 +120,12 @@ class TestMinValuation:
         assert record_for(report, "k", 12)["min_valuation2"] == 0
         assert record_for(report, "k", 4)["min_valuation2"] == 0
 
-    def test_builds_table_when_not_given(self):
-        report = check_min_valuation(20)
+    def test_extends_the_table_it_is_given(self):
+        table = EisensteinTable()
+        report = check_min_valuation(20, table)
         assert report.status == "PASS"
         assert len(report.records) == 9
+        assert table.weights() == list(range(4, 21, 2))
 
 
 class TestConjecture:
@@ -159,7 +161,7 @@ class TestTheoremMain:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            check_theorem_main(-1)
+            check_theorem_main(-1, EisensteinTable())
 
     def test_route_disagreement_is_a_consistency_error(self, shared_table, monkeypatch):
         monkeypatch.setattr(replicate, "phi_by_division", lambda k, table: SimpleNamespace(ints=()))
