@@ -150,7 +150,8 @@ def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
 
 
 def _cmd_newton(args: argparse.Namespace) -> int:
-    stripped = (line.strip() for line in Path(args.poly).read_text().splitlines())
+    with open(args.poly) as fh:  # text mode, as load_csv reads: lines end at LF, CRLF or CR, never at a form feed
+        stripped = [line.strip() for line in fh]
     coeffs = [parse_rational(line) for line in stripped if line]
     polygon = newton_polygon(coeffs, args.p)
     cert = dumas_check(coeffs, args.p, poly_id=args.poly)

@@ -32,7 +32,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidPrimeError
-from .exact import INFINITY, Valuation, format_rational, is_prime, json_valuation, valuation
+from .exact import INFINITY, Valuation, excerpt, format_rational, is_prime, json_valuation, valuation
 
 Coeffs = Sequence[Union[int, Fraction]]
 
@@ -52,7 +52,7 @@ def _as_fractions(coeffs: Coeffs) -> list[Fraction]:
 
 def _require_monic(coeffs: list[Fraction]) -> None:
     if coeffs[-1] != 1:
-        raise DomainError(f"polynomial must be monic, leading coefficient {coeffs[-1]}")
+        raise DomainError(f"polynomial must be monic, leading coefficient {excerpt(str(coeffs[-1]))}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,27 +14,27 @@ no E2 content are classical modular forms in the E4/E6 basis.  Exact
 q-expansions of forms are available for cross-checking anything computed
 structurally.
 
-A form holds integer numerators over one denominator, and the generator
-q-expansions are integer series, so products, sums, derivatives and
-substitution run on integers; a Fraction is formed only when a coefficient is
-read.  The generator expansions and their powers are built once per run and
-kept, keyed by (weight, exponent, number of terms), so substituting the forms
-of many weights builds each power once.  Input is checked once, by the
-constructor; a ring result is valid by construction and is only put in
-lowest terms.  Sums, differences, products and scalar multiples are all one
-multiply-accumulate, ``GradedForm.combination``: sum c * F * G over one
-common denominator, reduced by a single gcd over the result's numerators.
+The ring is one constructor, one multiply-accumulate, one derivative and one
+substitution.  ``GradedForm(weight, terms, den)`` is the one place input is
+checked; ``GradedForm.combination`` sums c * F * G over one common
+denominator, reduced by a single gcd over the result's numerators;
+``serre_derivative`` applies the rules above; ``substitute_q_expansion`` reads
+a form as a q-series.  A form holds integer numerators over one denominator,
+and the generator q-expansions are integer series, so all four run on
+integers; ``numerators`` hands out the integers, and a Fraction is formed
+only when a q-coefficient is read.  The generator powers are built once per
+run and kept, keyed by (weight, number of terms), so substituting the forms
+of many weights builds each power once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, WeightMismatchError
-from .exact import divisor_power_sum, bernoulli, format_rational
+from .exact import divisor_power_sum, bernoulli
 
 #: exponent triple (e2, e4, e6)
 Monomial = tuple[int, int, int]
@@ -53,13 +53,10 @@ class GradedForm:
     terms may be ints or Fractions, and this constructor is the one place a
     weight, denominator or monomial is checked.  A form is stored as integer
     numerators over one positive denominator in lowest terms (``gcd(den,
-    *nums) == 1``), so ring arithmetic runs on integers; ``terms`` and
-    ``serialize`` form the Fractions when read.  Every operator is a call to
-    ``combination``, and it and the derivative take one gcd over the
-    numerators and denominator of their result.
-    Immutable once constructed.  Zero coefficients are never stored; the zero
-    form keeps a nominal weight but compares equal to any other zero form and
-    combines additively with forms of any weight.
+    *nums) == 1``), read by ``numerators``.  ``combination`` and
+    ``serre_derivative`` build their results unchecked and take one gcd over
+    the numerators and denominator.  Immutable once constructed; zero
+    coefficients are never stored.
     """
 
     __slots__ = ("weight", "_nums", "_den")
@@ -133,82 +130,14 @@ class GradedForm:
                 acc[mono] = acc.get(mono, 0) + mult * n
         return cls._normalised(weight, acc, den)
 
-    @classmethod
-    def zero(cls, weight: int = 0) -> "GradedForm":
-        return cls(weight, {})
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "GradedForm":
-        return cls(0, {(0, 0, 0): c})
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def numerators(self) -> tuple[dict[Monomial, int], int]:
-        """Integers nums, den with ``terms()[m] == Fraction(nums[m], den)``, in lowest terms."""
+        """Integers nums, den, the form being sum nums[m] / den * m, in lowest terms; a copy."""
         return dict(self._nums), self._den
-
-    def terms(self) -> dict[Monomial, Fraction]:
-        return {mono: Fraction(n, self._den) for mono, n in self._nums.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedForm):
-            return NotImplemented
-        # a nonzero form's monomials fix its weight, and every zero form is {} over 1
-        return self._den == other._den and self._nums == other._nums
-
-    def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._nums.items())))
-
-    def __repr__(self) -> str:
-        return f"GradedForm({self.serialize()!r})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "GradedForm") -> "GradedForm":
-        return self._plus(1, other)
-
-    def __sub__(self, other: "GradedForm") -> "GradedForm":
-        return self._plus(-1, other)
-
-    def _plus(self, sign: int, other: "GradedForm") -> "GradedForm":
-        if not isinstance(other, GradedForm):
-            return NotImplemented
-        weight = self.weight if self._nums else other.weight
-        return GradedForm.combination(weight, [(1, self, None), (sign, other, None)])
-
-    def __neg__(self) -> "GradedForm":
-        return GradedForm.combination(self.weight, [(-1, self, None)])
-
-    def __mul__(self, other: Union["GradedForm", Scalar]) -> "GradedForm":
-        if isinstance(other, GradedForm):
-            return GradedForm.combination(self.weight + other.weight, [(1, self, other)])
-        if isinstance(other, (int, Fraction)):
-            return GradedForm.combination(self.weight, [(other, self, None)])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- canonical text form -------------------------------------------------
-
-    def serialize(self) -> str:
-        """Canonical text: ``weight; e2,e4,e6:num/den; ...`` in lexicographic order."""
-        parts = [str(self.weight)]
-        for (e2, e4, e6), n in sorted(self._nums.items()):
-            parts.append(f"{e2},{e4},{e6}:{format_rational(Fraction(n, self._den))}")
-        return "; ".join(parts)
 
 
 E2 = GradedForm(2, {(1, 0, 0): 1})
 E4 = GradedForm(4, {(0, 1, 0): 1})
 E6 = GradedForm(6, {(0, 0, 1): 1})
-ONE = GradedForm.constant(1)
 
 # q d/dq of each generator over a common 12, as (numerator, monomial) pairs applied in serre_derivative
 _DERIVATIVE_RULES: dict[int, tuple[tuple[int, Monomial], ...]] = {
@@ -259,12 +188,6 @@ def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n_terms: int) -> list[S
     return out
 
 
-def q_derivative(a: list[Fraction]) -> list[Fraction]:
-    """q d/dq of a q-series: multiply the n-th coefficient by n."""
-    return [i * c for i, c in enumerate(a)]
-
-
-@lru_cache(maxsize=None)
 def generator_q_expansion(weight: int, n_terms: int) -> tuple[int, ...]:
     """q-expansion of the generator of the given weight (2, 4 or 6).
 
@@ -279,21 +202,21 @@ def generator_q_expansion(weight: int, n_terms: int) -> tuple[int, ...]:
     return (1, *[scale * divisor_power_sum(n, weight - 1) for n in range(1, n_terms)])
 
 
-#: (weight, n_terms) -> the generator's powers 0, 1, ..., e_max built so far: a longer
-#: tuple is built in full, then swapped in, so readers need no lock
+#: (weight, n_terms) -> the generator's powers 0, 1, ..., e_max built so far, the one memo
+#: of the generator series: a longer tuple is built in full, then swapped in, so readers need no lock
 _generator_powers: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def _generator_power(weight: int, e: int, n_terms: int) -> tuple[int, ...]:
     """The generator of the given weight to the power e >= 0, as a truncated integer q-series.
 
-    Each power is built once per run, from the one below it, and kept, like
-    the generator expansions themselves.
+    Each power is built once per run, from the one below it, and kept; once
+    power 1 is kept, it is the generator the higher powers are built with.
     """
     powers = _generator_powers.get((weight, n_terms), ((1,) + (0,) * (n_terms - 1),))
     if e >= len(powers):
-        gen = generator_q_expansion(weight, n_terms)
         grown = list(powers)
+        gen = grown[1] if len(grown) > 1 else generator_q_expansion(weight, n_terms)
         while len(grown) <= e:
             grown.append(tuple(series_mul(grown[-1], gen, n_terms)))
         powers = _generator_powers[weight, n_terms] = tuple(grown)

@@ -27,6 +27,14 @@ def covers(pattern, mask):
     return all(d in sums for d in range(mask.bit_length()) if mask >> d & 1)
 
 
+def q_derivative(a):
+    """q d/dq of a q-series: multiply the n-th coefficient by n.
+
+    The oracle ``serre_derivative`` must match on the q-expansion side.
+    """
+    return [i * c for i, c in enumerate(a)]
+
+
 def integer_view_of(vec):
     """Integers nums, den with vec[a] = nums[a] / den, den the lcm of vec's denominators.
 

@@ -212,6 +212,20 @@ class TestNewton:
         assert time.perf_counter() - started < 0.1
         assert repr(coeff) in capsys.readouterr().err
 
+    def test_crlf_line_ends_read_as_lf(self, tmp_path, capsys):
+        poly = tmp_path / "poly.txt"
+        poly.write_bytes(b"2\r\n0\r\n1\r\n")
+        assert main(["newton", "--poly", str(poly), "--p", "2"]) == 0
+        assert "dumas verdict: irreducible" in capsys.readouterr().out
+
+    def test_a_form_feed_or_line_separator_ends_no_line(self, tmp_path, capsys):
+        # one line, "2\f0\u20281": str.splitlines read it as the coefficients 2, 0, 1
+        poly = tmp_path / "poly.txt"
+        poly.write_text("2\f0\u20281\n", encoding="utf-8")
+        assert main(["newton", "--poly", str(poly), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_huge_modulus_exits_2(self, tmp_path, capsys):
         poly = tmp_path / "poly.txt"
         poly.write_text("2\n2\n1\n")
@@ -250,8 +264,9 @@ class TestTablePersistence:
             (["wk", "--k", "12", "--table-load"], "k,a,b,w\n12,0,2," + "1" * 100_000 + "\n"),
             (["wk", "--k", "12", "--table-load"], "k,a,b,w\n" + "1" * 5000 + ",0,2,25/143\n"),
             (["newton", "--p", "2", "--poly"], "1e" + "1" * 200_000 + "\n"),
+            (["newton", "--p", "2", "--poly"], "1\n" + "1" * 4000 + "/7\n"),
         ],
-        ids=["w-field", "w-field-100000-digits", "k-field", "poly-line"],
+        ids=["w-field", "w-field-100000-digits", "k-field", "poly-line", "poly-leading-coefficient"],
     )
     def test_a_long_input_exits_2_with_a_short_message(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.txt"

@@ -260,7 +260,7 @@ class TestTable:
     def test_e2_freeness_is_structural(self, shared_table):
         table = shared_table.ensure(60)
         for k in (12, 30, 60):
-            assert all(e2 == 0 for (e2, _, _) in table.graded_form(k).terms())
+            assert all(e2 == 0 for (e2, _, _) in table.graded_form(k).numerators()[0])
 
     def test_only_the_storage_methods_name_the_storage_dicts(self):
         # every other reader goes through __contains__, weights, integer_view,
@@ -289,9 +289,7 @@ class TestGradedFormMemo:
         table = shared_table.ensure(480)
         for k in range(4, 481, 2):
             cached, fresh = table.graded_form(k), self.fresh(table, k)
-            assert cached == fresh, k
-            assert cached.serialize() == fresh.serialize(), k
-            assert hash(cached) == hash(fresh), k
+            assert (cached.weight, cached.numerators()) == (fresh.weight, fresh.numerators()), k
 
     def test_second_read_returns_the_same_form(self, shared_table):
         table = shared_table.ensure(24)
@@ -299,11 +297,10 @@ class TestGradedFormMemo:
 
     def test_changing_terms_leaves_the_memo_unchanged(self, shared_table):
         table = shared_table.ensure(24)
-        terms = table.graded_form(24).terms()
-        terms[(0, 0, 4)] += 1
-        terms.clear()
-        assert table.graded_form(24) == self.fresh(table, 24)
-        assert table.graded_form(24).serialize() == self.fresh(table, 24).serialize()
+        nums, _ = table.graded_form(24).numerators()
+        nums[(0, 0, 4)] += 1
+        nums.clear()
+        assert table.graded_form(24).numerators() == self.fresh(table, 24).numerators()
 
     def test_selftest_builds_each_weight_once(self, shared_table, tmp_path, monkeypatch):
         dump = tmp_path / "table.csv"
@@ -631,8 +628,10 @@ class TestPopa:
             popa_expand(24, table, route="graded")
 
     def test_graded_route_is_one_combination_per_weight(self, shared_table, monkeypatch):
-        # all of Popa's terms go to the kernel at once: no ring operator, so
-        # no per-term reduction, runs on the graded route
+        # all of Popa's terms go to the kernel at once: the ring has no
+        # operator, so no per-term reduction can run on the graded route
+        arithmetic = {"__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__eq__", "__hash__"}
+        assert not arithmetic & set(GradedForm.__dict__)
         table = shared_table.ensure(60)
         weights = []
         real = GradedForm.combination
@@ -641,12 +640,7 @@ class TestPopa:
             weights.append(weight)
             return real(weight, terms)
 
-        def refuse(*args):
-            raise AssertionError("a ring operator ran on the graded Popa route")
-
         monkeypatch.setattr(GradedForm, "combination", staticmethod(counting))
-        for name in ("__add__", "__mul__", "__rmul__"):
-            monkeypatch.setattr(GradedForm, name, refuse)
         for k in range(8, 61, 2):
             assert popa_expand(k, table, route="graded") == table.integer_view(k), k
         assert weights == list(range(8, 61, 2))
@@ -945,7 +939,7 @@ class TestDeferredLoad:
             # the stored view is that of the Fractions it gives, on either table
             assert loaded.integer_view(k) == built.integer_view(k) == integer_view_of(vec), k
             assert loaded.e_basis_numerators(k) == (nums, scale), k
-            assert loaded.graded_form(k) == form, k
+            assert loaded.graded_form(k).numerators() == form.numerators(), k
             assert loaded.w_vector(k) == vec, k
             assert list(loaded.w_vector(k)) == sorted(vec), k
             # w_vector forms new Fractions on each call: changing them leaves the view as it was

@@ -28,7 +28,8 @@ def phi_by_division_fraction(k: int, table: EisensteinTable) -> tuple[Fraction, 
     numerators; kept as the reference the integer route must reproduce.
     """
     m, delta, epsilon = elliptic_exponents(k)
-    u = {a: c for (_, a, _), c in (table.graded_form(k) * (Fraction(1) / zeta_ratio(k))).terms().items()}
+    nums, den = table.graded_form(k).numerators()
+    u = {a: Fraction(n, den) / zeta_ratio(k) for (_, a, _), n in nums.items()}
     p: dict[int, Fraction] = {}
     for a, coeff in u.items():
         alpha = (a - delta) // 3

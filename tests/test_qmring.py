@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -14,16 +15,23 @@ from eisen.qmring import (
     E2,
     E4,
     E6,
-    ONE,
     GradedForm,
     generator_q_expansion,
-    q_derivative,
     series_mul,
     serre_derivative,
     substitute_q_expansion,
 )
+from helpers import q_derivative
 
 R2, R4, R6 = zeta_ratio(2), zeta_ratio(4), zeta_ratio(6)
+ONE = GradedForm(0, {(0, 0, 0): 1})
+ZERO = ({}, 1)
+
+
+def terms_of(f: GradedForm) -> dict:
+    """f's coefficients as Fractions, keyed by monomial."""
+    nums, den = f.numerators()
+    return {mono: Fraction(n, den) for mono, n in nums.items()}
 
 
 def random_form(rng: random.Random, weight: int) -> GradedForm:
@@ -53,75 +61,91 @@ class TestConstruction:
 
     def test_zero_coefficients_dropped(self):
         f = GradedForm(4, {(0, 1, 0): 0, (2, 0, 0): 1})
-        assert f.terms() == {(2, 0, 0): Fraction(1)}
+        assert f.numerators() == ({(2, 0, 0): 1}, 1)
 
 
 class TestAddition:
     def test_cancellation_to_zero(self):
-        cube = E4 * E4 * E4
-        total = cube + (-cube)
-        assert total.is_zero
+        cube = GradedForm(12, {(0, 3, 0): 1})
+        total = GradedForm.combination(12, [(1, cube, None), (-1, cube, None)])
+        assert total.numerators() == ZERO
         assert total.weight == 12
 
     def test_like_terms(self):
-        assert 2 * (E4 * E6) + 3 * (E4 * E6) == 5 * (E4 * E6)
+        got = GradedForm.combination(10, [(2, E4, E6), (3, E4, E6)])
+        assert got.numerators() == GradedForm.combination(10, [(5, E4, E6)]).numerators() == ({(0, 1, 1): 5}, 1)
 
     def test_weight_mismatch(self):
         with pytest.raises(WeightMismatchError):
-            (E4 * E4) + E6
+            GradedForm.combination(8, [(1, E4, E4), (1, E6, None)])
 
     def test_zero_form_is_neutral(self):
-        z = GradedForm.zero(12)
-        assert z + E6 == E6
-        assert E6 + z == E6
+        z = GradedForm(12, {})
+        assert GradedForm.combination(6, [(1, z, None), (1, E6, None)]).numerators() == E6.numerators()
+        assert GradedForm.combination(6, [(1, E6, None), (1, z, E2)]).numerators() == E6.numerators()
 
 
 class TestMultiplication:
     def test_weights_add(self):
-        assert (E4 * E6).weight == 10
+        assert GradedForm.combination(10, [(1, E4, E6)]).numerators() == ({(0, 1, 1): 1}, 1)
+        with pytest.raises(WeightMismatchError):
+            GradedForm.combination(8, [(1, E4, E6)])
 
     def test_identity(self):
-        f = 3 * (E2 * E2) + E4
-        assert f * ONE == f
+        f = GradedForm(4, {(2, 0, 0): 3, (0, 1, 0): 1})
+        assert GradedForm.combination(4, [(1, f, ONE)]).numerators() == f.numerators()
 
     def test_difference_of_squares(self):
-        e2sq = E2 * E2
-        left = (E4 + e2sq) * (E4 - e2sq)
-        assert left == E4 * E4 - e2sq * e2sq
+        e2sq = GradedForm(4, {(2, 0, 0): 1})
+        left = GradedForm.combination(
+            8, [(1, GradedForm(4, {(0, 1, 0): 1, (2, 0, 0): 1}), GradedForm(4, {(0, 1, 0): 1, (2, 0, 0): -1}))]
+        )
+        right = GradedForm.combination(8, [(1, E4, E4), (-1, e2sq, e2sq)])
+        assert left.numerators() == right.numerators()
         assert left.weight == 8
 
     def test_scalar_multiplication(self):
-        assert (Fraction(1, 2) * E4).terms() == {(0, 1, 0): Fraction(1, 2)}
-        assert (E4 * 0).is_zero
+        assert GradedForm.combination(4, [(Fraction(1, 2), E4, None)]).numerators() == ({(0, 1, 0): 1}, 2)
+        assert GradedForm.combination(4, [(0, E4, None)]).numerators() == ZERO
 
-    def test_commutative_associative(self):
+    def test_commutative_associative_distributive(self):
         rng = random.Random(3)
         for _ in range(25):
             f = random_form(rng, 8)
             g = random_form(rng, 10)
             h = random_form(rng, 6)
-            assert f * g == g * f
-            assert (f * g) * h == f * (g * h)
+            k = random_form(rng, 10)
+            fg = GradedForm.combination(18, [(1, f, g)])
+            assert fg.numerators() == GradedForm.combination(18, [(1, g, f)]).numerators()
+            gh = GradedForm.combination(16, [(1, g, h)])
+            fg_h = GradedForm.combination(24, [(1, fg, h)])
+            assert fg_h.numerators() == GradedForm.combination(24, [(1, f, gh)]).numerators()
+            g_plus_k = GradedForm.combination(10, [(1, g, None), (1, k, None)])
+            f_g_plus_k = GradedForm.combination(18, [(1, f, g_plus_k)])
+            assert f_g_plus_k.numerators() == GradedForm.combination(18, [(1, f, g), (1, f, k)]).numerators()
 
     def test_division_by_scalar(self):
-        assert (E4 * Fraction(1, 2)) * 2 == E4
+        half = GradedForm.combination(4, [(Fraction(1, 2), E4, None)])
+        assert GradedForm.combination(4, [(2, half, None)]).numerators() == E4.numerators()
 
 
 class TestSerreDerivative:
     def test_weight_four_generator_relation(self):
         # in the zeta-normalized basis: derivative of G_4 equals G_2 G_4 - (7/2) G_6
-        left = R4 * serre_derivative(E4)
-        right = (R2 * R4) * (E2 * E4) - Fraction(7, 2) * R6 * E6
-        assert left == right
+        left = GradedForm.combination(6, [(R4, serre_derivative(E4), None)])
+        right = GradedForm.combination(6, [(R2 * R4, E2, E4), (-Fraction(7, 2) * R6, E6, None)])
+        assert left.numerators() == right.numerators()
 
     def test_weight_six_generator_relation(self):
-        left = R6 * serre_derivative(E6)
-        right = Fraction(3, 2) * (R2 * R6) * (E2 * E6) - Fraction(15, 7) * (R4 * R4) * (E4 * E4)
-        assert left == right
+        left = GradedForm.combination(8, [(R6, serre_derivative(E6), None)])
+        right = GradedForm.combination(
+            8, [(Fraction(3, 2) * R2 * R6, E2, E6), (-Fraction(15, 7) * R4 * R4, E4, E4)]
+        )
+        assert left.numerators() == right.numerators()
 
     def test_constants_annihilated(self):
-        assert serre_derivative(ONE).is_zero
-        assert serre_derivative(GradedForm.constant(Fraction(22, 7))).is_zero
+        assert serre_derivative(ONE).numerators() == ZERO
+        assert serre_derivative(GradedForm(0, {(0, 0, 0): Fraction(22, 7)})).numerators() == ZERO
 
     def test_raises_weight_by_two(self):
         assert serre_derivative(E6).weight == 8
@@ -131,12 +155,13 @@ class TestSerreDerivative:
         for _ in range(30):
             f = random_form(rng, rng.choice((4, 6, 8)))
             g = random_form(rng, rng.choice((4, 6, 10)))
-            lhs = serre_derivative(f * g)
-            rhs = serre_derivative(f) * g + f * serre_derivative(g)
-            assert lhs == rhs
+            weight = f.weight + g.weight
+            lhs = serre_derivative(GradedForm.combination(weight, [(1, f, g)]))
+            rhs = GradedForm.combination(weight + 2, [(1, serre_derivative(f), g), (1, f, serre_derivative(g))])
+            assert lhs.numerators() == rhs.numerators()
 
     def test_commutes_with_q_derivative(self):
-        for f in (E2, E4, E6, E4 * E6, E4 * E4 * E4):
+        for f in (E2, E4, E6, GradedForm(10, {(0, 1, 1): 1}), GradedForm(12, {(0, 3, 0): 1})):
             derived = substitute_q_expansion(serre_derivative(f), 20)
             direct = q_derivative(substitute_q_expansion(f, 20))
             assert derived == direct
@@ -156,7 +181,7 @@ class TestQExpansion:
 
     def test_discriminant_series(self):
         # E4^3 - E6^2 = 1728 * Delta = 1728 q - 41472 q^2 + 435456 q^3 + ...
-        f = E4 * E4 * E4 - E6 * E6
+        f = GradedForm(12, {(0, 3, 0): 1, (0, 0, 2): -1})
         assert substitute_q_expansion(f, 4) == [0, 1728, -41472, 435456]
 
     def test_series_mul_truncates(self):
@@ -184,14 +209,16 @@ class TestQExpansion:
 
         n = SELFTEST_Q_TERMS
         table = shared_table.ensure(480)
-        gens = {id(generator_q_expansion(w, n)): w for w in (2, 4, 6)}
+        gens = {qmring._generator_power(w, 1, n): w for w in (2, 4, 6)}
         built: Counter = Counter()
         real = qmring.series_mul
 
         def counting(a, b, n_terms):
             out = real(a, b, n_terms)
-            if id(b) in gens:  # a power built from the one below it: record the exponent reached
-                built[gens[id(b)], out[1] // b[1], n_terms] += 1
+            # substitution also multiplies by the kept power 1, so a build is told apart by its caller
+            if sys._getframe(1).f_code is qmring._generator_power.__code__:
+                # a power built from the one below it: record the exponent reached
+                built[gens[b], out[1] // b[1], n_terms] += 1
             return out
 
         monkeypatch.setattr(qmring, "_generator_powers", {})
@@ -205,33 +232,9 @@ class TestQExpansion:
         assert selftest(k_dual=0, k_qseries=60, k_phi=0, table=table).records == records
         assert sum(built.values()) == 25
 
-
-class TestSerialization:
-    def test_canonical_text(self):
-        f = 2 * (E4 * E6) - GradedForm(10, {(3, 1, 0): Fraction(1, 3)})
-        assert f.serialize() == "10; 0,1,1:2/1; 3,1,0:-1/3"
-
-    def test_zero_form(self):
-        z = GradedForm.zero(6)
-        assert z.serialize() == "6"
-
-    def test_canonical_order_is_sorted(self):
-        f = GradedForm(8, {(0, 2, 0): 1, (4, 0, 0): 1, (1, 0, 1): 1})
-        body = f.serialize().split("; ")[1:]
-        assert body == sorted(body, key=lambda s: tuple(int(x) for x in s.split(":")[0].split(",")))
-
-
-class TestEquality:
-    def test_zero_forms_equal_across_weights(self):
-        assert GradedForm.zero(4) == GradedForm.zero(12)
-
-    def test_hashable(self):
-        seen = {E4: "four", E6: "six"}
-        assert seen[GradedForm(4, {(0, 1, 0): 1})] == "four"
-
     def test_e2_free_flag(self):
-        assert all(e2 == 0 for (e2, _, _) in (E4 * E6).terms())
-        assert any(e2 for (e2, _, _) in (E2 * E4).terms())
+        assert all(e2 == 0 for (e2, _, _) in GradedForm.combination(10, [(1, E4, E6)]).numerators()[0])
+        assert any(e2 for (e2, _, _) in GradedForm.combination(6, [(1, E2, E4)]).numerators()[0])
 
 
 # -- Fraction references and integer representation ---------------------------
@@ -249,7 +252,7 @@ def serre_derivative_fraction(f: GradedForm) -> GradedForm:
         2: ((Fraction(1, 2), (1, 0, 1)), (Fraction(-1, 2), (0, 2, 0))),
     }
     terms: dict = {}
-    for mono, c in f.terms().items():
+    for mono, c in terms_of(f).items():
         for slot in range(3):
             e = mono[slot]
             if not e:
@@ -288,7 +291,7 @@ def substitute_q_expansion_fraction(f: GradedForm, n_terms: int) -> list:
             powers[slot].append(mul(powers[slot][-1], gens[slot]))
         return powers[slot][e]
 
-    for (e2, e4, e6), c in f.terms().items():
+    for (e2, e4, e6), c in terms_of(f).items():
         cur = power(0, e2)
         if e4:
             cur = mul(cur, power(1, e4))
@@ -342,6 +345,10 @@ def cancelling_scalars(draw):
     return draw(st.sampled_from([Fraction(num, draw(smooth_st)), num]))
 
 
+def nonzero(f: GradedForm) -> bool:
+    return bool(f.numerators()[0])
+
+
 def in_lowest_terms(f: GradedForm) -> bool:
     return f._den > 0 and math.gcd(f._den, *f._nums.values()) == 1 and all(f._nums.values())
 
@@ -353,7 +360,7 @@ class TestIntegerRepresentation:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_terms_are_the_nonzero_entries(self, drawn):
         weight, terms = drawn
-        assert GradedForm(weight, terms).terms() == {m: c for m, c in terms.items() if c}
+        assert terms_of(GradedForm(weight, terms)) == {m: c for m, c in terms.items() if c}
 
     @given(st.sampled_from(range(0, 17, 2)).flatmap(
         lambda w: st.tuples(
@@ -367,22 +374,24 @@ class TestIntegerRepresentation:
         weight, nums, den = drawn
         f = GradedForm(weight, nums, den)
         g = GradedForm(weight, {m: Fraction(n, den) for m, n in nums.items()})
-        assert f == g
-        assert hash(f) == hash(g)
+        assert f.numerators() == g.numerators()
         assert in_lowest_terms(f)
 
     @given(forms(), forms(), fractions_st)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_lowest_terms_after_every_operation(self, f, g, c):
         # ring results skip the constructor's checks: each must be the form those checks accept
-        results = [f * g, c * f, f * c, serre_derivative(f), -f]
-        if f.weight == g.weight or f.is_zero or g.is_zero:
-            results += [f + g, f - g]
+        results = [
+            GradedForm.combination(f.weight + g.weight, [(1, f, g)]),
+            GradedForm.combination(f.weight, [(c, f, None)]),
+            GradedForm.combination(f.weight, [(-1, f, None)]),
+            serre_derivative(f),
+        ]
+        if f.weight == g.weight:
+            results += [GradedForm.combination(f.weight, [(1, f, None), (sign, g, None)]) for sign in (1, -1)]
         for r in results:
             assert in_lowest_terms(r)
-            validated = GradedForm(r.weight, r.terms())
-            assert r == validated
-            assert hash(r) == hash(validated)
+            assert r.numerators() == GradedForm(r.weight, terms_of(r)).numerators()
 
     @given(cancelling_forms(), cancelling_forms(), cancelling_scalars())
     @example(
@@ -390,13 +399,13 @@ class TestIntegerRepresentation:
         GradedForm(6, {(0, 0, 1): 7, (3, 0, 0): 21}, 2),  # content 7 over 2
         Fraction(-14, 3),
     )
-    @example(GradedForm(4, {(0, 1, 0): 6, (2, 0, 0): 10}, 7), GradedForm.zero(8), Fraction(5, 4))
-    @example(GradedForm.zero(4), GradedForm(6, {(0, 0, 1): 7}, 2), Fraction(0))
+    @example(GradedForm(4, {(0, 1, 0): 6, (2, 0, 0): 10}, 7), GradedForm(8, {}), Fraction(5, 4))
+    @example(GradedForm(4, {}), GradedForm(6, {(0, 0, 1): 7}, 2), Fraction(0))
     @example(GradedForm(4, {(0, 1, 0): 6}, 7), GradedForm(2, {(1, 0, 0): 3}, 5), -7)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_products_match_the_normalised_raw_product(self, f, g, c):
-        # __mul__ divides by the gcd it predicts (Gauss's lemma, cancelling
-        # across); _normalised takes the gcd over the raw product itself
+        # a product or multiple through combination is the raw product put in
+        # lowest terms by one gcd over it (_normalised)
         raw: dict = {}
         for (a2, a4, a6), na in f._nums.items():
             for (b2, b4, b6), nb in g._nums.items():
@@ -405,17 +414,20 @@ class TestIntegerRepresentation:
         product = GradedForm._normalised(f.weight + g.weight, raw, f._den * g._den)
         a, b = Fraction(c).numerator, Fraction(c).denominator
         multiple = GradedForm._normalised(f.weight, {m: n * a for m, n in f._nums.items()}, f._den * b)
-        for got, want in ((f * g, product), (c * f, multiple), (f * c, multiple)):
+        got_product = GradedForm.combination(f.weight + g.weight, [(1, f, g)])
+        got_multiple = GradedForm.combination(f.weight, [(c, f, None)])
+        for got, want in ((got_product, product), (got_multiple, multiple)):
             assert (got.weight, got._nums, got._den) == (want.weight, want._nums, want._den)
 
-    def test_insertion_order_does_not_change_the_hash(self):
+    def test_insertion_order_does_not_change_the_numerators(self):
         nums = {(0, 3, 0): 2, (3, 0, 1): -5, (6, 0, 0): 7, (0, 0, 2): 1}
         f = GradedForm(12, nums, 3)
         g = GradedForm(12, dict(reversed(nums.items())), 3)
         assert list(f._nums) == list(reversed(g._nums))
-        assert f == g
-        assert hash(f) == hash(g)
-        assert hash(GradedForm.zero(4)) == hash(GradedForm.zero(12)) == hash(E4 - E4)
+        assert f.numerators() == g.numerators()
+        # every zero form is {} over 1, whatever its weight
+        cancelled = GradedForm.combination(4, [(1, E4, None), (-1, E4, None)])
+        assert GradedForm(4, {}).numerators() == GradedForm(12, {}).numerators() == cancelled.numerators() == ZERO
 
     @pytest.mark.parametrize(
         "weight, nums, error",
@@ -440,12 +452,12 @@ class TestIntegerRepresentation:
 
 
 def combination_fraction(weight: int, terms: list) -> GradedForm:
-    """sum c * F * G summed term by term over ``terms()``, every product and sum a Fraction."""
+    """sum c * F * G summed term by term over the Fraction coefficients, every product and sum a Fraction."""
     one = {(0, 0, 0): Fraction(1)}
     total: dict = {}
     for c, f, g in terms:
-        for m1, x in f.terms().items():
-            for m2, y in (one if g is None else g.terms()).items():
+        for m1, x in terms_of(f).items():
+            for m2, y in (one if g is None else terms_of(g)).items():
                 mono = tuple(i + j for i, j in zip(m1, m2))
                 total[mono] = total.get(mono, Fraction(0)) + c * x * y
     return GradedForm(weight, total)
@@ -467,7 +479,7 @@ def combination_terms(draw):
             w1 = draw(st.sampled_from(range(0, weight + 1, 2)))
             term = (c, draw(forms(st.just(w1))), draw(cancelling_forms(st.just(weight - w1))))
         else:
-            zero = GradedForm.zero(draw(st.sampled_from(range(0, 31, 2))))
+            zero = GradedForm(draw(st.sampled_from(range(0, 31, 2))), {})
             term = draw(st.sampled_from([(c, zero, None), (c, zero, E2), (c, E6, zero)]))
         terms.append(term)
         if draw(st.booleans()):
@@ -478,20 +490,20 @@ def combination_terms(draw):
 
 class TestCombination:
     @given(combination_terms())
-    @example((12, [(1, E4 * E4 * E4, None), (-1, E4, E4 * E4)]))
-    @example((4, [(Fraction(-2, 3), E2, E2), (3, E4, None), (0, GradedForm.zero(30), None)]))
+    @example((12, [(1, GradedForm(12, {(0, 3, 0): 1}), None), (-1, E4, GradedForm(8, {(0, 2, 0): 1}))]))
+    @example((4, [(Fraction(-2, 3), E2, E2), (3, E4, None), (0, GradedForm(30, {}), None)]))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_the_fraction_sum_in_lowest_terms(self, drawn):
         weight, terms = drawn
         got = GradedForm.combination(weight, terms)
-        assert got == combination_fraction(weight, terms)
+        assert got.numerators() == combination_fraction(weight, terms).numerators()
         assert in_lowest_terms(got)
         assert got.weight == weight
 
-    @given(forms().filter(bool), st.data())
+    @given(forms().filter(nonzero), st.data())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_a_term_of_another_weight_raises(self, f, data):
-        g = data.draw(forms(st.sampled_from(range(0, 17, 2)).filter(lambda w: w != f.weight)).filter(bool))
+        g = data.draw(forms(st.sampled_from(range(0, 17, 2)).filter(lambda w: w != f.weight)).filter(nonzero))
         c = data.draw(cancelling_scalars())
         # also when the scalar is 0, or the stray term cancels against a third
         for terms in ([(1, f, None), (c, g, None)], [(1, f, None), (c, g, None), (-c, g, None)]):
@@ -505,7 +517,7 @@ class TestFractionReferences:
     @given(forms())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_serre_derivative(self, f):
-        assert serre_derivative(f) == serre_derivative_fraction(f)
+        assert serre_derivative(f).numerators() == serre_derivative_fraction(f).numerators()
 
     @given(forms(weights=st.sampled_from(range(0, 13, 2))), st.integers(1, 12))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -513,7 +525,6 @@ class TestFractionReferences:
         assert substitute_q_expansion(f, n_terms) == substitute_q_expansion_fraction(f, n_terms)
 
     def test_zero_forms(self):
-        for z in (GradedForm.zero(0), GradedForm.zero(10)):
-            assert serre_derivative(z) == serre_derivative_fraction(z)
-            assert serre_derivative(z).is_zero
+        for z in (GradedForm(0, {}), GradedForm(10, {})):
+            assert serre_derivative(z).numerators() == serre_derivative_fraction(z).numerators() == ZERO
             assert substitute_q_expansion(z, 6) == substitute_q_expansion_fraction(z, 6) == [0] * 6
