@@ -64,6 +64,16 @@ class TestConstruction:
         assert f.numerators() == ({(2, 0, 0): 1}, 1)
 
 
+class TestSurface:
+    def test_the_ring_has_one_arithmetic_path(self):
+        # no operator veneer, inspection helpers or serialisation beside
+        # the constructor, combination, numerators and the free functions
+        gone = {"zero", "constant", "is_zero", "terms", "serialize", "_plus", "__bool__", "__repr__"}
+        assert not gone & set(GradedForm.__dict__)
+        assert not {"ONE", "q_derivative", "format_rational"} & set(vars(qmring))
+        assert {"combination", "numerators", "_normalised"} <= set(GradedForm.__dict__)
+
+
 class TestAddition:
     def test_cancellation_to_zero(self):
         cube = GradedForm(12, {(0, 3, 0): 1})
@@ -231,6 +241,26 @@ class TestQExpansion:
         assert records == [{"check": "q-series", "k": k, "passed": True} for k in range(4, 61, 2)]
         assert selftest(k_dual=0, k_qseries=60, k_phi=0, table=table).records == records
         assert sum(built.values()) == 25
+
+    def test_the_power_memo_is_the_one_cache_of_the_generator_series(self, monkeypatch):
+        # generator_q_expansion builds afresh at every call; _generator_power keeps what it built
+        assert not hasattr(generator_q_expansion, "cache_info")
+        first = generator_q_expansion(4, 7)
+        assert generator_q_expansion(4, 7) == first
+        assert generator_q_expansion(4, 7) is not first
+        monkeypatch.setattr(qmring, "_generator_powers", {})
+        power_one = qmring._generator_power(6, 1, 7)
+        assert power_one == generator_q_expansion(6, 7)
+        assert qmring._generator_power(6, 1, 7) is power_one
+
+        def refuse(weight, n_terms):
+            raise AssertionError(f"generator {weight} rebuilt with power 1 kept")
+
+        # once power 1 is kept, higher powers grow from it alone
+        monkeypatch.setattr(qmring, "generator_q_expansion", refuse)
+        cube = qmring._generator_power(6, 3, 7)
+        assert cube == tuple(series_mul(series_mul(power_one, power_one, 7), power_one, 7))
+        assert qmring._generator_power(6, 1, 7) is power_one
 
     def test_e2_free_flag(self):
         assert all(e2 == 0 for (e2, _, _) in GradedForm.combination(10, [(1, E4, E6)]).numerators()[0])
@@ -425,9 +455,14 @@ class TestIntegerRepresentation:
         g = GradedForm(12, dict(reversed(nums.items())), 3)
         assert list(f._nums) == list(reversed(g._nums))
         assert f.numerators() == g.numerators()
-        # every zero form is {} over 1, whatever its weight
+
+    def test_zero_forms_read_alike_across_weights(self):
+        # every zero form is {} over 1, whatever its weight or how it was reached
         cancelled = GradedForm.combination(4, [(1, E4, None), (-1, E4, None)])
-        assert GradedForm(4, {}).numerators() == GradedForm(12, {}).numerators() == cancelled.numerators() == ZERO
+        scaled = GradedForm(12, {(0, 3, 0): 0, (0, 0, 2): 0}, 5)
+        for z in (GradedForm(0, {}), GradedForm(4, {}), GradedForm(12, {}, 7), cancelled, scaled):
+            assert z.numerators() == ZERO
+        assert (cancelled.weight, scaled.weight) == (4, 12)
 
     @pytest.mark.parametrize(
         "weight, nums, error",
