@@ -28,8 +28,9 @@ as a loaded one (``_check_q_coefficients``), which a fault in the sum that
 the check node cannot see does not.  At the weights 12 * 2^m and
 12 * 2^m + 2 (both residues of k mod 4) ``extend`` also compares each built
 weight with Popa's recurrence (its precancelled route), a different identity
-that convolves coefficient vectors and shares no arithmetic with the
-evaluated sum.
+that convolves coefficient vectors.  It shares with the evaluated sum only
+the exponent list (``exponents``), the check for missing weights
+(``_require_weights``) and the final reduction by the gcd (``_reduced``).
 
 The sum and both Popa routes work on integers over a per weight common
 denominator and return w(k) in the table's form, its reduced integer view,

@@ -19,10 +19,13 @@ numerators and that denominator to ``GekelerPolynomial.from_ratio``, which
 keeps phi_k's primitive integer polynomial.  Each reads its binomial sum as
 the coefficients of a polynomial, sum_a v_a x^a (1 + c x)^(m - a), built by
 Horner's rule: adds and small multiples, with no binomial coefficient.  They
-share no helper: division reads E_k's numerators off
-``EisensteinTable.e_basis_numerators``, the closed form scales the table's
-integer view of w(k) itself (``EisensteinTable.integer_view``), and each runs
-its own Horner loop, so each stays the other's cross-check.
+share only the table's integer view of w(k) (``EisensteinTable.integer_view``),
+r_k (``exact.zeta_ratio``) and the result's constructor
+(``GekelerPolynomial.from_ratio``): division reads E_k's numerators off
+``EisensteinTable.e_basis_numerators``, the closed form scales the integer view
+itself, and each runs its own Horner loop, so each stays the other's
+cross-check.  ``tests/test_structure.py`` holds every pair of routes to what it
+may share.
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import ast
 import csv
 import math
 import random
@@ -369,24 +368,10 @@ class TestParseRational:
         assert excerpt("1e3") == "'1e3'"
 
 
-# the package's own import graph, read from its sources
 SOURCES = Path(exact.__file__).parent
 
 
 class TestPackageRoot:
-    def test_the_root_imports_nothing(self):
-        tree = ast.parse((SOURCES / "__init__.py").read_text())
-        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-
-    def test_no_module_takes_a_name_through_the_root(self):
-        # "from . import replicate" takes a module; "from . import selftest" or
-        # "from eisen import selftest" would take a name the root no longer holds
-        submodules = {path.stem for path in SOURCES.glob("*.py")}
-        for path in SOURCES.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "eisen")):
-                    assert {alias.name for alias in node.names} <= submodules, path.name
-
     def test_importing_exact_loads_only_errors(self):
         code = "import sys, eisen.exact; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'eisen'))"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=SOURCES.parent)

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import math
 from fractions import Fraction
 
@@ -174,25 +172,6 @@ class TestRouteEquivalence:
         nums[3] *= 2  # w_{3,24} doubled in the stored view
         with pytest.raises(ConsistencyError, match="non-monic"):
             route(24, table)
-
-    def test_closed_form_shares_no_e_basis_helper(self):
-        tree = ast.parse(inspect.getsource(gekeler.phi_closed_form))
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not {"e_basis_numerators", "_e_basis_numerators"} & names
-        assert "e_basis_numerators" in inspect.getsource(gekeler.phi_by_division)
-        # the routes cross-check each other, so each keeps its own Horner loop:
-        # neither calls a gekeler function beyond the exponents and the result type
-        defined = {
-            name
-            for name, obj in vars(gekeler).items()
-            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == gekeler.__name__
-        }
-        assert {"phi_by_division", "phi_closed_form", "valuation_profile"} <= defined
-        for route in (gekeler.phi_by_division, gekeler.phi_closed_form):
-            calls = [node.func for node in ast.walk(ast.parse(inspect.getsource(route))) if isinstance(node, ast.Call)]
-            called = {f.id for f in calls if isinstance(f, ast.Name)} | {f.attr for f in calls if isinstance(f, ast.Attribute)}
-            assert called & defined <= {"elliptic_exponents", "GekelerPolynomial"}, route.__name__
 
     def test_routes_leave_the_point_value_cache_empty(self, tmp_path, monkeypatch):
         # the phi routes read w(k) only and evaluate no point value of the convolution

