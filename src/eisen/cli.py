@@ -14,9 +14,9 @@ output format, --out writes to a file instead of stdout, --table-dump /
 newton).  Exit code 0: every check passed; 1: a check failed; 2: a usage or
 input error (bad argument, malformed or unreadable input, unwritable output).
 
-Polynomial files: one coefficient per line, constant term first, each an
-integer or "num/den" in ASCII digits (positive denominator); lines are
-stripped, blank lines skipped, and anything else exits 2.
+Polynomial files: one coefficient per line, constant term first, the last 1,
+each an integer or "num/den" in ASCII digits (positive denominator); lines
+are stripped, blank lines skipped, and anything else exits 2.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .eisenstein import EisensteinTable
-from .errors import EisenError
-from .exact import format_rational, json_valuation, parse_rational
-from .gekeler import phi_by_division, valuation_profile
-from .irreducibility import dumas_check, newton_polygon
+from .errors import DomainError, EisenError
+from .exact import excerpt, format_rational, json_valuation, parse_rational
+from .gekeler import phi_by_division
+from .irreducibility import dumas_check, newton_polygon, valuation_profile
 from . import replicate
 
 
@@ -128,7 +128,7 @@ def _cmd_wk(args: argparse.Namespace, table: EisensteinTable) -> int:
 def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     phi = phi_by_division(args.k, table)
-    profile = valuation_profile(phi, 2)
+    profile = valuation_profile(phi.ints, 2)
     profile_json = [json_valuation(v) for v in profile]
     coeffs = [format_rational(c) for c in phi.coeffs]
     doc = {
@@ -153,6 +153,8 @@ def _cmd_newton(args: argparse.Namespace) -> int:
     with open(args.poly) as fh:  # text mode, as load_csv reads: lines end at LF, CRLF or CR, never at a form feed
         stripped = [line.strip() for line in fh]
     coeffs = [parse_rational(line) for line in stripped if line]
+    if len(coeffs) > 1 and coeffs[-1] != 1:  # else f / f_n's polygon is not the file's own
+        raise DomainError(f"polynomial must be monic, leading coefficient {excerpt(str(coeffs[-1]))}")
     polygon = newton_polygon(coeffs, args.p)
     cert = dumas_check(coeffs, args.p, poly_id=args.poly)
     doc = {

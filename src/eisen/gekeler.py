@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
-from .exact import INFINITY, Valuation, valuation, zeta_ratio
+from .exact import zeta_ratio
 from .eisenstein import EisensteinTable
 
 # k mod 12 -> (delta, epsilon); the degree is m = (k - 4*delta - 6*epsilon)/12
@@ -64,7 +64,8 @@ class GekelerPolynomial:
     """Monic polynomial phi_k in X = j attached to weight k, plus elliptic exponents.
 
     ``ints`` is phi_k's primitive integer polynomial, constant term first, leading
-    coefficient > 0; ``coeffs`` = ints / ints[-1] is formed on first read and kept.
+    coefficient > 0, which the certifier reads; ``coeffs`` = ints / ints[-1] is
+    formed on first read and kept, for phi_k's text (``__str__``, the ``phi`` command).
     """
 
     k: int
@@ -210,9 +211,3 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
     # over the one denominator fixed 3^(3m) 5^m = fixed 135^m
     nums = [s[r] * (-135) ** (m - r) * up << (2 * k // 3 - 8 * r) for r in range(m + 1)]
     return GekelerPolynomial.from_ratio(k, nums, fixed * 135**m, 0, 0)
-
-
-def valuation_profile(phi: GekelerPolynomial, p: int) -> tuple[Valuation, ...]:
-    """(nu_p(t_0), ..., nu_p(t_{m-1})): valuations of the non-leading coefficients, nu_p(ints_r) - nu_p(ints_m)."""
-    lead = valuation(phi.ints[-1], p)
-    return tuple(valuation(c, p) - lead if c else INFINITY for c in phi.ints[:-1])

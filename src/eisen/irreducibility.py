@@ -1,4 +1,4 @@
-"""Irreducibility certificates for monic rational polynomials.
+"""Irreducibility certificates for rational polynomials.
 
 Two one-directional criteria are implemented.  The valuation criterion of
 Dumas: if for some prime p every coefficient satisfies the slope bound
@@ -15,8 +15,9 @@ witness: both kinds of certificate can be re-verified from their JSON form
 alone by the re-checkers of ``eisen.recheck``, which import only the standard
 library.
 
-Polynomials are sequences of rationals, constant term first, leading
-coefficient included.  Slope comparisons are cross-multiplied integer
+Polynomials are sequences f_0 .. f_n of ints or rationals, constant term
+first; the valuation criteria read f as the monic f / f_n
+(``valuation_profile``).  Slope comparisons are cross-multiplied integer
 comparisons throughout; nothing here touches floating point.
 """
 
@@ -32,7 +33,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, InvalidPrimeError
-from .exact import INFINITY, Valuation, excerpt, format_rational, is_prime, json_valuation, valuation
+from .exact import INFINITY, Valuation, format_rational, is_prime, json_valuation, valuation
 
 Coeffs = Sequence[Union[int, Fraction]]
 
@@ -43,16 +44,18 @@ ORACLE_PRIME_COUNT = 10
 _WITNESS_PRIMES_EXAMINED = 120
 
 
-def _as_fractions(coeffs: Coeffs) -> list[Fraction]:
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    if len(out) < 2:
+def _degree(coeffs: Coeffs) -> int:
+    if len(coeffs) < 2:
         raise DomainError("polynomial must have degree >= 1")
-    return out
+    return len(coeffs) - 1
 
 
-def _require_monic(coeffs: list[Fraction]) -> None:
-    if coeffs[-1] != 1:
-        raise DomainError(f"polynomial must be monic, leading coefficient {excerpt(str(coeffs[-1]))}")
+def valuation_profile(coeffs: Coeffs, p: int) -> tuple[Valuation, ...]:
+    """nu_p(f_r / f_n) for r < n, INFINITY for f_r = 0: the valuations of the monic f / f_n."""
+    if not coeffs[-1]:
+        raise DomainError("leading coefficient is zero")
+    lead = valuation(coeffs[-1], p)
+    return tuple(valuation(c, p) - lead if c else INFINITY for c in coeffs[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +105,11 @@ class NewtonPolygon:
 
 
 def newton_polygon(coeffs: Coeffs, p: int) -> NewtonPolygon:
-    """Newton polygon of a monic polynomial with nonzero constant term."""
-    cs = _as_fractions(coeffs)
-    _require_monic(cs)
-    if cs[0] == 0:
+    """Newton polygon of the monic f / f_n, for f with nonzero constant term."""
+    _degree(coeffs)
+    if not coeffs[0]:
         raise DomainError("constant term is zero; factor out x first")
-    return NewtonPolygon.from_valuations(p, [valuation(c, p) for c in cs])
+    return NewtonPolygon.from_valuations(p, [*valuation_profile(coeffs, p), 0])
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +132,12 @@ class IrreducibilityCertificate:
     document holds everything needed to re-check it mechanically.
     ``reason`` says why a verdict is inconclusive, and ``slope_condition``
     is Dumas' condition (i), which the document does not record.
+    The document's "poly" is ``coeffs`` / ``divisor`` (f_n for Dumas, 1 for patterns).
     """
 
     poly_id: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Union[int, Fraction], ...]
+    divisor: Union[int, Fraction]
     fields: dict
     reason: Optional[str] = None
     slope_condition: Optional[bool] = None
@@ -153,25 +157,23 @@ class IrreducibilityCertificate:
     def to_json_dict(self) -> dict:
         """The document: the "poly" object, then a copy of ``fields`` that shares nothing with them.
 
-        Coefficients are formatted here only: the scan's Dumas loop keeps verdicts, not documents.
+        Coefficients are divided and formatted here only: the scan keeps verdicts, not documents.
         """
-        coeffs = [format_rational(c) for c in self.coeffs]
+        coeffs = [format_rational(Fraction(c, self.divisor)) for c in self.coeffs]
         poly = {"id": self.poly_id, "degree": len(self.coeffs) - 1, "coeffs": coeffs}
         return {"poly": poly, **copy.deepcopy(self.fields)}
 
 
 def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> IrreducibilityCertificate:
-    """Apply the valuation criterion at p; verdict is irreducible or inconclusive.
+    """Apply the valuation criterion at p to f / f_n; verdict is irreducible or inconclusive.
 
     Condition (i), the slope bound, is evaluated by the cross-multiplied
     comparison nu(a_r) * n >= nu(a_0) * (n - r); zero coefficients satisfy it
     vacuously.  Condition (ii) is gcd(|nu(a_0)|, n) = 1.  A zero constant term
     makes the chord undefined and yields "inconclusive".
     """
-    cs = _as_fractions(coeffs)
-    _require_monic(cs)
-    n = len(cs) - 1
-    vals = [valuation(c, p) for c in cs[:-1]]
+    n = _degree(coeffs)
+    vals = valuation_profile(coeffs, p)
     v0 = vals[0]
     if v0 is INFINITY:
         slope_ok, g, chord, reason = False, None, (None, None), "zero constant term"
@@ -192,7 +194,7 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
         "verdict": "irreducible" if slope_ok and g == 1 else "inconclusive",
         "criterion": "dumas",
     }
-    return IrreducibilityCertificate(poly_id, tuple(cs), fields, reason, slope_ok)
+    return IrreducibilityCertificate(poly_id, tuple(coeffs), coeffs[-1], fields, reason, slope_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +396,7 @@ def assemble_pattern_certificate(
     the intersection of the subset-sums of all patterns contains no proper
     degree; otherwise "inconclusive", with the surviving degrees reported.
     """
-    if len(int_coeffs) < 2:
-        raise DomainError("polynomial must have degree >= 1")
-    n = len(int_coeffs) - 1
+    n = _degree(int_coeffs)
     bits = (1 << (n + 1)) - 1
     for pat in patterns.values():
         bits &= _subset_sum_bits(pat)  # a pattern [n] leaves only 0 and n
@@ -415,7 +415,7 @@ def assemble_pattern_certificate(
         "verdict": "irreducible" if patterns and not unexcluded else "inconclusive",
         "criterion": "finite-field-pattern",
     }
-    return IrreducibilityCertificate(poly_id, tuple(Fraction(c) for c in int_coeffs), fields, reason)
+    return IrreducibilityCertificate(poly_id, tuple(int_coeffs), 1, fields, reason)
 
 
 def finite_field_degree_patterns(
@@ -428,8 +428,7 @@ def finite_field_degree_patterns(
     leading coefficient, are skipped and recorded; the verdict is that of
     ``assemble_pattern_certificate`` on the rest.
     """
-    if len(int_coeffs) < 2:
-        raise DomainError("polynomial must have degree >= 1")
+    _degree(int_coeffs)
     patterns: dict[int, list[int]] = {}
     skipped: list[int] = []
     for p in primes:
@@ -447,9 +446,9 @@ def finite_field_degree_patterns(
 
 def primitive_integer_polynomial(coeffs: Coeffs) -> list[int]:
     """Clear denominators and divide out the content; preserves the root set."""
-    cs = _as_fractions(coeffs)
-    lcm = math.lcm(*[c.denominator for c in cs])
-    ints = [c.numerator * (lcm // c.denominator) for c in cs]
+    _degree(coeffs)
+    lcm = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
     content = math.gcd(*ints)
     return [c // content for c in ints]
 

@@ -25,13 +25,14 @@ from .eisenstein import (
     popa_expand,
     q_expansion_direct,
 )
-from .gekeler import phi_by_division, phi_closed_form, valuation_profile
+from .gekeler import phi_by_division, phi_closed_form
 from .irreducibility import (
     ORACLE_PRIME_COUNT,
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
     select_witness_primes,
+    valuation_profile,
 )
 from .qmring import substitute_q_expansion
 from .recheck import recheck_dumas_certificate
@@ -294,14 +295,14 @@ def check_theorem_main(ell_max: int, table: EisensteinTable) -> CheckReport:
         phi = phi_closed_form(k, table)
         if phi.ints != phi_by_division(k, table).ints:
             raise ConsistencyError(f"phi routes disagree at k={k}")  # pragma: no cover
-        profile = valuation_profile(phi, 2)
+        profile = valuation_profile(phi.ints, 2)
         nu_t0 = profile[0]
         expected_t0 = (2 * k - 3) // 3
         profile_ok = all(
             profile[r] >= Fraction(2 * k, 3) - 8 * r for r in range(1, m)
         )
         # the chord and gcd conditions are the criterion's own, read off its certificate
-        cert = dumas_check(phi.coeffs, 2, poly_id=f"phi_{k}")
+        cert = dumas_check(phi.ints, 2, poly_id=f"phi_{k}")
         chord_ok = cert.slope_condition
         doc = cert.to_json_dict()
         gcd_val = doc["gcd"]
@@ -378,7 +379,7 @@ def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
         record = {"k": k, "degree": phi.degree}
         for p in DUMAS_SCAN_PRIMES:
             if dumas_applies(phi.ints, p):
-                cert = dumas_check(phi.coeffs, p, poly_id=f"phi_{k}")
+                cert = dumas_check(phi.ints, p, poly_id=f"phi_{k}")
                 if cert.verdict != "irreducible":
                     raise ConsistencyError(f"the Dumas screen passed phi_{k} at p = {p}, dumas_check did not")
                 break

@@ -226,6 +226,14 @@ class TestNewton:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    def test_non_monic_file_exits_2(self, tmp_path, capsys):
+        # 1 + x + 2x^2: the library reads it as its monic form, whose polygon is not the file's own
+        poly = tmp_path / "poly.txt"
+        poly.write_text("1\n1\n2\n")
+        assert main(["newton", "--poly", str(poly), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "polynomial must be monic" in captured.err
+
     def test_huge_modulus_exits_2(self, tmp_path, capsys):
         poly = tmp_path / "poly.txt"
         poly.write_text("2\n2\n1\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisen import eisenstein, exact
+from eisen import eisenstein, exact, gekeler, irreducibility
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
 from eisen.exact import INFINITY, bernoulli, digit_sum_base2, valuation, zeta_ratio
 from eisen.eisenstein import (
@@ -960,6 +960,17 @@ class TestDeferredLoad:
             raise AssertionError("a Fraction of w(k) was formed")
 
         monkeypatch.setattr(eisenstein, "Fraction", refuse)
+        assert gekeler_scan(446, table=loaded).status == "PASS"
+
+    def test_scan_forms_no_fraction_of_phi(self, shared_table, tmp_path, monkeypatch):
+        # the certifier reads phi_k's integers; only text (a document, phi's str) divides them
+        loaded = loaded_copy(shared_table.ensure(446), tmp_path / "table.csv")
+
+        def refuse(*args):
+            raise AssertionError("a Fraction of phi_k was formed")
+
+        monkeypatch.setattr(gekeler, "Fraction", refuse)
+        monkeypatch.setattr(irreducibility, "Fraction", refuse)
         assert gekeler_scan(446, table=loaded).status == "PASS"
 
     def test_an_unreduced_row_loads_and_dumps_reduced(self, tmp_path):

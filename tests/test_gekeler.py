@@ -12,9 +12,8 @@ from eisen.gekeler import (
     elliptic_exponents,
     phi_by_division,
     phi_closed_form,
-    valuation_profile,
 )
-from eisen.irreducibility import primitive_integer_polynomial
+from eisen.irreducibility import primitive_integer_polynomial, valuation_profile
 from eisen.replicate import gekeler_scan
 from helpers import GOLDEN_PHI
 
@@ -210,25 +209,25 @@ class TestRouteEquivalence:
 class TestValuationProfile:
     def test_weight_twelve(self, shared_table):
         table = shared_table.ensure(12)
-        profile = valuation_profile(phi_by_division(12, table), 2)
+        profile = valuation_profile(phi_by_division(12, table).ints, 2)
         assert profile == (7,)
         assert (2 * 12 - 3) // 3 == 7
 
     def test_weight_twentyfour(self, shared_table):
         table = shared_table.ensure(24)
-        profile = valuation_profile(phi_by_division(24, table), 2)
+        profile = valuation_profile(phi_by_division(24, table).ints, 2)
         assert profile[0] == (2 * 24 - 3) // 3 == 15
         assert profile == (15, 10)
 
     def test_constant_polynomial_empty(self, shared_table):
-        assert valuation_profile(phi_by_division(4, shared_table.table), 2) == ()
+        assert valuation_profile(phi_by_division(4, shared_table.table).ints, 2) == ()
 
     def test_other_prime(self, shared_table):
         table = shared_table.ensure(12)
         # 432000 = 2^7 3^3 5^3, 691 is prime
-        assert valuation_profile(phi_by_division(12, table), 3) == (3,)
-        assert valuation_profile(phi_by_division(12, table), 5) == (3,)
-        assert valuation_profile(phi_by_division(12, table), 691) == (-1,)
+        assert valuation_profile(phi_by_division(12, table).ints, 3) == (3,)
+        assert valuation_profile(phi_by_division(12, table).ints, 5) == (3,)
+        assert valuation_profile(phi_by_division(12, table).ints, 691) == (-1,)
 
 
 class TestValidation:

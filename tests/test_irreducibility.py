@@ -27,6 +27,7 @@ from eisen.irreducibility import (
     newton_polygon,
     primitive_integer_polynomial,
     select_witness_primes,
+    valuation_profile,
 )
 from eisen.gekeler import phi_by_division
 from eisen.recheck import _ddf_by_repeated_squaring, recheck_dumas_certificate, recheck_pattern_certificate
@@ -113,6 +114,19 @@ class TestTestHelpers:
         assert no_small_integer_factor([1, 0, 0, 0, 1])  # x^4 + 1
 
 
+@st.composite
+def monic_rational_polys(draw):
+    """Monic rational polynomials of degree 1..8, with zeros and prime powers among the coefficients."""
+    n = draw(st.integers(1, 8))
+    nums = st.integers(-2000, 2000) | st.sampled_from([0, 2**9, -(3**7), 5**4 * 7, 691 * 8])
+    dens = st.sampled_from([1, 2, 4, 3, 9, 5, 7, 12, 691, 3617, 2**11 * 3**5])
+    return [Fraction(draw(nums), draw(dens)) for _ in range(n)] + [Fraction(1)]
+
+
+#: nonzero rationals with prime powers in numerator and denominator, to scale a polynomial by
+SCALES = st.builds(Fraction, st.integers(-64, 64).filter(bool), st.sampled_from([1, 2, 3, 8, 27, 49, 691]))
+
+
 class TestDumas:
     def test_eisenstein_special_case(self):
         cert = dumas_check([2, 2, 1], 2)
@@ -128,13 +142,28 @@ class TestDumas:
 
     def test_phi_24_is_irreducible_at_two(self, shared_table):
         phi = phi_by_division(24, shared_table.ensure(24))
-        cert = dumas_check(phi.coeffs, 2, poly_id="phi_24")
+        cert = dumas_check(phi.ints, 2, poly_id="phi_24")
         assert cert.verdict == "irreducible"
         assert cert.fields["valuations"] == [15, 10]
 
-    def test_non_monic_rejected(self):
-        with pytest.raises(DomainError):
-            dumas_check([1, 1, 2], 2)
+    @given(monic_rational_polys(), SCALES)
+    @example([Fraction(1, 2), Fraction(1, 2), Fraction(1)], Fraction(2))  # 1 + x + 2x^2
+    @example([Fraction(2), Fraction(2), Fraction(1)], Fraction(-3, 8))  # Eisenstein at 2, certified
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_multiple_gives_the_monic_document(self, monic, scale):
+        # s f and its integer polynomial are read as the monic f / f_n, byte for byte
+        multiples = ([scale * c for c in monic], primitive_integer_polynomial(monic))
+        for p in exact.SMALL_PRIMES[:6]:
+            doc = dumas_check(monic, p).to_json_dict()
+            for f in multiples:
+                assert json.dumps(dumas_check(f, p).to_json_dict()) == json.dumps(doc), (f, p)
+            assert recheck_dumas_certificate(doc) == (doc["verdict"] == "irreducible"), p
+
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(DomainError, match="leading coefficient is zero"):
+            dumas_check([2, 2, 0], 2)
+        with pytest.raises(DomainError, match="leading coefficient is zero"):
+            valuation_profile([2, 0], 2)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -166,15 +195,6 @@ class TestDumas:
         assert dumas_check([Fraction(-432000, 691), 1], 2).verdict == "irreducible"
 
 
-@st.composite
-def monic_rational_polys(draw):
-    """Monic rational polynomials of degree 1..8, with zeros and prime powers among the coefficients."""
-    n = draw(st.integers(1, 8))
-    nums = st.integers(-2000, 2000) | st.sampled_from([0, 2**9, -(3**7), 5**4 * 7, 691 * 8])
-    dens = st.sampled_from([1, 2, 4, 3, 9, 5, 7, 12, 691, 3617, 2**11 * 3**5])
-    return [Fraction(draw(nums), draw(dens)) for _ in range(n)] + [Fraction(1)]
-
-
 class TestDumasScreen:
     @given(monic_rational_polys(), st.integers(-50, 50).filter(bool))
     @example([Fraction(0), Fraction(2), Fraction(1)], 1)  # zero constant term
@@ -185,7 +205,7 @@ class TestDumasScreen:
         # any nonzero multiple of the integer polynomial has the same valuation differences
         ints = [scale * c for c in primitive_integer_polynomial(coeffs)]
         for p in exact.SMALL_PRIMES:
-            assert dumas_applies(ints, p) == (dumas_check(coeffs, p).verdict == "irreducible"), p
+            assert dumas_applies(ints, p) == (dumas_check(ints, p).verdict == "irreducible"), p
 
 
 class TestDumasCertificateJson:
@@ -239,10 +259,11 @@ def test_certificate_documents_are_pinned(shared_table):
         phi = phi_by_division(k, table)
         if phi.degree < 1:
             continue
-        docs += [dumas_check(phi.coeffs, p, poly_id=f"phi_{k}").to_json_dict() for p in exact.SMALL_PRIMES[:8]]
-        ints = primitive_integer_polynomial(phi.coeffs)
-        kept, _examined = select_witness_primes(ints, floor=k)
-        docs.append(assemble_pattern_certificate(ints, kept, poly_id=f"phi_{k}").to_json_dict())
+        dumas = [dumas_check(phi.ints, p, poly_id=f"phi_{k}").to_json_dict() for p in exact.SMALL_PRIMES[:8]]
+        # the monic Fractions give the bytes of the integers
+        assert json.dumps(dumas_check(phi.coeffs, 2, poly_id=f"phi_{k}").to_json_dict()) == json.dumps(dumas[0])
+        kept, _examined = select_witness_primes(phi.ints, floor=k)
+        docs += [*dumas, assemble_pattern_certificate(phi.ints, kept, poly_id=f"phi_{k}").to_json_dict()]
     assert len(docs) == 851
     digest = hashlib.sha256("\n".join(json.dumps(doc) for doc in docs).encode()).hexdigest()
     assert digest == CERTIFICATE_CORPUS_SHA256
@@ -257,7 +278,7 @@ class TestNewtonPolygon:
 
     def test_phi_12(self, shared_table):
         phi = phi_by_division(12, shared_table.ensure(12))
-        polygon = newton_polygon(phi.coeffs, 2)
+        polygon = newton_polygon(phi.ints, 2)
         assert polygon.vertices == ((0, 7), (1, 0))
 
     def test_two_segments(self):
@@ -281,9 +302,17 @@ class TestNewtonPolygon:
         with pytest.raises(DomainError):
             newton_polygon([0, 1, 1], 2)
 
-    def test_non_monic_rejected(self):
-        with pytest.raises(DomainError):
-            newton_polygon([1, 1, 3], 2)
+    @given(monic_rational_polys().filter(lambda f: f[0]), SCALES)
+    @example([Fraction(1, 3), Fraction(1, 3), Fraction(1)], Fraction(3))  # 1 + x + 3x^2
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_multiple_gives_the_monic_polygon(self, monic, scale):
+        multiples = ([scale * c for c in monic], primitive_integer_polynomial(monic))
+        for p in exact.SMALL_PRIMES[:6]:
+            assert all(newton_polygon(f, p) == newton_polygon(monic, p) for f in multiples), p
+
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(DomainError, match="leading coefficient is zero"):
+            newton_polygon([1, 1, 0], 2)
 
     def test_endpoints_for_monic_input(self):
         polygon = newton_polygon([8, 6, 4, 1], 2)

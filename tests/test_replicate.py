@@ -319,7 +319,7 @@ class TestScanPatterns:
         for rec in report.records:
             k = rec["k"]
             phi = replicate.phi_by_division(k, table)
-            verdicts = {p: real(phi.coeffs, p).verdict for p in replicate.DUMAS_SCAN_PRIMES}
+            verdicts = {p: real(phi.ints, p).verdict for p in replicate.DUMAS_SCAN_PRIMES}
             full = [p for p in replicate.DUMAS_SCAN_PRIMES if verdicts[p] == "irreducible"]
             seen = dict(called.get(f"phi_{k}", []))
             # the loop stops at the certifying prime; below it, the pre-test
