@@ -71,9 +71,21 @@ RUN = 8
 D2 = Fraction(-1, 8)
 
 
+def elliptic_exponents(k: int) -> tuple[int, int, int]:
+    """(m, delta, epsilon) with k = 12m + 4 delta + 6 epsilon, delta < 3 and epsilon < 2, for even k >= 4.
+
+    k = delta mod 3 and k/2 = epsilon mod 2, so both are read off k directly.
+    """
+    if k < 4 or k % 2:
+        raise DomainError(f"k must be even and >= 4, got {k}")
+    delta, epsilon = k % 3, k // 2 % 2
+    return (k - 4 * delta - 6 * epsilon) // 12, delta, epsilon
+
+
 def exponents(k: int) -> list[tuple[int, int]]:
-    """All (a, b) with 4a + 6b = k, a ascending."""
-    return [(a, (k - 4 * a) // 6) for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0]
+    """All (a, b) with 4a + 6b = k, a ascending: (delta + 3j, epsilon + 2(m - j)) for j = 0 .. m."""
+    m, delta, epsilon = elliptic_exponents(k)
+    return [(delta + 3 * j, epsilon + 2 * (m - j)) for j in range(m + 1)]
 
 
 def popa_d(k: int) -> Fraction:
@@ -107,7 +119,10 @@ class EisensteinTable:
     called, or read from a dump by ``load_csv``.  Popa's recurrence never
     builds the table: it is the cross-check that ``popa_expand`` reproduces
     each weight, and ``extend`` runs it at the weights 12 * 2^m and
-    12 * 2^m + 2.
+    12 * 2^m + 2.  Besides the axioms ``__init__`` sets, every weight, built
+    or loaded (a dump's w(4) and w(6) too), enters through one door,
+    ``_store``: it must give E_k's first two q-coefficients
+    (``_check_q_coefficients``) and have every w_{a,k} > 0.
 
     Each weight is held in one form, its reduced integer view in ``_views``:
     integers nums, den with w_{a,k} = nums[a] / den, den > 0 the lcm of the
@@ -161,9 +176,8 @@ class EisensteinTable:
         k = 12 * 2^m + 2 (m >= 1) Popa's recurrence (``popa_expand``, route
         ``precancelled``, which reads only the stored integer views of
         4 .. k - 2) is evaluated too and must agree exactly, or
-        ``ConsistencyError`` is raised.  Every built weight must
-        then give E_k's first two q-coefficients (``_check_q_coefficients``,
-        the check ``load_csv`` makes) before it is stored.
+        ``ConsistencyError`` is raised.  Every built weight then passes
+        the door a loaded one passes (``_store``).
 
         The folded sum reads each weight's values at the nodes y = 0, 1, -1, ...,
         as many as any weight up to k_max needs (len(exponents(k)) + 1 <=
@@ -178,13 +192,29 @@ class EisensteinTable:
                 continue
             for m in range(4, k - 3, 2):
                 if m not in points:
-                    points[m] = _evaluate(m, self._views[m], nodes)
+                    points[m] = _evaluate(m, self.integer_view(m), nodes)
             view = rademacher_expand(k, points)
             if _cross_checked(k) and popa_expand(k, self, route="precancelled") != view:
                 raise ConsistencyError(f"the convolution and Popa's recurrence disagree at weight {k}")
-            _check_q_coefficients(k, view)
-            self._views[k] = view
+            self._store(k, view)
         return self
+
+    def _store(self, k: int, view: IntegerView) -> None:
+        """Store w(k)'s reduced integer view: the one door into ``_views`` besides ``__init__``.
+
+        ``ConsistencyError`` unless the view gives E_k's first two
+        q-coefficients (``_check_q_coefficients``) and every w_{a,k} is
+        positive: w(4) and w(6) are, and so is every multiplier of the
+        convolution recurrence.  A reduced view has den > 0, so the sign of
+        w_{a,k} is that of nums[a].
+        """
+        _check_q_coefficients(k, view)
+        nonpositive = [a for a, n in view[0].items() if n <= 0]
+        if nonpositive:
+            raise ConsistencyError(
+                f"weight {k}: w_{{a,k}} <= 0 for a in {nonpositive}, but every w_{{a,k}} is positive"
+            )
+        self._views[k] = view
 
     # -- conversions ------------------------------------------------------------
 
@@ -230,7 +260,7 @@ class EisensteinTable:
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "EisensteinTable":
-        """Re-ingest a dump; validates index structure, the two base weights and the values.
+        """Re-ingest a dump; validates its index structure, then stores each weight through ``_store``.
 
         The file is read in the grammar ``dump_csv`` writes, one line at a
         time: the header line ``k,a,b,w``, then one row per line, each line
@@ -241,18 +271,15 @@ class EisensteinTable:
         negative or do not satisfy 4a + 6b = k, whose weight is below 4, or
         that repeats an earlier (k, a), raises ``ConsistencyError``, quoting
         the line only as far as ``excerpt`` does; so does a loaded weight
-        missing a row for any (a, b) with 4a + 6b = k, whose values do not
-        give E_k's first two q-coefficients (``_check_q_coefficients``), or
-        with a value w <= 0.
-        Every w_{a,k} is positive: w(4) and w(6) are, and so is every
-        multiplier of the convolution recurrence.  Weights need not be
-        contiguous: ``extend`` fills any gap.
+        missing a row for any (a, b) with 4a + 6b = k, or one that ``_store``
+        refuses: values that do not give E_k's first two q-coefficients, or a
+        value w <= 0.  That check pins w(4) and w(6), one coefficient each, to
+        their axioms.  Weights need not be contiguous: ``extend`` fills any gap.
 
         Every check runs on the integer pairs (num, den) of the rows
-        (``parse_ratio``), the value check on their integer view over the lcm
-        of the row denominators; that view, divided by its gcd, is what the
-        table stores, so no Fraction is formed.  Each weight's rows are
-        dropped as it is converted.
+        (``parse_ratio``), and ``_store`` on their integer view over the lcm of
+        the row denominators, divided by its gcd, so no Fraction is formed.
+        Each weight's rows are dropped as it is converted.
         """
         table = cls()
         # k -> (numerators by a, denominators by a); a (num, den) tuple per row, kept to
@@ -285,25 +312,16 @@ class EisensteinTable:
         for k in sorted(loaded):
             nums, dens = loaded.pop(k)
             # every row is index-checked and unique, so a weight is whole iff it has
-            # dim M_k rows; the error names at most three missing pairs and counts the rest
-            absent = k // 12 + (k % 12 != 2) - len(nums)
+            # m + 1 = dim M_k rows; the error names at most three missing pairs, taken
+            # lazily in the order of exponents(k), and counts the rest
+            m, delta, epsilon = elliptic_exponents(k)
+            absent = m + 1 - len(nums)
             if absent:
-                pairs = ((a, (k - 4 * a) // 6) for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0 and a not in nums)
+                pairs = ((delta + 3 * j, epsilon + 2 * (m - j)) for j in range(m + 1) if delta + 3 * j not in nums)
                 missing = list(itertools.islice(pairs, 3))
                 more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
                 raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}{more}")
-            if k in (4, 6):
-                if nums != dens:
-                    raise ConsistencyError(f"base weight {k} differs from its axiom")
-                continue
-            view = _lift(k, nums, dens)
-            _check_q_coefficients(k, view)
-            nonpositive = [a for a, n in nums.items() if n <= 0]
-            if nonpositive:
-                raise ConsistencyError(
-                    f"weight {k}: w_{{a,k}} <= 0 for a in {nonpositive}, but every w_{{a,k}} is positive"
-                )
-            table._views[k] = _reduced(*view)
+            table._store(k, _reduced(*_lift(k, nums, dens)))
         return table
 
 

@@ -1,7 +1,8 @@
 """Monic polynomials in X = j encoding the non-elliptic zeros of E_k.
 
 Every even weight k >= 4 decomposes uniquely as k = 12m + 4*delta + 6*epsilon
-with delta in {0, 1, 2} and epsilon in {0, 1}; then
+with delta in {0, 1, 2} and epsilon in {0, 1} (``eisenstein.elliptic_exponents``,
+the one decomposition, which also lists the monomials ``eisenstein.exponents``); then
 
     E_k = Delta^m E_4^delta E_6^epsilon phi_k(j),
 
@@ -37,26 +38,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .exact import zeta_ratio
-from .eisenstein import EisensteinTable
-
-# k mod 12 -> (delta, epsilon); the degree is m = (k - 4*delta - 6*epsilon)/12
-_ELLIPTIC: dict[int, tuple[int, int]] = {
-    0: (0, 0),
-    2: (2, 1),
-    4: (1, 0),
-    6: (0, 1),
-    8: (2, 0),
-    10: (1, 1),
-}
-
-
-def elliptic_exponents(k: int) -> tuple[int, int, int]:
-    """(m, delta, epsilon) with k = 12m + 4*delta + 6*epsilon, even k >= 4."""
-    if k < 4 or k % 2:
-        raise DomainError(f"k must be even and >= 4, got {k}")
-    delta, epsilon = _ELLIPTIC[k % 12]
-    m = (k - 4 * delta - 6 * epsilon) // 12
-    return m, delta, epsilon
+from .eisenstein import EisensteinTable, elliptic_exponents, exponents
 
 
 @dataclass(frozen=True)
@@ -124,15 +106,16 @@ class GekelerPolynomial:
 def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     """phi_k by exact division of E_k by Delta^m E_4^delta E_6^epsilon.
 
-    After stripping the elliptic factors, every remaining monomial is a power
-    of A = E_4^3 times a power of B = E_6^2 with total Delta-degree m (as
-    4a + 6b = k); the substitution B = A - 1728*Delta rewrites the quotient as
-    a polynomial in j = A/Delta.  Each structural step that could leave a
-    remainder is checked and raises ConsistencyError if violated, as
-    ``GekelerPolynomial`` does for a non-monic result or a wrong degree.
+    E_k's monomials are ``exponents(k)``, (a, b) = (delta + 3 alpha,
+    epsilon + 2(m - alpha)) for alpha = 0 .. m, so after stripping the
+    elliptic factors the alpha-th is A^alpha B^(m - alpha), A = E_4^3 and
+    B = E_6^2, and the division leaves no remainder to check; the
+    substitution B = A - 1728*Delta rewrites the quotient as a polynomial in
+    j = A/Delta.  ``GekelerPolynomial`` raises ConsistencyError for a
+    non-monic result or a wrong degree.
 
     With E_k = sum nums[a] / (scale r_k) E4^a E6^b from ``e_basis_numerators``
-    and p_alpha the summed numerators of A^alpha B^(m-alpha),
+    and p_alpha = nums[delta + 3 alpha], the numerator of A^alpha B^(m-alpha),
 
         t_{k,r} = (-1728)^(m - r) sum_alpha p_alpha C(m - alpha, r - alpha) / (scale r_k).
 
@@ -148,23 +131,10 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     g = math.gcd(r_k.denominator, scale)
     up, den = r_k.denominator // g, r_k.numerator * (scale // g)
 
-    # strip E4^delta E6^epsilon, then fold into p_alpha * A^alpha * B^(m-alpha)
-    p: dict[int, int] = {}
-    for a, num in nums.items():
-        b = (k - 4 * a) // 6
-        a2, b2 = a - delta, b - epsilon
-        if a2 < 0 or b2 < 0:
-            raise ConsistencyError(
-                f"E_{k} is not divisible by E4^{delta} E6^{epsilon}: monomial ({a},{b})"
-            )
-        if a2 % 3 or b2 % 2:
-            raise ConsistencyError(f"non-cube/non-square residue at weight {k}: ({a2},{b2})")
-        p[a2 // 3] = p.get(a2 // 3, 0) + num
-
-    # Horner in (1 + x): s[r] = sum_alpha p_alpha C(m - alpha, r - alpha)
+    # Horner in (1 + x) along exponents(k): s[r] = sum_alpha p_alpha C(m - alpha, r - alpha)
     s: list[int] = []
-    for alpha in range(m + 1):
-        s.append(p.get(alpha, 0))
+    for alpha, (a, _) in enumerate(exponents(k)):
+        s.append(nums[a])
         for i in range(alpha, 0, -1):
             s[i] += s[i - 1]
     nums = [s[r] * (-1728) ** (m - r) * up for r in range(m + 1)]

@@ -324,6 +324,19 @@ class TestTablePersistence:
         assert captured.out == ""
         assert "weight 36: the constant q-coefficient of E_k is not 1" in captured.err
 
+    @pytest.mark.parametrize("row, changed", [("4,1,0,1/1", "4,1,0,2/1"), ("6,0,1,1/1", "6,0,1,3/2")], ids=["w4", "w6"])
+    def test_dump_with_a_changed_base_weight_exits_2(self, tmp_path, capsys, row, changed):
+        dump = tmp_path / "table.csv"
+        assert main(["wk", "--k", "12", "--table-dump", str(dump)]) == 0
+        text = dump.read_text()
+        assert row in text
+        dump.write_text(text.replace(row, changed))
+        capsys.readouterr()
+        assert main(["wk", "--k", "12", "--table-load", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"weight {row[0]}: the constant q-coefficient of E_k is not 1" in captured.err
+
     @pytest.mark.parametrize("argv", [["wk", "--k", "24"], ["phi", "--k", "24"]])
     def test_dump_along_the_q_check_null_space_exits_2(self, tmp_path, capsys, argv):
         # (1, -2, 1) added to (u_0, u_3, u_6) of E_24 keeps both q-coefficients

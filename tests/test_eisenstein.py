@@ -461,12 +461,12 @@ class TestRademacher:
         checked = counting(monkeypatch, "_check_q_coefficients")
         table = EisensteinTable().extend(100)
         assert checked == Counter(range(8, 101, 2))
-        # a loaded weight is checked by the load, not again by extend
+        # a loaded weight, the base weights 4 and 6 included, is checked by the load, not again by extend
         dump = tmp_path / "table.csv"
         table.dump_csv(dump)
         checked.clear()
         loaded = EisensteinTable.load_csv(dump)
-        assert checked == Counter(range(8, 101, 2))
+        assert checked == Counter(range(4, 101, 2))
         checked.clear()
         loaded.extend(100)
         assert not checked
@@ -493,6 +493,23 @@ class TestRademacher:
             table.extend(60)
         assert 48 not in table
         assert table.weights() == list(range(4, 47, 2))
+
+    def test_extend_refuses_a_built_value_below_zero_that_the_value_check_passes(self, monkeypatch):
+        # u + t (1, -2, 1) on (u_1, u_4, u_7) of E_28 with t = u_4 keeps both
+        # q-coefficients and makes w_{4,28} negative; 28 is not cross-checked,
+        # so only the sign check of the door a loaded weight passes stops it
+        truth = EisensteinTable().extend(28)
+        r4, r6, r28 = zeta_ratio(4), zeta_ratio(6), zeta_ratio(28)
+        ratio = {a: r4**a * r6**b / r28 for a, b in exponents(28)}
+        u = {a: w * ratio[a] for a, w in truth.w_vector(28).items()}
+        shifted = integer_view_of({a: (u[a] + u[4] * c) / ratio[a] for a, c in ((1, 1), (4, -2), (7, 1))})
+        eisenstein._check_q_coefficients(28, shifted)
+        real = eisenstein.rademacher_expand
+        monkeypatch.setattr(eisenstein, "rademacher_expand", lambda k, points: shifted if k == 28 else real(k, points))
+        table = EisensteinTable()
+        with pytest.raises(ConsistencyError, match=r"weight 28: w_\{a,k\} <= 0 for a in \[4\]"):
+            table.extend(28)
+        assert table.weights() == list(range(4, 27, 2))
 
     def test_the_folded_sum_takes_the_square_term_first_and_p_descending(self, shared_table, monkeypatch):
         table = shared_table.ensure(40)
@@ -868,10 +885,12 @@ class TestPersistence:
             assert all(w > 0 for w in vec.values())
 
     def test_corrupt_base_weight_rejected(self, tmp_path):
+        # w(4) and w(6) have one coefficient each, which the value check pins to 1
         path = tmp_path / "bad.csv"
-        path.write_text("k,a,b,w\n4,1,0,2/1\n")
-        with pytest.raises(ConsistencyError):
-            EisensteinTable.load_csv(path)
+        for row, k in (("4,1,0,2/1", 4), ("6,0,1,1/2", 6)):
+            path.write_text(f"k,a,b,w\n{row}\n")
+            with pytest.raises(ConsistencyError, match=f"weight {k}: the constant q-coefficient of E_k is not 1"):
+                EisensteinTable.load_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

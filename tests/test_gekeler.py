@@ -3,16 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from eisen import eisenstein, gekeler
-from eisen.eisenstein import EisensteinTable
+from eisen import eisenstein
+from eisen.eisenstein import EisensteinTable, elliptic_exponents, exponents
 from eisen.errors import ConsistencyError, DomainError
 from eisen.exact import zeta_ratio
-from eisen.gekeler import (
-    GekelerPolynomial,
-    elliptic_exponents,
-    phi_by_division,
-    phi_closed_form,
-)
+from eisen.gekeler import GekelerPolynomial, phi_by_division, phi_closed_form
 from eisen.irreducibility import primitive_integer_polynomial, valuation_profile
 from eisen.replicate import gekeler_scan
 from helpers import GOLDEN_PHI
@@ -95,10 +90,20 @@ class TestEllipticExponents:
             assert (delta, epsilon) == (0, 0) and m == k // 12
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            elliptic_exponents(2)
-        with pytest.raises(DomainError):
-            elliptic_exponents(9)
+        for k in (2, 3, 9):
+            with pytest.raises(DomainError):
+                elliptic_exponents(k)
+            with pytest.raises(DomainError):
+                exponents(k)
+
+    def test_one_decomposition_gives_every_exponent_pair(self):
+        # the brute-force filter and the k mod 12 lookup table that the
+        # closed form delta = k mod 3, epsilon = k/2 mod 2 replaced
+        old_table = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
+        for k in range(4, 2001, 2):
+            assert exponents(k) == [(a, (k - 4 * a) // 6) for a in range(k // 4 + 1) if (k - 4 * a) % 6 == 0], k
+            delta, epsilon = old_table[k % 12]
+            assert elliptic_exponents(k) == ((k - 4 * delta - 6 * epsilon) // 12, delta, epsilon), k
 
 
 class TestKnownPolynomials:
@@ -231,31 +236,6 @@ class TestValuationProfile:
 
 
 class TestValidation:
-    @pytest.mark.parametrize(
-        "extra, m_shift, match",
-        [
-            ({0: 1}, 0, r"not divisible by E4\^1 E6\^0: monomial \(0,2\)"),
-            ({2: 1}, 0, r"non-cube/non-square residue at weight 16: \(1,1\)"),
-            # b is read off k and a, so every monomial that passes the two
-            # checks above has Delta-degree m by algebra: only a wrong m from
-            # the exponent bookkeeping can be off, and GekelerPolynomial's own
-            # weight check rejects the phi it gives
-            ({}, 1, r"weight bookkeeping broken: k=16, m=2,"),
-        ],
-        ids=["divisibility", "residue", "delta-degree"],
-    )
-    def test_division_structural_checks(self, extra, m_shift, match, monkeypatch):
-        # E_16's monomials (4,0) and (1,2), in two cases with one crafted E4
-        # exponent added: each check fires before any indexing by alpha, so
-        # the route raises ConsistencyError, never IndexError or KeyError
-        table = EisensteinTable().extend(16)
-        nums, scale = table.e_basis_numerators(16)
-        monkeypatch.setattr(table, "e_basis_numerators", lambda k: ({**nums, **extra}, scale))
-        real = gekeler.elliptic_exponents
-        monkeypatch.setattr(gekeler, "elliptic_exponents", lambda k: (real(k)[0] + m_shift, *real(k)[1:]))
-        with pytest.raises(ConsistencyError, match=match):
-            phi_by_division(16, table)
-
     def test_non_monic_rejected(self):
         # 1 + 2X over 1: the routes' one constructor refuses a leading coefficient other than 1
         with pytest.raises(ConsistencyError, match="non-monic: leading 2"):

@@ -10,7 +10,8 @@ import pytest
 from eisen import irreducibility, replicate
 from eisen.errors import ConsistencyError, DomainError
 from eisen.eisenstein import EisensteinTable
-from eisen.irreducibility import distinct_degree_pattern
+from eisen.gekeler import phi_by_division
+from eisen.irreducibility import assemble_pattern_certificate, distinct_degree_pattern
 from eisen.recheck import _ddf_by_repeated_squaring
 from eisen.replicate import (
     CheckReport,
@@ -301,6 +302,25 @@ class TestScanPatterns:
         assert report.status == "PASS" and examined
         assert len(seen) == sum(examined)
         assert len({(f, p) for f, p, *_ in seen}) == len(seen)
+
+    def test_the_fallback_reports_the_first_usable_primes(self, shared_table, monkeypatch):
+        # when the witness walk finds no proof, a pattern record reports the
+        # patterns at the first ten primes above k with a usable reduction
+        monkeypatch.setattr(replicate, "select_witness_primes", lambda int_coeffs, floor=0: (None, 120))
+        table = shared_table.ensure(60)
+        report = gekeler_scan(60, table=table)
+        fallback = [rec for rec in report.records if rec["criterion"] != "dumas"]
+        assert fallback
+        for rec in fallback:
+            phi = phi_by_division(rec["k"], table)
+            usable, p = {}, rec["k"]
+            while len(usable) < 10:
+                p += 1
+                pattern = distinct_degree_pattern(phi.ints, p) if all(p % d for d in range(2, p)) else None
+                if pattern is not None:
+                    usable[p] = pattern
+            assert rec["primes"] == list(usable), rec["k"]
+            assert rec["verdict"] == assemble_pattern_certificate(phi.ints, usable).verdict, rec["k"]
 
     def test_skipped_dumas_primes_never_certify(self, shared_table, monkeypatch):
         table = shared_table.ensure(120)

@@ -182,7 +182,7 @@ def test_the_import_rules(package):
 
 def test_only_the_storage_methods_name_the_storage_dict(package):
     readers = {node for node, names in package.attributes.items() if "_views" in names}
-    storage = ("__init__", "__contains__", "weights", "integer_view", "extend", "load_csv")
+    storage = ("__init__", "__contains__", "weights", "integer_view", "_store")
     assert readers == {f"eisenstein.EisensteinTable.{name}" for name in storage}
 
 
