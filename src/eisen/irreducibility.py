@@ -203,18 +203,29 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # A polynomial mod p is one nonnegative integer with coefficient i in slot i,
 # bits [iW, (i+1)W) (Kronecker substitution), so one integer operation adds,
 # scales or multiplies every slot at once.  Slots may exceed p until ``red``
-# reduces all of them together.  Degree step 1 powers x to x^p mod f; when a
-# step 2 runs, the DDF builds the Frobenius matrix Q of f from it, once
-# (Berlekamp 1967): row i is x^(ip) mod f, so h^p = sum_i h_i x^(ip) = h Q for
-# any h mod f, and each later step is one vector-matrix product instead of a
-# powering (von zur Gathen and Shoup 1992).
+# reduces all of them together.  Degree step 1 powers x to x^p mod f
+# (``x_pow_p``).  It starts from x^e, e the longest prefix of p's bits with
+# e < n: a monomial, already reduced, so it costs no product (for p < n it is
+# x^p itself).  Each later bit squares by ``mulmod``, and a 1 bit multiplies
+# by x as a shift, one fold of the top slot through x^n = -f_low (``neg_f``)
+# and one ``red``.  When a step 2 runs, the DDF builds the Frobenius matrix Q
+# of f from x^p, once (Berlekamp 1967): row i is x^(ip) mod f, so h^p =
+# sum_i h_i x^(ip) = h Q for any h mod f, and each later step is one
+# vector-matrix product instead of a powering (von zur Gathen and Shoup 1992).
+#
+# ``gcd`` is Euclid in one loop.  Each pass reduces the dividend modulo the
+# divisor in place, clearing its top slot exactly as ``divmod`` does, but it
+# keeps no quotient; then one inline ``red`` finishes the remainder, which
+# becomes the next divisor.  ``divmod`` keeps its quotient for g / common and
+# for Barrett's x^(2n-2) // f.
 #
 # Slot bound: for deg f = n, no slot ever reaches B = n p (p + 1).  A product
 # of two reduced polynomials of degree < n, or h Q, sums at most n terms below
 # p^2 in a slot; a dividend starts below n p (f' has slots i c_i, h - x slots
 # below 2p) and each of its slots takes at most deg(divisor) <= n quotient
-# terms below p^2.  With S = bits(B - 1) and M = floor(2^S / p), floor(v M /
-# 2^S) is floor(v / p) or one less for every slot v < 2^S, so one
+# terms below p^2; a fold by x leaves each slot at most (p - 1) + (p - 1)^2,
+# below p + (p - 1)^2 < B.  With S = bits(B - 1) and M = floor(2^S / p),
+# floor(v M / 2^S) is floor(v / p) or one less for every slot v < 2^S, so one
 # compare-and-subtract finishes the reduction; W (whole bytes) holds (B - 1) M,
 # so v M never spills into the next slot.
 
@@ -271,10 +282,22 @@ class _PackedGF:
         return q, self.red(a)
 
     def gcd(self, a: int, b: int) -> int:
-        """A gcd of the reduced nonzero a and b, which is reduced mod a first."""
-        b = self.divmod(b, a)[1]
+        """A gcd of the reduced nonzero a and b, which is reduced mod a first (b may be 0)."""
+        p, W, m, s, qmask = self.p, self.W, self.m, self.s, self.quotient_mask
+        offset, top_bits, W1 = self.offset, self.top_bits, self.W - 1
+        a, b = b, a  # a is the dividend, b the reduced divisor
         while b:
-            a, b = b, self.divmod(a, b)[1]
+            cut = (b.bit_length() - 1) // W * W
+            inv = pow(b >> cut, -1, p)
+            b_low = b & ((1 << cut) - 1)
+            top = (a.bit_length() - 1) // W * W
+            while top >= cut:  # as in divmod, with no quotient kept
+                t = a >> top
+                a += ((p - (t * inv % p)) * b_low - (t << cut)) << (top - cut)
+                top = (a.bit_length() - 1) // W * W
+            a -= ((a * m >> s) & qmask) * p  # red, inline
+            a -= (((a + offset) & top_bits) >> W1) * p
+            a, b = b, a
         return a
 
     def mulmod(self, a: int, b: int) -> int:
@@ -283,6 +306,20 @@ class _PackedGF:
         nw = self.n * self.W
         q = self.red((prod >> nw) * self.barrett_g) >> (nw - 2 * self.W)
         return self.red((prod & self.low) + (q * self.neg_f & self.low))
+
+    def x_pow_p(self) -> int:
+        """x^p mod f, from the monomial x^e for the longest prefix e of p's bits with e < n."""
+        bits = bin(self.p)[2:]
+        i = (self.n - 1).bit_length()
+        if int(bits[:i], 2) >= self.n:
+            i -= 1
+        h, nw = 1 << (int(bits[:i], 2) * self.W), self.n * self.W
+        for bit in bits[i:]:
+            h = self.mulmod(h, h)
+            if bit == "1":
+                h <<= self.W  # times x, then x^n = -f_low folds the top slot
+                h = self.red((h & self.low) + (h >> nw) * self.neg_f)
+        return h
 
 
 #: the witness walk's nonzero bitmask of proper degrees not yet excluded,
@@ -341,12 +378,7 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     f = [c % p * inv % p for c in int_coeffs]
     gf = _PackedGF(f, p)
 
-    x = gf.pack([0, 1])
-    h = x
-    for bit in bin(p)[3:]:  # x^p mod f, most significant bit first
-        h = gf.mulmod(h, h)
-        if bit == "1":
-            h = gf.mulmod(h, x)
+    h = gf.x_pow_p()
     q = [1, h]  # rows 0 and 1 of Q; the rest once step 2 runs
 
     pattern: list[int] = []

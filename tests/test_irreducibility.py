@@ -641,6 +641,43 @@ class TestPackedKernel:
         slots = ([bound - 1, 0, p - 1, p, 2 * p - 1, p * p, bound - 2] * n)[: 2 * n - 1]
         assert gf.red(gf.pack(slots)) == gf.pack([v % p for v in slots])
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_x_pow_p_from_the_monomial_start(self, n):
+        near = [q for q in range(2, n + 1) if is_prime(q)][-2:]  # p < n, and p = n when n is prime
+        near.append(next(q for q in itertools.count(n + 1) if is_prime(q)))
+        rng = random.Random(n)
+        for p in sorted({2, 3, 5, 251, 257, 65537, LARGEST_DECIDED_PRIME, *near}):
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            expected = recheck._gf_powmod([0, 1], p, f, p)
+            gf = irreducibility._PackedGF(f, p)
+            assert gf.unpack(gf.x_pow_p()) == expected + [0] * (n - len(expected)), (n, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 37, 65537, LARGEST_DECIDED_PRIME])
+    def test_gcd_matches_the_rechecker_up_to_a_unit(self, p):
+        n, rng = 12, random.Random(p)
+        gf = irreducibility._PackedGF([rng.randrange(p) for _ in range(n)] + [1], p)
+
+        def monic_gcd(a, b):  # of coefficient lists, through the packed gcd
+            slots = [gf.gcd(gf.pack(a), gf.pack(b)) >> (i * gf.W) & ((1 << gf.W) - 1) for i in range(n + 1)]
+            slots = recheck._gf_trim(slots)
+            inv = pow(slots[-1], -1, p)
+            return [c * inv % p for c in slots]
+
+        def poly(d):  # a random reduced polynomial of degree d
+            return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+
+        top = [p - 1] * (n + 1)  # every slot at p - 1
+        cases = [(top, [p - 1] * 5), (top, []), ([p - 1] * 4, top), (poly(n), [])]
+        for _ in range(8):
+            u = poly(rng.randint(0, 4))  # a common factor, so that most gcds are not 1
+            a, b = poly_mul(u, poly(n - len(u) + 1)), poly_mul(u, poly(rng.randint(0, n - len(u) + 1)))
+            cases += [([c % p for c in a], [c % p for c in b]), ([c % p for c in b], [c % p for c in a])]
+        for a, b in cases:
+            assert monic_gcd(a, b) == recheck._gf_gcd(a, b, p), (a, b)
+        # h - x has a slot up to 2p - 2: b is reduced mod a first
+        a, b = poly(n), poly(n - 1)
+        assert monic_gcd(a, [b[0], b[1] + p - 1, *b[2:]]) == recheck._gf_gcd(a, [b[0], (b[1] - 1) % p, *b[2:]], p)
+
     @pytest.mark.parametrize("p", [2, 3, 37])
     def test_ddf_at_primes_up_to_the_degree(self, p):
         rng = random.Random(p)
@@ -672,8 +709,9 @@ class TestPackedKernel:
             unusable += pattern is None
         assert unusable >= len(cases) // 3  # the u^2 v third at least
 
-    def test_witness_primes_up_to_200_match_the_rechecker(self, shared_table, monkeypatch):
-        table = shared_table.ensure(200)
+    def test_witness_primes_of_the_scan_match_the_rechecker(self, shared_table, monkeypatch):
+        # every weight of `scan --k-max 446`, the Dumas ones too
+        table = shared_table.ensure(446)
         real = irreducibility.distinct_degree_pattern
         seen = []
 
@@ -684,7 +722,7 @@ class TestPackedKernel:
 
         monkeypatch.setattr(irreducibility, "distinct_degree_pattern", recording)
         walks = 0
-        for k in range(4, 201, 2):
+        for k in range(4, 447, 2):
             phi = phi_by_division(k, table)
             if phi.degree >= 1:
                 ints = primitive_integer_polynomial(phi.coeffs)
@@ -693,7 +731,7 @@ class TestPackedKernel:
                 assert examined == ref_examined, k
                 assert kept is not None and list(kept.items()) == list(ref_kept.items()), k
                 walks += 1
-        assert walks > 80 and len(seen) > 300
+        assert walks > 210 and len(seen) > 900
         pruned = 0
         for f, p, remaining, returned in seen:
             full = real(f, p)
@@ -703,7 +741,7 @@ class TestPackedKernel:
                 assert full is None or covers(full, remaining), (len(f) - 1, p)
             else:
                 assert returned == full, (len(f) - 1, p)
-        assert pruned > 100
+        assert pruned > 350
 
 
 # --- composite moduli --------------------------------------------------------
