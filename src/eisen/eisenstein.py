@@ -57,8 +57,8 @@ from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
-from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, valuation, zeta_ratio_terms
-from .exact import excerpt, format_rational, parse_integer, parse_ratio
+from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, fill_tangent_numbers, valuation, zeta_ratio_terms
+from .exact import excerpt, format_rational, parse_integer, parse_ratio, parse_table_row
 from .qmring import E2, GradedForm, serre_derivative
 
 #: integers nums, den with w_{a,k} = nums[a] / den; E4-exponent a, b = (k-4a)/6 implied
@@ -177,7 +177,9 @@ class EisensteinTable:
         ``precancelled``, which reads only the stored integer views of
         4 .. k - 2) is evaluated too and must agree exactly, or
         ``ConsistencyError`` is raised.  Every built weight then passes
-        the door a loaded one passes (``_store``).
+        the door a loaded one passes (``_store``), whose value check reads
+        the tangent numbers that are built first, in one pass, to the largest
+        missing weight.
 
         The folded sum reads each weight's values at the nodes y = 0, 1, -1, ...,
         as many as any weight up to k_max needs (len(exponents(k)) + 1 <=
@@ -187,9 +189,10 @@ class EisensteinTable:
         """
         nodes = k_max // 12 + 2
         points: dict[int, tuple[list[int], int]] = {}
-        for k in range(8, k_max + 1, 2):
-            if k in self:
-                continue
+        missing = [k for k in range(8, k_max + 1, 2) if k not in self]
+        if missing:
+            fill_tangent_numbers(missing[-1] // 2)
+        for k in missing:
             for m in range(4, k - 3, 2):
                 if m not in points:
                     points[m] = _evaluate(m, self.integer_view(m), nodes)
@@ -264,10 +267,12 @@ class EisensteinTable:
 
         The file is read in the grammar ``dump_csv`` writes, one line at a
         time: the header line ``k,a,b,w``, then one row per line, each line
-        ended by CRLF or LF (the last may have none; text mode reads both as
-        LF) and split on commas, with no quoting.  A row that does not split
+        ended by LF, CRLF or CR (the last may have none; text mode reads each
+        as LF) and split on commas, with no quoting.  A row that does not split
         into four fields k, a, b, w (``parse_integer`` for k, a, b and
-        ``parse_ratio`` for w: ASCII digits only), whose exponents are
+        ``parse_ratio`` for w: ASCII digits only; ``parse_table_row`` reads
+        the rows they accept in one match, and they are asked only to word a
+        refusal), whose exponents are
         negative or do not satisfy 4a + 6b = k, whose weight is below 4, or
         that repeats an earlier (k, a), raises ``ConsistencyError``, quoting
         the line only as far as ``excerpt`` does; so does a loaded weight
@@ -279,7 +284,9 @@ class EisensteinTable:
         Every check runs on the integer pairs (num, den) of the rows
         (``parse_ratio``), and ``_store`` on their integer view over the lcm of
         the row denominators, divided by its gcd, so no Fraction is formed.
-        Each weight's rows are dropped as it is converted.
+        Each weight's rows are dropped as it is converted.  Once every weight
+        has its rows, the tangent numbers the value checks read are built in
+        one pass, to the largest weight.
         """
         table = cls()
         # k -> (numerators by a, denominators by a); a (num, den) tuple per row, kept to
@@ -291,14 +298,7 @@ class EisensteinTable:
                 raise ConsistencyError(f"unexpected table header {excerpt(header)}")
             for line in fh:
                 line = line.removesuffix("\n")
-                row = line.split(",")
-                if len(row) != 4:
-                    raise ConsistencyError(f"bad table row {excerpt(line)}: expected 4 fields")
-                try:
-                    k, a, b = (parse_integer(field) for field in row[:3])
-                    n, d = parse_ratio(row[3])
-                except DomainError as exc:
-                    raise ConsistencyError(f"bad table row {excerpt(line)}: {exc}") from exc
+                k, a, b, n, d = parse_table_row(line) or _parse_fields(line)
                 if 4 * a + 6 * b != k:
                     raise ConsistencyError(f"bad index row {excerpt(line)}: 4a+6b != k")
                 if a < 0 or b < 0:
@@ -309,20 +309,42 @@ class EisensteinTable:
                 if a in nums:
                     raise ConsistencyError(f"duplicate row {excerpt(line)} for (k, a) = ({k}, {a})")
                 nums[a], dens[a] = n, d
-        for k in sorted(loaded):
+        # every row is index-checked and unique, so a weight is whole iff it has
+        # m + 1 = dim M_k rows.  The weights below the first that is not are stored
+        # before its error is raised; only if every weight is whole are the tangent
+        # numbers that the value checks read built, once, to the largest weight
+        weights = sorted(loaded)
+        short = next((k for k in weights if len(loaded[k][0]) <= elliptic_exponents(k)[0]), None)
+        if short is None and weights:
+            fill_tangent_numbers(weights[-1] // 2)
+        for k in weights:
             nums, dens = loaded.pop(k)
-            # every row is index-checked and unique, so a weight is whole iff it has
-            # m + 1 = dim M_k rows; the error names at most three missing pairs, taken
-            # lazily in the order of exponents(k), and counts the rest
-            m, delta, epsilon = elliptic_exponents(k)
-            absent = m + 1 - len(nums)
-            if absent:
+            if k == short:
+                # the error names at most three missing pairs, taken lazily in the
+                # order of exponents(k), and counts the rest
+                m, delta, epsilon = elliptic_exponents(k)
+                absent = m + 1 - len(nums)
                 pairs = ((delta + 3 * j, epsilon + 2 * (m - j)) for j in range(m + 1) if delta + 3 * j not in nums)
                 missing = list(itertools.islice(pairs, 3))
                 more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
                 raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}{more}")
             table._store(k, _reduced(*_lift(k, nums, dens)))
         return table
+
+
+def _parse_fields(line: str) -> tuple[int, ...]:
+    """``load_csv``'s row k,a,b,w read field by field, ``parse_integer`` for k, a, b and ``parse_ratio`` for w.
+
+    ``ConsistencyError`` words why a row is refused; ``parse_table_row``
+    reads the rows these parsers accept in one match.
+    """
+    row = line.split(",")
+    if len(row) != 4:
+        raise ConsistencyError(f"bad table row {excerpt(line)}: expected 4 fields")
+    try:
+        return (*(parse_integer(field) for field in row[:3]), *parse_ratio(row[3]))
+    except DomainError as exc:
+        raise ConsistencyError(f"bad table row {excerpt(line)}: {exc}") from exc
 
 
 def _e_basis_numerators(k: int, view: IntegerView) -> IntegerView:
@@ -368,11 +390,13 @@ def _check_q_coefficients(k: int, view: IntegerView) -> None:
     pairs = exponents(k)
     (a0, b0), top = pairs[0], len(pairs) - 1
     sum0 = sum1 = 0
-    for j, (a, b) in enumerate(pairs):
-        x = nums[a] * 49**j * 20 ** (top - j)
+    scale = step = 20**top  # 49^j 20^(top - j), carried from one j to the next
+    for a, b in pairs:
+        x = nums[a] * step
         sum0 += x
         sum1 += (240 * a - 504 * b) * x
-    scale = 45**a0 * 945**b0 * 20**top * den
+        step = step // 20 * 49
+    scale *= 45**a0 * 945**b0 * den
     t, d = zeta_ratio_terms(k)
     if sum0 * d << b0 != t * scale:
         raise ConsistencyError(f"weight {k}: the constant q-coefficient of E_k is not 1")
@@ -628,11 +652,14 @@ def _popa_common_terms(k: int) -> list[tuple[int, int, int]]:
     h = k // 2
     sign = -1 if h % 2 else 1
     out = []
+    low, high = 6, math.factorial(k - 5)  # j! and (k-j-2)!, carried from one odd j to the next
     for j in range(3, h - 1, 2):
-        num = (math.comb(h, j) + math.comb(h - 2, j)) * math.factorial(j) * math.factorial(k - j - 2)
-        out.append((sign * num, j + 1, k - j - 1))
+        out.append((sign * (math.comb(h, j) + math.comb(h - 2, j)) * low * high, j + 1, k - j - 1))
+        low *= (j + 1) * (j + 2)
+        high //= (k - j - 2) * (k - j - 3)
     if k % 4 == 0:
-        out.append((h * math.factorial(h - 1) ** 2, h, h))
+        # the loop stops short of j = h - 1, where low = high = (h-1)!
+        out.append((h * low * high, h, h))
     return out
 
 

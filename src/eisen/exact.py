@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DomainError, InvalidPrimeError
 
@@ -138,17 +138,29 @@ _tangent_numbers: tuple[int, ...] = ()
 
 
 def _tangent_number(h: int) -> int:
-    """T_h for h >= 1, by the integer recurrence of Brent and Harvey (arXiv:1108.0286)."""
-    global _tangent_numbers
+    """T_h for h >= 1, from the memo, which grows to at least twice its length when it is short."""
     memo = _tangent_numbers
     if h > len(memo):
-        n = max(h, 2 * len(memo))
-        t = [math.factorial(i) for i in range(n)]
-        for k in range(1, n):
-            for j in range(k, n):
+        memo = fill_tangent_numbers(max(h, 2 * len(memo)))
+    return memo[h - 1]
+
+
+def fill_tangent_numbers(count: int) -> tuple[int, ...]:
+    """The memo T_1, T_2, ..., T_count or longer, built in one pass if it is shorter.
+
+    By the integer recurrence of Brent and Harvey (arXiv:1108.0286).  A
+    caller about to read T_h for h rising to count builds the memo here
+    once; read one by one, it is rebuilt at each doubling of its length.
+    """
+    global _tangent_numbers
+    memo = _tangent_numbers
+    if count > len(memo):
+        t = [math.factorial(i) for i in range(count)]
+        for k in range(1, count):
+            for j in range(k, count):
                 t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
         memo = _tangent_numbers = tuple(t)
-    return memo[h - 1]
+    return memo
 
 
 def bernoulli(n: int) -> Fraction:
@@ -207,6 +219,8 @@ def excerpt(text: str) -> str:
 
 #: exact text: an integer or num/den in ASCII digits, the denominator nonzero
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+#: a table row k,a,b,w: three ``parse_integer`` fields and one ``parse_ratio`` field, in one match
+_TABLE_ROW = re.compile(r"(-?[0-9]+),(-?[0-9]+),(-?[0-9]+)," + _RATIONAL.pattern)
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
@@ -246,6 +260,23 @@ def parse_integer(text: str) -> int:
     if m is None or m[2] is not None:
         raise DomainError(f"{excerpt(text)} is not an integer in ASCII digits")
     return _to_int(text)
+
+
+def parse_table_row(line: str) -> Optional[tuple[int, ...]]:
+    """The integers k, a, b, num, den of a row ``k,a,b,w`` read in one match, or None if it is refused.
+
+    A row is read iff it splits on commas into three fields that
+    ``parse_integer`` reads and one that ``parse_ratio`` reads, and these
+    integers are theirs; None says only that one of them raises, and a caller
+    that words the refusal asks them which.
+    """
+    m = _TABLE_ROW.fullmatch(line)
+    if m is None:
+        return None
+    try:
+        return tuple(map(int, m.groups("1")))
+    except ValueError:  # more digits than int(str) converts
+        return None
 
 
 def _to_int(digits: str) -> int:

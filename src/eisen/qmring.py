@@ -119,15 +119,15 @@ class GradedForm:
             mult = c.numerator * (den // d)
             if not mult:
                 continue
-            nums = f._nums
-            if g is not None:
-                nums = {}
-                for (a2, a4, a6), na in f._nums.items():
-                    for (b2, b4, b6), nb in g._nums.items():
-                        mono = (a2 + b2, a4 + b4, a6 + b6)
-                        nums[mono] = nums.get(mono, 0) + na * nb
-            for mono, n in nums.items():
-                acc[mono] = acc.get(mono, 0) + mult * n
+            if g is None:
+                for mono, n in f._nums.items():
+                    acc[mono] = acc.get(mono, 0) + mult * n
+                continue
+            for (a2, a4, a6), na in f._nums.items():
+                na *= mult  # once per outer numerator, not once per pair
+                for (b2, b4, b6), nb in g._nums.items():
+                    mono = (a2 + b2, a4 + b4, a6 + b6)
+                    acc[mono] = acc.get(mono, 0) + na * nb
         return cls._normalised(weight, acc, den)
 
     def numerators(self) -> tuple[dict[Monomial, int], int]:

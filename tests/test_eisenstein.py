@@ -2,17 +2,19 @@ import hashlib
 import math
 import random
 import sys
+import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisen import eisenstein, exact, gekeler, irreducibility
 from eisen.errors import ConsistencyError, DomainError, MissingWeightError
-from eisen.exact import INFINITY, bernoulli, digit_sum_base2, valuation, zeta_ratio
+from eisen.exact import INFINITY, bernoulli, digit_sum_base2, excerpt, parse_integer, parse_ratio, parse_table_row
+from eisen.exact import valuation, zeta_ratio
 from eisen.eisenstein import (
     D2,
     EisensteinTable,
@@ -640,7 +642,8 @@ class TestPopa:
         assert weights == list(range(8, 61, 2))
 
     def test_common_terms_match_the_popa_d_products(self):
-        for k in range(8, 401, 2):
+        # to 500, past extend's cross-checked weights 384 and 386
+        for k in range(8, 501, 2):
             over = [(Fraction(num, 2 ** (k + 2)), m1, m2) for num, m1, m2 in eisenstein._popa_common_terms(k)]
             assert over == popa_common_terms_fraction(k), k
 
@@ -724,6 +727,62 @@ class TestMinValuation:
             assert min_valuation2(table.integer_view(k)) == expected, k
 
 
+#: the characters of a drawn row's free-text fields: digits, signs, '/', '_', space, 'e', '.', U+0663 and commas
+ROW_CHARACTERS = "0123456789-+/_ e.\u0663,"
+
+
+@st.composite
+def table_rows(draw) -> str:
+    """A line of three index fields and a w field, each well formed or text over ``ROW_CHARACTERS``, some cut or lengthened."""
+    integer = st.from_regex(r"-?[0-9]{1,5}", fullmatch=True)
+    ratio = st.from_regex(r"-?[0-9]{1,5}/[0-9]{1,5}", fullmatch=True)
+    lookalike = st.from_regex(r"-?[0-9\u0663]{1,4}", fullmatch=True)  # int(str) reads U+0663 as 3
+    junk = st.text(ROW_CHARACTERS, max_size=8)
+    fields = [draw(st.one_of(integer, lookalike, junk)) for _ in range(3)]
+    fields.append(draw(st.one_of(ratio, integer, lookalike, junk)))
+    count = draw(st.sampled_from([4, 4, 4, 1, 3, 5]))
+    return ",".join(fields[:count] + [draw(junk) for _ in range(count - 4)])
+
+
+def fieldwise_row(line: str):
+    """A row k,a,b,w read field by field, ``parse_integer`` for k, a, b and ``parse_ratio`` for w.
+
+    The integers (k, a, b, num, den), or the message ``load_csv`` refuses the line with.
+    """
+    row = line.split(",")
+    if len(row) != 4:
+        return f"bad table row {excerpt(line)}: expected 4 fields"
+    try:
+        return (*(parse_integer(field) for field in row[:3]), *parse_ratio(row[3]))
+    except DomainError as exc:
+        return f"bad table row {excerpt(line)}: {exc}"
+
+
+#: rows ``load_csv`` refuses, and its message for each.  12,-3,4 satisfies
+#: 4a + 6b = k with a negative exponent; the w fields after "12,x,2,1/1" are
+#: not -?digits[/digits], though Fraction(str) takes most of them; the last
+#: index fields are not -?digits, though int(str) takes them; the lone
+#: well-formed row leaves weight 12 without its (a, b) = (3, 0) row;
+#: 0,0,0,1/1 satisfies 4a + 6b = k at weight 0
+BAD_ROWS = {
+    "12,-3,4,1/1": "bad index row '12,-3,4,1/1': negative exponent",
+    "12,0": "bad table row '12,0': expected 4 fields",
+    "12,0,2,abc": "bad table row '12,0,2,abc': 'abc' is not an integer or num/den in ASCII digits with a positive denominator",
+    "12,0,2,1/0": "bad table row '12,0,2,1/0': '1/0' is not an integer or num/den in ASCII digits with a positive denominator",
+    "12,x,2,1/1": "bad table row '12,x,2,1/1': 'x' is not an integer in ASCII digits",
+    "0,0,0,1/1": "bad index row '0,0,0,1/1': weight 0 is below 4",
+    **{
+        f"12,0,2,{w}": f"bad table row '12,0,2,{w}': '{w}' is not an integer or num/den in ASCII digits with a positive denominator"
+        for w in ("1e3", "1.5", "+25/143", " 25/143", "25/-143", "1_000", "\u0663/1", "25/", "/143")
+    },
+    **{
+        f"{k},{a},{b},25/143": f"bad table row '{k},{a},{b},25/143': '{bad}' is not an integer in ASCII digits"
+        for k, a, b, bad in (("1_2", 0, 2, "1_2"), (12, "+0", 2, "+0"), (" 12", 0, 2, " 12"), (12, 0, " 2", " 2"))
+    },
+    "12,0,2,25/143": "weight 12 is missing rows for (a, b) in [(3, 0)]",
+}
+
+
 class TestPersistence:
     def test_dump_and_load_round_trip(self, tmp_path, shared_table):
         # to 480, so every weight the benchmark's dumps hold passes the value check
@@ -744,10 +803,12 @@ class TestPersistence:
         table.dump_csv(crlf)
         data = crlf.read_bytes()
         assert data.count(b"\r\n") == data.count(b"\n") > 1
-        lf = tmp_path / "lf.csv"
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
         lf.write_bytes(data.replace(b"\r\n", b"\n"))
-        tables = [EisensteinTable.load_csv(path) for path in (crlf, lf)]
-        assert tables[0]._views == tables[1]._views
+        # text mode also ends a line at a lone CR
+        cr.write_bytes(data.replace(b"\r\n", b"\r"))
+        tables = [EisensteinTable.load_csv(path) for path in (crlf, lf, cr)]
+        assert tables[0]._views == tables[1]._views == tables[2]._views
         assert tables[0].weights() == table.weights()
 
     def test_loaded_table_extends(self, tmp_path, shared_table):
@@ -790,22 +851,41 @@ class TestPersistence:
         with pytest.raises(ConsistencyError):
             EisensteinTable.load_csv(path)
 
-    # 12,-3,4 satisfies 4a + 6b = k with a negative exponent; the w fields
-    # after "12,x,2,1/1" are not -?digits[/digits], though Fraction(str)
-    # takes most of them; the last index fields are not -?digits, though
-    # int(str) takes them; the lone well-formed row leaves weight 12 without
-    # its (a, b) = (3, 0) row; 0,0,0,1/1 satisfies 4a + 6b = k at weight 0
-    @pytest.mark.parametrize(
-        "row",
-        ["12,-3,4,1/1", "12,0", "12,0,2,abc", "12,0,2,1/0", "12,x,2,1/1", "0,0,0,1/1"]
-        + [f"12,0,2,{w}" for w in ("1e3", "1.5", "+25/143", " 25/143", "25/-143", "1_000", "\u0663/1", "25/", "/143")]
-        + ["1_2,0,2,25/143", "12,+0,2,25/143", " 12,0,2,25/143", "12,0, 2,25/143", "12,0,2,25/143"],
-    )
+    @pytest.mark.parametrize("row", list(BAD_ROWS))
     def test_bad_row_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"k,a,b,w\n{row}\n")
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError) as raised:
             EisensteinTable.load_csv(path)
+        assert str(raised.value) == BAD_ROWS[row]
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=table_rows())
+    @example(line=f"12,0,2,{'9' * 4301}/1")
+    @example(line=f"12,0,2,1/{'9' * 4301}")
+    @example(line=f"{'9' * 4301},0,2,1/1")
+    @example(line="1\u06632,0,2,25/143")
+    def test_one_match_reads_exactly_the_rows_the_field_parsers_read(self, line):
+        expected = fieldwise_row(line)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            read = parse_table_row(line)
+            if isinstance(expected, tuple):
+                assert read == expected
+                return
+            assert read is None
+            with tempfile.TemporaryDirectory() as folder:
+                path = f"{folder}/bad.csv"
+                with open(path, "w") as fh:
+                    fh.write(f"k,a,b,w\n{line}\n")
+                with pytest.raises(ConsistencyError) as raised:
+                    EisensteinTable.load_csv(path)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert str(raised.value) == expected
+        if "9" * 4301 in line:
+            assert "4300" in expected
 
     def test_exponent_notation_rejected_fast(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -897,6 +977,74 @@ class TestPersistence:
         path.write_text("12,0,2,25/143\n")
         with pytest.raises(ConsistencyError):
             EisensteinTable.load_csv(path)
+
+
+class TestTangentMemo:
+    """``load_csv`` and ``extend`` build the tangent numbers their value checks read once, to their largest weight."""
+
+    def test_a_load_builds_the_memo_once_to_its_largest_weight(self, shared_table, tmp_path, monkeypatch):
+        # the k <= 480 rows of the shared table, which other tests may have extended further
+        path = tmp_path / "table.csv"
+        shared_table.ensure(480).dump_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line[0].isdigit() or int(line.split(",")[0]) <= 480))
+        monkeypatch.setattr(exact, "_tangent_numbers", ())
+        fills = spy_fills(monkeypatch)
+        assert EisensteinTable.load_csv(path).max_weight() == 480
+        assert fills == [240] and len(exact._tangent_numbers) == 240
+
+    def test_a_build_builds_the_memo_once_to_its_largest_weight(self, monkeypatch):
+        monkeypatch.setattr(exact, "_tangent_numbers", ())
+        fills = spy_fills(monkeypatch)
+        EisensteinTable().extend(500)
+        assert fills == [250] and len(exact._tangent_numbers) == 250
+
+    def test_a_full_table_builds_no_memo(self, shared_table, monkeypatch):
+        table = shared_table.ensure(100)
+        monkeypatch.setattr(exact, "_tangent_numbers", ())
+        table.extend(100)
+        assert exact._tangent_numbers == ()
+
+    @pytest.mark.parametrize("rows, memo", [("", 0), ("4,1,0,1/1\n6,0,1,1/1\n", 4)])
+    def test_a_huge_weight_with_missing_rows_builds_no_memo(self, tmp_path, monkeypatch, rows, memo):
+        # only w(4) and w(6), stored before the error as rows of smaller weights are,
+        # read tangent numbers: T_2 and T_3, in a memo grown to 2 and then to 4
+        path = tmp_path / "huge.csv"
+        path.write_text(f"k,a,b,w\n{rows}40000000,10000000,0,1/1\n")
+        monkeypatch.setattr(exact, "_tangent_numbers", ())
+        started = time.perf_counter()
+        with pytest.raises(ConsistencyError, match="weight 40000000 is missing rows"):
+            EisensteinTable.load_csv(path)
+        assert time.perf_counter() - started < 0.1
+        assert len(exact._tangent_numbers) == memo
+
+    def test_the_first_rejection_is_raised_before_the_memo_is_built(self, shared_table, tmp_path, monkeypatch):
+        # weight 12's doubled value is refused before weight 60's missing row is reached
+        path = tmp_path / "table.csv"
+        shared_table.ensure(60).dump_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines = [line for line in lines if not line.startswith("60,0,10,")]
+        lines = [line.replace("12,0,2,25/143", "12,0,2,50/143") for line in lines]
+        path.write_text("".join(lines))
+        monkeypatch.setattr(exact, "_tangent_numbers", ())
+        with pytest.raises(ConsistencyError, match="weight 12: the constant q-coefficient of E_k is not 1"):
+            EisensteinTable.load_csv(path)
+        assert len(exact._tangent_numbers) < 30
+
+
+def spy_fills(monkeypatch) -> list:
+    """The length of each tangent-number memo built from here on, by ``extend``, ``load_csv`` or a lone read."""
+    fills = []
+    real = exact.fill_tangent_numbers
+
+    def spy(count):
+        if count > len(exact._tangent_numbers):
+            fills.append(count)
+        return real(count)
+
+    monkeypatch.setattr(exact, "fill_tangent_numbers", spy)
+    monkeypatch.setattr(eisenstein, "fill_tangent_numbers", spy)
+    return fills
 
 
 def loaded_copy(table: EisensteinTable, path) -> EisensteinTable:
@@ -1061,6 +1209,17 @@ class TestDeferredLoad:
         assert check_min_valuation(480, table=loaded).status == "PASS"
         assert check_conjecture(480, table=loaded).status == "PASS"
         assert check_theorem_main(5, table=loaded).status == "PASS"
+
+    def test_integer_check_at_the_one_row_weights(self, shared_table):
+        # J = 0: one exponent pair, and the carried 49^j 20^(J-j) is 1
+        table = shared_table.ensure(14)
+        for k in (4, 6, 8, 10, 14):
+            (a, w), = table.w_vector(k).items()
+            assert len(exponents(k)) == 1 and rejection(eisenstein._check_q_coefficients, k, table.integer_view(k)) is None
+            for value in (w, 2 * w, -w, Fraction(0), w + Fraction(1, 10**6), Fraction(w.numerator, w.denominator + 1)):
+                vec = {a: value}
+                expected = rejection(check_q_coefficients_fraction, k, vec)
+                assert rejection(eisenstein._check_q_coefficients, k, eisenstein._lift(k, *as_rows(vec))) == expected, (k, value)
 
     def test_the_q1_closed_form_to_1000(self):
         for k in range(4, 1001, 2):
