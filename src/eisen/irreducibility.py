@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -485,6 +486,11 @@ def primitive_integer_polynomial(coeffs: Coeffs) -> list[int]:
     return [c // content for c in ints]
 
 
+def primes_above(floor: int) -> Iterator[int]:
+    """The primes above ``floor``, ascending: the order both witness walks examine."""
+    return filter(is_prime, itertools.count(max(floor, 1) + 1))
+
+
 def select_witness_primes(int_coeffs: Sequence[int], floor: int = 0) -> tuple[Optional[dict[int, list[int]]], int]:
     """Walk primes above ``floor`` and pick a small witness set for the oracle.
 
@@ -504,13 +510,7 @@ def select_witness_primes(int_coeffs: Sequence[int], floor: int = 0) -> tuple[Op
     proper_mask = ((1 << n) - 1) & ~1  # bits 1 .. n-1
     remaining = proper_mask
     kept: dict[int, list[int]] = {}
-    p = max(floor, 1)
-    examined = 0
-    while examined < _WITNESS_PRIMES_EXAMINED and len(kept) < ORACLE_PRIME_COUNT:
-        p += 1
-        if not is_prime(p):
-            continue
-        examined += 1
+    for examined, p in enumerate(itertools.islice(primes_above(floor), _WITNESS_PRIMES_EXAMINED), 1):
         with _walk_remaining(remaining):
             pat = distinct_degree_pattern(int_coeffs, p)
         if pat is None:
@@ -521,4 +521,6 @@ def select_witness_primes(int_coeffs: Sequence[int], floor: int = 0) -> tuple[Op
         remaining &= _subset_sum_bits(pat)
         if not remaining:
             return kept, examined
+        if len(kept) == ORACLE_PRIME_COUNT:
+            break
     return None, examined

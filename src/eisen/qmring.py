@@ -136,8 +136,6 @@ class GradedForm:
 
 
 E2 = GradedForm(2, {(1, 0, 0): 1})
-E4 = GradedForm(4, {(0, 1, 0): 1})
-E6 = GradedForm(6, {(0, 0, 1): 1})
 
 # q d/dq of each generator over a common 12, as (numerator, monomial) pairs applied in serre_derivative
 _DERIVATIVE_RULES: dict[int, tuple[tuple[int, Monomial], ...]] = {

@@ -9,6 +9,7 @@ never hard-coded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import SMALL_PRIMES, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
+from .exact import SMALL_PRIMES, digit_sum_base2, json_valuation, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
     min_valuation2,
@@ -31,6 +32,7 @@ from .irreducibility import (
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
+    primes_above,
     select_witness_primes,
     valuation_profile,
 )
@@ -409,16 +411,12 @@ def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
 def _first_usable_primes(int_coeffs: Sequence[int], floor: int, count: int) -> dict[int, list[int]]:
     """Patterns at the first ``count`` primes above ``floor`` with a usable reduction."""
     out: dict[int, list[int]] = {}
-    p = max(floor, 1)
-    examined = 0
-    while len(out) < count and examined < 400:
-        p += 1
-        if not is_prime(p):
-            continue
-        examined += 1
+    for p in itertools.islice(primes_above(floor), 400):
         pattern = distinct_degree_pattern(int_coeffs, p)
         if pattern is not None:
             out[p] = pattern
+            if len(out) == count:
+                break
     return out
 
 

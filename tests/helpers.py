@@ -1,11 +1,19 @@
 """Test-side helpers shared by more than one test module."""
 
+import ast
+import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from eisen import eisenstein
 from eisen.errors import ConsistencyError
 from eisen.exact import bernoulli, zeta_ratio
+from eisen.qmring import GradedForm
+
+#: the weight-4 and weight-6 generators of the ring, which the package itself never names
+E4 = GradedForm(4, {(0, 1, 0): 1})
+E6 = GradedForm(6, {(0, 0, 1): 1})
 
 #: frozen golden phi_k (weight -> coefficients, constant first)
 GOLDEN_PHI = {
@@ -17,6 +25,25 @@ GOLDEN_PHI = {
         Fraction(1),
     ),
 }
+
+
+@functools.cache
+def _bench_spans() -> ast.Module:
+    """``bench/spans.py`` parsed, never imported: the one reader of what the benchmark reads of the package."""
+    return ast.parse((Path(__file__).resolve().parents[1] / "bench" / "spans.py").read_text())
+
+
+def bench_span_targets() -> tuple:
+    """The (module, attribute) pairs the benchmark's tracer wraps."""
+    for node in _bench_spans().body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py assigns no TARGETS")
+
+
+def bench_attribute_reads() -> set:
+    """Every attribute name the benchmark's span code reads, such as ``max_weight`` on the tables it reduces."""
+    return {node.attr for node in ast.walk(_bench_spans()) if isinstance(node, ast.Attribute)}
 
 
 def covers(pattern, mask):

@@ -25,6 +25,7 @@ from eisen.irreducibility import (
     dumas_check,
     finite_field_degree_patterns,
     newton_polygon,
+    primes_above,
     primitive_integer_polynomial,
     select_witness_primes,
     valuation_profile,
@@ -490,6 +491,18 @@ class TestHelpers:
         kept, examined = select_witness_primes([-1, 0, 0, 0, 1], floor=2)  # x^4 - 1
         assert kept is None
         assert examined == 120  # the fixed cap on primes examined
+
+    def test_the_keep_cap_ends_the_walk(self, monkeypatch):
+        # x^4 + 1 is reducible mod every prime; its [2, 2] at p = 3 shrinks the
+        # unexcluded degrees to {2}, so a one-prime cap ends the walk there
+        assert select_witness_primes([1, 0, 0, 0, 1], floor=2) == (None, 120)
+        monkeypatch.setattr(irreducibility, "ORACLE_PRIME_COUNT", 1)
+        assert select_witness_primes([1, 0, 0, 0, 1], floor=2) == (None, 1)
+
+    def test_primes_above_the_floor(self):
+        assert list(itertools.islice(primes_above(0), 5)) == [2, 3, 5, 7, 11]
+        assert list(itertools.islice(primes_above(-9), 1)) == [2]
+        assert list(itertools.islice(primes_above(7), 3)) == [11, 13, 17]
 
     def test_select_respects_keep_cap(self):
         kept, examined = select_witness_primes([1, 1, 0, 0, 1], floor=2)

@@ -1,8 +1,6 @@
-import ast
 import importlib
 import json
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,17 +21,7 @@ from eisen.replicate import (
     gekeler_scan,
     selftest,
 )
-from helpers import covers
-
-
-def bench_span_targets() -> tuple:
-    """The (module, attribute) pairs the benchmark's tracer wraps, read from
-    ``bench/spans.py`` without importing it."""
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "spans.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/spans.py assigns no TARGETS")
+from helpers import bench_span_targets, covers
 
 
 class TestBenchmarkHooks:
@@ -302,6 +290,19 @@ class TestScanPatterns:
         assert report.status == "PASS" and examined
         assert len(seen) == sum(examined)
         assert len({(f, p) for f, p, *_ in seen}) == len(seen)
+
+    def test_the_fallback_gives_up_after_400_primes(self, monkeypatch):
+        # (x + 1)^2 is not squarefree mod any prime, so no reduction is usable
+        calls = []
+        real = replicate.distinct_degree_pattern
+
+        def counting(int_coeffs, p):
+            calls.append(p)
+            return real(int_coeffs, p)
+
+        monkeypatch.setattr(replicate, "distinct_degree_pattern", counting)
+        assert replicate._first_usable_primes([1, 2, 1], 0, 10) == {}
+        assert len(calls) == 400 and calls[0] == 2 and calls[-1] == 2741
 
     def test_the_fallback_reports_the_first_usable_primes(self, shared_table, monkeypatch):
         # when the witness walk finds no proof, a pattern record reports the

@@ -7,6 +7,9 @@ reaches its constructors.  An attribute resolves through ``self``/``cls``, a
 package module or class, or ``RECEIVERS``.  A class member's name read on any
 other receiver is unresolved, and ``UNRESOLVED`` pins those reads.  Dynamic
 dispatch is left to the runtime spies of the other test files.
+
+The same graph says what no entry point reaches: code that only the tests or
+the bench call goes, save the pinned names the bench still reads.
 """
 
 import ast
@@ -15,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = Path(__file__).resolve().parents[1] / "src" / "eisen"
+from helpers import bench_attribute_reads, bench_span_targets
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ROOT / "src" / "eisen"
 CONSTRUCTORS = ("__new__", "__init__", "__post_init__")
 
 #: the class a parameter or local of this name holds, wherever the package uses the name
@@ -65,6 +71,15 @@ PAIRS = [
 ]
 
 
+#: where the package is entered: the CLI, which reaches every command, and the
+#: two re-checkers that CI runs from a lone copy of recheck.py
+ENTRY_POINTS = {"cli.main", "recheck.recheck_dumas_certificate", "recheck.recheck_pattern_certificate"}
+
+#: the nodes no entry point reaches yet, each kept because bench/ still reads it; the set may only shrink
+NOT_YET_REACHED = {"eisenstein.EisensteinTable.max_weight", "eisenstein.rademacher_expand_folded",
+                   "irreducibility.finite_field_degree_patterns", "irreducibility.primitive_integer_polynomial"}
+
+
 def _imports(tree: ast.AST):
     """(module, aliases) of each import, with the package's relative imports made absolute (eisen.*)."""
     for n in ast.walk(tree):
@@ -82,6 +97,14 @@ def _members(prefix: str, body: list):
         elif isinstance(s, (ast.Assign, ast.AnnAssign)) and s.value:
             targets = s.targets if isinstance(s, ast.Assign) else [s.target]
             yield from ((f"{prefix}.{t.id}", s.value) for t in targets if isinstance(t, ast.Name))
+
+
+def _annotations(tree: ast.AST):
+    """Each annotation in ``tree``: of an argument, a return or an annotated assignment."""
+    for n in ast.walk(tree):
+        note = getattr(n, "annotation", None) or getattr(n, "returns", None)
+        if isinstance(note, ast.AST):
+            yield note
 
 
 class Graph:
@@ -103,8 +126,7 @@ class Graph:
         for node, body in bodies.items():
             module, *inner = node.split(".")
             scope, enclosing = scopes[module], f"{module}.{inner[0]}" if len(inner) > 1 else ""
-            notes = [getattr(n, "annotation", None) or getattr(n, "returns", None) for n in ast.walk(body)]
-            skip = {id(n) for note in notes if isinstance(note, ast.AST) for n in ast.walk(note)}
+            skip = {id(n) for note in _annotations(body) for n in ast.walk(note)}
             called = {id(n.func) for n in ast.walk(body) if isinstance(n, ast.Call)}
             for n in ast.walk(body):
                 if id(n) in skip:
@@ -125,6 +147,9 @@ class Graph:
                     self.edges[node] |= {f"{target}.{c}" for c in CONSTRUCTORS if c in self.members[target]}
                 elif target in bodies:
                     self.edges[node].add(target)
+        # what annotations name: type aliases, which no edge reaches
+        self.annotated = bodies.keys() & {scopes[m].get(n.id) for m, tree in trees.items()
+                                          for note in _annotations(tree) for n in ast.walk(note) if isinstance(n, ast.Name)}
 
     def _scope(self, module: str) -> dict:
         """Each top-level name of ``module``: its node or class, "module m" for a package module, or "outside"."""
@@ -137,11 +162,15 @@ class Graph:
                 scope[alias.asname or alias.name] = found if package == "eisen" else "outside"
         return scope
 
-    def closure(self, entries) -> set:
+    def closure(self, entries, unresolved=()) -> set:
+        """What ``entries`` reach; a (reader, name) of ``unresolved`` reaches every class member of that name."""
+        edges = {node: set(targets) for node, targets in self.edges.items()}
+        for reader, name in unresolved:
+            edges[reader] |= {f"{c}.{name}" for c, names in self.members.items() if name in names}
         seen, new = set(), set(entries)
         while new:
             seen |= new
-            new = set().union(*[self.edges[node] for node in new]) - seen
+            new = set().union(*[edges[node] for node in new]) - seen
         return seen
 
 
@@ -149,6 +178,12 @@ def overlap(graph: Graph, one, other, allowed) -> tuple[set, set]:
     """What the closures of ``one`` and ``other`` share beyond the closure of ``allowed``, and what of it they do not."""
     common, permitted = graph.closure(one) & graph.closure(other), graph.closure(allowed)
     return common - permitted, permitted - common
+
+
+def unreached(graph: Graph, entries, unresolved=()) -> set:
+    """The nodes ``entries`` do not reach, less the dunders the runtime calls and the aliases annotations name."""
+    missed = graph.edges.keys() - graph.closure(entries, unresolved) - graph.annotated
+    return {node for node in missed if not (node.rpartition(".")[2].startswith("__") and node.endswith("__"))}
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +195,16 @@ def package() -> Graph:
 def test_routes_share_only_their_primitives(package, one, other, allowed):
     assert ROUTES[one] | ROUTES[other] <= package.edges.keys()
     assert overlap(package, ROUTES[one], ROUTES[other], allowed) == (set(), set())
+
+
+def test_every_node_is_reached(package):
+    # the re-checkers are entry points because CI runs them from a lone copy of recheck.py
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert all(f"{node}(" in workflow for node in ENTRY_POINTS if node.startswith("recheck."))
+    assert unreached(package, ENTRY_POINTS, UNRESOLVED) == NOT_YET_REACHED
+    # a pinned node stays only while the bench traces it or reads its name
+    traced = {f"{module.removeprefix('eisen.')}.{attr}" for module, attr in bench_span_targets()}
+    assert all(node in traced or node.rpartition(".")[2] in bench_attribute_reads() for node in NOT_YET_REACHED)
 
 
 def test_unresolved_reads_are_pinned(package):
@@ -189,7 +234,8 @@ def test_only_the_storage_methods_name_the_storage_dict(package):
 SYNTHETIC = {
     "core.py": "from . import relay\n"
     "class Box:\n    def __init__(self): self.size = 0\n    def open(self): return self.size\n"
-    "def forbidden(): return 0\ndef route_a(): return relay.helper()\ndef route_b(): return forbidden()\n"
+    "    def __len__(self): return self.size\n"
+    "def forbidden(): return 0\ndef orphan(): return 0\ndef route_a(): return relay.helper()\ndef route_b(): return forbidden()\n"
     "Alias = Box\ndef build(): return Box()\ndef annotated(box: Box) -> Alias:\n    inner: Alias = box\n    return inner\n"
     "def unknown(thing): return thing.open()\n",
     "relay.py": "from .core import forbidden\ndef helper(): return forbidden()\n",
@@ -207,3 +253,9 @@ def test_the_map_of_a_synthetic_package(tmp_path):
     # a class or constant named only in annotations adds no edge; a call of a class reaches its constructor
     assert graph.edges["core.annotated"] == set()
     assert graph.edges["core.build"] == {"core.Box.__init__"}
+    # from every function but one: that one is unreached; an unresolved read reaches each member of its name;
+    # a dunder method and an alias named only in annotations are exempt
+    entries = {"core.route_a", "core.route_b", "core.build", "core.annotated", "core.unknown"}
+    assert graph.annotated == {"core.Alias"}
+    assert unreached(graph, entries) == {"core.orphan", "core.Box.open"}
+    assert unreached(graph, entries, graph.unresolved) == {"core.orphan"}
