@@ -214,18 +214,28 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # sum_i h_i x^(ip) = h Q for any h mod f, and each later step is one
 # vector-matrix product instead of a powering (von zur Gathen and Shoup 1992).
 #
-# ``gcd`` is Euclid in one loop.  Each pass reduces the dividend modulo the
-# divisor in place, clearing its top slot exactly as ``divmod`` does, but it
-# keeps no quotient; then one inline ``red`` finishes the remainder, which
-# becomes the next divisor.  ``divmod`` keeps its quotient for g / common and
-# for Barrett's x^(2n-2) // f.
+# ``gcd`` is Euclid in one loop, and keeps each remainder only up to a unit.
+# A pass whose dividend a is reduced and exactly one degree above the divisor
+# b, as most are, is one pseudo-remainder step with no inverse: with b1, b0
+# the top two slots of b and a1, a0 those of a, q1 = a1 b1 and
+# q0 = a0 b1 - a1 b0 (mod p), the sum b1^2 a + ((p - q1) x + (p - q0)) b is
+# 0 mod p in its two top slots, so its slots below deg b are b1^2 (a mod b).
+# Every other pass clears the dividend's top slot one at a time, as
+# ``divmod`` does, but keeps no quotient: the first pass, whose dividend is
+# the caller's unreduced b, and any pass after a remainder that dropped two
+# degrees or more.  A nonzero constant divisor ends the loop at once.  One
+# inline ``red`` finishes each remainder, which becomes the next divisor.
+# ``divmod`` keeps its quotient for g / common and for Barrett's
+# x^(2n-2) // f.
 #
-# Slot bound: for deg f = n, no slot ever reaches B = n p (p + 1).  A product
-# of two reduced polynomials of degree < n, or h Q, sums at most n terms below
-# p^2 in a slot; a dividend starts below n p (f' has slots i c_i, h - x slots
-# below 2p) and each of its slots takes at most deg(divisor) <= n quotient
-# terms below p^2; a fold by x leaves each slot at most (p - 1) + (p - 1)^2,
-# below p + (p - 1)^2 < B.  With S = bits(B - 1) and M = floor(2^S / p),
+# Slot bound: for deg f = n, no slot ever reaches B = max(n, 3) p (p + 1).  A
+# product of two reduced polynomials of degree < n, or h Q, sums at most n
+# terms below p^2 in a slot; a dividend starts below n p (f' has slots i c_i,
+# h - x slots below 2p) and each of its slots takes at most
+# deg(divisor) <= n one-slot terms below p^2; the two-slot step leaves each
+# slot at most (p - 1)^2 + 2 p (p - 1) = (p - 1)(3p - 1), below 3 p (p + 1),
+# which is what the 3 covers at n = 2; a fold by x leaves each slot at most
+# (p - 1) + (p - 1)^2 < B.  With S = bits(B - 1) and M = floor(2^S / p),
 # floor(v M / 2^S) is floor(v / p) or one less for every slot v < 2^S, so one
 # compare-and-subtract finishes the reduction; W (whole bytes) holds (B - 1) M,
 # so v M never spills into the next slot.
@@ -236,11 +246,12 @@ class _PackedGF:
 
     def __init__(self, f: list[int], p: int):
         n = len(f) - 1
-        bound = n * p * (p + 1)
+        bound = max(n, 3) * p * (p + 1)
         self.p, self.n, self.s = p, n, (bound - 1).bit_length()
         self.m = (1 << self.s) // p
         self.w = -(-((bound - 1) * self.m).bit_length() // 8)  # bytes per slot
         self.W = W = 8 * self.w
+        self.slot, self.shifts = (1 << W) - 1, range(0, n * W, W)
         ones = int.from_bytes(b"\1".ljust(self.w, b"\0") * (2 * n - 1), "little")
         self.quotient_mask = ones * ((1 << (W - self.s)) - 1)
         self.offset, self.top_bits = ones * ((1 << (W - 1)) - p), ones << (W - 1)
@@ -253,8 +264,8 @@ class _PackedGF:
         return int.from_bytes(b"".join(c.to_bytes(self.w, "little") for c in coeffs), "little")
 
     def unpack(self, v: int) -> list[int]:
-        raw, w = v.to_bytes(self.n * self.w, "little"), self.w
-        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+        slot = self.slot
+        return [v >> i & slot for i in self.shifts]
 
     def degree(self, v: int) -> int:
         """Degree of a reduced v (-1 for zero)."""
@@ -283,19 +294,32 @@ class _PackedGF:
         return q, self.red(a)
 
     def gcd(self, a: int, b: int) -> int:
-        """A gcd of the reduced nonzero a and b, which is reduced mod a first (b may be 0)."""
-        p, W, m, s, qmask = self.p, self.W, self.m, self.s, self.quotient_mask
+        """A gcd of the reduced nonzero a and b, up to a unit; b (which may be 0) is reduced mod a first.
+
+        The result is reduced, and some nonzero multiple of the monic gcd:
+        callers read only its degree and divide by it.
+        """
+        p, W, m, s, qmask, slot = self.p, self.W, self.m, self.s, self.quotient_mask, self.slot
         offset, top_bits, W1 = self.offset, self.top_bits, self.W - 1
         a, b = b, a  # a is the dividend, b the reduced divisor
+        first = True  # the first dividend is the caller's b, which may be unreduced
         while b:
             cut = (b.bit_length() - 1) // W * W
-            inv = pow(b >> cut, -1, p)
-            b_low = b & ((1 << cut) - 1)
+            if not cut:
+                return b  # a nonzero constant
             top = (a.bit_length() - 1) // W * W
-            while top >= cut:  # as in divmod, with no quotient kept
-                t = a >> top
-                a += ((p - (t * inv % p)) * b_low - (t << cut)) << (top - cut)
-                top = (a.bit_length() - 1) // W * W
+            if top == cut + W and not first:  # b1^2 (a mod b), by one inverse-free step
+                b1, a1 = b >> cut, a >> top
+                q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
+                a = (b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1)
+            else:
+                inv = pow(b >> cut, -1, p)
+                b_low = b & ((1 << cut) - 1)
+                while top >= cut:  # as in divmod, with no quotient kept
+                    t = a >> top
+                    a += ((p - (t * inv % p)) * b_low - (t << cut)) << (top - cut)
+                    top = (a.bit_length() - 1) // W * W
+                first = False
             a -= ((a * m >> s) & qmask) * p  # red, inline
             a -= (((a + offset) & top_bits) >> W1) * p
             a, b = b, a

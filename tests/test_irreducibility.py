@@ -644,14 +644,15 @@ def differential_corpus():
 
 
 class TestPackedKernel:
-    @pytest.mark.parametrize("p", [2, 3, 37, LARGEST_DECIDED_PRIME])
-    def test_red_at_the_slot_bound(self, p):
-        n = 40
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    @pytest.mark.parametrize("p", [2, 3, 37, 251, LARGEST_DECIDED_PRIME])
+    def test_red_at_the_slot_bound(self, p, n):
         gf = irreducibility._PackedGF([1] * (n + 1), p)
-        bound = n * p * (p + 1)  # no slot the kernel forms reaches it
+        bound = max(n, 3) * p * (p + 1)  # no slot the kernel forms reaches it
         assert (bound - 1).bit_length() <= gf.s  # Barrett's estimate is off by at most one
         assert (bound - 1) * gf.m < 1 << gf.W  # v M stays inside its slot
-        slots = ([bound - 1, 0, p - 1, p, 2 * p - 1, p * p, bound - 2] * n)[: 2 * n - 1]
+        two_slot = (p - 1) * (3 * p - 1)  # the largest slot of gcd's two-slot step, above 2 p (p + 1) for p >= 7
+        slots = ([two_slot, bound - 1, 0, p - 1, p, 2 * p - 1, p * p, bound - 2] * n)[: 2 * n - 1]
         assert gf.red(gf.pack(slots)) == gf.pack([v % p for v in slots])
 
     @pytest.mark.parametrize("n", range(2, 41))
@@ -665,13 +666,14 @@ class TestPackedKernel:
             gf = irreducibility._PackedGF(f, p)
             assert gf.unpack(gf.x_pow_p()) == expected + [0] * (n - len(expected)), (n, p)
 
+    @pytest.mark.parametrize("n", [2, 3, 12])
     @pytest.mark.parametrize("p", [2, 3, 37, 65537, LARGEST_DECIDED_PRIME])
-    def test_gcd_matches_the_rechecker_up_to_a_unit(self, p):
-        n, rng = 12, random.Random(p)
+    def test_gcd_matches_the_rechecker_up_to_a_unit(self, p, n):
+        rng = random.Random(p * n)
         gf = irreducibility._PackedGF([rng.randrange(p) for _ in range(n)] + [1], p)
 
         def monic_gcd(a, b):  # of coefficient lists, through the packed gcd
-            slots = [gf.gcd(gf.pack(a), gf.pack(b)) >> (i * gf.W) & ((1 << gf.W) - 1) for i in range(n + 1)]
+            slots = [gf.gcd(gf.pack(a), gf.pack(b)) >> (i * gf.W) & gf.slot for i in range(n + 1)]
             slots = recheck._gf_trim(slots)
             inv = pow(slots[-1], -1, p)
             return [c * inv % p for c in slots]
@@ -680,16 +682,45 @@ class TestPackedKernel:
             return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
 
         top = [p - 1] * (n + 1)  # every slot at p - 1
-        cases = [(top, [p - 1] * 5), (top, []), ([p - 1] * 4, top), (poly(n), [])]
+        cases = [(top, [p - 1] * min(n, 5)), (top, []), ([p - 1] * min(n, 4), top), (poly(n), [])]
         for _ in range(8):
-            u = poly(rng.randint(0, 4))  # a common factor, so that most gcds are not 1
+            u = poly(rng.randint(0, min(n - 1, 4)))  # a common factor, so that most gcds are not 1
             a, b = poly_mul(u, poly(n - len(u) + 1)), poly_mul(u, poly(rng.randint(0, n - len(u) + 1)))
             cases += [([c % p for c in a], [c % p for c in b]), ([c % p for c in b], [c % p for c in a])]
-        for a, b in cases:
-            assert monic_gcd(a, b) == recheck._gf_gcd(a, b, p), (a, b)
-        # h - x has a slot up to 2p - 2: b is reduced mod a first
+        for d in range(1, n):
+            # a = q r1 + r2: after the two-slot pass a mod r1, r2 is two degrees below r1 (d >= 3, so a
+            # one-slot pass follows) or a nonzero constant (d <= 2, the early return)
+            q, r1, r2 = poly(1), poly(d), poly(max(d - 2, 0))
+            a = [(c + r) % p for c, r in itertools.zip_longest(poly_mul(q, r1), r2, fillvalue=0)]
+            cases.append((a, r1))
+        # the caller's unreduced second arguments: h - x has a slot up to 2p - 2, and f' has slots
+        # i f_i up to n (p - 1), here one degree above the first argument as well
         a, b = poly(n), poly(n - 1)
-        assert monic_gcd(a, [b[0], b[1] + p - 1, *b[2:]]) == recheck._gf_gcd(a, [b[0], (b[1] - 1) % p, *b[2:]], p)
+        f_prime = [i * (p - 1) for i in range(1, n + 1)]  # of f = top
+        cases += [(a, [b[0], b[1] + p - 1, *b[2:]]), (top, f_prime), (poly(n - 2), f_prime)]
+        for a, b in cases:
+            assert monic_gcd(a, b) == recheck._gf_gcd(a, [c % p for c in b], p), (a, b)
+
+    def test_gcd_takes_no_two_slot_step_on_the_unreduced_first_dividend(self):
+        # a is the zero polynomial in slots below n p, one degree above b.  A two-slot step on it
+        # (b1^2 = -1 mod p, q1 = q0 = 0) would form 4 p (p - 1) in slot 1, past 2^S, where
+        # Barrett's estimate is two short, and leave that slot at p instead of 0.
+        p, n = 281, 3
+        gf = irreducibility._PackedGF([1] * (n + 1), p)
+        b = [p - 1, p - 1, next(c for c in range(p) if c * c % p == p - 1)]
+        a = [p, 2 * p, 2 * p, p]
+        assert 4 * p * (p - 1) >= 1 << gf.s
+        assert gf.gcd(gf.pack(b), gf.pack(a)) == gf.pack(b)
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_unpack_reads_the_slot_bytes(self, n):
+        p, rng = LARGEST_DECIDED_PRIME, random.Random(n)
+        gf = irreducibility._PackedGF([rng.randrange(p) for _ in range(n)] + [1], p)
+        assert gf.W == 104
+        slots = ([0, p - 1, (1 << gf.W) - 1] + [rng.randrange(1 << gf.W) for _ in range(n)])[:n]
+        raw, w = gf.pack(slots).to_bytes(n * gf.w, "little"), gf.w
+        bytewise = [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+        assert gf.unpack(gf.pack(slots)) == bytewise == slots
 
     @pytest.mark.parametrize("p", [2, 3, 37])
     def test_ddf_at_primes_up_to_the_degree(self, p):
