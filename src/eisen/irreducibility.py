@@ -226,7 +226,9 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # degrees or more.  A nonzero constant divisor ends the loop at once.  One
 # inline ``red`` finishes each remainder, which becomes the next divisor.
 # ``divmod`` keeps its quotient for g / common and for Barrett's
-# x^(2n-2) // f.
+# x^(2n-2) // f.  ``disc_character`` is Euclid on f and f' that keeps only
+# the quadratic character of Res(f, f'): the DDF's squarefree test and, at
+# odd p, Stickelberger's parity of the factor count.
 #
 # Slot bound: for deg f = n, no slot ever reaches B = max(n, 3) p (p + 1).  A
 # product of two reduced polynomials of degree < n, or h Q, sums at most n
@@ -325,6 +327,40 @@ class _PackedGF:
             a, b = b, a
         return a
 
+    def disc_character(self) -> int:
+        """chi(disc f), the quadratic character mod p: 0 exactly when f is not squarefree mod p.
+
+        Euclid on f and f' that keeps only some u with chi(u) = chi(Res(f, f')):
+        a pass a = q b + r gives Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
+        Res(b, r), a nonzero constant c gives Res(a, c) = c^(deg a), and r = 0
+        gives 0; disc f = (-1)^(n(n-1)/2) Res(f, f') for monic f.  A sign enters
+        u as the factor -1, whose character is (-1)^((p-1)/2).  The two-slot step
+        leaves b1^2 r, and the square drops out.  At p = 2 the result is 0 or 1.
+        """
+        p, W, n, slot = self.p, self.W, self.n, self.slot
+        f = [*self.unpack(self.f), 1]
+        a, b = self.f, self.pack([i * c % p for i, c in enumerate(f)][1:])
+        u = p - 1 if n * (n - 1) // 2 % 2 else 1  # (-1)^(n(n-1)/2)
+        while b:
+            da, db = self.degree(a), self.degree(b)
+            if not db:
+                if da % 2:
+                    u = u * b % p
+                return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+            cut = db * W
+            if da == db + 1:  # the two-slot step of gcd: every dividend here is reduced
+                b1, a1 = b >> cut, a >> (cut + W)
+                q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
+                r = self.red((b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1))
+            else:
+                r = self.divmod(a, b)[1]
+            if da * db % 2:
+                u = p - u
+            if (da - self.degree(r)) % 2:
+                u = u * (b >> cut) % p
+            a, b = b, r
+        return 0
+
     def mulmod(self, a: int, b: int) -> int:
         """a b mod f for reduced a, b of degree < n (polynomial Barrett)."""
         prod = self.red(a * b)
@@ -385,9 +421,14 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     full pattern is returned.
 
     h tracks x^(p^d) mod f and g the part of f not yet factored; h - x is
-    reduced mod g before each gcd, which is valid because g divides f.  The
-    squarefree test runs last, so a non-squarefree f runs the loop on
-    meaningless parts whose pattern is then thrown away.
+    reduced mod g before each gcd, which is valid because g divides f.  At
+    odd p the loop stops at its last factor: after step d, g has no factor
+    of degree <= d, so if deg g < 3(d + 1) it has one or two, and
+    Stickelberger's theorem (Swan 1962, Cor. 1), chi(disc f) = (-1)^(n - r)
+    for a squarefree f with r factors mod p, says which.  chi(disc f), from
+    ``_PackedGF.disc_character`` at the first such decision or else at the
+    end, is 0 exactly when f mod p is not squarefree; the result is then
+    None.  At p = 2 every element is a square, so the loop runs on.
     """
     if not is_prime(p):
         raise InvalidPrimeError(f"p = {p} is not prime")
@@ -408,6 +449,7 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
 
     pattern: list[int] = []
     g = gf.f
+    chi = None  # chi(disc f), once asked for
     d = 1
     while True:
         common = gf.gcd(g, h + ((p - 1) << gf.W))  # gcd(g, h - x), h = x^(p^d) mod f
@@ -418,8 +460,16 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
                 sums = _subset_sum_bits(pattern)
                 if remaining & (sums | sums << gf.degree(g)) == remaining:
                     return None  # no split of g can shrink remaining
-        if gf.degree(g) < 2 * (d + 1):
+        m = gf.degree(g)
+        if m < 2 * (d + 1):
             break
+        if p > 2 and m < 3 * (d + 1):  # g has one or two factors, all of degree > d
+            if chi is None:
+                chi = gf.disc_character()
+                if not chi:
+                    return None  # f mod p is not squarefree
+            if chi == (-1) ** (n - len(pattern) - 1):
+                break  # Stickelberger: an odd number of factors left, so g is irreducible
         d += 1
         if d == 2:
             for _ in range(n - 2):
@@ -427,7 +477,7 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
         h = gf.red(sum(map(mul, gf.unpack(h), q)))  # h^p, now x^(p^d) mod f
     if gf.degree(g) > 0:
         pattern.append(gf.degree(g))
-    if gf.degree(gf.gcd(gf.f, gf.pack([i * c for i, c in enumerate(f)][1:]))) > 0:
+    if chi is None and not gf.disc_character():
         return None  # f and f' share a factor (or f' = 0)
     return sorted(pattern)
 

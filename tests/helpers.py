@@ -54,6 +54,43 @@ def covers(pattern, mask):
     return all(d in sums for d in range(mask.bit_length()) if mask >> d & 1)
 
 
+def resultant_mod_p(a, b, p):
+    """Res(a, b) mod p of coefficient lists (constant first), by a plain Euclid over GF(p) on lists.
+
+    Degrees are the degrees mod p, and Res(a, b) = lc(a)^deg b lc(b)^deg a prod (alpha - beta)
+    over the roots of each, so for monic f, Res(f, f') = prod f'(alpha) whatever deg f' is.
+    The oracle of the packed kernel's discriminant character; it uses neither the kernel nor
+    ``eisen.recheck``.
+    """
+
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b, res = trim(a), trim(b), 1
+    while True:
+        if not a or not b:
+            return 0
+        m, k = len(a) - 1, len(b) - 1
+        if k == 0:
+            return res * pow(b[0], m, p) % p
+        if m < k:  # Res(a, b) = (-1)^(m k) Res(b, a)
+            a, b, res = b, a, res * (-1) ** (m * k) % p
+            continue
+        r, inv = a[:], pow(b[-1], -1, p)
+        while len(r) > k:  # r = a mod b
+            t = r[-1] * inv % p
+            for i in range(k + 1):
+                r[len(r) - 1 - k + i] = (r[len(r) - 1 - k + i] - t * b[i]) % p
+            r = trim(r)
+        if not r:
+            return 0
+        # Res(a, b) = (-1)^(m k) Res(b, a) = (-1)^(m k) lc(b)^(m - deg r) Res(b, r)
+        a, b, res = b, r, res * (-1) ** (m * k) * pow(b[-1], m - len(r) + 1, p) % p
+
+
 def q_derivative(a):
     """q d/dq of a q-series: multiply the n-th coefficient by n.
 

@@ -33,7 +33,7 @@ from eisen.irreducibility import (
 from eisen.gekeler import phi_by_division
 from eisen.recheck import _ddf_by_repeated_squaring, recheck_dumas_certificate, recheck_pattern_certificate
 from eisen.replicate import check_theorem_main, dumas_applies
-from helpers import covers
+from helpers import covers, resultant_mod_p
 
 
 # --- independent test-side helpers -----------------------------------------
@@ -786,6 +786,105 @@ class TestPackedKernel:
             else:
                 assert returned == full, (len(f) - 1, p)
         assert pruned > 350
+
+
+# --- Stickelberger's parity: the discriminant character, and where it ends the DDF ---
+
+STICKELBERGER_PRIMES = (3, 5, 7, 13, 37, 65537, LARGEST_DECIDED_PRIME)  # both classes mod 4
+
+
+def disc_character(f, p):
+    """chi(disc f) from the packed kernel, for f made monic mod p (p not dividing its leading coefficient)."""
+    inv = pow(f[-1], -1, p)
+    return irreducibility._PackedGF([c * inv % p for c in f], p).disc_character()
+
+
+def list_disc_character(f, p):
+    """chi(disc f) of a monic f mod p from the list resultant: disc f = (-1)^(n(n-1)/2) Res(f, f')."""
+    n = len(f) - 1
+    r = (-1) ** (n * (n - 1) // 2) * resultant_mod_p(f, [i * c for i, c in enumerate(f)][1:], p) % p
+    return 0 if r == 0 else 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def irreducible_mod(p, d, rng):
+    """A random monic polynomial of degree d, irreducible mod p by the re-checker's DDF."""
+    while True:
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if _ddf_by_repeated_squaring(g, p) == [d]:
+            return g
+
+
+class TestStickelberger:
+    @pytest.mark.parametrize("p", STICKELBERGER_PRIMES)
+    def test_disc_character_matches_the_list_resultant(self, p):
+        rng = random.Random(p)
+        seen = set()
+        for n in range(1, 41):
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            seen.add(list_disc_character(f, p))
+            assert disc_character(f, p) == list_disc_character(f, p), (f, p)
+        assert {1, -1} <= seen
+        for _ in range(8):  # u^2 v is not squarefree mod p
+            u = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            f = [c % p for c in poly_mul(poly_mul(u, u), [rng.randrange(p) for _ in range(rng.randint(0, 8))] + [1])]
+            assert disc_character(f, p) == list_disc_character(f, p) == 0, (f, p)
+
+    def test_disc_character_where_f_prime_drops_degree(self):
+        # at p = 3: x^3 - x + 1 has f' = -1, a constant (disc = -23 = 1 mod 3), and x^3 + 1 = (x + 1)^3 has f' = 0
+        assert disc_character([1, -1, 0, 1], 3) == list_disc_character([1, 2, 0, 1], 3) == 1
+        assert disc_character([1, 0, 0, 1], 3) == list_disc_character([1, 0, 0, 1], 3) == 0
+        rng = random.Random(5)
+        for p, n in [(3, 6), (3, 9), (5, 5), (5, 10), (7, 14), (13, 26)]:  # p | n: f' drops degree
+            for _ in range(4):
+                f = [rng.randrange(p) for _ in range(n)] + [1]
+                assert disc_character(f, p) == list_disc_character(f, p), (f, p)
+
+    def test_stickelberger_on_the_corpus(self):
+        checked = 0
+        for f, p in differential_corpus():
+            pattern = _ddf_by_repeated_squaring(f, p) if p > 2 else None
+            if pattern is not None:
+                assert disc_character(f, p) == (-1) ** (len(f) - 1 - len(pattern)), (f, p)
+                checked += 1
+        assert checked > 50
+
+    @given(polys_mod_primes().filter(lambda case: case[1] > 2))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_stickelberger_parity(self, case):
+        f, p = case
+        if f[-1] % p:
+            pattern = _ddf_by_repeated_squaring(f, p)  # None: f mod p is not squarefree
+            expected = 0 if pattern is None else (-1) ** (len(f) - 1 - len(pattern))
+            assert disc_character(f, p) == expected
+
+    @staticmethod
+    def pattern_and_gcds(monkeypatch, f, p):
+        """The DDF's pattern of f mod p and the number of ``_PackedGF.gcd`` calls it made."""
+        real, calls = irreducibility._PackedGF.gcd, []
+
+        def counting(gf, a, b):
+            calls.append((a, b))
+            return real(gf, a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(irreducibility._PackedGF, "gcd", counting)
+            return distinct_degree_pattern(f, p), len(calls)
+
+    def test_the_parity_ends_the_loop_at_the_last_factor(self, monkeypatch):
+        # after step 4 the rest g has degree 12 < 3 * 5, so one or two factors; the parity says one
+        p, rng = 13, random.Random(12)
+        f = poly_mul(poly_mul([-1, 1], [-2, 1]), irreducible_mod(p, 12, rng))
+        assert self.pattern_and_gcds(monkeypatch, f, p) == ([1, 1, 12], 4)  # steps d = 1..6 without it
+
+    def test_an_even_parity_steps_on(self, monkeypatch):
+        # g = u v at step 4: two factors, so the loop goes on to find u at step 5
+        p, rng = 13, random.Random(57)
+        f = functools.reduce(poly_mul, [[-1, 1], [-2, 1], irreducible_mod(p, 5, rng), irreducible_mod(p, 7, rng)])
+        assert self.pattern_and_gcds(monkeypatch, f, p) == ([1, 1, 5, 7], 5)
+
+    def test_no_parity_rule_at_two(self):
+        # every element of GF(2) is a square, so the parity says nothing there
+        assert distinct_degree_pattern([1, 0, 0, 0, 1, 1], 2) == [2, 3]  # (x^2 + x + 1)(x^3 + x + 1)
 
 
 # --- composite moduli --------------------------------------------------------
