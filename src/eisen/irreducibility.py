@@ -209,10 +209,12 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # e < n: a monomial, already reduced, so it costs no product (for p < n it is
 # x^p itself).  Each later bit squares by ``mulmod``, and a 1 bit multiplies
 # by x as a shift, one fold of the top slot through x^n = -f_low (``neg_f``)
-# and one ``red``.  When a step 2 runs, the DDF builds the Frobenius matrix Q
-# of f from x^p, once (Berlekamp 1967): row i is x^(ip) mod f, so h^p =
-# sum_i h_i x^(ip) = h Q for any h mod f, and each later step is one
-# vector-matrix product instead of a powering (von zur Gathen and Shoup 1992).
+# and one ``red``.  When a step 2 runs, the DDF builds rows 0 .. t of the
+# Frobenius matrix Q of f from x^p, once (Berlekamp 1967), t = ceil(n/2): row
+# i is x^(ip) mod f, so h^p = sum_i h_i x^(ip) = A + x^(tp) B for any h mod f,
+# with A = sum_{i<t} h_i x^(ip) and B = sum_{i<n-t} h_{t+i} x^(ip), and each
+# later step is two half vector-matrix products and one ``mulmod`` instead of
+# a powering (von zur Gathen and Shoup 1992).
 #
 # ``gcd`` is Euclid in one loop, and keeps each remainder only up to a unit.
 # A pass whose dividend a is reduced and exactly one degree above the divisor
@@ -231,12 +233,13 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # odd p, Stickelberger's parity of the factor count.
 #
 # Slot bound: for deg f = n, no slot ever reaches B = max(n, 3) p (p + 1).  A
-# product of two reduced polynomials of degree < n, or h Q, sums at most n
-# terms below p^2 in a slot; a dividend starts below n p (f' has slots i c_i,
-# h - x slots below 2p) and each of its slots takes at most
-# deg(divisor) <= n one-slot terms below p^2; the two-slot step leaves each
-# slot at most (p - 1)^2 + 2 p (p - 1) = (p - 1)(3p - 1), below 3 p (p + 1),
-# which is what the 3 covers at n = 2; a fold by x leaves each slot at most
+# product of two reduced polynomials of degree < n, or A or B, sums at most
+# n terms below p^2 in a slot, and A plus a reduced x^(tp) B stays below
+# t p^2 + p; a dividend starts below n p (f' has slots i c_i, h - x slots
+# below 2p) and each of its slots takes at most deg(divisor) <= n one-slot
+# terms below p^2; the two-slot step leaves each slot at most
+# (p - 1)^2 + 2 p (p - 1) = (p - 1)(3p - 1), below 3 p (p + 1), which is
+# what the 3 covers at n = 2; a fold by x leaves each slot at most
 # (p - 1) + (p - 1)^2 < B.  With S = bits(B - 1) and M = floor(2^S / p),
 # floor(v M / 2^S) is floor(v / p) or one less for every slot v < 2^S, so one
 # compare-and-subtract finishes the reduction; W (whole bytes) holds (B - 1) M,
@@ -382,6 +385,19 @@ class _PackedGF:
                 h = self.red((h & self.low) + (h >> nw) * self.neg_f)
         return h
 
+    def frobenius_rows(self, xp: int) -> tuple[list[int], int]:
+        """Rows x^(ip) mod f of Q for i < t = ceil(n/2), and row t, from xp = x^p mod f."""
+        rows = [1, xp]
+        for _ in range((self.n + 1) // 2 - 1):
+            rows.append(self.mulmod(rows[-1], xp))
+        return rows, rows.pop()
+
+    def frobenius(self, h: int, rows: list[int], top: int) -> int:
+        """h^p mod f for a reduced h, as A + x^(tp) B from ``frobenius_rows``."""
+        c = self.unpack(h)
+        a, b = sum(map(mul, c, rows)), sum(map(mul, c[len(rows) :], rows))
+        return self.red(a + self.mulmod(self.red(b), top))
+
 
 #: the witness walk's nonzero bitmask of proper degrees not yet excluded,
 #: set by ``select_witness_primes`` around each of its DDF calls and None
@@ -440,12 +456,8 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     if n == 1:
         return [1]
     remaining = _WALK_REMAINING.get()
-    inv = pow(int_coeffs[-1], -1, p)
-    f = [c % p * inv % p for c in int_coeffs]
-    gf = _PackedGF(f, p)
-
+    gf = _monic_mod(int_coeffs, p)
     h = gf.x_pow_p()
-    q = [1, h]  # rows 0 and 1 of Q; the rest once step 2 runs
 
     pattern: list[int] = []
     g = gf.f
@@ -472,14 +484,25 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
                 break  # Stickelberger: an odd number of factors left, so g is irreducible
         d += 1
         if d == 2:
-            for _ in range(n - 2):
-                q.append(gf.mulmod(q[-1], q[1]))
-        h = gf.red(sum(map(mul, gf.unpack(h), q)))  # h^p, now x^(p^d) mod f
+            rows, top = gf.frobenius_rows(h)
+        h = gf.frobenius(h, rows, top)  # now x^(p^d) mod f
     if gf.degree(g) > 0:
         pattern.append(gf.degree(g))
     if chi is None and not gf.disc_character():
         return None  # f and f' share a factor (or f' = 0)
     return sorted(pattern)
+
+
+def _monic_mod(int_coeffs: Sequence[int], p: int) -> _PackedGF:
+    """The kernel of f / f_n mod p, for p not dividing f_n."""
+    inv = pow(int_coeffs[-1], -1, p)
+    return _PackedGF([c % p * inv % p for c in int_coeffs], p)
+
+
+def has_root(int_coeffs: Sequence[int], p: int) -> bool:
+    """Whether f mod p has a root in GF(p), for deg f >= 2 and p not dividing f_n: gcd(f, x^p - x) != 1."""
+    gf = _monic_mod(int_coeffs, p)
+    return gf.degree(gf.gcd(gf.f, gf.x_pow_p() + ((p - 1) << gf.W))) > 0
 
 
 def _subset_sum_bits(pattern: Iterable[int]) -> int:

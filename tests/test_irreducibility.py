@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -786,6 +787,47 @@ class TestPackedKernel:
             else:
                 assert returned == full, (len(f) - 1, p)
         assert pruned > 350
+
+
+# --- the Frobenius step from half of Q, and the root test ---
+
+
+class TestHalfFrobenius:
+    @pytest.mark.parametrize("p", [2, 3, 65537, LARGEST_DECIDED_PRIME])
+    def test_the_half_step_is_the_full_product_and_the_power(self, p, monkeypatch):
+        rng = random.Random(p)
+        for n in range(4, 41):
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            gf = irreducibility._PackedGF(f, p)
+            xp = gf.x_pow_p()
+            calls = []
+            with monkeypatch.context() as m:
+                real = irreducibility._PackedGF.mulmod
+                m.setattr(irreducibility._PackedGF, "mulmod", lambda gf, a, b: calls.append(1) or real(gf, a, b))
+                rows, top = gf.frobenius_rows(xp)
+            t = (n + 1) // 2
+            assert (len(rows), len(calls)) == (t, t - 1), n  # rows 0 .. t-1 of Q, and t - 1 products
+            full = [1, xp]  # every row of Q, x^(ip) mod f for i < n
+            for _ in range(n - 2):
+                full.append(gf.mulmod(full[-1], xp))
+            assert rows + [top] == full[: t + 1], n
+            for h in ([p - 1] * n, [rng.randrange(p) for _ in range(n)]):  # every slot at p - 1, and one random h
+                power = recheck._gf_powmod(h, p, f, p)
+                expected = gf.pack(power + [0] * (n - len(power)))
+                assert gf.frobenius(gf.pack(h), rows, top) == gf.red(sum(map(operator.mul, h, full))) == expected, n
+
+    @pytest.mark.parametrize("p", [2, 3, 37, 65537, LARGEST_DECIDED_PRIME])
+    def test_has_root_is_a_part_1(self, p):
+        rng = random.Random(p)
+        cases = [([1, 0, 1], 3), ([-1, 0, 1], 3), ([1, 0, 0, 0, 1], 3), ([-2, 0, 1], 7)]  # x^4 + 1 = two quadratics
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            cases.append(([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p))
+        for f, q in cases:
+            pattern = _ddf_by_repeated_squaring(f, q)
+            if pattern is not None:
+                assert irreducibility.has_root(f, q) == (1 in pattern), (f, q)
+        assert not irreducibility.has_root([1, 0, 1], 3) and irreducibility.has_root([-1, 0, 1], 3)
 
 
 # --- Stickelberger's parity: the discriminant character, and where it ends the DDF ---

@@ -7,9 +7,10 @@ import pytest
 
 from eisen import irreducibility, replicate
 from eisen.errors import ConsistencyError, DomainError
+from eisen.exact import is_prime
 from eisen.eisenstein import EisensteinTable
 from eisen.gekeler import phi_by_division
-from eisen.irreducibility import assemble_pattern_certificate, distinct_degree_pattern
+from eisen.irreducibility import assemble_pattern_certificate, distinct_degree_pattern, select_witness_primes
 from eisen.recheck import _ddf_by_repeated_squaring
 from eisen.replicate import (
     CheckReport,
@@ -21,7 +22,7 @@ from eisen.replicate import (
     gekeler_scan,
     selftest,
 )
-from helpers import bench_span_targets, covers
+from helpers import bench_span_targets, covers, record_walk_ddf_calls
 
 
 class TestBenchmarkHooks:
@@ -361,6 +362,60 @@ class TestScanPatterns:
     def test_dumas_primes_are_the_primes_below_100(self):
         assert replicate.DUMAS_SCAN_PRIMES == tuple(n for n in range(2, 100) if all(n % d for d in range(2, n)))
         assert len(replicate.DUMAS_SCAN_PRIMES) == 25
+
+
+class TestSupersingularPrime:
+    """At p = k + 1 the roots of phi_k mod p are supersingular j-invariants, so its parts are 1 and 2."""
+
+    @staticmethod
+    def walk_records(table, k_max):
+        """The scan's records of the weights k <= k_max, k + 1 prime, that the witness walk certifies, by k."""
+        report = gekeler_scan(k_max, table)
+        return {r["k"]: r for r in report.records if r["criterion"] == "finite-field-pattern" and is_prime(r["k"] + 1)}
+
+    def test_every_pattern_at_k_plus_1_has_a_part_1(self, shared_table):
+        table = shared_table.ensure(480)
+        split = quadratic = 0
+        for k in range(12, 481, 2):
+            phi = phi_by_division(k, table)
+            if not is_prime(k + 1) or phi.degree < 1:
+                continue
+            pattern = distinct_degree_pattern(phi.ints, k + 1)
+            assert pattern is not None and set(pattern) <= {1, 2} and 1 in pattern, k
+            assert phi.degree == 1 or irreducibility.has_root(phi.ints, k + 1), k
+            split += pattern == [1] * phi.degree
+            quadratic += 2 in pattern
+        assert (split, quadratic) == (10, 77)
+
+    def test_the_walk_never_keeps_k_plus_1(self, shared_table):
+        table = shared_table.ensure(446)
+        records = self.walk_records(table, 446)
+        assert len(records) == 72
+        for k, record in records.items():
+            ints = phi_by_division(k, table).ints
+            kept, examined = select_witness_primes(ints, floor=k)
+            assert select_witness_primes(ints, floor=k + 1) == (kept, examined - 1), k
+            assert record["primes"] == list(kept), k  # the scan keeps what a walk from k keeps
+
+    def test_the_scan_runs_no_ddf_at_k_plus_1(self, shared_table):
+        table = shared_table.ensure(446)
+        weight = {tuple(phi_by_division(k, table).ints): k for k in self.walk_records(table, 446)}
+        calls = record_walk_ddf_calls(446, table)
+        assert len(calls) == 817  # 889 with a DDF at each p = k + 1
+        assert not [(f, p) for f, p, _mask in calls if f in weight and p == weight[f] + 1]
+
+    def test_records_do_not_depend_on_the_root_test(self, shared_table, monkeypatch):
+        table = shared_table.ensure(200)
+        expected = gekeler_scan(200, table).records
+        asked = []
+
+        def no_root(f, p):
+            asked.append(p)
+            return False
+
+        monkeypatch.setattr(replicate, "has_root", no_root)
+        assert gekeler_scan(200, table).records == expected
+        assert asked  # the even-degree weights at k + 1 prime then run the DDF there
 
 
 class TestSelftest:
