@@ -43,36 +43,40 @@ from .eisenstein import EisensteinTable, elliptic_exponents, exponents
 
 @dataclass(frozen=True)
 class GekelerPolynomial:
-    """Monic polynomial phi_k in X = j attached to weight k, plus elliptic exponents.
+    """Monic polynomial phi_k in X = j attached to weight k.
 
     ``ints`` is phi_k's primitive integer polynomial, constant term first, leading
     coefficient > 0, which the certifier reads; ``coeffs`` = ints / ints[-1] is
     formed on first read and kept, for phi_k's text (``__str__``, the ``phi`` command).
+    The elliptic exponents ``delta`` and ``epsilon`` are read off k
+    (``elliptic_exponents``), which also fixes the degree m.
     """
 
     k: int
     ints: tuple[int, ...]
-    delta: int
-    epsilon: int
 
     def __post_init__(self) -> None:
-        m = len(self.ints) - 1
         if self.ints[-1] <= 0 or math.gcd(*self.ints) != 1:
             raise ConsistencyError(f"phi_{self.k} is not held as a primitive integer polynomial: {self.ints}")
-        if self.k != 12 * m + 4 * self.delta + 6 * self.epsilon:
-            raise ConsistencyError(
-                f"weight bookkeeping broken: k={self.k}, m={m}, delta={self.delta}, epsilon={self.epsilon}"
-            )
-        if self.delta not in (0, 1, 2) or self.epsilon not in (0, 1):
-            raise ConsistencyError(f"elliptic exponents out of range: {self.delta}, {self.epsilon}")
+        m = elliptic_exponents(self.k)[0]
+        if len(self.ints) - 1 != m:
+            raise ConsistencyError(f"weight bookkeeping broken: k={self.k}, m={m}, degree {len(self.ints) - 1}")
 
     @classmethod
-    def from_ratio(cls, k: int, nums: list[int], den: int, delta: int, epsilon: int) -> "GekelerPolynomial":
+    def from_ratio(cls, k: int, nums: list[int], den: int) -> "GekelerPolynomial":
         """phi_k = nums / den, constant term first; ConsistencyError unless it is monic (nums[-1] == den)."""
         if nums[-1] != den:
             raise ConsistencyError(f"phi_{k} came out non-monic: leading {Fraction(nums[-1], den)}")
         g = math.gcd(*nums) if den > 0 else -math.gcd(*nums)
-        return cls(k, tuple(n // g for n in nums), delta, epsilon)
+        return cls(k, tuple(n // g for n in nums))
+
+    @property
+    def delta(self) -> int:
+        return elliptic_exponents(self.k)[1]
+
+    @property
+    def epsilon(self) -> int:
+        return elliptic_exponents(self.k)[2]
 
     @functools.cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -125,7 +129,7 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
     coefficient of sum_alpha p_alpha x^alpha (1 + x)^(m - alpha), built by
     Horner in (1 + x): s <- s (1 + x) + p_alpha x^alpha, adds only.
     """
-    m, delta, epsilon = elliptic_exponents(k)
+    m = elliptic_exponents(k)[0]
     nums, scale = table.e_basis_numerators(k)
     r_k = zeta_ratio(k)
     g = math.gcd(r_k.denominator, scale)
@@ -138,7 +142,7 @@ def phi_by_division(k: int, table: EisensteinTable) -> GekelerPolynomial:
         for i in range(alpha, 0, -1):
             s[i] += s[i - 1]
     nums = [s[r] * (-1728) ** (m - r) * up for r in range(m + 1)]
-    return GekelerPolynomial.from_ratio(k, nums, den, delta, epsilon)
+    return GekelerPolynomial.from_ratio(k, nums, den)
 
 
 def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
@@ -180,4 +184,4 @@ def phi_closed_form(k: int, table: EisensteinTable) -> GekelerPolynomial:
             s[i] += 20 * s[i - 1]
     # over the one denominator fixed 3^(3m) 5^m = fixed 135^m
     nums = [s[r] * (-135) ** (m - r) * up << (2 * k // 3 - 8 * r) for r in range(m + 1)]
-    return GekelerPolynomial.from_ratio(k, nums, fixed * 135**m, 0, 0)
+    return GekelerPolynomial.from_ratio(k, nums, fixed * 135**m)

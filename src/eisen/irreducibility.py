@@ -216,17 +216,18 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # later step is two half vector-matrix products and one ``mulmod`` instead of
 # a powering (von zur Gathen and Shoup 1992).
 #
-# ``gcd`` is Euclid in one loop, and keeps each remainder only up to a unit.
-# A pass whose dividend a is reduced and exactly one degree above the divisor
-# b, as most are, is one pseudo-remainder step with no inverse: with b1, b0
-# the top two slots of b and a1, a0 those of a, q1 = a1 b1 and
-# q0 = a0 b1 - a1 b0 (mod p), the sum b1^2 a + ((p - q1) x + (p - q0)) b is
-# 0 mod p in its two top slots, so its slots below deg b are b1^2 (a mod b).
-# Every other pass clears the dividend's top slot one at a time, as
-# ``divmod`` does, but keeps no quotient: the first pass, whose dividend is
-# the caller's unreduced b, and any pass after a remainder that dropped two
-# degrees or more.  A nonzero constant divisor ends the loop at once.  One
-# inline ``red`` finishes each remainder, which becomes the next divisor.
+# ``gcd`` is Euclid in one loop on reduced operands, and keeps each remainder
+# only up to a unit; the DDF hands it a reduced h - x (slot 1 minus 1, or
+# plus p - 1 where that slot is 0).  A pass whose dividend a is exactly one
+# degree above the divisor b, as most are, is one pseudo-remainder step with
+# no inverse: with b1, b0 the top two slots of b and a1, a0 those of a,
+# q1 = a1 b1 and q0 = a0 b1 - a1 b0 (mod p), the sum
+# b1^2 a + ((p - q1) x + (p - q0)) b is 0 mod p in its two top slots, so its
+# slots below deg b are b1^2 (a mod b).  Every other pass, a dividend two or
+# more degrees above its divisor, clears the dividend's top slot one at a
+# time, as ``divmod`` does, but keeps no quotient.  A nonzero constant
+# divisor ends the loop at once.  One inline ``red`` finishes each
+# remainder, which becomes the next divisor.
 # ``divmod`` keeps its quotient for g / common and for Barrett's
 # x^(2n-2) // f.  ``disc_character`` is Euclid on f and f' that keeps only
 # the quadratic character of Res(f, f'): the DDF's squarefree test and, at
@@ -235,15 +236,14 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # Slot bound: for deg f = n, no slot ever reaches B = max(n, 3) p (p + 1).  A
 # product of two reduced polynomials of degree < n, or A or B, sums at most
 # n terms below p^2 in a slot, and A plus a reduced x^(tp) B stays below
-# t p^2 + p; a dividend starts below n p (f' has slots i c_i, h - x slots
-# below 2p) and each of its slots takes at most deg(divisor) <= n one-slot
-# terms below p^2; the two-slot step leaves each slot at most
-# (p - 1)^2 + 2 p (p - 1) = (p - 1)(3p - 1), below 3 p (p + 1), which is
-# what the 3 covers at n = 2; a fold by x leaves each slot at most
-# (p - 1) + (p - 1)^2 < B.  With S = bits(B - 1) and M = floor(2^S / p),
-# floor(v M / 2^S) is floor(v / p) or one less for every slot v < 2^S, so one
-# compare-and-subtract finishes the reduction; W (whole bytes) holds (B - 1) M,
-# so v M never spills into the next slot.
+# t p^2 + p; a dividend starts reduced and each of its slots takes at most
+# deg(divisor) <= n one-slot terms below p^2; the two-slot step on a reduced
+# dividend leaves each slot at most (p - 1)^2 + 2 p (p - 1) = (p - 1)(3p - 1),
+# below 3 p (p + 1), which is what the 3 covers at n = 2; a fold by x leaves
+# each slot at most (p - 1) + (p - 1)^2 < B.  With S = bits(B - 1) and
+# M = floor(2^S / p), floor(v M / 2^S) is floor(v / p) or one less for every
+# slot v < 2^S, so one compare-and-subtract finishes the reduction; W (whole
+# bytes) holds (B - 1) M, so v M never spills into the next slot.
 
 
 class _PackedGF:
@@ -299,21 +299,22 @@ class _PackedGF:
         return q, self.red(a)
 
     def gcd(self, a: int, b: int) -> int:
-        """A gcd of the reduced nonzero a and b, up to a unit; b (which may be 0) is reduced mod a first.
+        """A gcd of the nonzero a and of b (which may be 0), up to a unit; b is divided by a first.
 
-        The result is reduced, and some nonzero multiple of the monic gcd:
-        callers read only its degree and divide by it.
+        Both must be reduced, every slot below p: every pass one degree apart
+        takes the inverse-free two-slot step, whose slot bound holds only for
+        a reduced dividend.  The result is reduced, and some nonzero multiple
+        of the monic gcd: callers read only its degree and divide by it.
         """
         p, W, m, s, qmask, slot = self.p, self.W, self.m, self.s, self.quotient_mask, self.slot
         offset, top_bits, W1 = self.offset, self.top_bits, self.W - 1
-        a, b = b, a  # a is the dividend, b the reduced divisor
-        first = True  # the first dividend is the caller's b, which may be unreduced
+        a, b = b, a  # a is the dividend, b the divisor
         while b:
             cut = (b.bit_length() - 1) // W * W
             if not cut:
                 return b  # a nonzero constant
             top = (a.bit_length() - 1) // W * W
-            if top == cut + W and not first:  # b1^2 (a mod b), by one inverse-free step
+            if top == cut + W:  # b1^2 (a mod b), by one inverse-free step
                 b1, a1 = b >> cut, a >> top
                 q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
                 a = (b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1)
@@ -324,7 +325,6 @@ class _PackedGF:
                     t = a >> top
                     a += ((p - (t * inv % p)) * b_low - (t << cut)) << (top - cut)
                     top = (a.bit_length() - 1) // W * W
-                first = False
             a -= ((a * m >> s) & qmask) * p  # red, inline
             a -= (((a + offset) & top_bits) >> W1) * p
             a, b = b, a
@@ -351,7 +351,7 @@ class _PackedGF:
                     u = u * b % p
                 return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
             cut = db * W
-            if da == db + 1:  # the two-slot step of gcd: every dividend here is reduced
+            if da == db + 1:  # the two-slot step of gcd
                 b1, a1 = b >> cut, a >> (cut + W)
                 q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
                 r = self.red((b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1))
@@ -456,7 +456,8 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     if n == 1:
         return [1]
     remaining = _WALK_REMAINING.get()
-    gf = _monic_mod(int_coeffs, p)
+    inv = pow(int_coeffs[-1], -1, p)
+    gf = _PackedGF([c % p * inv % p for c in int_coeffs], p)  # f / f_n mod p
     h = gf.x_pow_p()
 
     pattern: list[int] = []
@@ -464,7 +465,8 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     chi = None  # chi(disc f), once asked for
     d = 1
     while True:
-        common = gf.gcd(g, h + ((p - 1) << gf.W))  # gcd(g, h - x), h = x^(p^d) mod f
+        # gcd(g, h - x), h = x^(p^d) mod f; h - x reduced: slot 1 minus 1, or plus p - 1 where it is 0
+        common = gf.gcd(g, h - (1 << gf.W) if h >> gf.W & gf.slot else h + ((p - 1) << gf.W))
         if gf.degree(common) > 0:
             pattern.extend([d] * (gf.degree(common) // d))
             g = gf.divmod(g, common)[0]
@@ -491,18 +493,6 @@ def distinct_degree_pattern(int_coeffs: Sequence[int], p: int) -> Optional[list[
     if chi is None and not gf.disc_character():
         return None  # f and f' share a factor (or f' = 0)
     return sorted(pattern)
-
-
-def _monic_mod(int_coeffs: Sequence[int], p: int) -> _PackedGF:
-    """The kernel of f / f_n mod p, for p not dividing f_n."""
-    inv = pow(int_coeffs[-1], -1, p)
-    return _PackedGF([c % p * inv % p for c in int_coeffs], p)
-
-
-def has_root(int_coeffs: Sequence[int], p: int) -> bool:
-    """Whether f mod p has a root in GF(p), for deg f >= 2 and p not dividing f_n: gcd(f, x^p - x) != 1."""
-    gf = _monic_mod(int_coeffs, p)
-    return gf.degree(gf.gcd(gf.f, gf.x_pow_p() + ((p - 1) << gf.W))) > 0
 
 
 def _subset_sum_bits(pattern: Iterable[int]) -> int:

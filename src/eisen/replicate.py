@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .exact import SMALL_PRIMES, digit_sum_base2, is_prime, json_valuation, valuation, zeta_ratio
+from .exact import SMALL_PRIMES, digit_sum_base2, json_valuation, valuation, zeta_ratio
 from .eisenstein import (
     EisensteinTable,
     min_valuation2,
@@ -32,7 +32,6 @@ from .irreducibility import (
     assemble_pattern_certificate,
     distinct_degree_pattern,
     dumas_check,
-    has_root,
     primes_above,
     select_witness_primes,
     valuation_profile,
@@ -359,14 +358,16 @@ def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
     gets the valuation criterion (``dumas_check``, which must then certify,
     else ``ConsistencyError``); if no prime passes, fall back to the
     finite-field degree-pattern oracle.  Witness primes for the oracle are
-    selected above the weight k: below it, Kummer's congruence gives, for
-    most p >= 5, phi_k = j^x (j - 1728)^y phi_k' phi_{p-1}^t mod p with
+    selected above k + 1: below k, Kummer's congruence gives, for most
+    p >= 5, phi_k = j^x (j - 1728)^y phi_k' phi_{p-1}^t mod p with
     k' = k (mod p - 1), lower weights' factors, not squarefree once t >= 2
-    and p >= 13.  At p = k + 1 the roots of phi_k mod p are supersingular
-    j-invariants (Deligne; Kaneko and Zagier 1998), all in F_{p^2}, so its
-    parts are 1 and 2, and one part 1 makes the subset sums cover every
-    degree.  So when k + 1 is prime the walk starts above it if deg phi_k is
-    odd, p divides the leading coefficient or ``has_root`` finds a root.
+    and p >= 13.  A prime p = k + 1 would never be kept at deg phi_k >= 2:
+    phi_k is p-integral (von Staudt-Clausen) and squarefree mod p, its roots
+    the non-elliptic supersingular j-invariants, all in F_{p^2} (Deligne;
+    Kaneko and Zagier 1998) and at least one in F_p (Delfs and Galbraith
+    2016 count those by class numbers, leaving one besides 0 and 1728 for
+    every p >= 13), so its parts are 1 and 2, with a 1 that makes the
+    subset sums cover every degree.
     A weight left inconclusive is reported, not failed; only a
     (criterion-impossible) "reducible" verdict fails a record.
     12 is the first weight with deg phi_k >= 1, so a smaller k_max, which
@@ -392,9 +393,7 @@ def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
                     raise ConsistencyError(f"the Dumas screen passed phi_{k} at p = {p}, dumas_check did not")
                 break
         else:
-            p = k + 1
-            skip = is_prime(p) and (phi.degree % 2 or phi.ints[-1] % p == 0 or has_root(phi.ints, p))
-            kept, _examined = select_witness_primes(phi.ints, floor=p if skip else k)
+            kept, _examined = select_witness_primes(phi.ints, floor=k + 1)
             if kept is None:
                 # no proof within the caps: still report the patterns at the first
                 # usable primes above the weight so the record stays informative

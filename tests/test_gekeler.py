@@ -239,24 +239,20 @@ class TestValidation:
     def test_non_monic_rejected(self):
         # 1 + 2X over 1: the routes' one constructor refuses a leading coefficient other than 1
         with pytest.raises(ConsistencyError, match="non-monic: leading 2"):
-            GekelerPolynomial.from_ratio(12, [1, 2], 1, 0, 0)
+            GekelerPolynomial.from_ratio(12, [1, 2], 1)
 
     def test_weight_bookkeeping_rejected(self):
         with pytest.raises(ConsistencyError, match="weight bookkeeping broken"):
-            GekelerPolynomial(k=14, ints=(3, 1), delta=0, epsilon=0)
-
-    def test_exponent_range_rejected(self):
-        with pytest.raises(ConsistencyError, match="elliptic exponents out of range"):
-            GekelerPolynomial(k=24, ints=(3, 1), delta=3, epsilon=0)
+            GekelerPolynomial(k=14, ints=(3, 1))
 
     @pytest.mark.parametrize("ints", [(2, 4), (-3, -2), (3, 0)], ids=["content-2", "negative-leading", "zero-leading"])
     def test_non_primitive_ints_rejected(self, ints):
         with pytest.raises(ConsistencyError, match="not held as a primitive integer polynomial"):
-            GekelerPolynomial(k=12, ints=ints, delta=0, epsilon=0)
+            GekelerPolynomial(k=12, ints=ints)
 
     def test_from_ratio_divides_out_the_content_with_the_sign(self):
         # (-6 - 4X) / -4 = 3/2 + X, held as 3 + 2X whatever the sign of the denominator
         for nums, den in (([-6, -4], -4), ([6, 4], 4), ([3, 2], 2)):
-            phi = GekelerPolynomial.from_ratio(12, nums, den, 0, 0)
+            phi = GekelerPolynomial.from_ratio(12, nums, den)
             assert phi.ints == (3, 2)
             assert phi.coeffs == (Fraction(3, 2), Fraction(1))

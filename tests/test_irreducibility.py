@@ -34,7 +34,7 @@ from eisen.irreducibility import (
 from eisen.gekeler import phi_by_division
 from eisen.recheck import _ddf_by_repeated_squaring, recheck_dumas_certificate, recheck_pattern_certificate
 from eisen.replicate import check_theorem_main, dumas_applies
-from helpers import covers, resultant_mod_p
+from helpers import covers, record_walk_ddf_calls, resultant_mod_p
 
 
 # --- independent test-side helpers -----------------------------------------
@@ -694,24 +694,35 @@ class TestPackedKernel:
             q, r1, r2 = poly(1), poly(d), poly(max(d - 2, 0))
             a = [(c + r) % p for c, r in itertools.zip_longest(poly_mul(q, r1), r2, fillvalue=0)]
             cases.append((a, r1))
-        # the caller's unreduced second arguments: h - x has a slot up to 2p - 2, and f' has slots
-        # i f_i up to n (p - 1), here one degree above the first argument as well
+        # the callers' second arguments, reduced: h - x, and f' (here one degree above the first
+        # argument as well, unless p divides n)
         a, b = poly(n), poly(n - 1)
-        f_prime = [i * (p - 1) for i in range(1, n + 1)]  # of f = top
-        cases += [(a, [b[0], b[1] + p - 1, *b[2:]]), (top, f_prime), (poly(n - 2), f_prime)]
+        f_prime = [i * (p - 1) % p for i in range(1, n + 1)]  # of f = top
+        cases += [(a, [b[0], (b[1] - 1) % p, *b[2:]]), (top, f_prime), (poly(n - 2), f_prime)]
         for a, b in cases:
             assert monic_gcd(a, b) == recheck._gf_gcd(a, [c % p for c in b], p), (a, b)
 
-    def test_gcd_takes_no_two_slot_step_on_the_unreduced_first_dividend(self):
-        # a is the zero polynomial in slots below n p, one degree above b.  A two-slot step on it
-        # (b1^2 = -1 mod p, q1 = q0 = 0) would form 4 p (p - 1) in slot 1, past 2^S, where
-        # Barrett's estimate is two short, and leave that slot at p instead of 0.
-        p, n = 281, 3
-        gf = irreducibility._PackedGF([1] * (n + 1), p)
-        b = [p - 1, p - 1, next(c for c in range(p) if c * c % p == p - 1)]
-        a = [p, 2 * p, 2 * p, p]
-        assert 4 * p * (p - 1) >= 1 << gf.s
-        assert gf.gcd(gf.pack(b), gf.pack(a)) == gf.pack(b)
+    def test_the_ddf_hands_gcd_reduced_operands(self, shared_table, monkeypatch):
+        # gcd's two-slot step stays inside the slot bound only on reduced operands; an unreduced
+        # h - x, h + (p - 1) x, has slot 1 up to 2p - 2
+        calls = record_walk_ddf_calls(446, shared_table.ensure(446))
+        real, unreduced, gcds = irreducibility._PackedGF.gcd, [], [0]
+
+        def checking(gf, a, b):
+            gcds[0] += 1
+            for v in (a, b):
+                if any(v >> i & gf.slot >= gf.p for i in range(0, v.bit_length(), gf.W)):
+                    unreduced.append((gf.p, gf.unpack(v)))
+            return real(gf, a, b)
+
+        monkeypatch.setattr(irreducibility._PackedGF, "gcd", checking)
+        for f, p, mask in calls:
+            with irreducibility._walk_remaining(mask):
+                distinct_degree_pattern(f, p)
+        for f, p in differential_corpus():
+            distinct_degree_pattern(f, p)
+        assert gcds[0] > 4500  # 3854 in the walk's replay
+        assert not unreduced, unreduced[:3]
 
     @pytest.mark.parametrize("n", [2, 3, 12])
     def test_unpack_reads_the_slot_bytes(self, n):
@@ -789,7 +800,7 @@ class TestPackedKernel:
         assert pruned > 350
 
 
-# --- the Frobenius step from half of Q, and the root test ---
+# --- the Frobenius step from half of Q ---
 
 
 class TestHalfFrobenius:
@@ -815,19 +826,6 @@ class TestHalfFrobenius:
                 power = recheck._gf_powmod(h, p, f, p)
                 expected = gf.pack(power + [0] * (n - len(power)))
                 assert gf.frobenius(gf.pack(h), rows, top) == gf.red(sum(map(operator.mul, h, full))) == expected, n
-
-    @pytest.mark.parametrize("p", [2, 3, 37, 65537, LARGEST_DECIDED_PRIME])
-    def test_has_root_is_a_part_1(self, p):
-        rng = random.Random(p)
-        cases = [([1, 0, 1], 3), ([-1, 0, 1], 3), ([1, 0, 0, 0, 1], 3), ([-2, 0, 1], 7)]  # x^4 + 1 = two quadratics
-        for _ in range(20):
-            n = rng.randint(2, 12)
-            cases.append(([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p))
-        for f, q in cases:
-            pattern = _ddf_by_repeated_squaring(f, q)
-            if pattern is not None:
-                assert irreducibility.has_root(f, q) == (1 in pattern), (f, q)
-        assert not irreducibility.has_root([1, 0, 1], 3) and irreducibility.has_root([-1, 0, 1], 3)
 
 
 # --- Stickelberger's parity: the discriminant character, and where it ends the DDF ---

@@ -22,7 +22,7 @@ from eisen.replicate import (
     gekeler_scan,
     selftest,
 )
-from helpers import bench_span_targets, covers, record_walk_ddf_calls
+from helpers import bench_span_targets, class_number, covers, rational_supersingular_count, record_walk_ddf_calls
 
 
 class TestBenchmarkHooks:
@@ -382,10 +382,22 @@ class TestSupersingularPrime:
                 continue
             pattern = distinct_degree_pattern(phi.ints, k + 1)
             assert pattern is not None and set(pattern) <= {1, 2} and 1 in pattern, k
-            assert phi.degree == 1 or irreducibility.has_root(phi.ints, k + 1), k
             split += pattern == [1] * phi.degree
             quadratic += 2 in pattern
         assert (split, quadratic) == (10, 77)
+
+    def test_the_rational_roots_are_the_class_number_count(self, shared_table):
+        # the theorem behind the walk's floor k + 1, at every prime in range: phi_{p-1} is
+        # p-integral, and its parts 1 mod p count the supersingular j in F_p other than 0 and 1728
+        table = shared_table.ensure(480)
+        primes = [p for p in range(13, 481) if is_prime(p)]
+        assert len(primes) == 87
+        for p in primes:
+            phi = phi_by_division(p - 1, table)
+            linear = rational_supersingular_count(p) - (p % 3 == 2) - (p % 4 == 3)
+            assert phi.ints[-1] % p and linear >= 1, p
+            assert distinct_degree_pattern(phi.ints, p).count(1) == linear, p
+        assert [class_number(d) for d in (-3, -4, -20, -23, -47, -56, -71)] == [1, 1, 2, 3, 5, 4, 7]
 
     def test_the_walk_never_keeps_k_plus_1(self, shared_table):
         table = shared_table.ensure(446)
@@ -403,19 +415,6 @@ class TestSupersingularPrime:
         calls = record_walk_ddf_calls(446, table)
         assert len(calls) == 817  # 889 with a DDF at each p = k + 1
         assert not [(f, p) for f, p, _mask in calls if f in weight and p == weight[f] + 1]
-
-    def test_records_do_not_depend_on_the_root_test(self, shared_table, monkeypatch):
-        table = shared_table.ensure(200)
-        expected = gekeler_scan(200, table).records
-        asked = []
-
-        def no_root(f, p):
-            asked.append(p)
-            return False
-
-        monkeypatch.setattr(replicate, "has_root", no_root)
-        assert gekeler_scan(200, table).records == expected
-        assert asked  # the even-degree weights at k + 1 prime then run the DDF there
 
 
 class TestSelftest:
