@@ -216,34 +216,28 @@ def dumas_check(coeffs: Coeffs, p: int, poly_id: str = "poly") -> Irreducibility
 # later step is two half vector-matrix products and one ``mulmod`` instead of
 # a powering (von zur Gathen and Shoup 1992).
 #
-# ``gcd`` is Euclid in one loop on reduced operands, and keeps each remainder
-# only up to a unit; the DDF hands it a reduced h - x (slot 1 minus 1, or
-# plus p - 1 where that slot is 0).  A pass whose dividend a is exactly one
-# degree above the divisor b, as most are, is one pseudo-remainder step with
-# no inverse: with b1, b0 the top two slots of b and a1, a0 those of a,
-# q1 = a1 b1 and q0 = a0 b1 - a1 b0 (mod p), the sum
-# b1^2 a + ((p - q1) x + (p - q0)) b is 0 mod p in its two top slots, so its
-# slots below deg b are b1^2 (a mod b).  Every other pass, a dividend two or
-# more degrees above its divisor, clears the dividend's top slot one at a
-# time, as ``divmod`` does, but keeps no quotient.  A nonzero constant
-# divisor ends the loop at once.  One inline ``red`` finishes each
-# remainder, which becomes the next divisor.
-# ``divmod`` keeps its quotient for g / common and for Barrett's
-# x^(2n-2) // f.  ``disc_character`` is Euclid on f and f' that keeps only
-# the quadratic character of Res(f, f'): the DDF's squarefree test and, at
-# odd p, Stickelberger's parity of the factor count.
+# ``rem`` is the one remainder pass of both Euclids.  A dividend one degree
+# above its divisor, as most are, takes an inverse-free two-slot step; any
+# other goes through ``divmod``; the remainder comes back up to a nonzero
+# square.  ``gcd`` loops over it on reduced operands (the DDF hands it a
+# reduced h - x: slot 1 minus 1, or plus p - 1 where that slot is 0).
+# ``disc_character`` loops over it on f and f' and keeps only the quadratic
+# character of Res(f, f'): the DDF's squarefree test and, at odd p,
+# Stickelberger's parity of the factor count.  ``divmod`` is the one loop
+# that clears a dividend's top slot one at a time and keeps the quotient: for
+# g / common, Barrett's x^(2n-2) // f and ``rem``'s longer passes.
 #
 # Slot bound: for deg f = n, no slot ever reaches B = max(n, 3) p (p + 1).  A
 # product of two reduced polynomials of degree < n, or A or B, sums at most
 # n terms below p^2 in a slot, and A plus a reduced x^(tp) B stays below
 # t p^2 + p; a dividend starts reduced and each of its slots takes at most
-# deg(divisor) <= n one-slot terms below p^2; the two-slot step on a reduced
-# dividend leaves each slot at most (p - 1)^2 + 2 p (p - 1) = (p - 1)(3p - 1),
-# below 3 p (p + 1), which is what the 3 covers at n = 2; a fold by x leaves
-# each slot at most (p - 1) + (p - 1)^2 < B.  With S = bits(B - 1) and
-# M = floor(2^S / p), floor(v M / 2^S) is floor(v / p) or one less for every
-# slot v < 2^S, so one compare-and-subtract finishes the reduction; W (whole
-# bytes) holds (B - 1) M, so v M never spills into the next slot.
+# deg(divisor) <= n one-slot terms below p^2; ``rem``'s two-slot step on a
+# reduced dividend stays below 3 p (p + 1), which is what the 3 covers at
+# n = 2; a fold by x leaves each slot at most (p - 1) + (p - 1)^2 < B.  With
+# S = bits(B - 1) and M = floor(2^S / p), floor(v M / 2^S) is floor(v / p) or
+# one less for every slot v < 2^S, so one compare-and-subtract finishes the
+# reduction; W (whole bytes) holds (B - 1) M, so v M never spills into the
+# next slot.
 
 
 class _PackedGF:
@@ -298,49 +292,51 @@ class _PackedGF:
             top = (a.bit_length() - 1) // W * W
         return q, self.red(a)
 
+    def rem(self, a: int, b: int) -> int:
+        """s (a mod b), reduced, for reduced a and b with deg b >= 1, s a nonzero square mod p.
+
+        A dividend exactly one degree above b, as most of Euclid's are, takes
+        one pseudo-remainder step with no inverse: with b1, b0 the top two
+        slots of b and a1, a0 those of a, q1 = a1 b1 and q0 = a0 b1 - a1 b0
+        (mod p), the sum b1^2 a + ((p - q1) x + (p - q0)) b is 0 mod p in its
+        two top slots, so its slots below deg b are b1^2 (a mod b), s = b1^2.
+        On a reduced a each slot is at most (p - 1)^2 + 2 p (p - 1) =
+        (p - 1)(3p - 1), below the kernel's slot bound, so a must be reduced.
+        Any other dividend is ``divmod``'s remainder, s = 1.
+        """
+        p, W, slot = self.p, self.W, self.slot
+        cut = (b.bit_length() - 1) // W * W
+        if (a.bit_length() - 1) // W * W != cut + W:
+            return self.divmod(a, b)[1]
+        b1, a1 = b >> cut, a >> (cut + W)
+        q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
+        return self.red((b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1))
+
     def gcd(self, a: int, b: int) -> int:
         """A gcd of the nonzero a and of b (which may be 0), up to a unit; b is divided by a first.
 
-        Both must be reduced, every slot below p: every pass one degree apart
-        takes the inverse-free two-slot step, whose slot bound holds only for
-        a reduced dividend.  The result is reduced, and some nonzero multiple
-        of the monic gcd: callers read only its degree and divide by it.
+        Euclid over ``rem``, so both must be reduced, every slot below p.  A
+        nonzero constant divisor ends the loop at once.  The result is reduced,
+        and some nonzero multiple of the monic gcd: callers read only its
+        degree and divide by it.
         """
-        p, W, m, s, qmask, slot = self.p, self.W, self.m, self.s, self.quotient_mask, self.slot
-        offset, top_bits, W1 = self.offset, self.top_bits, self.W - 1
-        a, b = b, a  # a is the dividend, b the divisor
-        while b:
-            cut = (b.bit_length() - 1) // W * W
-            if not cut:
-                return b  # a nonzero constant
-            top = (a.bit_length() - 1) // W * W
-            if top == cut + W:  # b1^2 (a mod b), by one inverse-free step
-                b1, a1 = b >> cut, a >> top
-                q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
-                a = (b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1)
-            else:
-                inv = pow(b >> cut, -1, p)
-                b_low = b & ((1 << cut) - 1)
-                while top >= cut:  # as in divmod, with no quotient kept
-                    t = a >> top
-                    a += ((p - (t * inv % p)) * b_low - (t << cut)) << (top - cut)
-                    top = (a.bit_length() - 1) // W * W
-            a -= ((a * m >> s) & qmask) * p  # red, inline
-            a -= (((a + offset) & top_bits) >> W1) * p
-            a, b = b, a
-        return a
+        while a.bit_length() > self.W:  # deg a >= 1
+            a, b = self.rem(b, a), a
+        return a or b
 
     def disc_character(self) -> int:
         """chi(disc f), the quadratic character mod p: 0 exactly when f is not squarefree mod p.
 
-        Euclid on f and f' that keeps only some u with chi(u) = chi(Res(f, f')):
-        a pass a = q b + r gives Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
-        Res(b, r), a nonzero constant c gives Res(a, c) = c^(deg a), and r = 0
-        gives 0; disc f = (-1)^(n(n-1)/2) Res(f, f') for monic f.  A sign enters
-        u as the factor -1, whose character is (-1)^((p-1)/2).  The two-slot step
-        leaves b1^2 r, and the square drops out.  At p = 2 the result is 0 or 1.
+        Euclid over ``rem`` on f and f' that keeps only some u with
+        chi(u) = chi(Res(f, f')): a pass a = q b + r gives
+        Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), a nonzero
+        constant c gives Res(a, c) = c^(deg a), and r = 0 gives 0;
+        disc f = (-1)^(n(n-1)/2) Res(f, f') for monic f.  A sign enters u as the
+        factor -1, whose character is (-1)^((p-1)/2).  ``rem`` returns s r for a
+        nonzero square s, and Res(b, s r) = s^(deg b) Res(b, r), so s drops out.
+        At p = 2 the result is 0 or 1.
         """
-        p, W, n, slot = self.p, self.W, self.n, self.slot
+        p, n = self.p, self.n
         f = [*self.unpack(self.f), 1]
         a, b = self.f, self.pack([i * c % p for i, c in enumerate(f)][1:])
         u = p - 1 if n * (n - 1) // 2 % 2 else 1  # (-1)^(n(n-1)/2)
@@ -350,17 +346,11 @@ class _PackedGF:
                 if da % 2:
                     u = u * b % p
                 return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
-            cut = db * W
-            if da == db + 1:  # the two-slot step of gcd
-                b1, a1 = b >> cut, a >> (cut + W)
-                q1, q0 = a1 * b1 % p, ((a >> cut & slot) * b1 - a1 * (b >> (cut - W) & slot)) % p
-                r = self.red((b1 * b1 % p * a + ((p - q1) << W | p - q0) * b) & ((1 << cut) - 1))
-            else:
-                r = self.divmod(a, b)[1]
+            r = self.rem(a, b)
             if da * db % 2:
                 u = p - u
             if (da - self.degree(r)) % 2:
-                u = u * (b >> cut) % p
+                u = u * (b >> db * self.W) % p
             a, b = b, r
         return 0
 

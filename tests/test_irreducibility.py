@@ -652,7 +652,7 @@ class TestPackedKernel:
         bound = max(n, 3) * p * (p + 1)  # no slot the kernel forms reaches it
         assert (bound - 1).bit_length() <= gf.s  # Barrett's estimate is off by at most one
         assert (bound - 1) * gf.m < 1 << gf.W  # v M stays inside its slot
-        two_slot = (p - 1) * (3 * p - 1)  # the largest slot of gcd's two-slot step, above 2 p (p + 1) for p >= 7
+        two_slot = (p - 1) * (3 * p - 1)  # the largest slot of rem's two-slot step, above 2 p (p + 1) for p >= 7
         slots = ([two_slot, bound - 1, 0, p - 1, p, 2 * p - 1, p * p, bound - 2] * n)[: 2 * n - 1]
         assert gf.red(gf.pack(slots)) == gf.pack([v % p for v in slots])
 
@@ -701,6 +701,26 @@ class TestPackedKernel:
         cases += [(a, [b[0], (b[1] - 1) % p, *b[2:]]), (top, f_prime), (poly(n - 2), f_prime)]
         for a, b in cases:
             assert monic_gcd(a, b) == recheck._gf_gcd(a, [c % p for c in b], p), (a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    @pytest.mark.parametrize("p", [2, 3, 37, 65537, LARGEST_DECIDED_PRIME])
+    def test_rem_matches_the_rechecker_up_to_a_nonzero_square(self, p, n):
+        rng = random.Random(p + n)
+        gf = irreducibility._PackedGF([rng.randrange(p) for _ in range(n)] + [1], p)
+
+        def poly(d):  # a random reduced polynomial of degree d (zero for d = -1)
+            return [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)] if d >= 0 else []
+
+        for db in range(1, n + 1):
+            # dividends below the divisor, one degree above it (the two-slot step) and more; every
+            # slot at p - 1 is the two-slot step's largest slot
+            for da in range(-1, n + 1):
+                for a, b in (([p - 1] * (da + 1), [p - 1] * (db + 1)), (poly(da), poly(db))):
+                    r = recheck._gf_divmod(a, b, p)[1]
+                    got = gf.rem(gf.pack(a), gf.pack(b))
+                    s = (got >> (len(r) - 1) * gf.W) * pow(r[-1], -1, p) % p if r else 1
+                    assert s and pow(s, (p - 1) // 2, p) == 1, (a, b)
+                    assert got == gf.pack([s * c % p for c in r]), (a, b)
 
     def test_the_ddf_hands_gcd_reduced_operands(self, shared_table, monkeypatch):
         # gcd's two-slot step stays inside the slot bound only on reduced operands; an unreduced
