@@ -58,7 +58,7 @@ from typing import Container, Iterable, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, fill_tangent_numbers, valuation, zeta_ratio_terms
-from .exact import excerpt, format_rational, parse_integer, parse_ratio, parse_table_row
+from .exact import excerpt, format_rational, parse_table_row
 from .qmring import E2, GradedForm, serre_derivative
 
 #: integers nums, den with w_{a,k} = nums[a] / den; E4-exponent a, b = (k-4a)/6 implied
@@ -268,11 +268,10 @@ class EisensteinTable:
         The file is read in the grammar ``dump_csv`` writes, one line at a
         time: the header line ``k,a,b,w``, then one row per line, each line
         ended by LF, CRLF or CR (the last may have none; text mode reads each
-        as LF) and split on commas, with no quoting.  A row that does not split
-        into four fields k, a, b, w (``parse_integer`` for k, a, b and
-        ``parse_ratio`` for w: ASCII digits only; ``parse_table_row`` reads
-        the rows they accept in one match, and they are asked only to word a
-        refusal), whose exponents are
+        as LF) and split on commas, with no quoting.  A row that
+        ``parse_table_row`` refuses (not four fields k, a, b, w that
+        ``parse_integer`` reads for k, a, b and ``parse_ratio`` for w: ASCII
+        digits only; the error quotes its reason), whose exponents are
         negative or do not satisfy 4a + 6b = k, whose weight is below 4, or
         that repeats an earlier (k, a), raises ``ConsistencyError``, quoting
         the line only as far as ``excerpt`` does; so does a loaded weight
@@ -298,7 +297,10 @@ class EisensteinTable:
                 raise ConsistencyError(f"unexpected table header {excerpt(header)}")
             for line in fh:
                 line = line.removesuffix("\n")
-                k, a, b, n, d = parse_table_row(line) or _parse_fields(line)
+                try:
+                    k, a, b, n, d = parse_table_row(line)
+                except DomainError as exc:
+                    raise ConsistencyError(f"bad table row {excerpt(line)}: {exc}") from exc
                 if 4 * a + 6 * b != k:
                     raise ConsistencyError(f"bad index row {excerpt(line)}: 4a+6b != k")
                 if a < 0 or b < 0:
@@ -330,21 +332,6 @@ class EisensteinTable:
                 raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}{more}")
             table._store(k, _reduced(*_lift(k, nums, dens)))
         return table
-
-
-def _parse_fields(line: str) -> tuple[int, ...]:
-    """``load_csv``'s row k,a,b,w read field by field, ``parse_integer`` for k, a, b and ``parse_ratio`` for w.
-
-    ``ConsistencyError`` words why a row is refused; ``parse_table_row``
-    reads the rows these parsers accept in one match.
-    """
-    row = line.split(",")
-    if len(row) != 4:
-        raise ConsistencyError(f"bad table row {excerpt(line)}: expected 4 fields")
-    try:
-        return (*(parse_integer(field) for field in row[:3]), *parse_ratio(row[3]))
-    except DomainError as exc:
-        raise ConsistencyError(f"bad table row {excerpt(line)}: {exc}") from exc
 
 
 def _e_basis_numerators(k: int, view: IntegerView) -> IntegerView:

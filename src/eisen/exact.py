@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError, InvalidPrimeError
 
@@ -262,21 +262,25 @@ def parse_integer(text: str) -> int:
     return _to_int(text)
 
 
-def parse_table_row(line: str) -> Optional[tuple[int, ...]]:
-    """The integers k, a, b, num, den of a row ``k,a,b,w`` read in one match, or None if it is refused.
+def parse_table_row(line: str) -> tuple[int, ...]:
+    """The integers k, a, b, num, den of a table row ``k,a,b,w``; a refused row raises ``DomainError``.
 
     A row is read iff it splits on commas into three fields that
     ``parse_integer`` reads and one that ``parse_ratio`` reads, and these
-    integers are theirs; None says only that one of them raises, and a caller
-    that words the refusal asks them which.
+    integers are theirs.  The rows they accept are read in one match; any
+    other row, or a field past ``int()``'s digit limit, is read field by
+    field, so the error is theirs, or "expected 4 fields".
     """
     m = _TABLE_ROW.fullmatch(line)
-    if m is None:
-        return None
-    try:
-        return tuple(map(int, m.groups("1")))
-    except ValueError:  # more digits than int(str) converts
-        return None
+    if m is not None:
+        try:
+            return tuple(map(int, m.groups("1")))
+        except ValueError:  # more digits than int(str) converts: the fields word it
+            pass
+    row = line.split(",")
+    if len(row) != 4:
+        raise DomainError("expected 4 fields")
+    return (*(parse_integer(field) for field in row[:3]), *parse_ratio(row[3]))
 
 
 def _to_int(digits: str) -> int:

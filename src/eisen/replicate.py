@@ -54,6 +54,8 @@ class CheckReport:
     records: list[dict] = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
+    #: when the report was made: a check makes it before it extends its table
+    _started: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     @property
     def passed_count(self) -> int:
@@ -72,6 +74,11 @@ class CheckReport:
             if not r.get("passed"):
                 return r
         return None
+
+    def finish(self) -> "CheckReport":
+        """Stamp ``wall_time_s``, the time since the report was made, and return the report."""
+        self.wall_time_s = time.perf_counter() - self._started
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,11 +116,6 @@ def _csv_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _timed(report: CheckReport, started: float) -> CheckReport:
-    report.wall_time_s = time.perf_counter() - started
-    return report
-
-
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
@@ -130,7 +132,6 @@ def check_lemma_valsum(k_max: int) -> CheckReport:
     """
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
-    started = time.perf_counter()
     report = CheckReport("lemma-valsum", {"k_max": k_max})
     for k in range(4, k_max + 1, 2):
         sign = -1 if (k // 2) % 2 else 1
@@ -150,7 +151,7 @@ def check_lemma_valsum(k_max: int) -> CheckReport:
             record["binom_mod4"] = binom % 4
             record["passed"] = record["passed"] and binom % 4 == 3
         report.records.append(record)
-    return _timed(report, started)
+    return report.finish()
 
 
 def _d_squared(m: int) -> Fraction:
@@ -172,7 +173,6 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
     """
     if k_max < 8:
         raise DomainError("k_max must be >= 8")
-    started = time.perf_counter()
     report = CheckReport("lemma-ineq", {"k_max": k_max})
     for k in range(4, k_max + 1, 2):
         h = k // 2
@@ -221,7 +221,7 @@ def check_lemma_ineq(k_max: int) -> CheckReport:
             ),
         }
         report.records.append(record)
-    return _timed(report, started)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +232,20 @@ def check_min_valuation(k_max: int, table: EisensteinTable) -> CheckReport:
     """min_a nu_2(w_{a,k}) >= 0 for every even 4 <= k <= k_max; extends ``table`` to k_max."""
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
-    started = time.perf_counter()
-    table.extend(k_max)
     report = CheckReport("min-valuation", {"k_max": k_max})
+    table.extend(k_max)
     for k in range(4, k_max + 1, 2):
         mv = min_valuation2(table.integer_view(k))
         report.records.append({"k": k, "min_valuation2": int(mv), "passed": mv >= 0})
-    return _timed(report, started)
+    return report.finish()
 
 
 def check_conjecture(k_max: int, table: EisensteinTable) -> CheckReport:
     """min_a nu_2(w_{a,k}) against the predicted s_2(k) - 2, or 0 at powers of two; extends ``table`` to k_max."""
     if k_max < 4:
         raise DomainError("k_max must be >= 4")
-    started = time.perf_counter()
-    table.extend(k_max)
     report = CheckReport("conjecture", {"k_max": k_max})
+    table.extend(k_max)
     for k in range(4, k_max + 1, 2):
         s2 = digit_sum_base2(k)
         pow2 = _is_power_of_two(k)
@@ -263,7 +261,7 @@ def check_conjecture(k_max: int, table: EisensteinTable) -> CheckReport:
                 "passed": computed == predicted,
             }
         )
-    return _timed(report, started)
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +280,8 @@ def check_theorem_main(ell_max: int, table: EisensteinTable) -> CheckReport:
     """
     if ell_max < 0:
         raise DomainError("ell_max must be >= 0")
-    started = time.perf_counter()
-    k_top = 12 * 2**ell_max
-    table.extend(k_top)
     report = CheckReport("theorem-main", {"ell_max": ell_max})
+    table.extend(12 * 2**ell_max)
     for ell in range(ell_max + 1):
         k = 12 * 2**ell
         m = k // 12
@@ -335,7 +331,7 @@ def check_theorem_main(ell_max: int, table: EisensteinTable) -> CheckReport:
             ),
         }
         report.records.append(record)
-    return _timed(report, started)
+    return report.finish()
 
 
 def dumas_applies(int_coeffs: Sequence[int], p: int) -> bool:
@@ -375,12 +371,11 @@ def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
     """
     if k_max < 12:
         raise DomainError(f"k_max must be >= 12, the first weight with deg phi_k >= 1; got {k_max}")
-    started = time.perf_counter()
-    table.extend(k_max)
     report = CheckReport(
         "gekeler-scan",
         {"k_max": k_max, "dumas_prime_limit": DUMAS_SCAN_PRIMES[-1], "oracle_prime_count": ORACLE_PRIME_COUNT},
     )
+    table.extend(k_max)
     for k in range(4, k_max + 1, 2):
         phi = phi_by_division(k, table)
         if phi.degree < 1:
@@ -412,7 +407,7 @@ def gekeler_scan(k_max: int, table: EisensteinTable) -> CheckReport:
         counts[key] = counts.get(key, 0) + 1
     report.notes["verdict_counts"] = dict(sorted(counts.items()))
     report.notes["inconclusive_k"] = [r["k"] for r in report.records if r["verdict"] == "inconclusive"]
-    return _timed(report, started)
+    return report.finish()
 
 
 def _first_usable_primes(int_coeffs: Sequence[int], floor: int, count: int) -> dict[int, list[int]]:
@@ -451,12 +446,10 @@ def selftest(
     """
     if k_dual < 8 and k_qseries < 4 and k_phi < 12:
         raise DomainError("no range reaches a weight: need k_dual >= 8, k_qseries >= 4 or k_phi >= 12")
-    started = time.perf_counter()
-    k_top = max(k_dual, k_qseries, k_phi)
-    table.extend(k_top)
     report = CheckReport(
         "selftest", {"k_dual": k_dual, "k_qseries": k_qseries, "k_phi": k_phi, "n_terms": SELFTEST_Q_TERMS}
     )
+    table.extend(max(k_dual, k_qseries, k_phi))
 
     for k in range(8, k_dual + 1, 2):
         expected = table.integer_view(k)
@@ -477,4 +470,4 @@ def selftest(
         ok = phi_closed_form(k, table).ints == phi_by_division(k, table).ints
         report.records.append({"check": "phi-routes", "k": k, "passed": ok})
 
-    return _timed(report, started)
+    return report.finish()

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import Phase, settings
 
 from eisen.eisenstein import EisensteinTable
+from eisen.replicate import gekeler_scan
+from helpers import recording_ddf_calls
 
 # hypothesis's explain phase reruns a failing example many times to report
 # which parts of it matter; on the exact-arithmetic tests here that took
@@ -34,3 +36,14 @@ class TimedTable:
 @pytest.fixture(scope="session")
 def shared_table() -> TimedTable:
     return TimedTable()
+
+
+@pytest.fixture(scope="session")
+def scan_446(shared_table):
+    """One ``gekeler_scan(446)`` for the tests that only observe it: its report and every DDF call it made.
+
+    The calls are ``recording_ddf_calls``'s (f, p, mask, returned), in call order.
+    """
+    with recording_ddf_calls() as calls:
+        report = gekeler_scan(446, shared_table.ensure(446))
+    return report, calls

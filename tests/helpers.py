@@ -1,16 +1,18 @@
 """Test-side helpers shared by more than one test module."""
 
 import ast
+import contextlib
 import functools
 import math
 from fractions import Fraction
 from pathlib import Path
 
-from eisen import eisenstein, irreducibility
+import pytest
+
+from eisen import eisenstein, irreducibility, replicate
 from eisen.errors import ConsistencyError
 from eisen.exact import bernoulli, zeta_ratio
 from eisen.qmring import GradedForm
-from eisen.replicate import gekeler_scan
 
 #: the weight-4 and weight-6 generators of the ring, which the package itself never names
 E4 = GradedForm(4, {(0, 1, 0): 1})
@@ -155,23 +157,24 @@ def check_q_coefficients_fraction(k, vec):
         raise ConsistencyError(f"weight {k}: the q^1 coefficient of E_k is not -2k/B_k")
 
 
-def record_walk_ddf_calls(k_max, table):
-    """The witness-walk DDF calls of ``gekeler_scan(k_max, table)``, as (f, p, mask) in call order.
+@contextlib.contextmanager
+def recording_ddf_calls():
+    """Record every ``distinct_degree_pattern`` call made inside the block, as (f, p, mask, returned) in call order.
 
-    mask is the walk's bitmask of unexcluded proper degrees at the call.  Each call
-    replays as ``with irreducibility._walk_remaining(mask): distinct_degree_pattern(f, p)``.
+    Both bindings the package calls, ``irreducibility``'s and ``replicate``'s, are
+    patched.  mask is the walk's bitmask of unexcluded proper degrees at the call, None
+    outside a witness walk; a walk call replays as
+    ``with irreducibility._walk_remaining(mask): distinct_degree_pattern(f, p)``.
     """
     real, calls = irreducibility.distinct_degree_pattern, []
 
     def recording(f, p):
         mask = irreducibility._WALK_REMAINING.get()
-        if mask is not None:
-            calls.append((tuple(f), p, mask))
-        return real(f, p)
+        returned = real(f, p)
+        calls.append((tuple(f), p, mask, returned))
+        return returned
 
-    irreducibility.distinct_degree_pattern = recording
-    try:
-        gekeler_scan(k_max, table)
-    finally:
-        irreducibility.distinct_degree_pattern = real
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(irreducibility, "distinct_degree_pattern", recording)
+        patch.setattr(replicate, "distinct_degree_pattern", recording)
+        yield calls

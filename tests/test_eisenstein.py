@@ -870,11 +870,12 @@ class TestPersistence:
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            read = parse_table_row(line)
             if isinstance(expected, tuple):
-                assert read == expected
+                assert parse_table_row(line) == expected
+                assert exact._TABLE_ROW.fullmatch(line)  # every row they accept is read by the one match
                 return
-            assert read is None
+            with pytest.raises(DomainError):
+                parse_table_row(line)
             with tempfile.TemporaryDirectory() as folder:
                 path = f"{folder}/bad.csv"
                 with open(path, "w") as fh:

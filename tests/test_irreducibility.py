@@ -34,7 +34,7 @@ from eisen.irreducibility import (
 from eisen.gekeler import phi_by_division
 from eisen.recheck import _ddf_by_repeated_squaring, recheck_dumas_certificate, recheck_pattern_certificate
 from eisen.replicate import check_theorem_main, dumas_applies
-from helpers import covers, record_walk_ddf_calls, resultant_mod_p
+from helpers import covers, recording_ddf_calls, resultant_mod_p
 
 
 # --- independent test-side helpers -----------------------------------------
@@ -722,10 +722,10 @@ class TestPackedKernel:
                     assert s and pow(s, (p - 1) // 2, p) == 1, (a, b)
                     assert got == gf.pack([s * c % p for c in r]), (a, b)
 
-    def test_the_ddf_hands_gcd_reduced_operands(self, shared_table, monkeypatch):
-        # gcd's two-slot step stays inside the slot bound only on reduced operands; an unreduced
-        # h - x, h + (p - 1) x, has slot 1 up to 2p - 2
-        calls = record_walk_ddf_calls(446, shared_table.ensure(446))
+    def test_the_ddf_hands_gcd_reduced_operands(self, scan_446, monkeypatch):
+        # rem's two-slot step, which gcd loops over, stays inside the slot bound only on reduced
+        # operands; an unreduced h - x, h + (p - 1) x, has slot 1 up to 2p - 2
+        _report, calls = scan_446
         real, unreduced, gcds = irreducibility._PackedGF.gcd, [], [0]
 
         def checking(gf, a, b):
@@ -736,9 +736,10 @@ class TestPackedKernel:
             return real(gf, a, b)
 
         monkeypatch.setattr(irreducibility._PackedGF, "gcd", checking)
-        for f, p, mask in calls:
-            with irreducibility._walk_remaining(mask):
-                distinct_degree_pattern(f, p)
+        for f, p, mask, _returned in calls:
+            if mask is not None:
+                with irreducibility._walk_remaining(mask):
+                    distinct_degree_pattern(f, p)
         for f, p in differential_corpus():
             distinct_degree_pattern(f, p)
         assert gcds[0] > 4500  # 3854 in the walk's replay
@@ -785,32 +786,24 @@ class TestPackedKernel:
             unusable += pattern is None
         assert unusable >= len(cases) // 3  # the u^2 v third at least
 
-    def test_witness_primes_of_the_scan_match_the_rechecker(self, shared_table, monkeypatch):
+    def test_witness_primes_of_the_scan_match_the_rechecker(self, shared_table):
         # every weight of `scan --k-max 446`, the Dumas ones too
         table = shared_table.ensure(446)
-        real = irreducibility.distinct_degree_pattern
-        seen = []
-
-        def recording(f, p):
-            returned = real(f, p)
-            seen.append((f, p, irreducibility._WALK_REMAINING.get(), returned))
-            return returned
-
-        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", recording)
         walks = 0
-        for k in range(4, 447, 2):
-            phi = phi_by_division(k, table)
-            if phi.degree >= 1:
-                ints = primitive_integer_polynomial(phi.coeffs)
-                kept, examined = select_witness_primes(ints, floor=k)
-                ref_kept, ref_examined = reference_walk(ints, k)
-                assert examined == ref_examined, k
-                assert kept is not None and list(kept.items()) == list(ref_kept.items()), k
-                walks += 1
+        with recording_ddf_calls() as seen:
+            for k in range(4, 447, 2):
+                phi = phi_by_division(k, table)
+                if phi.degree >= 1:
+                    ints = primitive_integer_polynomial(phi.coeffs)
+                    kept, examined = select_witness_primes(ints, floor=k)
+                    ref_kept, ref_examined = reference_walk(ints, k)
+                    assert examined == ref_examined, k
+                    assert kept is not None and list(kept.items()) == list(ref_kept.items()), k
+                    walks += 1
         assert walks > 210 and len(seen) > 900
         pruned = 0
         for f, p, remaining, returned in seen:
-            full = real(f, p)
+            full = distinct_degree_pattern(f, p)
             assert full == _ddf_by_repeated_squaring(f, p), (len(f) - 1, p)
             if returned is None and remaining:
                 pruned += 1
@@ -1062,17 +1055,24 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
-VALID_DOCS = (
-    dumas_check([2, 2, 1], 2).to_json_dict(),
-    finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict(),
-    finite_field_degree_patterns([1, 1, 0, 0, 1], [2, 3, 5, 7]).to_json_dict(),
-)
+@functools.cache
+def valid_docs():
+    """A Dumas certificate, then two pattern certificates, built on first use.
+
+    Built at import, a fault in the packed DDF they run would make the whole
+    module one collection error instead of failing the kernel's own tests.
+    """
+    return (
+        dumas_check([2, 2, 1], 2).to_json_dict(),
+        finite_field_degree_patterns([1, 0, 1], [3]).to_json_dict(),
+        finite_field_degree_patterns([1, 1, 0, 0, 1], [2, 3, 5, 7]).to_json_dict(),
+    )
 
 
 @st.composite
 def mutated_certificates(draw):
     """A valid certificate with one entry deleted or replaced by arbitrary JSON."""
-    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    doc = copy.deepcopy(draw(st.sampled_from(valid_docs())))
     listed = doc["patterns"] if "patterns" in doc else doc["valuations"]
     box = draw(st.sampled_from([doc, doc["poly"], doc["poly"]["coeffs"], listed]))
     keys = list(box) if isinstance(box, dict) else list(range(len(box)))
@@ -1088,8 +1088,8 @@ def mutated_certificates(draw):
 
 class TestRecheckersTotal:
     def test_valid_documents_accepted(self):
-        assert recheck_dumas_certificate(VALID_DOCS[0])
-        assert all(recheck_pattern_certificate(doc) for doc in VALID_DOCS[1:])
+        assert recheck_dumas_certificate(valid_docs()[0])
+        assert all(recheck_pattern_certificate(doc) for doc in valid_docs()[1:])
 
     def test_empty_document(self):
         assert recheck_pattern_certificate({}) is False
@@ -1098,14 +1098,14 @@ class TestRecheckersTotal:
     def test_unparseable_coefficient(self):
         # "1e999999999" is a valid Fraction() string that would take a billion-digit power
         for coeff in ("x", "1e999999999", "2.0", " 2/1", "2/-1", 2):
-            for doc in VALID_DOCS:
+            for doc in valid_docs():
                 bad = copy.deepcopy(doc)
                 bad["poly"]["coeffs"][0] = coeff
                 assert recheck_pattern_certificate(bad) is False
                 assert recheck_dumas_certificate(bad) is False
 
     def test_zero_denominator(self):
-        bad = copy.deepcopy(VALID_DOCS[0])
+        bad = copy.deepcopy(valid_docs()[0])
         bad["poly"]["coeffs"][0] = "2/0"
         assert recheck_dumas_certificate(bad) is False
 
@@ -1119,9 +1119,9 @@ class TestRecheckersTotal:
     # beyond what trial division can decide quickly
     @pytest.mark.parametrize("modulus", [(10**7 + 19) ** 2, 10**29 + 319])
     def test_huge_modulus_rejected_fast(self, modulus):
-        dumas = copy.deepcopy(VALID_DOCS[0])
+        dumas = copy.deepcopy(valid_docs()[0])
         dumas["prime"] = modulus
-        pattern = copy.deepcopy(VALID_DOCS[1])
+        pattern = copy.deepcopy(valid_docs()[1])
         pattern["patterns"] = {str(modulus): [2]}
         started = time.perf_counter()
         assert recheck_dumas_certificate(dumas) is False
@@ -1169,7 +1169,7 @@ def with_root_at_one(doc):
 
 class TestRecheckModule:
     def test_a_copy_alone_rechecks_documents(self, tmp_path):
-        assert recheck_alone(tmp_path, [*VALID_DOCS, FORGED_DUMAS_AT_4]) == [True] * len(VALID_DOCS) + [False]
+        assert recheck_alone(tmp_path, [*valid_docs(), FORGED_DUMAS_AT_4]) == [True] * len(valid_docs()) + [False]
 
     def test_a_copy_alone_rechecks_real_certificates(self, shared_table, tmp_path):
         table = shared_table.ensure(12 * 2**5)

@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from eisen.replicate import (
     gekeler_scan,
     selftest,
 )
-from helpers import bench_span_targets, class_number, covers, rational_supersingular_count, record_walk_ddf_calls
+from helpers import bench_span_targets, class_number, covers, rational_supersingular_count, recording_ddf_calls
 
 
 class TestBenchmarkHooks:
@@ -248,24 +249,9 @@ class TestScan:
 
 
 class TestScanPatterns:
-    @staticmethod
-    def record_ddf(monkeypatch) -> list:
-        """Route every production DDF call of the scan through a recorder."""
-        seen = []
-        real = irreducibility.distinct_degree_pattern
-
-        def recording(int_coeffs, p):
-            pattern = real(int_coeffs, p)
-            seen.append((tuple(int_coeffs), p, irreducibility._WALK_REMAINING.get(), pattern))
-            return pattern
-
-        monkeypatch.setattr(irreducibility, "distinct_degree_pattern", recording)
-        monkeypatch.setattr(replicate, "distinct_degree_pattern", recording)
-        return seen
-
-    def test_production_ddf_matches_rechecker_on_scan_inputs(self, shared_table, monkeypatch):
-        seen = self.record_ddf(monkeypatch)
-        gekeler_scan(120, table=shared_table.ensure(120))
+    def test_production_ddf_matches_rechecker_on_scan_inputs(self, shared_table):
+        with recording_ddf_calls() as seen:
+            gekeler_scan(120, table=shared_table.ensure(120))
         assert len(seen) > 100
         for f, p, remaining, returned in seen:
             full = distinct_degree_pattern(f, p)
@@ -277,7 +263,6 @@ class TestScanPatterns:
                 assert returned == full, (len(f) - 1, p)
 
     def test_one_pattern_per_examined_prime(self, shared_table, monkeypatch):
-        seen = self.record_ddf(monkeypatch)
         examined = []
         real_select = replicate.select_witness_primes
 
@@ -287,22 +272,17 @@ class TestScanPatterns:
             return kept, count
 
         monkeypatch.setattr(replicate, "select_witness_primes", selecting)
-        report = gekeler_scan(60, table=shared_table.ensure(60))
+        with recording_ddf_calls() as seen:
+            report = gekeler_scan(60, table=shared_table.ensure(60))
         assert report.status == "PASS" and examined
         assert len(seen) == sum(examined)
         assert len({(f, p) for f, p, *_ in seen}) == len(seen)
 
-    def test_the_fallback_gives_up_after_400_primes(self, monkeypatch):
+    def test_the_fallback_gives_up_after_400_primes(self):
         # (x + 1)^2 is not squarefree mod any prime, so no reduction is usable
-        calls = []
-        real = replicate.distinct_degree_pattern
-
-        def counting(int_coeffs, p):
-            calls.append(p)
-            return real(int_coeffs, p)
-
-        monkeypatch.setattr(replicate, "distinct_degree_pattern", counting)
-        assert replicate._first_usable_primes([1, 2, 1], 0, 10) == {}
+        with recording_ddf_calls() as seen:
+            assert replicate._first_usable_primes([1, 2, 1], 0, 10) == {}
+        calls = [p for _f, p, *_ in seen]
         assert len(calls) == 400 and calls[0] == 2 and calls[-1] == 2741
 
     def test_the_fallback_reports_the_first_usable_primes(self, shared_table, monkeypatch):
@@ -368,9 +348,8 @@ class TestSupersingularPrime:
     """At p = k + 1 the roots of phi_k mod p are supersingular j-invariants, so its parts are 1 and 2."""
 
     @staticmethod
-    def walk_records(table, k_max):
-        """The scan's records of the weights k <= k_max, k + 1 prime, that the witness walk certifies, by k."""
-        report = gekeler_scan(k_max, table)
+    def walk_records(report):
+        """The scan's records of the weights k, k + 1 prime, that the witness walk certifies, by k."""
         return {r["k"]: r for r in report.records if r["criterion"] == "finite-field-pattern" and is_prime(r["k"] + 1)}
 
     def test_every_pattern_at_k_plus_1_has_a_part_1(self, shared_table):
@@ -399,9 +378,9 @@ class TestSupersingularPrime:
             assert distinct_degree_pattern(phi.ints, p).count(1) == linear, p
         assert [class_number(d) for d in (-3, -4, -20, -23, -47, -56, -71)] == [1, 1, 2, 3, 5, 4, 7]
 
-    def test_the_walk_never_keeps_k_plus_1(self, shared_table):
+    def test_the_walk_never_keeps_k_plus_1(self, shared_table, scan_446):
         table = shared_table.ensure(446)
-        records = self.walk_records(table, 446)
+        records = self.walk_records(scan_446[0])
         assert len(records) == 72
         for k, record in records.items():
             ints = phi_by_division(k, table).ints
@@ -409,12 +388,13 @@ class TestSupersingularPrime:
             assert select_witness_primes(ints, floor=k + 1) == (kept, examined - 1), k
             assert record["primes"] == list(kept), k  # the scan keeps what a walk from k keeps
 
-    def test_the_scan_runs_no_ddf_at_k_plus_1(self, shared_table):
+    def test_the_scan_runs_no_ddf_at_k_plus_1(self, shared_table, scan_446):
         table = shared_table.ensure(446)
-        weight = {tuple(phi_by_division(k, table).ints): k for k in self.walk_records(table, 446)}
-        calls = record_walk_ddf_calls(446, table)
+        report, seen = scan_446
+        weight = {tuple(phi_by_division(k, table).ints): k for k in self.walk_records(report)}
+        calls = [(f, p) for f, p, mask, _returned in seen if mask is not None]
         assert len(calls) == 817  # 889 with a DDF at each p = k + 1
-        assert not [(f, p) for f, p, _mask in calls if f in weight and p == weight[f] + 1]
+        assert not [(f, p) for f, p in calls if f in weight and p == weight[f] + 1]
 
 
 class TestSelftest:
@@ -477,3 +457,28 @@ class TestCheckReport:
 
     def test_empty_report_passes(self):
         assert CheckReport("demo", {}).status == "PASS"
+
+    def test_the_checks_without_a_table_are_timed(self):
+        assert check_lemma_valsum(8).wall_time_s > 0 and check_lemma_ineq(8).wall_time_s > 0
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda table: check_min_valuation(12, table),
+            lambda table: check_conjecture(12, table),
+            lambda table: check_theorem_main(0, table),
+            lambda table: gekeler_scan(12, table),
+            lambda table: selftest(8, 4, 12, table=table),
+        ],
+        ids=["min", "conjecture", "theorem", "scan", "selftest"],
+    )
+    def test_wall_time_covers_the_table_build(self, check, monkeypatch):
+        # extend sleeps first: a report made after it, or never finished, reads less
+        table, real = EisensteinTable(), EisensteinTable.extend
+
+        def slow(self, k_max):
+            time.sleep(0.05)
+            return real(self, k_max)
+
+        monkeypatch.setattr(EisensteinTable, "extend", slow)
+        assert check(table).wall_time_s >= 0.05
