@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .eisenstein import EisensteinTable
+from .eisenstein import EisensteinTable, elliptic_exponents
 from .errors import DomainError, EisenError
 from .exact import excerpt, format_rational, json_valuation, parse_rational
 from .gekeler import phi_by_division
@@ -128,21 +128,22 @@ def _cmd_wk(args: argparse.Namespace, table: EisensteinTable) -> int:
 def _cmd_phi(args: argparse.Namespace, table: EisensteinTable) -> int:
     table.extend(args.k)
     phi = phi_by_division(args.k, table)
+    _, delta, epsilon = elliptic_exponents(phi.k)
     profile = valuation_profile(phi.ints, 2)
     profile_json = [json_valuation(v) for v in profile]
     coeffs = [format_rational(c) for c in phi.coeffs]
     doc = {
         "k": phi.k,
         "degree": phi.degree,
-        "delta": phi.delta,
-        "epsilon": phi.epsilon,
+        "delta": delta,
+        "epsilon": epsilon,
         "coeffs": coeffs,
         "valuation_profile_2": profile_json,
     }
     rows = ([r, c, profile_json[r] if r < len(profile_json) else ""] for r, c in enumerate(coeffs))
     lines = [
         f"phi_{phi.k} = {phi}",
-        f"degree {phi.degree}, delta={phi.delta}, epsilon={phi.epsilon}",
+        f"degree {phi.degree}, delta={delta}, epsilon={epsilon}",
         f"2-adic profile of non-leading coefficients: {profile_json}",
     ]
     _emit(args, doc, ["r", "coeff", "nu_2"], rows, lines)

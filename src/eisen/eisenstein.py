@@ -236,12 +236,19 @@ class EisensteinTable:
         return form
 
     def e_basis_numerators(self, k: int) -> IntegerView:
-        """Integers nums, scale with E_k = sum nums[a] / (scale r_k) E4^a E6^b, r_k = 2 zeta(k)/pi^k.
+        """Integers nums, scale with w_a r_4^a r_6^b = nums[a] / scale, so E_k = sum nums[a] / (scale r_k) E4^a E6^b.
 
-        Reads w(k) only, as its integer view: no point value of the
+        r_4^a r_6^b = 2^b / (45^a 945^b) goes over 45^A 945^B, the largest powers
+        at weight k, and each w_a over its integer view's denominator.  r_k =
+        2 zeta(k)/pi^k is left to the caller: one division per result, not per
+        term.  Reads w(k) only, as its integer view: no point value of the
         convolution is evaluated and no Fraction is formed.
         """
-        return _e_basis_numerators(k, self.integer_view(k))
+        pairs = exponents(k)
+        a_top, b_top = pairs[-1][0], pairs[0][1]
+        lifted, den = self.integer_view(k)
+        nums = {a: lifted[a] * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b) for a, b in pairs}
+        return nums, den * 45**a_top * 945**b_top
 
     # -- persistence -------------------------------------------------------------
 
@@ -332,20 +339,6 @@ class EisensteinTable:
                 raise ConsistencyError(f"weight {k} is missing rows for (a, b) in {missing}{more}")
             table._store(k, _reduced(*_lift(k, nums, dens)))
         return table
-
-
-def _e_basis_numerators(k: int, view: IntegerView) -> IntegerView:
-    """Integers nums, scale with w_a r_4^a r_6^b = nums[a] / scale, so u_a = nums[a] / (scale r_k).
-
-    r_4^a r_6^b = 2^b / (45^a 945^b) goes over 45^A 945^B, the largest powers
-    at weight k, and each w_a over its integer view's denominator.  r_k is
-    left to the caller: one division per result, not per term.
-    """
-    pairs = exponents(k)
-    a_top, b_top = pairs[-1][0], pairs[0][1]
-    lifted, den = view
-    nums = {a: lifted[a] * 2**b * 45 ** (a_top - a) * 945 ** (b_top - b) for a, b in pairs}
-    return nums, den * 45**a_top * 945**b_top
 
 
 def _lift(k: int, nums: Mapping[int, int], dens: Mapping[int, int]) -> IntegerView:

@@ -48,8 +48,8 @@ class GekelerPolynomial:
     ``ints`` is phi_k's primitive integer polynomial, constant term first, leading
     coefficient > 0, which the certifier reads; ``coeffs`` = ints / ints[-1] is
     formed on first read and kept, for phi_k's text (``__str__``, the ``phi`` command).
-    The elliptic exponents ``delta`` and ``epsilon`` are read off k
-    (``elliptic_exponents``), which also fixes the degree m.
+    k fixes the degree m, which ``__post_init__`` checks, and the elliptic
+    exponents delta and epsilon, which a caller reads from ``elliptic_exponents(k)``.
     """
 
     k: int
@@ -69,14 +69,6 @@ class GekelerPolynomial:
             raise ConsistencyError(f"phi_{k} came out non-monic: leading {Fraction(nums[-1], den)}")
         g = math.gcd(*nums) if den > 0 else -math.gcd(*nums)
         return cls(k, tuple(n // g for n in nums))
-
-    @property
-    def delta(self) -> int:
-        return elliptic_exponents(self.k)[1]
-
-    @property
-    def epsilon(self) -> int:
-        return elliptic_exponents(self.k)[2]
 
     @functools.cached_property
     def coeffs(self) -> tuple[Fraction, ...]:

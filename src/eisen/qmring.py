@@ -117,8 +117,6 @@ class GradedForm:
         acc: dict[Monomial, int] = {}
         for (c, f, g), d in zip(terms, dens):
             mult = c.numerator * (den // d)
-            if not mult:
-                continue
             if g is None:
                 for mono, n in f._nums.items():
                     acc[mono] = acc.get(mono, 0) + mult * n

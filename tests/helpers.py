@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eisen import eisenstein, irreducibility, replicate
+from eisen import irreducibility, replicate
 from eisen.errors import ConsistencyError
 from eisen.exact import bernoulli, zeta_ratio
 from eisen.qmring import GradedForm
@@ -142,18 +142,16 @@ def check_q_coefficients_fraction(k, vec):
     The value check ``load_csv`` made while it held every weight as Fractions,
     kept as the reference its integer check must reproduce: with
     u_a = w_a r_4^a r_6^b / r_k and E_4^a E_6^b = 1 + (240a - 504b) q + ...,
-    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k, both summed in
-    integers over the scale of ``_e_basis_numerators``, compared with the
-    Fractions r_k and -2k r_k / B_k.
+    that is sum u_a = 1 and sum u_a (240a - 504b) = -2k/B_k.  Each term
+    w_a r_4^a r_6^b is formed here as a Fraction, with r_4 = 1/45 and
+    r_6 = 2/945; its sum is compared with r_k, and its sum weighted by
+    240a - 504b with -2k r_k / B_k.
     """
-    nums, scale = eisenstein._e_basis_numerators(k, integer_view_of(vec))
-    sum0 = sum(nums.values())
-    sum1 = sum((240 * a - 504 * ((k - 4 * a) // 6)) * n for a, n in nums.items())
+    terms = {a: w * Fraction(1, 45) ** a * Fraction(2, 945) ** ((k - 4 * a) // 6) for a, w in vec.items()}
     r_k = zeta_ratio(k)
-    q1 = -2 * k * r_k / bernoulli(k)
-    if sum0 * r_k.denominator != r_k.numerator * scale:
+    if sum(terms.values()) != r_k:
         raise ConsistencyError(f"weight {k}: the constant q-coefficient of E_k is not 1")
-    if sum1 * q1.denominator != q1.numerator * scale:
+    if sum((240 * a - 504 * ((k - 4 * a) // 6)) * t for a, t in terms.items()) != -2 * k * r_k / bernoulli(k):
         raise ConsistencyError(f"weight {k}: the q^1 coefficient of E_k is not -2k/B_k")
 
 

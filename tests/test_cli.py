@@ -51,6 +51,17 @@ class TestPhi:
         assert "340364160000/236364091" in out
         assert "delta=0" in out
 
+    @pytest.mark.parametrize("k, degree, delta, epsilon", [
+        (4, 0, 1, 0), (6, 0, 0, 1), (8, 0, 2, 0), (10, 0, 1, 1), (12, 1, 0, 0), (14, 0, 2, 1),
+    ])
+    def test_elliptic_exponents(self, k, degree, delta, epsilon, capsys):
+        # k = 12 degree + 4 delta + 6 epsilon, as E_k = Delta^m E_4^delta E_6^epsilon phi_k(j)
+        assert main(["phi", "--k", str(k), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["degree"], doc["delta"], doc["epsilon"]) == (degree, delta, epsilon)
+        assert main(["phi", "--k", str(k)]) == 0
+        assert f"degree {degree}, delta={delta}, epsilon={epsilon}" in capsys.readouterr().out.splitlines()
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "phi.json"
         assert main(["phi", "--k", "12", "--json", "--out", str(target)]) == 0

@@ -286,13 +286,13 @@ class TestGradedFormMemo:
         shared_table.ensure(200).dump_csv(dump)
         table = EisensteinTable.load_csv(dump)
         calls: Counter = Counter()
-        build = eisenstein._e_basis_numerators
+        build = EisensteinTable.e_basis_numerators
 
-        def counting(k, view):
+        def counting(self, k):
             calls[k] += 1
-            return build(k, view)
+            return build(self, k)
 
-        monkeypatch.setattr(eisenstein, "_e_basis_numerators", counting)
+        monkeypatch.setattr(EisensteinTable, "e_basis_numerators", counting)
         assert selftest(k_dual=200, k_qseries=60, k_phi=0, table=table).status == "PASS"
         assert calls == Counter(range(4, 199, 2))
         assert sum(calls.values()) == 98
@@ -1121,24 +1121,19 @@ class TestDeferredLoad:
         monkeypatch.setattr(eisenstein, "Fraction", refuse)
         assert selftest(k_dual=0, k_qseries=0, k_phi=480, table=loaded).status == "PASS"
 
-    def test_scan_forms_no_fraction_of_w(self, shared_table, tmp_path, monkeypatch):
-        loaded = loaded_copy(shared_table.ensure(446), tmp_path / "table.csv")
-
-        def refuse(*args):
-            raise AssertionError("a Fraction of w(k) was formed")
-
-        monkeypatch.setattr(eisenstein, "Fraction", refuse)
-        assert gekeler_scan(446, table=loaded).status == "PASS"
-
-    def test_scan_forms_no_fraction_of_phi(self, shared_table, tmp_path, monkeypatch):
+    def test_scan_forms_no_fraction_of_w_or_phi(self, shared_table, tmp_path, monkeypatch):
         # the certifier reads phi_k's integers; only text (a document, phi's str) divides them
         loaded = loaded_copy(shared_table.ensure(446), tmp_path / "table.csv")
 
-        def refuse(*args):
-            raise AssertionError("a Fraction of phi_k was formed")
+        def refuser(what):
+            def refuse(*args):
+                raise AssertionError(f"a Fraction of {what} was formed")
 
-        monkeypatch.setattr(gekeler, "Fraction", refuse)
-        monkeypatch.setattr(irreducibility, "Fraction", refuse)
+            return refuse
+
+        monkeypatch.setattr(eisenstein, "Fraction", refuser("w(k)"))
+        monkeypatch.setattr(gekeler, "Fraction", refuser("phi_k"))
+        monkeypatch.setattr(irreducibility, "Fraction", refuser("phi_k"))
         assert gekeler_scan(446, table=loaded).status == "PASS"
 
     def test_an_unreduced_row_loads_and_dumps_reduced(self, tmp_path):

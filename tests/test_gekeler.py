@@ -125,12 +125,12 @@ class TestKnownPolynomials:
         phi = phi_by_division(4, shared_table.table)
         assert phi.coeffs == (Fraction(1),)
         assert phi.degree == 0
-        assert (phi.delta, phi.epsilon) == (1, 0)
+        assert elliptic_exponents(phi.k) == (0, 1, 0)
 
     def test_weight_fourteen_constant(self, shared_table):
         phi = phi_by_division(14, shared_table.ensure(14))
         assert phi.degree == 0
-        assert (phi.delta, phi.epsilon) == (2, 1)
+        assert elliptic_exponents(phi.k) == (0, 2, 1)
 
     def test_monic_for_small_multiples_of_twelve(self, shared_table):
         table = shared_table.ensure(36)
