@@ -25,6 +25,16 @@ integers; ``numerators`` hands out the integers, and a Fraction is formed
 only when a q-coefficient is read.  The generator powers are built once per
 run and kept, keyed by (weight, number of terms), so substituting the forms
 of many weights builds each power once.
+
+Inside a form each monomial E2^e2 E4^e4 E6^e6 is held under one integer key,
+(e2 << 2 SLOT) | (e4 << SLOT) | e6, with ``SLOT`` bits per exponent, so the
+key of a product is the sum of the keys and ``combination``'s inner loop adds
+two integers per pair of monomials.  ``serre_derivative`` and
+``substitute_q_expansion`` read the exponents off each key, and
+``numerators`` hands out exponent triples.  An exponent must fit its slot:
+the constructor refuses one that does not, and ``combination`` and
+``serre_derivative`` a result weight of 2^(SLOT + 1) or more, the first at
+which an exponent of a monomial might not fit.
 """
 
 from __future__ import annotations
@@ -40,10 +50,33 @@ from .exact import divisor_power_sum, bernoulli
 Monomial = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 
+#: bits per exponent in a monomial's key, (e2 << 2 SLOT) | (e4 << SLOT) | e6
+SLOT = 16
+_MASK = (1 << SLOT) - 1
+#: the least weight with a monomial whose exponent does not fit a slot (E2^(2^SLOT))
+_WEIGHT_LIMIT = 2 << SLOT
+
 
 def _monomial_weight(mono: Monomial) -> int:
     e2, e4, e6 = mono
     return 2 * e2 + 4 * e4 + 6 * e6
+
+
+def _key(mono: Monomial) -> int:
+    """The one integer key of a monomial whose exponents fit their slots; a product's key is the sum."""
+    e2, e4, e6 = mono
+    return e2 << 2 * SLOT | e4 << SLOT | e6
+
+
+def _monomial(key: int) -> Monomial:
+    """The exponents (e2, e4, e6) of a key, ``_key``'s inverse."""
+    return key >> 2 * SLOT, key >> SLOT & _MASK, key & _MASK
+
+
+def _check_weight_fits(weight: int) -> None:
+    """``DomainError`` unless every monomial of a ring result of this weight fits the slots."""
+    if weight >= _WEIGHT_LIMIT:
+        raise DomainError(f"weight {weight} is past the {SLOT}-bit exponent slots (below {_WEIGHT_LIMIT})")
 
 
 class GradedForm:
@@ -53,7 +86,9 @@ class GradedForm:
     terms may be ints or Fractions, and this constructor is the one place a
     weight, denominator or monomial is checked.  A form is stored as integer
     numerators over one positive denominator in lowest terms (``gcd(den,
-    *nums) == 1``), read by ``numerators``.  ``combination`` and
+    *nums) == 1``), each under its monomial's integer key (``_key``), and read
+    by ``numerators`` with exponent triples.  An exponent of ``2 ** SLOT`` or
+    more raises ``DomainError``.  ``combination`` and
     ``serre_derivative`` build their results unchecked and take one gcd over
     the numerators and denominator.  Immutable once constructed; zero
     coefficients are never stored.
@@ -70,27 +105,29 @@ class GradedForm:
         for mono in coeffs:
             if min(mono) < 0:
                 raise DomainError(f"negative exponent in monomial {mono}")
+            if max(mono) > _MASK:
+                raise DomainError(f"monomial {mono} has an exponent past the {SLOT}-bit slot")
             if _monomial_weight(mono) != weight:
                 raise WeightMismatchError(
                     f"monomial {mono} has weight {_monomial_weight(mono)}, expected {weight}"
                 )
         scale = math.lcm(*[c.denominator for c in coeffs.values()])
-        nums = {mono: c.numerator * (scale // c.denominator) for mono, c in coeffs.items()}
+        nums = {_key(mono): c.numerator * (scale // c.denominator) for mono, c in coeffs.items()}
         return cls._normalised(weight, nums, den * scale)
 
     @classmethod
-    def _normalised(cls, weight: int, nums: Mapping[Monomial, int], den: int) -> "GradedForm":
-        """The form sum nums[m] / den * m, with zero numerators dropped and the gcd divided out.
+    def _normalised(cls, weight: int, nums: Mapping[int, int], den: int) -> "GradedForm":
+        """The form sum nums[key] / den * monomial, with zero numerators dropped and the gcd divided out.
 
         Every ring result is built here unchecked: a sum of products and
         multiples of valid forms, or a derivative, is homogeneous, has
         non-negative exponents and a positive denominator by construction.
         """
-        nums = {mono: n for mono, n in nums.items() if n}
+        nums = {key: n for key, n in nums.items() if n}
         g = math.gcd(den, *nums.values())
         form = object.__new__(cls)
         form.weight = weight
-        form._nums = {mono: n // g for mono, n in nums.items()} if g > 1 else nums
+        form._nums = {key: n // g for key, n in nums.items()} if g > 1 else nums
         form._den = den // g
         return form
 
@@ -102,10 +139,13 @@ class GradedForm:
 
         The one arithmetic path of the ring.  Every term is summed in integers
         over the lcm of the term denominators c.den * F.den * G.den, and the
-        sum is put in lowest terms by a single gcd (``_normalised``).  A term
-        whose forms are nonzero must have the given weight, or
-        ``WeightMismatchError`` is raised; a zero form may have any weight.
+        sum is put in lowest terms by a single gcd (``_normalised``); a
+        product's monomial key is the sum of its factors' keys.  A term whose
+        forms are nonzero must have the given weight, or
+        ``WeightMismatchError`` is raised; a zero form may have any weight.  A
+        weight of ``2 ** (SLOT + 1)`` or more raises ``DomainError``.
         """
+        _check_weight_fits(weight)
         dens = []
         for c, f, g in terms:
             if f._nums and (g is None or g._nums):
@@ -114,33 +154,34 @@ class GradedForm:
                     raise WeightMismatchError(f"a term of weight {w} in a sum of weight {weight}")
             dens.append(c.denominator * f._den * (g._den if g is not None else 1))
         den = math.lcm(*dens)
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for (c, f, g), d in zip(terms, dens):
             mult = c.numerator * (den // d)
             if g is None:
-                for mono, n in f._nums.items():
-                    acc[mono] = acc.get(mono, 0) + mult * n
+                for key, n in f._nums.items():
+                    acc[key] = acc.get(key, 0) + mult * n
                 continue
-            for (a2, a4, a6), na in f._nums.items():
+            for key_a, na in f._nums.items():
                 na *= mult  # once per outer numerator, not once per pair
-                for (b2, b4, b6), nb in g._nums.items():
-                    mono = (a2 + b2, a4 + b4, a6 + b6)
-                    acc[mono] = acc.get(mono, 0) + na * nb
+                for key_b, nb in g._nums.items():
+                    key = key_a + key_b
+                    acc[key] = acc.get(key, 0) + na * nb
         return cls._normalised(weight, acc, den)
 
     def numerators(self) -> tuple[dict[Monomial, int], int]:
-        """Integers nums, den, the form being sum nums[m] / den * m, in lowest terms; a copy."""
-        return dict(self._nums), self._den
+        """Integers nums, den, the form being sum nums[m] / den * m, in lowest terms; a copy keyed by exponent triples."""
+        return {_monomial(key): n for key, n in self._nums.items()}, self._den
 
 
 E2 = GradedForm(2, {(1, 0, 0): 1})
 
-# q d/dq of each generator over a common 12, as (numerator, monomial) pairs applied in serre_derivative
-_DERIVATIVE_RULES: dict[int, tuple[tuple[int, Monomial], ...]] = {
-    0: ((1, (2, 0, 0)), (-1, (0, 1, 0))),  # E2: (E2^2 - E4) / 12
-    1: ((4, (1, 1, 0)), (-4, (0, 0, 1))),  # E4: (E2 E4 - E6) / 3
-    2: ((6, (1, 0, 1)), (-6, (0, 2, 0))),  # E6: (E2 E6 - E4^2) / 2
-}
+# q d/dq of each generator over a common 12, by the shift of the generator's slot in a key,
+# as (numerator, monomial key) pairs applied in serre_derivative
+_DERIVATIVE_RULES: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = (
+    (2 * SLOT, ((1, _key((2, 0, 0))), (-1, _key((0, 1, 0))))),  # E2: (E2^2 - E4) / 12
+    (SLOT, ((4, _key((1, 1, 0))), (-4, _key((0, 0, 1))))),  # E4: (E2 E4 - E6) / 3
+    (0, ((6, _key((1, 0, 1))), (-6, _key((0, 2, 0))))),  # E6: (E2 E6 - E4^2) / 2
+)
 
 
 def serre_derivative(f: GradedForm) -> GradedForm:
@@ -149,22 +190,20 @@ def serre_derivative(f: GradedForm) -> GradedForm:
     Acts on the generators by the Ramanujan identities and extends as a
     derivation; raises the weight by 2 and annihilates constants.  On the
     q-expansion side this is exactly multiplication of the n-th coefficient
-    by n, which the test-suite verifies term by term.
+    by n, which the test-suite verifies term by term.  Each exponent is read
+    off its slot of the key; a result weight of ``2 ** (SLOT + 1)`` or more
+    raises ``DomainError``.
     """
-    nums: dict[Monomial, int] = {}
-    for mono, n in f._nums.items():
-        for slot in range(3):
-            e = mono[slot]
+    _check_weight_fits(f.weight + 2)
+    nums: dict[int, int] = {}
+    for key, n in f._nums.items():
+        for shift, rules in _DERIVATIVE_RULES:
+            e = key >> shift & _MASK
             if not e:
                 continue
-            lowered = list(mono)
-            lowered[slot] = e - 1
-            for rule_n, rule_mono in _DERIVATIVE_RULES[slot]:
-                out = (
-                    lowered[0] + rule_mono[0],
-                    lowered[1] + rule_mono[1],
-                    lowered[2] + rule_mono[2],
-                )
+            lowered = key - (1 << shift)
+            for rule_n, rule_key in rules:
+                out = lowered + rule_key
                 nums[out] = nums.get(out, 0) + n * e * rule_n
     return GradedForm._normalised(f.weight + 2, nums, 12 * f._den)
 
@@ -230,7 +269,8 @@ def substitute_q_expansion(f: GradedForm, n_terms: int) -> list[Fraction]:
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     total = [0] * n_terms
-    for (e2, e4, e6), n in f._nums.items():
+    for key, n in f._nums.items():
+        e2, e4, e6 = _monomial(key)
         cur = _generator_power(2, e2, n_terms)
         if e4:
             cur = series_mul(cur, _generator_power(4, e4, n_terms), n_terms)

@@ -597,6 +597,12 @@ class TestPopa:
             assert popa_expand(k, table, route="graded") == expected, k
             assert popa_expand(k, table, route="precancelled") == expected, k
 
+    def test_precancelled_route_at_the_cross_checked_weights_384_and_386(self, shared_table):
+        # where the common factor of Popa's term scalars, divided out before the sum, is largest
+        table = shared_table.ensure(386)
+        for k in (384, 386):
+            assert popa_expand(k, table, route="precancelled") == table.integer_view(k), k
+
     def test_unknown_route(self, shared_table):
         with pytest.raises(DomainError):
             popa_expand(12, shared_table.table, route="sideways")

@@ -379,7 +379,18 @@ def nonzero(f: GradedForm) -> bool:
 
 
 def in_lowest_terms(f: GradedForm) -> bool:
-    return f._den > 0 and math.gcd(f._den, *f._nums.values()) == 1 and all(f._nums.values())
+    nums, den = f.numerators()
+    return den > 0 and math.gcd(den, *nums.values()) == 1 and all(nums.values())
+
+
+def raw_product(f: GradedForm, g: GradedForm) -> dict:
+    """The numerators of F * G over f.den * g.den, summed over exponent triples."""
+    raw: dict = {}
+    for (a2, a4, a6), na in f.numerators()[0].items():
+        for (b2, b4, b6), nb in g.numerators()[0].items():
+            mono = (a2 + b2, a4 + b4, a6 + b6)
+            raw[mono] = raw.get(mono, 0) + na * nb
+    return raw
 
 
 class TestIntegerRepresentation:
@@ -433,26 +444,23 @@ class TestIntegerRepresentation:
     @example(GradedForm(4, {(0, 1, 0): 6}, 7), GradedForm(2, {(1, 0, 0): 3}, 5), -7)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_products_match_the_normalised_raw_product(self, f, g, c):
-        # a product or multiple through combination is the raw product put in
-        # lowest terms by one gcd over it (_normalised)
-        raw: dict = {}
-        for (a2, a4, a6), na in f._nums.items():
-            for (b2, b4, b6), nb in g._nums.items():
-                mono = (a2 + b2, a4 + b4, a6 + b6)
-                raw[mono] = raw.get(mono, 0) + na * nb
-        product = GradedForm._normalised(f.weight + g.weight, raw, f._den * g._den)
+        # a product or multiple through combination is the raw product over
+        # exponent triples put in lowest terms by one gcd over it: integer terms
+        # over a den are the constructor's one gcd (_normalised)
+        (f_nums, f_den), g_den = f.numerators(), g.numerators()[1]
+        product = GradedForm(f.weight + g.weight, raw_product(f, g), f_den * g_den)
         a, b = Fraction(c).numerator, Fraction(c).denominator
-        multiple = GradedForm._normalised(f.weight, {m: n * a for m, n in f._nums.items()}, f._den * b)
+        multiple = GradedForm(f.weight, {m: n * a for m, n in f_nums.items()}, f_den * b)
         got_product = GradedForm.combination(f.weight + g.weight, [(1, f, g)])
         got_multiple = GradedForm.combination(f.weight, [(c, f, None)])
         for got, want in ((got_product, product), (got_multiple, multiple)):
-            assert (got.weight, got._nums, got._den) == (want.weight, want._nums, want._den)
+            assert (got.weight, got.numerators()) == (want.weight, want.numerators())
 
     def test_insertion_order_does_not_change_the_numerators(self):
         nums = {(0, 3, 0): 2, (3, 0, 1): -5, (6, 0, 0): 7, (0, 0, 2): 1}
         f = GradedForm(12, nums, 3)
         g = GradedForm(12, dict(reversed(nums.items())), 3)
-        assert list(f._nums) == list(reversed(g._nums))
+        assert list(f.numerators()[0]) == list(reversed(g.numerators()[0]))
         assert f.numerators() == g.numerators()
 
     def test_zero_forms_read_alike_across_weights(self):
@@ -483,6 +491,48 @@ class TestIntegerRepresentation:
         for den in (0, -3):
             with pytest.raises(DomainError):
                 GradedForm(4, {(0, 1, 0): 1}, den)
+
+
+class TestMonomialKeys:
+    """Each monomial is one integer key of three ``SLOT``-bit exponent slots."""
+
+    LIMIT = 1 << qmring.SLOT  # the least exponent that does not fit a slot
+
+    @pytest.mark.parametrize("slot", range(3))
+    def test_an_exponent_at_the_slot_limit_raises(self, slot):
+        mono = tuple(self.LIMIT if i == slot else 0 for i in range(3))
+        with pytest.raises(DomainError, match="slot"):
+            GradedForm(2 * self.LIMIT * (slot + 1), {mono: 1})
+
+    def test_exponents_just_below_the_limit_round_trip(self):
+        top = self.LIMIT - 1
+        terms = {(top, top - 3, top): 5, (top - 6, top, top): -7, (top, top, top - 2): Fraction(1, 3)}
+        f = GradedForm(12 * top - 12, terms)
+        assert f.numerators() == ({(top, top - 3, top): 15, (top - 6, top, top): -21, (top, top, top - 2): 1}, 3)
+        assert list(f.numerators()[0]) == list(terms)
+
+    def test_a_combination_with_e2_terms_near_the_limit_is_the_raw_product(self):
+        # the E2 slot reaches the top exponent, and E4 and E6 exponents carry across no slot
+        top = self.LIMIT - 1
+        f = GradedForm(2 * top - 2, {(top - 1, 0, 0): 1, (top - 3, 1, 0): Fraction(2, 5), (top - 4, 0, 1): -3})
+        g = GradedForm(2 * top - 2, {(top - 7, 3, 0): 4, (top - 4, 0, 1): 1})
+        got = GradedForm.combination(2 * top, [(1, E2, f), (3, g, E2)])
+        f_den, g_den = f.numerators()[1], g.numerators()[1]
+        raw = {mono: n * g_den for mono, n in raw_product(E2, f).items()}
+        for mono, n in raw_product(g, E2).items():
+            raw[mono] = raw.get(mono, 0) + 3 * n * f_den
+        assert got.numerators() == GradedForm(2 * top, raw, f_den * g_den).numerators()
+        assert (top, 0, 0) in got.numerators()[0]
+
+    def test_a_ring_result_past_the_slots_raises(self):
+        top = self.LIMIT - 1
+        f = GradedForm(2 * top, {(top, 0, 0): 1})
+        with pytest.raises(DomainError, match="slot"):
+            GradedForm.combination(2 * self.LIMIT, [(1, f, E2)])
+        with pytest.raises(DomainError, match="slot"):
+            serre_derivative(f)
+        below = serre_derivative(GradedForm(2 * top - 2, {(top - 1, 0, 0): 1}))
+        assert below.numerators() == GradedForm(2 * top, {(top, 0, 0): top - 1, (top - 2, 1, 0): 1 - top}, 12).numerators()
 
 
 def combination_fraction(weight: int, terms: list) -> GradedForm:
