@@ -12,13 +12,21 @@ generator and a derivative and exercises the quasimodular ring.  The two
 must agree exactly; the q-expansion of either must match the divisor-sum
 q-expansion after scaling by 2 zeta(k) / pi^k.  All three paths are exposed.
 
-The production convolution sum is folded: its terms p and k/2 - p are equal,
-so each pair is taken once with a doubled coefficient.  It is evaluated, not
-convolved: at (G4, G6) = (1, z), G_k is z^b0 R(z^2), b0 = 0 or 1, with one
-unknown coefficient of R per (a, b), so the identity, read as one in R
-(a pair of weights both 2 mod 4 carries the factor z^2 = y), is summed at
-the n + 1 nodes y = 0, 1, -1, 2, -2, ... for the n unknowns, one product of
-two point values per pair and node, and w(k) is recovered by exact
+The production convolution sum is split by weight class mod 4.  With
+b_m = (m - 1) G_m it reads (k/2 - 3)(k - 1)(k + 1) G_k = 3 sum b_m1 b_m2 over
+m1 + m2 = k, and with A_i = b_4i, B_i = b_(4i+2) and C_i = A_i + B_i that sum
+is A2(s) + B2(s - 1) at k = 4s and C2(s) - A2(s) - B2(s) = 2 sum A_i B_j at
+k = 4s + 2, X2(s) the self-sum sum_{i+j=s} X_i X_j (Karatsuba's identity on
+whole class sums).  Each X2(s) is folded, its terms i and s - i being equal,
+so each pair is taken once with a doubled coefficient, and A2(s) and B2(s)
+each serve two weights: a pair of weights costs three folded sums, not two
+folded sums and a mixed one, a quarter fewer point products (341,589 against
+451,904 to k = 500).  The sum is evaluated, not convolved: at
+(G4, G6) = (1, z), G_k is z^b0 R(z^2), b0 = 0 or 1, with one unknown
+coefficient of R per (a, b), so the identity, read as one in R (B2(s - 1),
+over weights both 2 mod 4, carries the factor z^2 = y), is summed at the
+n + 1 nodes y = 0, 1, -1, 2, -2, ... for the n unknowns, one product of two
+point values per pair and node, and w(k) is recovered by exact
 interpolation at n of them, the last one checking the result.  Each R is
 split into its even and odd halves, R(y) = E(y^2) + y O(y^2): one Horner
 pass per half gives R at both y and -y, and the values at y and -y give
@@ -44,14 +52,14 @@ median 537.
 
 Most of the evaluated sum's cost is scaling each pair's product up to a
 common denominator.  The large-prime part of a pair's denominator is nested
-in p, so the folded sum takes its terms p descending, where the running lcm
-grows in small steps, and adds them in runs of ``RUN`` terms, each over the
-lcm of its own pair denominators: at k = 500 the multipliers
-lcm / (den1 den2) average 352 bits in ascending order over one running lcm,
-179 bits in descending order, and 86 bits over the runs' lcms.  Each
-multiplier meets the smaller weight's point value before the product of the
-two, not the product itself.  The order, the runs and where the multiplier
-is applied change no integer of the result.
+in the weight, so each class sum takes its terms i descending, where the
+lcm grows in small steps, and adds them in runs of ``RUN`` terms, each over
+the lcm of its own pair denominators: at k = 500 the multipliers
+lcm / (den1 den2) average about 105 bits over the runs' lcms, against 350
+over the lcm of all of a sum's terms.  Each multiplier meets the smaller
+weight's point value before the product of the two, not the product itself.
+The order, the runs and where the multiplier is applied change no integer of
+the result.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence, Union
+from typing import Container, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ConsistencyError, DomainError, MissingWeightError
 from .exact import INFINITY, Valuation, bernoulli, divisor_power_sum, fill_tangent_numbers, valuation, zeta_ratio_terms
@@ -177,7 +185,7 @@ class EisensteinTable:
     def extend(self, k_max: int) -> "EisensteinTable":
         """Fill all even weights up to k_max by the convolution recurrence; returns self.
 
-        Each missing weight is evaluated once by the folded sum
+        Each missing weight is evaluated once by the class sums
         (``rademacher_expand``).  At each weight k = 12 * 2^m and
         k = 12 * 2^m + 2 (m >= 1) Popa's recurrence (``popa_expand``, route
         ``precancelled``, which reads only the stored integer views of
@@ -187,14 +195,18 @@ class EisensteinTable:
         the tangent numbers that are built first, in one pass, to the largest
         missing weight.
 
-        The folded sum reads each weight's values at the nodes y = 0, 1, -1, ...,
+        The sums read each weight's values at the nodes y = 0, 1, -1, ...,
         as many as any weight up to k_max needs (len(exponents(k)) + 1 <=
         k // 12 + 2).  They are held for this call only: a weight, loaded or
-        built, is evaluated the first time a sum reads it (the sum for k reads
-        4 .. k - 4), and all are dropped on return.
+        built, is evaluated the first time a sum reads it (the sums for k read
+        4 .. k - 4), and all are dropped on return.  So are the class values
+        C_i and the class sums in ``sums``: each sum is taken on first use and
+        held from the first weight it serves to the last (A2(s) from 4s to
+        4s + 2, B2(s) from 4s + 2 to 4s + 4).
         """
         nodes = k_max // 12 + 2
         points: dict[int, tuple[list[int], int]] = {}
+        sums: dict[tuple[str, int], tuple[list[int], int]] = {}
         missing = [k for k in range(8, k_max + 1, 2) if k not in self]
         if missing:
             fill_tangent_numbers(missing[-1] // 2)
@@ -202,7 +214,7 @@ class EisensteinTable:
             for m in range(4, k - 3, 2):
                 if m not in points:
                     points[m] = _evaluate(m, self.integer_view(m), nodes)
-            view = rademacher_expand(k, points)
+            view = rademacher_expand(k, points, sums)
             if _cross_checked(k) and popa_expand(k, self, route="precancelled") != view:
                 raise ConsistencyError(f"the convolution and Popa's recurrence disagree at weight {k}")
             self._store(k, view)
@@ -454,51 +466,94 @@ def _evaluate(k: int, view: IntegerView, count: int) -> tuple[list[int], int]:
 
 
 def _pointwise_convolution(
-    terms: Sequence[tuple[int, int, int]],
-    points: Mapping[int, tuple[list[int], int]],
+    terms: Sequence[tuple[int, Hashable, Hashable]],
+    points: Mapping[Hashable, tuple[list[int], int]],
     count: int,
 ) -> tuple[list[int], int]:
-    """Accumulate coeff * y^f R_m1(y) R_m2(y) at the first ``count`` nodes y over integers.
+    """Accumulate coeff * X_1(y) X_2(y) at the first ``count`` nodes y over integers.
 
-    ``terms`` holds (coeff, m1, m2), and f = 1 when m1 and m2 are both 2 mod 4
-    (b0 = 1 each, so z^b0 z^b0 = y), else 0.  Each sum is kept over a common
-    denominator, and each pair costs one product of two point values per
-    node, not one per pair of coefficients.  The pair's multiplier meets the
-    smaller weight's point value first (m1 <= m2 in ``rademacher_expand``'s
-    terms), as mult * x1 * x2, before the product with the larger.
-    The terms are summed in runs of ``RUN`` consecutive terms, each over the
-    lcm of its own pair denominators, and the run sums then over the running
-    lcm of the runs.  Most of the sum's cost is scaling each product by
-    lcm / (den1 den2), and a run keeps that multiplier short: at k = 500, in
-    ``rademacher_expand``'s descending order, it averages 86 bits over the
-    runs' lcms (179 bits over one running lcm of all terms), and the 16 run
-    merges scale the run sums by 104 bits and the total by 152 bits on
-    average.  Taking each run's lcm once, up front, leaves its sum nothing to
-    rescale: a running lcm within the runs makes the multipliers 44 bits on
-    average, but the rescaling made the build about 5% slower.  The result is
-    the same pair of integers in any order and any grouping: den is the lcm
-    of all pair denominators, and vals[i] / den the exact sum at node i.
+    ``terms`` holds (coeff, key1, key2), and ``points`` maps each key to
+    integers vals, den, the point values vals[i] / den of X at the nodes.
+    Each sum is kept over a common denominator, and each pair costs one
+    product of two point values per node, not one per pair of coefficients.
+    The pair's multiplier meets the first point value, the smaller weight's
+    in ``_class_square``'s terms, as mult * x1 * x2, before the product with
+    the second.  The terms are summed in runs of ``RUN`` consecutive terms,
+    each over the lcm of its own pair denominators, and the run sums then
+    over the running lcm of the runs.  Most of the sum's cost is scaling
+    each product by lcm / (den1 den2), and a run keeps that multiplier
+    short.  Taking each run's lcm once, up front, leaves its sum nothing to
+    rescale: a running lcm within the runs made the multipliers shorter but
+    the build about 5% slower.  The result is the same pair of integers in
+    any order and any grouping: den is the lcm of all pair denominators, and
+    vals[i] / den the exact sum at node i.
     """
-    ys = _nodes(count)
     total = [0] * count
     total_den = 1
     for start in range(0, len(terms), RUN):
         run = terms[start : start + RUN]
-        pair_dens = [points[m1][1] * points[m2][1] for _, m1, m2 in run]
+        pair_dens = [points[x1][1] * points[x2][1] for _, x1, x2 in run]
         acc_den = math.lcm(*pair_dens)
         acc = [0] * count
-        for (coeff, m1, m2), pair_den in zip(run, pair_dens):
-            vals1, vals2 = points[m1][0], points[m2][0]
+        for (coeff, x1, x2), pair_den in zip(run, pair_dens):
+            vals1, vals2 = points[x1][0], points[x2][0]
             mult = acc_den // pair_den * coeff
-            if m1 % 4 == m2 % 4 == 2:
-                acc = [v + mult * y * x1 * x2 for v, y, x1, x2 in zip(acc, ys, vals1, vals2)]
-            else:
-                acc = [v + mult * x1 * x2 for v, x1, x2 in zip(acc, vals1, vals2)]
+            acc = [v + mult * v1 * v2 for v, v1, v2 in zip(acc, vals1, vals2)]
         lcm = total_den // math.gcd(total_den, acc_den) * acc_den
         grow, mult = lcm // total_den, lcm // acc_den
         total = [grow * t + mult * v for t, v in zip(total, acc)]
         total_den = lcm
     return total, total_den
+
+
+def _node_count(k: int) -> int:
+    """The nodes ``rademacher_expand`` reads for w(k): one per unknown, and one to check."""
+    return len(exponents(k)) + 1
+
+
+def _class_values(i: int, points: Mapping[int, tuple[list[int], int]]) -> tuple[list[int], int]:
+    """C_i = A_i + B_i = (4i - 1) G_4i + (4i + 1) G_(4i+2) at the nodes, over lcm(den(4i), den(4i + 2))."""
+    (vals_a, den_a), (vals_b, den_b) = points[4 * i], points[4 * i + 2]
+    den = math.lcm(den_a, den_b)
+    grow_a, grow_b = den // den_a * (4 * i - 1), den // den_b * (4 * i + 1)
+    return [grow_a * a + grow_b * b for a, b in zip(vals_a, vals_b)], den
+
+
+def _class_square(
+    name: str,
+    s: int,
+    points: Mapping[int, tuple[list[int], int]],
+    values: dict[tuple[str, int], tuple[list[int], int]],
+    have: int,
+) -> tuple[list[int], int]:
+    """X2(s) = sum_{i+j=s; i,j >= 1} X_i X_j for the class X = ``name``, "A", "B" or "C".
+
+    With b_m = (m - 1) G_m, A_i = b_4i and B_i = b_(4i+2) are read from
+    ``points`` (weight 4i, 4i + 2), their factors (m - 1) taken into each
+    term's coefficient, and C_i = A_i + B_i from ``values[("C", i)]``
+    (``_class_values``), formed there on first use.  The terms i and s - i
+    are equal, so the sum is folded: the square term X_(s/2)^2 (s even)
+    first, then each pair once, doubled, i descending, where the lcm of the
+    pair denominators grows in small steps.  It is taken at as many nodes as
+    the weights it serves read (A2(s): 4s and 4s + 2; B2(s): 4s + 2 and
+    4s + 4; C2(s): 4s + 2), but no more than ``have``, the nodes ``points``
+    holds.
+    """
+    served = {"A": (4 * s, 4 * s + 2), "B": (4 * s + 2, 4 * s + 4), "C": (4 * s + 2,)}[name]
+    count = min(have, max(map(_node_count, served)))
+    folded = [(1, s // 2)] if s % 2 == 0 else []
+    folded += [(2, i) for i in range((s + 1) // 2 - 1, 0, -1)]
+    if name == "C":
+        for i in range(1, s):
+            if ("C", i) not in values:
+                values["C", i] = _class_values(i, points)
+        return _pointwise_convolution([(c, ("C", i), ("C", s - i)) for c, i in folded], values, count)
+    shift = 0 if name == "A" else 2
+    terms = []
+    for c, i in folded:
+        m1, m2 = 4 * i + shift, 4 * (s - i) + shift
+        terms.append((c * (m1 - 1) * (m2 - 1), m1, m2))
+    return _pointwise_convolution(terms, points, count)
 
 
 def _newton(k: int, ts: list[int], vals: list[int]) -> list[int]:
@@ -567,35 +622,68 @@ def _interpolate(k: int, vals: list[int]) -> dict[int, int]:
     return {a: coef[n - 1 - j] for j, (a, _) in enumerate(pairs)}
 
 
-def rademacher_expand(k: int, points: Mapping[int, tuple[list[int], int]]) -> IntegerView:
-    """w(k) from the convolution identity, folded (the production path)
+def rademacher_expand(
+    k: int,
+    points: Mapping[int, tuple[list[int], int]],
+    sums: Optional[dict[tuple[str, int], tuple[list[int], int]]] = None,
+) -> IntegerView:
+    """w(k) from the convolution identity, split by weight class mod 4 (the production path)
 
-        (k/2-3)(k-1)(k+1) G_k = 3 sum_{p=2}^{k/2-2} (2p-1)(k-2p-1) G_{2p} G_{k-2p}
-                              = 6 sum_{p=2}^{ceil(k/4)-1} (2p-1)(k-2p-1) G_{2p} G_{k-2p}
-                                + 3 (k/2-1)^2 G_{k/2}^2        [term present only when 4 | k].
+        (k/2-3)(k-1)(k+1) G_k = 3 sum_{m1+m2=k; m1,m2 >= 4} b_m1 b_m2,   b_m = (m-1) G_m,
 
-    The terms p and k/2 - p of the symmetric sum are equal, so each pair is
-    taken once.  The terms are summed square term first and p descending: the
-    large-prime part of den(w(2p)) den(w(k-2p)) is nested in p, so in that
-    order the lcm of ``_pointwise_convolution`` grows in small steps,
-    and at k = 500 its multipliers total 22.2k bits over the 124 terms,
-    against 43.6k bits ascending.  The identity is evaluated at
-    (G4, G6) = (1, z) as one in R, G_k(1, z) = z^b0 R(z^2), at the first
-    n + 1 nodes y = 0, 1, -1, 2, -2, ..., n = len(exponents(k)), and w(k)
-    recovered once by ``_interpolate`` and returned as the table stores it,
-    reduced by ``_reduced``.  ``points`` maps each even weight 4 .. k-4 to its
-    values at no fewer than n + 1 nodes, as ``_evaluate`` gives them.  k = 6
-    is outside the domain (the left factor k/2-3 vanishes there).
+    with A_i = b_4i, B_i = b_(4i+2), C_i = A_i + B_i and X2(s) =
+    sum_{i+j=s; i,j >= 1} X_i X_j (``_class_square``):
+
+        sum_{m1+m2=4s} b_m1 b_m2   = A2(s) + B2(s-1),
+        sum_{m1+m2=4s+2} b_m1 b_m2 = 2 sum_{i+j=s} A_i B_j = C2(s) - A2(s) - B2(s).
+
+    A2(s) and B2(s) each serve two weights, so a pair of weights 4s, 4s + 2
+    costs three folded sums of about s/2 terms each, not two folded sums and
+    a mixed one.  The identity is evaluated at (G4, G6) = (1, z) as one in R,
+    G_k(1, z) = z^b0 R(z^2), where B2(s-1), a sum over two weights 2 mod 4,
+    carries the factor z^2 = y once per node, at the first n + 1 nodes
+    y = 0, 1, -1, 2, -2, ..., n = len(exponents(k)), and w(k) recovered once
+    by ``_interpolate`` and returned as the table stores it, reduced by
+    ``_reduced``.  ``points`` maps each even weight 4 .. k-4 to its values at
+    no fewer than n + 1 nodes, as ``_evaluate`` gives them.  ``sums`` holds,
+    for that one ``points`` map, the C_i and each class sum from the first
+    weight it serves to its last (``extend`` keeps one for its call);
+    without it they are taken for this call only.  k = 6 is outside the
+    domain (the left factor k/2-3 vanishes there).
     """
     _check_domain(k)
-    terms = [(3 * (k // 2 - 1) ** 2, k // 2, k // 2)] if k % 4 == 0 else []
-    terms += [(6 * (2 * p - 1) * (k - 2 * p - 1), 2 * p, k - 2 * p) for p in range((k + 2) // 4 - 1, 1, -1)]
-    count = len(exponents(k)) + 1
+    count = _node_count(k)
     _require_weights(points, range(4, k - 3, 2))
-    if any(len(points[m][0]) < count for m in range(4, k - 3, 2)):
+    have = min(len(points[m][0]) for m in range(4, k - 3, 2))
+    if have < count:
         raise DomainError(f"weight {k} needs point values at {count} nodes")
-    vals, den = _pointwise_convolution(terms, points, count)
-    return _reduced(_interpolate(k, vals), den * (k // 2 - 3) * (k - 1) * (k + 1))
+    sums = {} if sums is None else sums
+
+    def square(name: str, t: int, last: bool) -> tuple[list[int], int]:
+        # X2(t), held in sums from its first weight to its last
+        key = (name + "2", t)
+        held = sums.pop(key, None) if last else sums.get(key)
+        if held is None:
+            held = _class_square(name, t, points, sums, have)
+            if not last:
+                sums[key] = held
+        return held
+
+    s = k // 4
+    if k % 4 == 0:
+        vals_a, den_a = square("A", s, last=False)
+        vals_b, den_b = square("B", s - 1, last=True)
+        den = math.lcm(den_a, den_b)
+        grow_a, grow_b = den // den_a, den // den_b
+        vals = [grow_a * a + y * grow_b * b for y, a, b in zip(_nodes(count), vals_a, vals_b)]
+    else:
+        vals_a, den_a = square("A", s, last=True)
+        vals_b, den_b = square("B", s, last=False)
+        vals_c, den_c = square("C", s, last=True)
+        den = math.lcm(den_a, den_b, den_c)
+        grow_a, grow_b, grow_c = den // den_a, den // den_b, den // den_c
+        vals = [grow_c * c - grow_a * a - grow_b * b for c, a, b in zip(vals_c, vals_a, vals_b)]
+    return _reduced({a: 3 * n for a, n in _interpolate(k, vals).items()}, den * (k // 2 - 3) * (k - 1) * (k + 1))
 
 
 def rademacher_expand_folded(k: int, table: EisensteinTable) -> IntegerView:
@@ -603,7 +691,7 @@ def rademacher_expand_folded(k: int, table: EisensteinTable) -> IntegerView:
 
     Only the benchmark needs it: ``bench/spans.py`` traces this name.
     """
-    count = len(exponents(k)) + 1
+    count = _node_count(k)
     return rademacher_expand(k, {m: _evaluate(m, table.integer_view(m), count) for m in table.weights() if m < k - 2})
 
 

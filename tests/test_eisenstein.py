@@ -70,10 +70,9 @@ def weights_by_unknowns(n_max: int) -> dict:
 def convolution_terms(draw, n_terms: int) -> tuple:
     """n_terms terms (coeff, m1, m2) over random point values at 1-5 nodes.
 
-    The weights are 4, 6, 8, ..., so pairs of two weights 2 mod 4 (whose
-    products carry the factor y) and other pairs both occur.  The
-    denominators are odd and share the primes 3, 5, 7 and 11, so the lcm of
-    the pair denominators grows unevenly from term to term.
+    The keys are 4, 6, 8, ..., as in a class sum over ``rademacher_expand``'s
+    point values.  The denominators are odd and share the primes 3, 5, 7 and
+    11, so the lcm of the pair denominators grows unevenly from term to term.
     """
     count = draw(st.integers(1, 5))
     vals = st.lists(st.integers(-(10**30), 10**30), min_size=count, max_size=count)
@@ -409,7 +408,7 @@ class TestRademacher:
         table = EisensteinTable().extend(100)
         assert sum(expanded.values()) == 47
         assert expanded == Counter(range(8, 101, 2))
-        # a weight is evaluated when a sum first reads it: the last, 100, reads 4 .. 96
+        # a weight is evaluated when a class sum first reads it: those of the last, 100, read 4 .. 96
         assert evaluated == Counter(range(4, 97, 2))
         # a loaded table that already holds every weight costs the warm calls nothing
         dump = tmp_path / "table.csv"
@@ -442,19 +441,13 @@ class TestRademacher:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_run_sums_are_the_exact_sum_in_any_order(self, n_terms, data):
-        # 1, 8, 9 and 17 terms: one short run, one full run, and a run boundary crossed once and twice
-        # the oracle multiplies by y wherever both weights are 2 mod 4 (b0 = 1 each)
+        # 1, 8, 9 and 17 terms: one short run, one full run, and a run boundary crossed once and twice;
+        # no term carries a factor y: rademacher_expand applies it once per node to B2(s - 1)
         terms, points, count = data.draw(convolution_terms(n_terms))
         acc, den = eisenstein._pointwise_convolution(terms, points, count)
         assert den == math.lcm(*[points[m1][1] * points[m2][1] for _, m1, m2 in terms])
-        for i, y in enumerate(nodes(count)):
-            exact = sum(
-                Fraction(
-                    c * (y if m1 % 4 == m2 % 4 == 2 else 1) * points[m1][0][i] * points[m2][0][i],
-                    points[m1][1] * points[m2][1],
-                )
-                for c, m1, m2 in terms
-            )
+        for i in range(count):
+            exact = sum(Fraction(c * points[m1][0][i] * points[m2][0][i], points[m1][1] * points[m2][1]) for c, m1, m2 in terms)
             assert Fraction(acc[i], den) == exact, i
         permuted = data.draw(st.permutations(terms))
         assert eisenstein._pointwise_convolution(permuted, points, count) == (acc, den)
@@ -474,27 +467,29 @@ class TestRademacher:
         assert not checked
 
     def test_the_value_check_stops_a_sum_fault_the_check_node_cannot_see(self, monkeypatch):
-        # 40 is the first weight with two runs (9 terms) and is not
+        # a class sum X2(s) has floor(s/2) terms, so A2(18), read first by
+        # weight 72, is the first with two runs (9 terms); 72 is not
         # cross-checked, so only the value check can stop the mutant there
-        table = EisensteinTable().extend(38)
-        truth = EisensteinTable().extend(40).integer_view(40)
+        table = EisensteinTable().extend(70)
+        truth = EisensteinTable().extend(72).integer_view(72)
         monkeypatch.setattr(eisenstein, "_pointwise_convolution", run_merge_mutant())
-        assert rademacher_expand(40, point_values(table, 40)) != truth
-        with pytest.raises(ConsistencyError, match="weight 40: the constant q-coefficient"):
-            table.extend(40)
-        assert 40 not in table
-        assert table.weights() == list(range(4, 39, 2))
+        assert rademacher_expand(72, point_values(table, 72)) != truth
+        with pytest.raises(ConsistencyError, match="weight 72: the constant q-coefficient"):
+            table.extend(72)
+        assert 72 not in table
+        assert table.weights() == list(range(4, 71, 2))
 
     def test_the_popa_cross_check_stops_the_same_fault_without_the_value_check(self, monkeypatch):
-        # with the value check off the mutant's 40 .. 46 are stored; 48 is the
-        # next cross-checked weight, and Popa's recurrence disagrees there
-        table = EisensteinTable().extend(38)
-        monkeypatch.setattr(eisenstein, "_check_q_coefficients", lambda k, view: None)
+        # with the door's value and sign checks off the mutant's 72 .. 94 are
+        # stored (the sign check alone stops it at 74); 96 is the next
+        # cross-checked weight, and Popa's recurrence disagrees there
+        table = EisensteinTable().extend(70)
+        monkeypatch.setattr(EisensteinTable, "_store", lambda self, k, view: self._views.__setitem__(k, view))
         monkeypatch.setattr(eisenstein, "_pointwise_convolution", run_merge_mutant())
-        with pytest.raises(ConsistencyError, match="the convolution and Popa's recurrence disagree at weight 48"):
-            table.extend(60)
-        assert 48 not in table
-        assert table.weights() == list(range(4, 47, 2))
+        with pytest.raises(ConsistencyError, match="the convolution and Popa's recurrence disagree at weight 96"):
+            table.extend(100)
+        assert 96 not in table
+        assert table.weights() == list(range(4, 95, 2))
 
     def test_extend_refuses_a_built_value_below_zero_that_the_value_check_passes(self, monkeypatch):
         # u + t (1, -2, 1) on (u_1, u_4, u_7) of E_28 with t = u_4 keeps both
@@ -507,27 +502,152 @@ class TestRademacher:
         shifted = integer_view_of({a: (u[a] + u[4] * c) / ratio[a] for a, c in ((1, 1), (4, -2), (7, 1))})
         eisenstein._check_q_coefficients(28, shifted)
         real = eisenstein.rademacher_expand
-        monkeypatch.setattr(eisenstein, "rademacher_expand", lambda k, points: shifted if k == 28 else real(k, points))
+        monkeypatch.setattr(eisenstein, "rademacher_expand", lambda k, *args: shifted if k == 28 else real(k, *args))
         table = EisensteinTable()
         with pytest.raises(ConsistencyError, match=r"weight 28: w_\{a,k\} <= 0 for a in \[4\]"):
             table.extend(28)
         assert table.weights() == list(range(4, 27, 2))
 
-    def test_the_folded_sum_takes_the_square_term_first_and_p_descending(self, shared_table, monkeypatch):
-        table = shared_table.ensure(40)
-        seen = {}
+    def test_each_class_sum_takes_the_square_term_first_and_i_descending(self, shared_table, monkeypatch):
+        # weight 72 = 4 * 18 reads A2(18) and B2(17); weight 74 reads A2(18), B2(18) and C2(18)
+        table = shared_table.ensure(72)
+        seen = []
         real = eisenstein._pointwise_convolution
 
         def recording(terms, points, count):
-            seen[len(terms)] = [(m1, m2) for _, m1, m2 in terms]
+            seen.append([(c, x1, x2) for c, x1, x2 in terms])
             return real(terms, points, count)
 
         monkeypatch.setattr(eisenstein, "_pointwise_convolution", recording)
-        rademacher_expand(40, point_values(table, 40))
-        rademacher_expand(38, point_values(table, 38))
-        descending = range(9, 1, -1)
-        assert seen[9] == [(20, 20), *[(2 * p, 40 - 2 * p) for p in descending]]
-        assert seen[8] == [(2 * p, 38 - 2 * p) for p in descending]
+        rademacher_expand(72, point_values(table, 72))
+        a18 = [(35**2, 36, 36), *[(2 * (4 * i - 1) * (71 - 4 * i), 4 * i, 72 - 4 * i) for i in range(8, 0, -1)]]
+        b17 = [(2 * (4 * i + 1) * (69 - 4 * i), 4 * i + 2, 70 - 4 * i) for i in range(8, 0, -1)]
+        assert seen == [a18, b17]
+        seen.clear()
+        rademacher_expand(74, point_values(table, 74))
+        b18 = [(37**2, 38, 38), *[(2 * (4 * i + 1) * (73 - 4 * i), 4 * i + 2, 74 - 4 * i) for i in range(8, 0, -1)]]
+        c18 = [(1, ("C", 9), ("C", 9)), *[(2, ("C", i), ("C", 18 - i)) for i in range(8, 0, -1)]]
+        assert seen == [a18, b18, c18]
+
+
+def dump_without(table: EisensteinTable, weights: tuple, path) -> EisensteinTable:
+    """``table``'s dump with every row of ``weights`` taken out, loaded again."""
+    table.dump_csv(path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(row for row in rows if int(row.split(",")[0]) not in weights))
+    return EisensteinTable.load_csv(path)
+
+
+class RollingSums(dict):
+    """Class sums held by class only, as one variable per class would hold them: A2(s) is taken for any s."""
+
+    @staticmethod
+    def _key(key):
+        return (key[0], 0) if key[0] == "A2" else key
+
+    def get(self, key, default=None):
+        return super().get(self._key(key), default)
+
+    def pop(self, key, default=None):
+        return super().pop(self._key(key), default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._key(key), value)
+
+
+class TestClassSums:
+    """The split by weight class mod 4: A_i = b_4i, B_i = b_(4i+2), C_i = A_i + B_i, b_m = (m - 1) G_m."""
+
+    def test_the_c_square_less_a_and_b_is_twice_the_mixed_sum_to_s_30(self, shared_table):
+        table = shared_table.ensure(122)
+        points = point_values(table, 122)
+        have = len(points[4][0])
+        sums: dict = {}
+
+        def b(m, n):  # b_m at the n-th node, as a Fraction
+            vals, den = points[m]
+            return Fraction((m - 1) * vals[n], den)
+
+        for s in range(1, 31):
+            squares = {x: eisenstein._class_square(x, s, points, sums, have) for x in "ABC"}
+            count = len(squares["C"][0])
+            assert count == min(have, len(exponents(4 * s + 2)) + 1), s
+            for n in range(count):
+                a2, b2, c2 = (Fraction(squares[x][0][n], squares[x][1]) for x in "ABC")
+                mixed = sum(b(4 * i, n) * b(4 * (s - i) + 2, n) for i in range(1, s))
+                assert c2 - a2 - b2 == 2 * mixed, (s, n)
+                assert a2 == sum(b(4 * i, n) * b(4 * (s - i), n) for i in range(1, s)), (s, n)
+                assert b2 == sum(b(4 * i + 2, n) * b(4 * (s - i) + 2, n) for i in range(1, s)), (s, n)
+
+    def test_each_class_sum_has_the_nodes_of_the_weights_it_serves(self, shared_table):
+        # count(12) = 3 > count(14) = 2 and count(36) = 5 > count(34) = 4:
+        # A2(3) serves 12 and 14, B2(8) serves 34 and 36, each at the larger count
+        counts = {k: len(exponents(k)) + 1 for k in (12, 14, 34, 36)}
+        assert counts == {12: 3, 14: 2, 34: 4, 36: 5}
+        table = shared_table.ensure(36)
+        points = point_values(table, 36)
+        assert len(eisenstein._class_square("A", 3, points, {}, 5)[0]) == 3
+        assert len(eisenstein._class_square("B", 8, points, {}, 5)[0]) == 5
+        assert len(eisenstein._class_square("C", 8, points, {}, 5)[0]) == 4
+        # no more than the points hold
+        assert len(eisenstein._class_square("B", 8, points, {}, 4)[0]) == 4
+
+    def test_extend_holds_each_class_sum_from_its_first_weight_to_its_last(self, monkeypatch):
+        taken = []
+        real = eisenstein._class_square
+        monkeypatch.setattr(eisenstein, "_class_square", lambda x, s, *args: taken.append((x, s)) or real(x, s, *args))
+        EisensteinTable().extend(100)
+        assert sorted(taken) == sorted(
+            [("A", s) for s in range(2, 26)] + [("B", s) for s in range(1, 25)] + [("C", s) for s in range(2, 25)]
+        )
+
+    # holes at a weight 4s, at 4s + 2, at both (at s = 3 and s = 9, where
+    # count(4s) > count(4s + 2)), at 4s and a later 4t + 2, and a prefix dump
+    @pytest.mark.parametrize(
+        "holes", [(36,), (38,), (12, 14, 36, 38), (24, 30), tuple(range(102, 201, 2))], ids=["4s", "4s+2", "both", "4s-4t+2", "prefix"]
+    )
+    def test_a_loaded_dump_with_holes_extends_to_a_fresh_build(self, holes, shared_table, tmp_path):
+        fresh = shared_table.ensure(200)
+        loaded = dump_without(fresh, holes, tmp_path / "holes.csv")
+        assert all(k not in loaded for k in holes)
+        refilled, built = tmp_path / "refilled.csv", tmp_path / "fresh.csv"
+        loaded.extend(200).dump_csv(refilled)
+        fresh.dump_csv(built)
+        assert refilled.read_bytes() == built.read_bytes()
+
+    def test_a_sum_without_y_on_b_squared_is_refused(self, monkeypatch):
+        # y = 1 at every node: y B2(s - 1) becomes B2(s - 1)
+        truth = EisensteinTable().extend(40)
+        monkeypatch.setattr(eisenstein, "_nodes", lambda count: [1] * count)
+        with pytest.raises(ConsistencyError):
+            EisensteinTable().extend(40)
+        assert rademacher_expand(12, point_values(truth, 12)) != truth.integer_view(12)
+
+    def test_an_off_by_one_class_weight_in_c_is_refused(self, monkeypatch):
+        # m in place of m - 1: C_i = 4i G_4i + (4i + 2) G_(4i+2)
+        truth = EisensteinTable().extend(40)
+
+        def mutant(i, points):
+            (vals_a, den_a), (vals_b, den_b) = points[4 * i], points[4 * i + 2]
+            den = math.lcm(den_a, den_b)
+            return [den // den_a * 4 * i * a + den // den_b * (4 * i + 2) * b for a, b in zip(vals_a, vals_b)], den
+
+        monkeypatch.setattr(eisenstein, "_class_values", mutant)
+        with pytest.raises(ConsistencyError):
+            EisensteinTable().extend(40)
+        assert rademacher_expand(10, point_values(truth, 10)) != truth.integer_view(10)
+
+    def test_an_a_square_reused_across_a_hole_is_refused(self, shared_table, tmp_path, monkeypatch):
+        # A2(6), taken for the hole at 24 and held for 26, which is loaded, is
+        # taken again for the hole at 30 in place of A2(7), at as many nodes
+        fresh = shared_table.ensure(200)
+        loaded = dump_without(fresh, (24, 30), tmp_path / "holes.csv")
+        held = RollingSums()
+        real = eisenstein.rademacher_expand
+        monkeypatch.setattr(eisenstein, "rademacher_expand", lambda k, points, sums=None: real(k, points, held))
+        with pytest.raises(ConsistencyError, match="weight 30"):
+            loaded.extend(200)
+        assert 24 in loaded and 30 not in loaded
 
 
 class TestEvenOddKernel:
@@ -1187,7 +1307,7 @@ class TestDeferredLoad:
         assert refilled.read_bytes() == fresh.read_bytes()
 
     def test_a_gap_fill_evaluates_only_the_weights_its_sum_reads(self, shared_table, tmp_path, monkeypatch):
-        # the sum for the one missing weight 30 reads 4 .. 26; no weight above the gap is evaluated
+        # the class sums for the one missing weight 30 read 4 .. 26; no weight above the gap is evaluated
         fresh = tmp_path / "fresh.csv"
         shared_table.ensure(500).dump_csv(fresh)
         path = tmp_path / "table.csv"
